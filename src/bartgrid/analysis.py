@@ -264,41 +264,6 @@ def sobol_indices(
     return SensitivityResult(f0=f0, n_s=total.rows, parts=p_parts, estimates=estimates)
 
 
-def sobol_first_order(
-    predictor: Predictor,
-    k: int,
-    n_s: int,
-    p_parts: int,
-    seed: int,
-    *,
-    dim: int,
-    domain: tuple[float, float] = (-1.0, 1.0),
-) -> tuple[float, float, float]:
-    """(S_k, V_k, V): the first-order index of variable k and its pieces."""
-    result = sobol_indices(
-        predictor, dim, n_s, p_parts, seed, ks=[k], domain=domain
-    )
-    est = result.estimates[0]
-    return est.s1, est.v_k, est.v_total
-
-
-def sobol_total(
-    predictor: Predictor,
-    k: int,
-    n_s: int,
-    p_parts: int,
-    seed: int,
-    *,
-    dim: int,
-    domain: tuple[float, float] = (-1.0, 1.0),
-) -> float:
-    """Total sensitivity index of variable k (Jansen-form numerator)."""
-    result = sobol_indices(
-        predictor, dim, n_s, p_parts, seed, ks=[k], domain=domain
-    )
-    return result.estimates[0].st
-
-
 def sensitivity_report(
     predictor: Predictor,
     dim: int,

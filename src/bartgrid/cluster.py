@@ -16,11 +16,10 @@ from __future__ import annotations
 import hashlib
 import queue
 import socket
-import struct
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .sampler import (
     FitSettings,
     Proposal,
     ShardData,
-    StatsProvider,
+    StatsVec,
     SuffStats,
     derive_run_constants,
     forest_hash,
@@ -55,34 +54,13 @@ class ClusterError(RuntimeError):
 # Data partitioning
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class Shard:
-    """One worker's contiguous slice of the dataset."""
-
-    rank: int
-    start: int
-    stop: int
-    x: np.ndarray
-    y: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.stop - self.start
-
-
-def shard_data(x: np.ndarray, y: np.ndarray, p: int) -> list[Shard]:
-    """Split rows into p contiguous shards whose sizes differ by at most one."""
-    n = y.shape[0]
-    if p < 1:
-        raise ValueError("worker count must be >= 1")
-    if p > n:
-        raise ValueError("more workers than rows")
-    bounds = partition_bounds(n, p)
-    return [
-        Shard(rank, int(bounds[rank - 1]), int(bounds[rank]),
-              x[bounds[rank - 1] : bounds[rank]], y[bounds[rank - 1] : bounds[rank]])
-        for rank in range(1, p + 1)
-    ]
+def _blocks_per_worker(blocks: int, p: int) -> int:
+    if blocks % p != 0:
+        raise ValueError("reduction_blocks must be a multiple of the worker count")
+    per = blocks // p
+    if per & (per - 1):
+        raise ValueError("blocks per worker must be a power of two for a stable fold")
+    return per
 
 
 def worker_row_range(n_total: int, blocks: int, p: int, rank: int) -> tuple[int, int]:
@@ -91,11 +69,7 @@ def worker_row_range(n_total: int, blocks: int, p: int, rank: int) -> tuple[int,
     Shards are unions of whole reduction blocks so that block sums never
     straddle a worker boundary.
     """
-    if blocks % p != 0:
-        raise ValueError("reduction_blocks must be a multiple of the worker count")
-    per = blocks // p
-    if per & (per - 1):
-        raise ValueError("blocks per worker must be a power of two for a stable fold")
+    per = _blocks_per_worker(blocks, p)
     bounds = partition_bounds(n_total, blocks)
     return int(bounds[(rank - 1) * per]), int(bounds[rank * per])
 
@@ -108,11 +82,7 @@ def shard_block_slices(n_local: int, blocks: int, p: int) -> list[tuple[int, int
     the oversized global blocks form a prefix, so their intersection with any
     contiguous run of blocks is a prefix of that run.
     """
-    if blocks % p != 0:
-        raise ValueError("reduction_blocks must be a multiple of the worker count")
-    per = blocks // p
-    if per & (per - 1):
-        raise ValueError("blocks per worker must be a power of two for a stable fold")
+    per = _blocks_per_worker(blocks, p)
     bounds = partition_bounds(n_local, per)
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(per)]
 
@@ -133,20 +103,20 @@ def reduce_stats(partials: Sequence):
 # Transports
 # ---------------------------------------------------------------------------
 
-class Channel:
-    """Ordered, reliable duplex byte channel (one endpoint)."""
+class Channel(Protocol):
+    """Ordered, reliable duplex byte channel (one endpoint).
 
-    def send(self, data: bytes) -> None:
-        raise NotImplementedError
+    `recv(n)` blocks until exactly n bytes have arrived.
+    """
 
-    def recv(self, n: int) -> bytes:
-        raise NotImplementedError
+    def send(self, data: bytes) -> None: ...
 
-    def close(self) -> None:
-        pass
+    def recv(self, n: int) -> bytes: ...
+
+    def close(self) -> None: ...
 
 
-class QueueChannel(Channel):
+class QueueChannel:
     """In-process channel over a pair of byte queues."""
 
     def __init__(self, inbox: "queue.SimpleQueue[bytes]", outbox: "queue.SimpleQueue[bytes]",
@@ -175,6 +145,9 @@ class QueueChannel(Channel):
         del self._buffer[:n]
         return out
 
+    def close(self) -> None:
+        pass
+
 
 def queue_channel_pair(fail_check: Callable[[], None] | None = None,
                        timeout: float = 120.0) -> tuple[QueueChannel, QueueChannel]:
@@ -186,7 +159,7 @@ def queue_channel_pair(fail_check: Callable[[], None] | None = None,
     )
 
 
-class SocketChannel(Channel):
+class SocketChannel:
     """TCP stream channel."""
 
     def __init__(self, sock: socket.socket):
@@ -243,9 +216,8 @@ class ByteAudit:
 
     def sampler_payload_total(self) -> int:
         """Ledger bytes (both directions), control plumbing excluded."""
-        return sum(
-            v for op, v in self.sent.items() if op in proto.SAMPLER_OPCODES
-        ) + sum(v for op, v in self.received.items() if op in proto.SAMPLER_OPCODES)
+        tallies = (*self.sent.items(), *self.received.items())
+        return sum(v for op, v in tallies if op in proto.SAMPLER_OPCODES)
 
 
 class MessageIO:
@@ -274,38 +246,12 @@ class MessageIO:
         allowed: tuple[type, ...],
         mu_records: int | Callable[[], int] | None = None,
     ) -> proto.Message:
-        opcode = self.channel.recv(1)[0]
-        size = proto.FIXED_PAYLOAD_SIZES.get(opcode)
-        if opcode not in proto.FIXED_PAYLOAD_SIZES:
-            raise ClusterError(f"unknown opcode 0x{opcode:02x} on the wire")
-        if size is None:
-            if opcode in (proto.OP_MU_STATS, proto.OP_MU_VALUES):
-                if mu_records is None:
-                    raise ClusterError("per-leaf message arrived without an expected count")
-                records = mu_records() if callable(mu_records) else mu_records
-                size = (20 if opcode == proto.OP_MU_STATS else 8) * records
-            elif opcode in (proto.OP_SHARD_META, proto.OP_RUN_SETUP):
-                head_size = (
-                    proto.SHARD_META_HEAD_SIZE
-                    if opcode == proto.OP_SHARD_META
-                    else proto.RUN_SETUP_HEAD_SIZE
-                )
-                head = self.channel.recv(head_size)
-                (d,) = struct.unpack("<I", head[-4:])
-                tail = self.channel.recv(16 * d)
-                frame = bytes([opcode]) + head + tail
-                return self._finish(frame, allowed)
-            else:  # pragma: no cover - table covers all variable opcodes
-                raise ClusterError(f"cannot size opcode 0x{opcode:02x}")
-        payload = self.channel.recv(size) if size else b""
-        return self._finish(bytes([opcode]) + payload, allowed)
-
-    def _finish(self, frame: bytes, allowed: tuple[type, ...]) -> proto.Message:
-        if self.audit is not None:
-            self.audit.record(frame[0], len(frame) - 1, outgoing=False)
-        if self.capture is not None:
-            self.capture.append(("recv", frame))
         try:
+            frame = proto.read_frame(self.channel.recv, mu_records)
+            if self.audit is not None:
+                self.audit.record(frame[0], len(frame) - 1, outgoing=False)
+            if self.capture is not None:
+                self.capture.append(("recv", frame))
             msg = proto.decode(frame)
         except proto.ProtocolError as exc:
             raise ClusterError(str(exc)) from exc
@@ -417,9 +363,8 @@ def run_worker(
         elif isinstance(msg, proto.BirthAccept):
             if pending is None or pending.node_id != msg.node_id:
                 raise ClusterError("birth accept does not match the pending proposal")
-            node = tree.node(msg.node_id)
             shard.apply_birth(
-                j, msg.node_id, msg.v, grid.value(msg.v, msg.c), node.mu,
+                j, msg.node_id, msg.v, grid.value(msg.v, msg.c), tree.node(msg.node_id).mu,
                 msg.mu_left, msg.mu_right,
             )
             tree.birth(msg.node_id, msg.v, msg.c, msg.mu_left, msg.mu_right)
@@ -440,8 +385,6 @@ def run_worker(
             _send_mu_stats(io, shard, tree, j)
         elif isinstance(msg, proto.MuValues):
             terminals = enumerate_nodes(tree, "terminal")
-            if len(msg.values) != len(terminals):
-                raise ClusterError("mu values do not match the terminal count")
             ids = np.array([t.id for t in terminals], dtype=np.uint32)
             old = np.array([t.mu for t in terminals], dtype=np.float64)
             new = np.array(msg.values, dtype=np.float64)
@@ -453,17 +396,14 @@ def run_worker(
 
 def _send_mu_stats(io: MessageIO, shard: ShardData, tree: Tree, j: int) -> None:
     stats = shard_mu_stats(shard, tree, j)
-    io.send(
-        proto.MuStats(tuple((st.n, st.s, st.s2) for st in stats)),
-        expected_records=len(enumerate_nodes(tree, "terminal")),
-    )
+    io.send(proto.MuStats(tuple(zip(stats.n.tolist(), stats.s.tolist(), stats.s2.tolist()))))
 
 
 # ---------------------------------------------------------------------------
 # Master
 # ---------------------------------------------------------------------------
 
-class RemoteProvider(StatsProvider):
+class RemoteProvider:
     """Statistics provider that speaks the wire protocol to every worker."""
 
     def __init__(self, ios: dict[int, MessageIO], n_total: int):
@@ -492,9 +432,8 @@ class RemoteProvider(StatsProvider):
         rights = []
         for io in self.ios:
             msg = io.recv((proto.MoveStats,))
-            # Wire move stats carry no sum of squares; the MH step needs none.
-            lefts.append(SuffStats(msg.n_left, msg.sum_left, 0.0))
-            rights.append(SuffStats(msg.n_right, msg.sum_right, 0.0))
+            lefts.append(SuffStats(msg.n_left, msg.sum_left))
+            rights.append(SuffStats(msg.n_right, msg.sum_right))
         return reduce_stats(lefts), reduce_stats(rights)
 
     def apply_birth(self, j, tree, prop, mu_l, mu_r):
@@ -511,14 +450,9 @@ class RemoteProvider(StatsProvider):
         partials = []
         for io in self.ios:
             msg = io.recv((proto.MuStats,), mu_records=b)
-            if len(msg.records) != b:
-                raise ClusterError("mu stats record count does not match terminal count")
-            partials.append(
-                [SuffStats(n, s, s2) for n, s, s2 in msg.records]
-            )
-        return [
-            reduce_stats([partials[w][i] for w in range(len(partials))]) for i in range(b)
-        ]
+            n, s, s2 = zip(*msg.records)
+            partials.append(StatsVec(np.array(n, dtype=np.int64), np.array(s), np.array(s2)))
+        return reduce_stats(partials)
 
     def apply_mus(self, j, tree, ids, old, new):
         self._broadcast(proto.MuValues(tuple(float(v) for v in new)), expected_records=ids.size)
@@ -578,6 +512,10 @@ def run_master(
             raise ClusterError(f"rank mismatch on channel {rank}: HELLO says {hello.rank}")
         hellos[rank] = hello
         metas[rank] = ios[rank].recv((proto.ShardMeta,))
+    widths = {rank: len(meta.x_min) for rank, meta in metas.items()}
+    if len(set(widths.values())) > 1:
+        counts = ", ".join(f"rank {rank} has {d}" for rank, d in sorted(widths.items()))
+        raise ClusterError(f"workers disagree on the predictor count: {counts}")
 
     n_total = sum(h.shard_rows for h in hellos.values())
     for rank in sorted(ios):
@@ -752,7 +690,7 @@ def serve_master(
         # Peek each HELLO to learn the rank without consuming the stream:
         # ranks arrive in arbitrary order, so buffer the frame and replay it.
         for chan in pending:
-            frame = chan.recv(1 + 12)
+            frame = proto.read_frame(chan.recv)
             hello = proto.decode(frame)
             if not isinstance(hello, proto.Hello):
                 raise ClusterError("worker did not start with HELLO")
@@ -768,7 +706,7 @@ def serve_master(
         server.close()
 
 
-class _ReplayChannel(Channel):
+class _ReplayChannel:
     """Channel that replays already-read bytes before the live stream."""
 
     def __init__(self, buffered: bytes, inner: Channel):
@@ -792,6 +730,11 @@ class _ReplayChannel(Channel):
         self._inner.close()
 
 
+# Bounds only the connection attempt: an established worker waits on its
+# master for as long as the master computes.
+CONNECT_TIMEOUT = 10.0
+
+
 def connect_worker(
     address: tuple[str, int],
     x: np.ndarray,
@@ -809,13 +752,14 @@ def connect_worker(
     sock = None
     while time.monotonic() < deadline:
         try:
-            sock = socket.create_connection(address, timeout=10.0)
+            sock = socket.create_connection(address, timeout=CONNECT_TIMEOUT)
             break
         except OSError as exc:
             last_err = exc
             time.sleep(0.1)
     if sock is None:
         raise ClusterError(f"could not reach master at {address}: {last_err}")
+    sock.settimeout(None)
     chan = SocketChannel(sock)
     try:
         run_worker(chan, x, y, rank, workers, reduction_blocks, audit=audit)

@@ -114,14 +114,14 @@ def gen_dataset(
 # ---------------------------------------------------------------------------
 
 class TableError(ValueError):
-    """Malformed table: ragged row, non-numeric cell, missing column."""
+    """Malformed table: ragged row, non-numeric or non-finite cell, missing column."""
 
 
 def iter_rows(path: str) -> Iterator[tuple[list[str], list[float]]]:
     """Stream (header, row) pairs; the header is re-yielded with every row.
 
     Reads one line at a time; raises TableError with the 1-based line number
-    on the first ragged or non-numeric row.
+    on the first ragged, non-numeric or non-finite row.
     """
     with open(path, "r", encoding="ascii") as fh:
         header_line = fh.readline()
@@ -138,8 +138,11 @@ def iter_rows(path: str) -> Iterator[tuple[list[str], list[float]]]:
             except ValueError:
                 bad = next(c for c in cells if not _is_number(c))
                 raise TableError(f"line {lineno}: non-numeric cell {bad!r}") from None
-            if any(math.isnan(v) for v in values):
-                raise TableError(f"line {lineno}: missing values are not supported")
+            if not all(map(math.isfinite, values)):
+                if any(map(math.isnan, values)):
+                    raise TableError(f"line {lineno}: missing values are not supported")
+                bad = next(c for c, v in zip(cells, values) if not math.isfinite(v))
+                raise TableError(f"line {lineno}: non-finite cell {bad!r}")
             yield header, values
 
 

@@ -15,8 +15,8 @@ plumbing outside that ledger and carry whatever the handshake needs.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Sequence
 
 PROTOCOL_VERSION = 1
 
@@ -40,19 +40,6 @@ OP_RSS_PARTIAL = 0x18
 PHASE_TREES = 0
 PHASE_SIGMA = 1
 PHASE_HASH = 2
-
-_U32 = struct.Struct("<I")
-_BIRTH_PROPOSAL = struct.Struct("<III")
-_DEATH_PROPOSAL = struct.Struct("<II")
-_MOVE_STATS = struct.Struct("<IIdd")
-_BIRTH_ACCEPT = struct.Struct("<IIIdd")
-_DEATH_ACCEPT_HEAD = struct.Struct("<Id")
-_MU_RECORD = struct.Struct("<Idd")
-_F64 = struct.Struct("<d")
-_HELLO = struct.Struct("<III")
-_ITER_BEGIN = struct.Struct("<IB")
-_SHARD_META_HEAD = struct.Struct("<IddddI")
-_RUN_SETUP_HEAD = struct.Struct("<IIIQddI")
 
 
 class ProtocolError(ValueError):
@@ -183,49 +170,45 @@ Message = (
     | Shutdown
 )
 
-# Variable-length control payloads start with a fixed head whose trailing u32
-# is the predictor count d; 16*d bytes of range data follow.
-SHARD_META_HEAD_SIZE = _SHARD_META_HEAD.size
-RUN_SETUP_HEAD_SIZE = _RUN_SETUP_HEAD.size
+# The wire format: per message type, its opcode and the struct of its payload.
+# Generic rows pack the dataclass fields in order.  For the per-leaf messages
+# the struct is one record and the payload is `records` of them; for
+# SHARD_META / RUN_SETUP it is a head whose trailing u32 is the predictor
+# count d, and 16*d bytes of range data (x_min then x_max) follow.
+MESSAGES: dict[type, tuple[int, struct.Struct]] = {
+    Hello: (OP_HELLO, struct.Struct("<III")),
+    ShardMeta: (OP_SHARD_META, struct.Struct("<IddddI")),
+    RunSetup: (OP_RUN_SETUP, struct.Struct("<IIIQddI")),
+    IterBegin: (OP_ITER_BEGIN, struct.Struct("<IB")),
+    Shutdown: (OP_SHUTDOWN, struct.Struct("<")),
+    ReplicaHash: (OP_REPLICA_HASH, struct.Struct("<16s")),
+    BirthProposal: (OP_BIRTH_PROPOSAL, struct.Struct("<III")),
+    DeathProposal: (OP_DEATH_PROPOSAL, struct.Struct("<II")),
+    MoveStats: (OP_MOVE_STATS, struct.Struct("<IIdd")),
+    BirthAccept: (OP_BIRTH_ACCEPT, struct.Struct("<IIIdd")),
+    # 12 bytes of content zero-padded to the ledger's 28-byte accept size.
+    DeathAccept: (OP_DEATH_ACCEPT, struct.Struct("<Id16x")),
+    Reject: (OP_REJECT, struct.Struct("<")),
+    MuStats: (OP_MU_STATS, struct.Struct("<Idd")),
+    MuValues: (OP_MU_VALUES, struct.Struct("<d")),
+    RssPartial: (OP_RSS_PARTIAL, struct.Struct("<d")),
+}
+_PER_RECORD = (MuStats, MuValues)
+_RANGES = (ShardMeta, RunSetup)
+_U32 = struct.Struct("<I")
+
+_BY_OPCODE = {opcode: (kind, layout) for kind, (opcode, layout) in MESSAGES.items()}
+_FIELDS = {kind: tuple(f.name for f in fields(kind)) for kind in MESSAGES}
 
 # Payload byte size per opcode; None = derived from message content.
 FIXED_PAYLOAD_SIZES: dict[int, int | None] = {
-    OP_HELLO: 12,
-    OP_SHARD_META: None,
-    OP_RUN_SETUP: None,
-    OP_ITER_BEGIN: 5,
-    OP_SHUTDOWN: 0,
-    OP_REPLICA_HASH: 16,
-    OP_BIRTH_PROPOSAL: 12,
-    OP_DEATH_PROPOSAL: 8,
-    OP_MOVE_STATS: 24,
-    OP_BIRTH_ACCEPT: 28,
-    OP_DEATH_ACCEPT: 28,
-    OP_REJECT: 0,
-    OP_MU_STATS: None,
-    OP_MU_VALUES: None,
-    OP_RSS_PARTIAL: 8,
+    opcode: None if issubclass(kind, _PER_RECORD + _RANGES) else layout.size
+    for kind, (opcode, layout) in MESSAGES.items()
 }
 
-# Opcodes whose payloads appear in the communication ledger (everything the
-# per-iteration byte accounting covers); control plumbing is excluded.
-SAMPLER_OPCODES = frozenset(
-    {
-        OP_BIRTH_PROPOSAL,
-        OP_DEATH_PROPOSAL,
-        OP_MOVE_STATS,
-        OP_BIRTH_ACCEPT,
-        OP_DEATH_ACCEPT,
-        OP_REJECT,
-        OP_MU_STATS,
-        OP_MU_VALUES,
-        OP_RSS_PARTIAL,
-    }
-)
-
-
-def opcode_of(msg: Message) -> int:
-    return _OPCODE_BY_TYPE[type(msg)]
+# Opcodes whose payloads appear in the communication ledger: the sampler
+# phase, numbered from 0x10; control plumbing is excluded.
+SAMPLER_OPCODES = frozenset(op for op, _ in MESSAGES.values() if op >= OP_BIRTH_PROPOSAL)
 
 
 def encode(msg: Message, expected_records: int | None = None) -> bytes:
@@ -234,60 +217,58 @@ def encode(msg: Message, expected_records: int | None = None) -> bytes:
     For MU_STATS / MU_VALUES an optional `expected_records` asserts the
     record count matches the tree's terminal-node count on the sending side.
     """
-    if isinstance(msg, Hello):
-        payload = _HELLO.pack(msg.version, msg.rank, msg.shard_rows)
-    elif isinstance(msg, ShardMeta):
-        d = len(msg.x_min)
-        if len(msg.x_max) != d:
-            raise ProtocolError("x_min / x_max length mismatch")
-        payload = _SHARD_META_HEAD.pack(
-            msg.n, msg.y_min, msg.y_max, msg.y_sum, msg.y_sumsq, d
-        ) + struct.pack(f"<{2 * d}d", *msg.x_min, *msg.x_max)
-    elif isinstance(msg, RunSetup):
-        d = len(msg.x_min)
-        if len(msg.x_max) != d:
-            raise ProtocolError("x_min / x_max length mismatch")
-        payload = _RUN_SETUP_HEAD.pack(
-            msg.m, msg.numcut, msg.blocks, msg.n_total, msg.y_mid, msg.y_range, d
-        ) + struct.pack(f"<{2 * d}d", *msg.x_min, *msg.x_max)
-    elif isinstance(msg, IterBegin):
-        payload = _ITER_BEGIN.pack(msg.iteration, msg.phase)
-    elif isinstance(msg, BirthProposal):
-        payload = _BIRTH_PROPOSAL.pack(msg.node_id, msg.v, msg.c)
-    elif isinstance(msg, DeathProposal):
-        payload = _DEATH_PROPOSAL.pack(msg.left_id, msg.right_id)
-    elif isinstance(msg, MoveStats):
-        payload = _MOVE_STATS.pack(msg.n_left, msg.n_right, msg.sum_left, msg.sum_right)
-    elif isinstance(msg, BirthAccept):
-        payload = _BIRTH_ACCEPT.pack(msg.node_id, msg.v, msg.c, msg.mu_left, msg.mu_right)
-    elif isinstance(msg, DeathAccept):
-        # 12 bytes of content zero-padded to the ledger's 28-byte accept size.
-        payload = _DEATH_ACCEPT_HEAD.pack(msg.node_id, msg.mu) + b"\x00" * 16
-    elif isinstance(msg, Reject):
-        payload = b""
-    elif isinstance(msg, MuStats):
-        if expected_records is not None and len(msg.records) != expected_records:
+    kind = type(msg)
+    if kind not in MESSAGES:
+        raise ProtocolError(f"cannot encode {kind.__name__}")
+    opcode, layout = MESSAGES[kind]
+    values = [getattr(msg, name) for name in _FIELDS[kind]]
+    if kind in _PER_RECORD:
+        (records,) = values
+        if expected_records is not None and len(records) != expected_records:
             raise ProtocolError(
-                f"mu stats carry {len(msg.records)} records, expected {expected_records}"
+                f"{kind.__name__} carry {len(records)} records, expected {expected_records}"
             )
-        payload = b"".join(_MU_RECORD.pack(n, s, s2) for n, s, s2 in msg.records)
-    elif isinstance(msg, MuValues):
-        if expected_records is not None and len(msg.values) != expected_records:
-            raise ProtocolError(
-                f"mu values carry {len(msg.values)} records, expected {expected_records}"
-            )
-        payload = struct.pack(f"<{len(msg.values)}d", *msg.values)
-    elif isinstance(msg, RssPartial):
-        payload = _F64.pack(msg.rss)
-    elif isinstance(msg, ReplicaHash):
-        if len(msg.digest) != 16:
-            raise ProtocolError("replica hash must be 16 bytes")
-        payload = msg.digest
-    elif isinstance(msg, Shutdown):
-        payload = b""
+        if kind is MuValues:
+            payload = struct.pack(f"<{len(records)}d", *records)
+        else:
+            payload = b"".join(layout.pack(*record) for record in records)
+    elif kind in _RANGES:
+        *head, x_min, x_max = values
+        d = len(x_min)
+        if len(x_max) != d:
+            raise ProtocolError("x_min / x_max length mismatch")
+        payload = layout.pack(*head, d) + struct.pack(f"<{2 * d}d", *x_min, *x_max)
     else:
-        raise ProtocolError(f"cannot encode {type(msg).__name__}")
-    return bytes([opcode_of(msg)]) + payload
+        if kind is ReplicaHash and len(msg.digest) != 16:
+            raise ProtocolError("replica hash must be 16 bytes")
+        payload = layout.pack(*values)
+    return bytes([opcode]) + payload
+
+
+def read_frame(
+    recv: Callable[[int], bytes], records: int | Callable[[], int] | None = None
+) -> bytes:
+    """Read one whole frame from a stream; `recv(k)` returns exactly k bytes.
+
+    The exchange is lockstep, so the receiver knows how many records a
+    per-leaf message carries: `records` (a count, or a callable giving it
+    when such a message arrives) sizes MU_STATS / MU_VALUES frames.
+    """
+    opcode = recv(1)[0]
+    if opcode not in _BY_OPCODE:
+        raise ProtocolError(f"unknown opcode 0x{opcode:02x} on the wire")
+    kind, layout = _BY_OPCODE[opcode]
+    if kind in _PER_RECORD:
+        if records is None:
+            raise ProtocolError("per-leaf message arrived without an expected count")
+        size = layout.size * (records() if callable(records) else records)
+    elif kind in _RANGES:
+        head = recv(layout.size)
+        (d,) = _U32.unpack_from(head, layout.size - _U32.size)
+        return bytes([opcode]) + head + recv(16 * d)
+    else:
+        size = layout.size
+    return bytes([opcode]) + (recv(size) if size else b"")
 
 
 def decode(data: bytes) -> Message:
@@ -299,87 +280,32 @@ def decode(data: bytes) -> Message:
         raise ProtocolError("empty frame")
     opcode = data[0]
     payload = data[1:]
-    fixed = FIXED_PAYLOAD_SIZES.get(opcode)
-    if opcode not in FIXED_PAYLOAD_SIZES:
+    if opcode not in _BY_OPCODE:
         raise ProtocolError(f"unknown opcode 0x{opcode:02x}")
-    if fixed is not None and len(payload) != fixed:
+    kind, layout = _BY_OPCODE[opcode]
+    if kind in _PER_RECORD:
+        if len(payload) % layout.size:
+            raise ProtocolError(
+                f"{kind.__name__} payload not a multiple of {layout.size} bytes"
+            )
+        if kind is MuValues:
+            return MuValues(struct.unpack(f"<{len(payload) // layout.size}d", payload))
+        return MuStats(tuple(layout.iter_unpack(payload)))
+    if kind in _RANGES:
+        if len(payload) < layout.size:
+            raise ProtocolError(f"{kind.__name__} payload truncated")
+        *head, d = layout.unpack_from(payload)
+        if len(payload) != layout.size + 16 * d:
+            raise ProtocolError(f"{kind.__name__} payload length mismatch")
+        vals = struct.unpack_from(f"<{2 * d}d", payload, layout.size)
+        return kind(*head, vals[:d], vals[d:])
+    if len(payload) != layout.size:
         raise ProtocolError(
-            f"opcode 0x{opcode:02x}: payload is {len(payload)} bytes, expected {fixed}"
+            f"opcode 0x{opcode:02x}: payload is {len(payload)} bytes, expected {layout.size}"
         )
-    if opcode == OP_HELLO:
-        return Hello(*_HELLO.unpack(payload))
-    if opcode == OP_SHARD_META:
-        head = _SHARD_META_HEAD.size
-        if len(payload) < head:
-            raise ProtocolError("shard meta truncated")
-        n, y_min, y_max, y_sum, y_sumsq, d = _SHARD_META_HEAD.unpack(payload[:head])
-        if len(payload) != head + 16 * d:
-            raise ProtocolError("shard meta length mismatch")
-        vals = struct.unpack(f"<{2 * d}d", payload[head:])
-        return ShardMeta(n, y_min, y_max, y_sum, y_sumsq, vals[:d], vals[d:])
-    if opcode == OP_RUN_SETUP:
-        head = _RUN_SETUP_HEAD.size
-        if len(payload) < head:
-            raise ProtocolError("run setup truncated")
-        m, numcut, blocks, n_total, y_mid, y_range, d = _RUN_SETUP_HEAD.unpack(payload[:head])
-        if len(payload) != head + 16 * d:
-            raise ProtocolError("run setup length mismatch")
-        vals = struct.unpack(f"<{2 * d}d", payload[head:])
-        return RunSetup(m, numcut, blocks, n_total, y_mid, y_range, vals[:d], vals[d:])
-    if opcode == OP_ITER_BEGIN:
-        return IterBegin(*_ITER_BEGIN.unpack(payload))
-    if opcode == OP_SHUTDOWN:
-        return Shutdown()
-    if opcode == OP_REPLICA_HASH:
-        return ReplicaHash(payload)
-    if opcode == OP_BIRTH_PROPOSAL:
-        return BirthProposal(*_BIRTH_PROPOSAL.unpack(payload))
-    if opcode == OP_DEATH_PROPOSAL:
-        return DeathProposal(*_DEATH_PROPOSAL.unpack(payload))
-    if opcode == OP_MOVE_STATS:
-        return MoveStats(*_MOVE_STATS.unpack(payload))
-    if opcode == OP_BIRTH_ACCEPT:
-        return BirthAccept(*_BIRTH_ACCEPT.unpack(payload))
-    if opcode == OP_DEATH_ACCEPT:
-        if payload[12:] != b"\x00" * 16:
-            raise ProtocolError("death accept padding must be zero")
-        return DeathAccept(*_DEATH_ACCEPT_HEAD.unpack(payload[:12]))
-    if opcode == OP_REJECT:
-        return Reject()
-    if opcode == OP_MU_STATS:
-        if len(payload) % _MU_RECORD.size:
-            raise ProtocolError("mu stats payload not a multiple of 20 bytes")
-        records = tuple(
-            _MU_RECORD.unpack(payload[i : i + _MU_RECORD.size])
-            for i in range(0, len(payload), _MU_RECORD.size)
-        )
-        return MuStats(records)
-    if opcode == OP_MU_VALUES:
-        if len(payload) % 8:
-            raise ProtocolError("mu values payload not a multiple of 8 bytes")
-        return MuValues(struct.unpack(f"<{len(payload) // 8}d", payload))
-    if opcode == OP_RSS_PARTIAL:
-        return RssPartial(*_F64.unpack(payload))
-    raise ProtocolError(f"unknown opcode 0x{opcode:02x}")  # pragma: no cover
-
-
-_OPCODE_BY_TYPE = {
-    Hello: OP_HELLO,
-    ShardMeta: OP_SHARD_META,
-    RunSetup: OP_RUN_SETUP,
-    IterBegin: OP_ITER_BEGIN,
-    BirthProposal: OP_BIRTH_PROPOSAL,
-    DeathProposal: OP_DEATH_PROPOSAL,
-    MoveStats: OP_MOVE_STATS,
-    BirthAccept: OP_BIRTH_ACCEPT,
-    DeathAccept: OP_DEATH_ACCEPT,
-    Reject: OP_REJECT,
-    MuStats: OP_MU_STATS,
-    MuValues: OP_MU_VALUES,
-    RssPartial: OP_RSS_PARTIAL,
-    ReplicaHash: OP_REPLICA_HASH,
-    Shutdown: OP_SHUTDOWN,
-}
+    if kind is DeathAccept and payload[12:] != bytes(16):
+        raise ProtocolError("death accept padding must be zero")
+    return kind(*layout.unpack(payload))
 
 
 def iteration_byte_count(

@@ -18,7 +18,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 from scipy.stats import chi2
@@ -29,8 +29,9 @@ from .trees import (
     Tree,
     available_cut_range,
     children_ids,
+    depth_of_id,
     enumerate_nodes,
-    node_depth,
+    evaluate_rows,
     tree_lines,
 )
 
@@ -47,7 +48,9 @@ class SuffStats:
     """(count, residual sum, residual sum of squares) for one node.
 
     Additive across disjoint row sets, which is what lets shards contribute
-    fixed-size partials regardless of how many rows they hold.
+    fixed-size partials regardless of how many rows they hold.  Move
+    statistics leave s2 at zero: the MH ratio and the leaf-mean draw read
+    only n and s.
     """
 
     n: int = 0
@@ -68,12 +71,6 @@ class StatsVec:
 
     def __add__(self, other: "StatsVec") -> "StatsVec":
         return StatsVec(self.n + other.n, self.s + other.s, self.s2 + other.s2)
-
-    def to_list(self) -> list[SuffStats]:
-        return [
-            SuffStats(int(n), float(s), float(s2))
-            for n, s, s2 in zip(self.n, self.s, self.s2)
-        ]
 
 
 def pairwise_fold(items: Sequence):
@@ -141,17 +138,15 @@ class PriorParams:
 
 
 def split_prior_prob(depth: int, alpha: float, beta: float) -> float:
-    """Prior probability that a node at `depth` splits: alpha * (1+depth)^-beta."""
+    """Prior probability that a node at `depth` splits: alpha * (1+depth)^-beta.
+
+    Node ids must stay in 31 bits, so nodes at MAX_DEPTH never split.
+    """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    return alpha * (1.0 + depth) ** (-beta)
-
-
-def _p_split(depth: int, alpha: float, beta: float) -> float:
-    # Depth cap: node ids must stay in 31 bits, so depth-30 nodes never split.
     if depth >= MAX_DEPTH:
         return 0.0
-    return split_prior_prob(depth, alpha, beta)
+    return alpha * (1.0 + depth) ** (-beta)
 
 
 def log_marginal_likelihood(stats: SuffStats, sigma: float, tau: float) -> float:
@@ -179,15 +174,15 @@ def draw_mu(stats: SuffStats, sigma: float, tau: float, rng: np.random.Generator
 
 
 def draw_mus(
-    stats_list: Sequence[SuffStats], sigma: float, tau: float, rng: np.random.Generator
+    stats: StatsVec, sigma: float, tau: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Leaf means for all terminal nodes of one tree, in list order."""
+    """Leaf means for all terminal nodes of one tree, in column order."""
     s2 = sigma * sigma
     t2 = tau * tau
-    denom = s2 + t2 * np.array([st.n for st in stats_list], dtype=np.float64)
-    means = t2 * np.array([st.s for st in stats_list], dtype=np.float64) / denom
+    denom = s2 + t2 * stats.n
+    means = t2 * stats.s / denom
     sds = np.sqrt(s2 * t2 / denom)
-    return means + sds * rng.standard_normal(len(stats_list))
+    return means + sds * rng.standard_normal(stats.n.size)
 
 
 def draw_sigma(
@@ -236,7 +231,7 @@ def propose(
     p_birth = 1.0 if len(terminals) == 1 else 0.5
     if rng.random() < p_birth:
         node = terminals[int(rng.integers(len(terminals)))]
-        if node_depth(node) >= MAX_DEPTH:
+        if depth_of_id(node.id) >= MAX_DEPTH:
             return None
         ranges = [
             (v, lo, hi)
@@ -280,14 +275,16 @@ def accept_log_ratio(
     through the two child statistics.  `prior_only` zeroes the likelihood
     term, turning the chain into a sampler of the tree prior.
     """
+    if prop.move not in (BIRTH, DEATH):
+        raise ValueError(f"unknown move {prop.move!r}")
+    if prop.move == BIRTH and min(stats_left.n, stats_right.n) < prior.min_leaf:
+        return -math.inf
     merged = stats_left + stats_right
+    d = depth_of_id(prop.node_id)
+    p_d = split_prior_prob(d, prior.alpha, prior.beta)
+    p_d1 = split_prior_prob(d + 1, prior.alpha, prior.beta)
+    b = len(enumerate_nodes(tree, "terminal"))
     if prop.move == BIRTH:
-        if min(stats_left.n, stats_right.n) < prior.min_leaf:
-            return -math.inf
-        d = node_depth(tree.node(prop.node_id))
-        p_d = _p_split(d, prior.alpha, prior.beta)
-        p_d1 = _p_split(d + 1, prior.alpha, prior.beta)
-        b = len(enumerate_nodes(tree, "terminal"))
         p_birth = 1.0 if b == 1 else 0.5
         nog_after = _nog_count_after_birth(tree, prop.node_id)
         p_death_after = 0.5
@@ -305,49 +302,56 @@ def accept_log_ratio(
                 - log_marginal_likelihood(merged, sigma, prior.tau)
             )
         return log_ratio
-    if prop.move == DEATH:
-        d = node_depth(tree.node(prop.node_id))
-        p_d = _p_split(d, prior.alpha, prior.beta)
-        p_d1 = _p_split(d + 1, prior.alpha, prior.beta)
-        b = len(enumerate_nodes(tree, "terminal"))
-        nogs = len(enumerate_nodes(tree, "nog"))
-        p_death = 0.5
-        p_birth_after = 1.0 if b - 1 == 1 else 0.5
-        log_ratio = (
-            -math.log(p_d)
-            - 2.0 * math.log1p(-p_d1)
-            + math.log1p(-p_d)
-            + math.log(p_birth_after * nogs)
-            - math.log(p_death * (b - 1))
+    nogs = len(enumerate_nodes(tree, "nog"))
+    p_death = 0.5
+    p_birth_after = 1.0 if b - 1 == 1 else 0.5
+    log_ratio = (
+        -math.log(p_d)
+        - 2.0 * math.log1p(-p_d1)
+        + math.log1p(-p_d)
+        + math.log(p_birth_after * nogs)
+        - math.log(p_death * (b - 1))
+    )
+    if not prior_only:
+        log_ratio += (
+            log_marginal_likelihood(merged, sigma, prior.tau)
+            - log_marginal_likelihood(stats_left, sigma, prior.tau)
+            - log_marginal_likelihood(stats_right, sigma, prior.tau)
         )
-        if not prior_only:
-            log_ratio += (
-                log_marginal_likelihood(merged, sigma, prior.tau)
-                - log_marginal_likelihood(stats_left, sigma, prior.tau)
-                - log_marginal_likelihood(stats_right, sigma, prior.tau)
-            )
-        return log_ratio
-    raise ValueError(f"unknown move {prop.move!r}")
+    return log_ratio
 
 
 # ---------------------------------------------------------------------------
 # Shard-local data state
 # ---------------------------------------------------------------------------
 
+def _terminal_slots(terminal_ids: np.ndarray, leaf: np.ndarray) -> np.ndarray:
+    """Position of each row's terminal node within the ascending `terminal_ids`.
+
+    A table indexed by node id is several times faster than a binary search;
+    trees too deep for a small table fall back to the search.
+    """
+    top = int(terminal_ids[-1])
+    if top > 1 << 16:
+        return np.searchsorted(terminal_ids, leaf)
+    table = np.empty(top + 1, dtype=np.intp)
+    table[terminal_ids] = np.arange(terminal_ids.size)
+    return table[leaf]
+
+
 class ShardData:
-    """One shard's rows plus the cached fit/residual and leaf assignments.
+    """One shard's rows plus the cached residual and leaf assignments.
 
     `blocks` are the local slices of the global reduction blocks this shard
     owns; every sum leaves the shard as a pairwise fold of per-block sums so
     the master can keep folding without caring how rows map to workers.
     """
 
-    __slots__ = ("x", "ys", "fit", "residual", "leaf", "blocks", "_pos_cache")
+    __slots__ = ("x", "ys", "residual", "leaf", "blocks", "_pos_cache")
 
     def __init__(self, x: np.ndarray, ys: np.ndarray, m: int, blocks: Sequence[tuple[int, int]]):
         self.x = np.ascontiguousarray(x, dtype=np.float64)
         self.ys = np.asarray(ys, dtype=np.float64)
-        self.fit = np.zeros_like(self.ys)
         self.residual = self.ys.copy()
         self.leaf = np.ones((m, self.ys.size), dtype=np.uint32)
         self.blocks = list(blocks)
@@ -364,11 +368,12 @@ class ShardData:
     def move_stats_blocks(
         self, j: int, prop: Proposal, cutval: float, mu_left: float, mu_right: float
     ) -> list[tuple[SuffStats, SuffStats]]:
-        """Per-block child statistics for a proposed move on tree j.
+        """Per-block child (count, sum) statistics for a proposed move on tree j.
 
         For a birth, `mu_left == mu_right` is the mean of the splitting node
         and `cutval` partitions its rows.  For a death, the children already
-        exist and carry their own means.
+        exist and carry their own means.  The MH ratio reads no sum of
+        squares, so none is computed.
         """
         leaf = self.leaf[j]
         out = []
@@ -386,10 +391,7 @@ class ShardData:
                 r_l = self.residual[lo:hi][sel_l] + mu_left
                 r_r = self.residual[lo:hi][sel_r] + mu_right
             out.append(
-                (
-                    SuffStats(r_l.size, float(np.sum(r_l)), float(np.sum(r_l * r_l))),
-                    SuffStats(r_r.size, float(np.sum(r_r)), float(np.sum(r_r * r_r))),
-                )
+                (SuffStats(r_l.size, float(r_l.sum())), SuffStats(r_r.size, float(r_r.sum())))
             )
         return out
 
@@ -399,7 +401,7 @@ class ShardData:
         """Per-block partial-residual statistics for every terminal node."""
         leaf = self.leaf[j]
         b = terminal_ids.size
-        pos_full = np.searchsorted(terminal_ids, leaf)
+        pos_full = _terminal_slots(terminal_ids, leaf)
         self._pos_cache = (j, terminal_ids, pos_full)
         out = []
         for lo, hi in self.blocks:
@@ -416,7 +418,7 @@ class ShardData:
 
     def rss_blocks(self) -> list[float]:
         return [
-            float(np.sum(self.residual[lo:hi] * self.residual[lo:hi]))
+            float((self.residual[lo:hi] * self.residual[lo:hi]).sum())
             for lo, hi in self.blocks
         ]
 
@@ -443,9 +445,7 @@ class ShardData:
             (left_rows, left_id, mu_left),
             (right_rows, right_id, mu_right),
         ):
-            delta = new_mu - mu_old
-            self.fit[idx] += delta
-            self.residual[idx] -= delta
+            self.residual[idx] -= new_mu - mu_old
             leaf[idx] = new_id
 
     def apply_death(
@@ -456,9 +456,7 @@ class ShardData:
         left_id, right_id = children_ids(node_id)
         for child_id, mu_old in ((left_id, mu_old_left), (right_id, mu_old_right)):
             idx = np.nonzero(leaf == child_id)[0]
-            delta = mu_new - mu_old
-            self.fit[idx] += delta
-            self.residual[idx] -= delta
+            self.residual[idx] -= mu_new - mu_old
             leaf[idx] = node_id
 
     def apply_mus(
@@ -468,42 +466,20 @@ class ShardData:
         if cache is not None and cache[0] == j and np.array_equal(cache[1], terminal_ids):
             pos = cache[2]
         else:
-            pos = np.searchsorted(terminal_ids, self.leaf[j])
-        delta = (new_mus - old_mus)[pos]
-        self.fit += delta
-        self.residual -= delta
-
-
-def shard_suffstats(
-    shard: ShardData,
-    tree: Tree,
-    tree_index: int,
-    proposal: Proposal | None = None,
-    grid: CutpointGrid | None = None,
-):
-    """Shard-level sufficient statistics, folded over the shard's blocks.
-
-    With a proposal: the (left, right) child statistics of the move.  Without
-    one: a list with one SuffStats per terminal node, ascending node id.
-    """
-    if proposal is not None:
-        if grid is None:
-            raise ValueError("move statistics need the cutpoint grid")
-        return shard_move_stats(shard, tree, grid, proposal)
-    return shard_mu_stats(shard, tree, tree_index)
+            pos = _terminal_slots(terminal_ids, self.leaf[j])
+        self.residual -= (new_mus - old_mus)[pos]
 
 
 def shard_move_stats(
     shard: ShardData, tree: Tree, grid: CutpointGrid, prop: Proposal
 ) -> tuple[SuffStats, SuffStats]:
     """(left, right) statistics of a proposed move over one shard."""
+    node = tree.node(prop.node_id)
     if prop.move == BIRTH:
-        node = tree.node(prop.node_id)
         blocks = shard.move_stats_blocks(
             prop.tree_index, prop, grid.value(prop.v, prop.c), node.mu, node.mu
         )
     else:
-        node = tree.node(prop.node_id)
         blocks = shard.move_stats_blocks(
             prop.tree_index, prop, 0.0, node.left.mu, node.right.mu  # type: ignore[union-attr]
         )
@@ -511,12 +487,12 @@ def shard_move_stats(
     return pairwise_fold(lefts), pairwise_fold(rights)
 
 
-def shard_mu_stats(shard: ShardData, tree: Tree, tree_index: int) -> list[SuffStats]:
+def shard_mu_stats(shard: ShardData, tree: Tree, tree_index: int) -> StatsVec:
     """Per-terminal-node statistics of one tree over one shard, ascending id."""
     terminals = enumerate_nodes(tree, "terminal")
     ids = np.array([t.id for t in terminals], dtype=np.uint32)
     mus = np.array([t.mu for t in terminals], dtype=np.float64)
-    return pairwise_fold(shard.mu_stats_blocks(tree_index, ids, mus)).to_list()
+    return pairwise_fold(shard.mu_stats_blocks(tree_index, ids, mus))
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +590,7 @@ def scale_moment_blocks(y: np.ndarray, blocks: Sequence[tuple[int, int]]):
 # The Gibbs loop, shared by the serial sampler and the distributed master
 # ---------------------------------------------------------------------------
 
-class StatsProvider:
+class StatsProvider(Protocol):
     """Source of reduced statistics plus sink for accepted state changes.
 
     The serial sampler and the distributed master drive the identical chain
@@ -623,40 +599,30 @@ class StatsProvider:
 
     n_total: int
 
-    def begin_iteration(self, iteration: int) -> None:
-        raise NotImplementedError
+    def begin_iteration(self, iteration: int) -> None: ...
 
-    def null_move(self, j: int) -> None:
-        raise NotImplementedError
+    def null_move(self, j: int) -> None: ...
 
-    def move_stats(self, j: int, tree: Tree, prop: Proposal) -> tuple[SuffStats, SuffStats]:
-        raise NotImplementedError
+    def move_stats(self, j: int, tree: Tree, prop: Proposal) -> tuple[SuffStats, SuffStats]: ...
 
-    def apply_birth(self, j: int, tree: Tree, prop: Proposal, mu_l: float, mu_r: float) -> None:
-        raise NotImplementedError
+    def apply_birth(self, j: int, tree: Tree, prop: Proposal, mu_l: float, mu_r: float) -> None: ...
 
-    def apply_death(self, j: int, tree: Tree, prop: Proposal, mu: float) -> None:
-        raise NotImplementedError
+    def apply_death(self, j: int, tree: Tree, prop: Proposal, mu: float) -> None: ...
 
-    def reject_move(self, j: int, prop: Proposal) -> None:
-        raise NotImplementedError
+    def reject_move(self, j: int, prop: Proposal) -> None: ...
 
-    def mu_stats(self, j: int, tree: Tree) -> list[SuffStats]:
-        raise NotImplementedError
+    def mu_stats(self, j: int, tree: Tree) -> StatsVec: ...
 
     def apply_mus(
         self, j: int, tree: Tree, ids: np.ndarray, old: np.ndarray, new: np.ndarray
-    ) -> None:
-        raise NotImplementedError
+    ) -> None: ...
 
-    def rss(self) -> float:
-        raise NotImplementedError
+    def rss(self) -> float: ...
 
-    def finish(self) -> None:
-        pass
+    def finish(self) -> None: ...
 
 
-class LocalProvider(StatsProvider):
+class LocalProvider:
     """Serial provider: all rows live in one shard on this process."""
 
     def __init__(self, shard: ShardData, grid: CutpointGrid):
@@ -695,6 +661,9 @@ class LocalProvider(StatsProvider):
     def rss(self) -> float:
         return pairwise_fold(self.shard.rss_blocks())
 
+    def finish(self) -> None:
+        pass
+
 
 @dataclass(slots=True)
 class TreeMoveRecord:
@@ -703,22 +672,6 @@ class TreeMoveRecord:
     move: str | None
     accepted: bool
     b_after: int
-
-
-@dataclass
-class ChainState:
-    """The chain's model side: the forest and the current residual sd.
-
-    The matching data side (fit/residual caches, leaf assignments) lives in
-    a ShardData; `one_iteration` advances both coherently.
-    """
-
-    forest: list[Tree]
-    sigma: float
-
-    @classmethod
-    def initial(cls, m: int, sigma0: float) -> "ChainState":
-        return cls([Tree() for _ in range(m)], sigma0)
 
 
 @dataclass
@@ -810,8 +763,7 @@ def _update_tree(
     terminals = enumerate_nodes(tree, "terminal")
     ids = np.array([t.id for t in terminals], dtype=np.uint32)
     old_mus = np.array([t.mu for t in terminals], dtype=np.float64)
-    stats_list = provider.mu_stats(j, tree)
-    new_mus = draw_mus(stats_list, sigma, prior.tau, rng)
+    new_mus = draw_mus(provider.mu_stats(j, tree), sigma, prior.tau, rng)
     provider.apply_mus(j, tree, ids, old_mus, new_mus)
     for t, mu_new in zip(terminals, new_mus):
         t.mu = float(mu_new)
@@ -902,26 +854,6 @@ def run_chain_core(
     )
 
 
-def one_iteration(
-    state: ChainState,
-    shard: ShardData,
-    grid: CutpointGrid,
-    prior: PriorParams,
-    rng: np.random.Generator,
-    prior_only: bool = False,
-) -> ChainState:
-    """One full Gibbs sweep over a local shard; returns the updated state.
-
-    Mutates the state's forest and the shard's fit/residual caches in
-    place; the residual invariant (residual = ys - fit) holds on exit.
-    """
-    provider = LocalProvider(shard, grid)
-    for j in range(prior.m):
-        _update_tree(j, state.forest[j], state.sigma, grid, prior, rng, provider, prior_only)
-    state.sigma = draw_sigma(shard.n, provider.rss(), prior.nu, prior.lam, rng)
-    return state
-
-
 def run_serial(
     x: np.ndarray,
     y: np.ndarray,
@@ -977,9 +909,10 @@ def run_serial(
 def check_residual_invariant(
     forest: Sequence[Tree], grid: CutpointGrid, shard: ShardData, atol: float = 1e-8
 ) -> float:
-    """Max abs deviation of the cached residual from full recomputation."""
-    from .trees import evaluate_rows
+    """Max abs deviation of the cached residual from ys minus the forest's fit.
 
+    The fit is recomputed by routing every row through every tree.
+    """
     fit = np.zeros(shard.n)
     for tree in forest:
         fit += evaluate_rows(tree, grid, shard.x)

@@ -89,7 +89,7 @@ class Tree:
         node = self.node(node_id)
         if not node.is_terminal:
             raise TreeError(f"birth at non-terminal node {node_id}")
-        if node_depth(node) >= MAX_DEPTH:
+        if depth_of_id(node_id) >= MAX_DEPTH:
             raise TreeError(f"birth at node {node_id} would exceed max depth {MAX_DEPTH}")
         node.v = v
         node.c = c
@@ -129,31 +129,22 @@ class Tree:
         return Tree(new_root)
 
 
-def node_depth(node: TreeNode) -> int:
-    """Depth by parent walk; equals floor(log2(id)) for heap-coded ids."""
-    depth = 0
-    while node.parent is not None:
-        node = node.parent
-        depth += 1
-    return depth
-
-
 def enumerate_nodes(tree: Tree, kind: str) -> list[TreeNode]:
-    """Nodes of one kind ('terminal' | 'nog' | 'internal'), ascending id."""
+    """Nodes of one kind ('terminal' | 'nog' | 'internal'), ascending id.
+
+    Level order visits heap-coded ids in ascending order, so nothing is sorted.
+    """
+    nodes = [tree.root]
+    for node in nodes:  # the loop also visits the children it appends
+        if node.left is not None:
+            nodes += (node.left, node.right)
     if kind == "terminal":
-        nodes = [n for n in tree.walk() if n.is_terminal]
-    elif kind == "nog":
-        nodes = [n for n in tree.walk() if n.is_nog]
-    elif kind == "internal":
-        nodes = [n for n in tree.walk() if not n.is_terminal]
-    else:
-        raise ValueError(f"unknown node kind {kind!r}")
-    nodes.sort(key=lambda n: n.id)
-    return nodes
-
-
-def n_terminal(tree: Tree) -> int:
-    return sum(1 for n in tree.walk() if n.is_terminal)
+        return [n for n in nodes if n.left is None]
+    if kind == "nog":
+        return [n for n in nodes if n.is_nog]
+    if kind == "internal":
+        return [n for n in nodes if n.left is not None]
+    raise ValueError(f"unknown node kind {kind!r}")
 
 
 class CutpointGrid:
@@ -235,46 +226,34 @@ def available_cut_range(tree: Tree, node_id: int, v: int, numcut_v: int) -> tupl
     return lo, hi
 
 
-def evaluate(tree: Tree, grid: CutpointGrid, x: Sequence[float] | np.ndarray) -> float:
-    """Route one input down the tree; returns the terminal node's mean."""
-    node = tree.root
-    while not node.is_terminal:
-        if x[node.v] < grid.value(node.v, node.c):
-            node = node.left  # type: ignore[assignment]
-        else:
-            node = node.right  # type: ignore[assignment]
-    return node.mu
+def _terminal_rows(
+    tree: Tree, grid: CutpointGrid, x: np.ndarray
+) -> Iterator[tuple[TreeNode, np.ndarray]]:
+    """Each terminal node with the indices of the rows of `x` that reach it."""
+    stack: list[tuple[TreeNode, np.ndarray]] = [(tree.root, np.arange(x.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if node.is_terminal:
+            yield node, rows
+            continue
+        go_left = x[rows, node.v] < grid.value(node.v, node.c)
+        stack.append((node.left, rows[go_left]))  # type: ignore[arg-type]
+        stack.append((node.right, rows[~go_left]))  # type: ignore[arg-type]
 
 
 def route_rows(tree: Tree, grid: CutpointGrid, x: np.ndarray) -> np.ndarray:
     """Terminal node id reached by every row of `x` (uint32 vector)."""
-    n = x.shape[0]
-    out = np.ones(n, dtype=np.uint32)
-    stack: list[tuple[TreeNode, np.ndarray]] = [(tree.root, np.arange(n))]
-    while stack:
-        node, rows = stack.pop()
-        if node.is_terminal:
-            out[rows] = node.id
-            continue
-        go_left = x[rows, node.v] < grid.value(node.v, node.c)
-        stack.append((node.left, rows[go_left]))  # type: ignore[arg-type]
-        stack.append((node.right, rows[~go_left]))  # type: ignore[arg-type]
+    out = np.ones(x.shape[0], dtype=np.uint32)
+    for node, rows in _terminal_rows(tree, grid, x):
+        out[rows] = node.id
     return out
 
 
 def evaluate_rows(tree: Tree, grid: CutpointGrid, x: np.ndarray) -> np.ndarray:
-    """Vectorized `evaluate` over the rows of `x`."""
-    n = x.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    stack: list[tuple[TreeNode, np.ndarray]] = [(tree.root, np.arange(n))]
-    while stack:
-        node, rows = stack.pop()
-        if node.is_terminal:
-            out[rows] = node.mu
-            continue
-        go_left = x[rows, node.v] < grid.value(node.v, node.c)
-        stack.append((node.left, rows[go_left]))  # type: ignore[arg-type]
-        stack.append((node.right, rows[~go_left]))  # type: ignore[arg-type]
+    """Leaf mean reached by every row of `x`."""
+    out = np.empty(x.shape[0], dtype=np.float64)
+    for node, rows in _terminal_rows(tree, grid, x):
+        out[rows] = node.mu
     return out
 
 

@@ -9,9 +9,7 @@ from bartgrid.analysis import (
     posterior_from_chain,
     predict_mean,
     sensitivity_report,
-    sobol_first_order,
     sobol_indices,
-    sobol_total,
 )
 from bartgrid.sampler import FitSettings, run_serial
 from bartgrid.trees import CutpointGrid, Tree
@@ -134,12 +132,12 @@ class TestSobol:
             sobol_indices(lambda x: np.ones(x.shape[0]), 2, 1000, 4, seed=10)
 
     def test_single_variable_wrappers(self):
-        s1, v1, v = sobol_first_order(linear_two, 0, 50_000, 10, seed=11, dim=2)
-        assert s1 == pytest.approx(0.2, abs=0.03)
-        assert v == pytest.approx(5.0 / 3.0, rel=0.05)
-        assert v1 == pytest.approx(1.0 / 3.0, rel=0.15)
-        st = sobol_total(linear_two, 0, 50_000, 10, seed=11, dim=2)
-        assert st == pytest.approx(0.2, abs=0.03)
+        (est,) = sobol_indices(linear_two, 2, 50_000, 10, seed=11, ks=[0]).estimates
+        assert est.k == 0
+        assert est.s1 == pytest.approx(0.2, abs=0.03)
+        assert est.v_total == pytest.approx(5.0 / 3.0, rel=0.05)
+        assert est.v_k == pytest.approx(1.0 / 3.0, rel=0.15)
+        assert est.st == pytest.approx(0.2, abs=0.03)
 
     def test_partition_invariance_across_threading(self):
         serial = sobol_indices(linear_two, 2, 20_000, 8, seed=12)

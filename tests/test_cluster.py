@@ -1,9 +1,11 @@
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from bartgrid import cluster
 from bartgrid import protocol as proto
 from bartgrid.cluster import (
     ByteAudit,
@@ -14,9 +16,10 @@ from bartgrid.cluster import (
     queue_channel_pair,
     reduce_stats,
     run_cluster_inprocess,
+    run_master,
+    run_worker,
     serve_master,
     shard_block_slices,
-    shard_data,
     worker_row_range,
 )
 from bartgrid.protocol import iteration_byte_count
@@ -37,29 +40,12 @@ def toy_settings(**overrides):
 
 
 class TestShardData:
-    def test_near_equal_sizes(self):
-        x, y = toy_data(10)
-        shards = shard_data(x, y, 3)
-        assert [s.n for s in shards] == [4, 3, 3]
-
     def test_paper_scale_partition(self):
         # 7,016,430 rows over 192 workers: 7016430 = 174*36544 + 18*36543.
         sizes = np.diff(partition_bounds(7_016_430, 192))
         assert sizes.sum() == 7_016_430
         assert sizes.max() - sizes.min() <= 1
         assert set(np.unique(sizes)) == {36543, 36544}
-
-    def test_concatenation_round_trip(self):
-        x, y = toy_data(101)
-        shards = shard_data(x, y, 7)
-        assert np.array_equal(np.concatenate([s.x for s in shards]), x)
-        assert np.array_equal(np.concatenate([s.y for s in shards]), y)
-        assert shards[0].start == 0 and shards[-1].stop == 101
-
-    def test_more_workers_than_rows(self):
-        x, y = toy_data(3)
-        with pytest.raises(ValueError, match="more workers than rows"):
-            shard_data(x, y, 4)
 
     def test_worker_row_ranges_tile_the_data(self):
         for n, blocks, p in [(100, 4, 2), (1001, 8, 4), (57, 2, 2), (64, 16, 4)]:
@@ -249,7 +235,67 @@ class TestTransportErrors:
             cluster_mod.run_worker = orig
 
 
+    def test_workers_disagreeing_on_d_are_named(self):
+        x, y = toy_data(40)
+        settings = toy_settings(draws=4, burn=1, thin=1, reduction_blocks=2)
+        widths = {1: 3, 2: 2}
+        ends = {rank: queue_channel_pair(timeout=10.0) for rank in widths}
+        errors = []
+        threads = []
+        for rank, width in widths.items():
+            lo, hi = worker_row_range(40, 2, 2, rank)
+
+            def target(rank=rank, lo=lo, hi=hi, width=width):
+                try:
+                    run_worker(ends[rank][1], x[lo:hi, :width], y[lo:hi], rank, 2, 2)
+                except ClusterError as exc:
+                    errors.append(exc)
+
+            threads.append(threading.Thread(target=target, daemon=True))
+            threads[-1].start()
+        with pytest.raises(ClusterError, match="rank 1 has 3, rank 2 has 2"):
+            run_master({rank: pair[0] for rank, pair in ends.items()}, settings)
+        # Workers still wait for the run setup; release them.
+        for master_end, _ in ends.values():
+            master_end.send(proto.encode(proto.Shutdown()))
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert len(errors) == 2
+
+
 class TestTcpTransport:
+    def test_idle_worker_outlives_connect_timeout(self, monkeypatch):
+        # A connected worker waits on its master as long as the master needs;
+        # here the master is silent for longer than the connect timeout.
+        monkeypatch.setattr(cluster, "CONNECT_TIMEOUT", 0.3)
+        run_master_now = cluster.run_master
+
+        def late_master(*args, **kwargs):
+            time.sleep(1.0)
+            return run_master_now(*args, **kwargs)
+
+        monkeypatch.setattr(cluster, "run_master", late_master)
+        x, y = toy_data(60)
+        settings = toy_settings(m=2, draws=3, burn=1, thin=1)
+        bound: list = []
+        results = {}
+
+        def master():
+            results["chain"] = serve_master(
+                ("127.0.0.1", 0), 1, settings, on_bound=bound.append, accept_timeout=30.0
+            )
+
+        mt = threading.Thread(target=master, daemon=True)
+        mt.start()
+        deadline = time.monotonic() + 30.0
+        while not bound and time.monotonic() < deadline:
+            time.sleep(0.01)
+        connect_worker(bound[0], x, y, 1, 1, 1)
+        mt.join(timeout=30)
+        assert not mt.is_alive()
+        assert results["chain"].sigmas.size == settings.draws
+
     def test_tcp_matches_inprocess(self):
         x, y = toy_data(240)
         settings = toy_settings(draws=20, burn=5, thin=5, reduction_blocks=2)

@@ -186,6 +186,13 @@ class TestTableIO:
         with pytest.raises(TableError, match="missing values"):
             read_table(path)
 
+    def test_infinite_values_rejected(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        with open(path, "w") as fh:
+            fh.write("a,b\n1.0,2.0\n3.0,-inf\n")
+        with pytest.raises(TableError, match="line 3: non-finite cell '-inf'"):
+            read_table(path)
+
     def test_write_dataset_and_truth(self, tmp_path):
         spec = gen_spec(3, 2, np.random.default_rng(17))
         path = str(tmp_path / "d.csv")

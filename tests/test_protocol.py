@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,44 @@ class TestRoundTrip:
         bad = frame[:-1] + b"\x01"
         with pytest.raises(ProtocolError, match="padding"):
             decode(bad)
+
+
+class TestMessageTable:
+    def test_every_table_type_round_trips(self):
+        b = 4
+        msgs = random_messages(np.random.default_rng(2), b=b)
+        assert {type(msg) for msg in msgs} == set(proto.MESSAGES)
+        for msg in msgs:
+            frame = encode(msg)
+            assert frame[0] == proto.MESSAGES[type(msg)][0]
+            assert decode(frame) == msg
+            # Sized from the stream alone (plus the lockstep record count).
+            stream = io.BytesIO(frame + b"next frame")
+            assert proto.read_frame(stream.read, records=b) == frame
+
+    def test_fixed_payload_sizes(self):
+        assert proto.FIXED_PAYLOAD_SIZES == {
+            proto.OP_HELLO: 12,
+            proto.OP_SHARD_META: None,
+            proto.OP_RUN_SETUP: None,
+            proto.OP_ITER_BEGIN: 5,
+            proto.OP_SHUTDOWN: 0,
+            proto.OP_REPLICA_HASH: 16,
+            proto.OP_BIRTH_PROPOSAL: 12,
+            proto.OP_DEATH_PROPOSAL: 8,
+            proto.OP_MOVE_STATS: 24,
+            proto.OP_BIRTH_ACCEPT: 28,
+            proto.OP_DEATH_ACCEPT: 28,
+            proto.OP_REJECT: 0,
+            proto.OP_MU_STATS: None,
+            proto.OP_MU_VALUES: None,
+            proto.OP_RSS_PARTIAL: 8,
+        }
+
+    def test_per_leaf_frame_needs_a_record_count(self):
+        stream = io.BytesIO(encode(MuValues((0.5,))))
+        with pytest.raises(ProtocolError, match="without an expected count"):
+            proto.read_frame(stream.read)
 
 
 class TestDecodeErrors:

@@ -8,8 +8,8 @@ from scipy.stats import norm
 from bartgrid.sampler import (
     BIRTH,
     DEATH,
-    ChainState,
     FitSettings,
+    LocalProvider,
     PriorParams,
     Proposal,
     ShardData,
@@ -20,16 +20,15 @@ from bartgrid.sampler import (
     draw_mu,
     draw_sigma,
     log_marginal_likelihood,
-    one_iteration,
     pairwise_fold,
     partition_bounds,
     propose,
     resolve_prior,
+    run_chain_core,
     run_serial,
     scale_moment_blocks,
     shard_move_stats,
     shard_mu_stats,
-    shard_suffstats,
     sigma_lambda,
     split_prior_prob,
 )
@@ -296,12 +295,12 @@ class TestShardStats:
         y_range = y.max() - y.min()
         ys = (y - y_mid) / y_range
         shard = ShardData(x, ys, m, [(0, n)])
-        state = ChainState.initial(m, float(np.std(ys, ddof=1)))
-        prior = resolve_prior(settings, float(np.std(ys, ddof=1)))
-        rng_chain = np.random.default_rng(14)
-        for _ in range(20):
-            one_iteration(state, shard, grid, prior, rng_chain)
-        forest = state.forest
+        forest = [Tree() for _ in range(m)]
+        sd = float(np.std(ys, ddof=1))
+        run_chain_core(
+            forest, grid, resolve_prior(settings, sd), sd, np.random.default_rng(14),
+            LocalProvider(shard, grid), settings,
+        )
         for j in range(m):
             r_oracle = ys.copy()
             for k in range(m):
@@ -310,26 +309,14 @@ class TestShardStats:
             leaf_of_row = route_rows(forest[j], grid, x)
             stats = shard_mu_stats(shard, forest[j], j)
             terminals = enumerate_nodes(forest[j], "terminal")
-            for node, st in zip(terminals, stats):
+            assert stats.n.size == len(terminals)
+            for node, cnt, s, s2 in zip(terminals, stats.n, stats.s, stats.s2):
                 rows = leaf_of_row == node.id
-                assert st.n == int(rows.sum())
-                assert st.s == pytest.approx(float(r_oracle[rows].sum()), abs=1e-8)
-                assert st.s2 == pytest.approx(float((r_oracle[rows] ** 2).sum()), abs=1e-8)
-                if st.n > 0:
-                    assert st.s2 >= st.s**2 / st.n - 1e-12
-
-    def test_shard_suffstats_wrapper(self):
-        rng = np.random.default_rng(15)
-        grid = CutpointGrid.from_ranges(np.full(2, -1.0), np.full(2, 1.0), 10)
-        shard = build_shard(rng, 50, 2, 1)
-        tree = Tree()
-        prop = Proposal(BIRTH, 0, 1, 0, 5)
-        assert shard_suffstats(shard, tree, 0, prop, grid) == shard_move_stats(
-            shard, tree, grid, prop
-        )
-        assert shard_suffstats(shard, tree, 0) == shard_mu_stats(shard, tree, 0)
-        with pytest.raises(ValueError, match="grid"):
-            shard_suffstats(shard, tree, 0, prop)
+                assert cnt == int(rows.sum())
+                assert s == pytest.approx(float(r_oracle[rows].sum()), abs=1e-8)
+                assert s2 == pytest.approx(float((r_oracle[rows] ** 2).sum()), abs=1e-8)
+                if cnt > 0:
+                    assert s2 >= s**2 / cnt - 1e-12
 
 
 class TestFold:
@@ -387,18 +374,24 @@ class TestOneIteration:
         n, d, m = 300, 2, 3
         x = rng.uniform(-1, 1, (n, d))
         y = x[:, 0] ** 2 + 0.1 * rng.standard_normal(n)
-        settings = FitSettings(m=m, draws=1, burn=0, thin=1, seed=20, min_leaf=2, numcut=25)
+        settings = FitSettings(m=m, draws=30, burn=0, thin=1, seed=20, min_leaf=2, numcut=25)
         grid = CutpointGrid.from_data(x, settings.numcut)
         y_mid = 0.5 * (y.min() + y.max())
         ys = (y - y_mid) / (y.max() - y.min())
         shard = ShardData(x, ys, m, [(0, n)])
-        state = ChainState.initial(m, float(np.std(ys, ddof=1)))
-        prior = resolve_prior(settings, float(np.std(ys, ddof=1)))
-        rng_chain = np.random.default_rng(21)
-        for _ in range(30):
-            one_iteration(state, shard, grid, prior, rng_chain)
-            check_residual_invariant(state.forest, grid, shard, atol=1e-8)
-        assert state.sigma > 0
+        forest = [Tree() for _ in range(m)]
+        sd = float(np.std(ys, ddof=1))
+        checked = []
+
+        def check(it, sigma, f):
+            check_residual_invariant(f, grid, shard, atol=1e-8)
+            checked.append(sigma)
+
+        run_chain_core(
+            forest, grid, resolve_prior(settings, sd), sd, np.random.default_rng(21),
+            LocalProvider(shard, grid), settings, on_iteration=check,
+        )
+        assert len(checked) == 30 and min(checked) > 0
 
     def test_serial_run_reproducible(self):
         rng = np.random.default_rng(22)

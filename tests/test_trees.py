@@ -10,9 +10,7 @@ from bartgrid.trees import (
     children_ids,
     depth_of_id,
     enumerate_nodes,
-    evaluate,
     evaluate_rows,
-    node_depth,
     parent_id,
     route_rows,
     tree_from_lines,
@@ -32,7 +30,7 @@ def grow_random_tree(rng, grid, n_births=8):
             for lo, hi in [available_cut_range(tree, node.id, v, grid.count(v))]
             if hi > lo
         ]
-        if not options or node_depth(node) >= 30:
+        if not options or depth_of_id(node.id) >= 30:
             continue
         v, lo, hi = options[rng.integers(len(options))]
         c = int(rng.integers(lo, hi))
@@ -62,31 +60,24 @@ class TestEvaluate:
     def test_single_node(self, grid3):
         tree = Tree()
         tree.root.mu = 7.5
-        assert evaluate(tree, grid3, [0.3, -0.2, 0.9]) == 7.5
+        assert evaluate_rows(tree, grid3, np.array([[0.3, -0.2, 0.9]])).tolist() == [7.5]
 
     def test_depth_one_forces_left(self):
         grid = CutpointGrid([np.array([0.0])])
         tree = Tree()
         tree.birth(1, 0, 0, mu_left=-1.0, mu_right=2.0)
-        assert evaluate(tree, grid, [-0.3]) == -1.0
-        assert evaluate(tree, grid, [0.3]) == 2.0
-        assert evaluate(tree, grid, [0.0]) == 2.0  # rule is strict <
+        # The rule is strict <, so a row on the cutpoint goes right.
+        assert evaluate_rows(tree, grid, np.array([[-0.3], [0.3], [0.0]])).tolist() == [
+            -1.0, 2.0, 2.0,
+        ]
 
     def test_matches_naive_oracle(self, grid3):
         rng = np.random.default_rng(7)
         for _ in range(10):
             tree = grow_random_tree(rng, grid3, n_births=15)
             xs = rng.uniform(-1, 1, (100, 3))
-            for x in xs:
-                assert evaluate(tree, grid3, x) == naive_descend(tree, grid3, x)
-
-    def test_vectorized_matches_scalar(self, grid3):
-        rng = np.random.default_rng(8)
-        tree = grow_random_tree(rng, grid3, n_births=10)
-        xs = rng.uniform(-1, 1, (200, 3))
-        vec = evaluate_rows(tree, grid3, xs)
-        scalar = np.array([evaluate(tree, grid3, x) for x in xs])
-        assert np.array_equal(vec, scalar)
+            expected = [naive_descend(tree, grid3, x) for x in xs]
+            assert evaluate_rows(tree, grid3, xs).tolist() == expected
 
     def test_every_row_reaches_exactly_one_leaf(self, grid3):
         rng = np.random.default_rng(9)
@@ -127,25 +118,14 @@ class TestCutpoints:
 
 class TestNodeDepth:
     def test_root(self):
-        assert node_depth(Tree().root) == 0
+        assert depth_of_id(Tree().root.id) == 0
 
     def test_id_five(self):
-        grid = CutpointGrid.from_ranges(np.array([-1.0]), np.array([1.0]), 8)
         tree = Tree()
         tree.birth(1, 0, 4, 0.0, 0.0)
         tree.birth(2, 0, 2, 0.0, 0.0)
-        assert node_depth(tree.node(5)) == 2
+        assert depth_of_id(tree.node(5).id) == 2
         assert depth_of_id(5) == 2
-
-    def test_parent_walk_equals_id_arithmetic(self):
-        rng = np.random.default_rng(11)
-        grid = CutpointGrid.from_ranges(np.full(4, -1.0), np.full(4, 1.0), 20)
-        checked = 0
-        while checked < 50:
-            tree = grow_random_tree(rng, grid, n_births=10)
-            for node in tree.walk():
-                assert node_depth(node) == depth_of_id(node.id)
-                checked += 1
 
 
 class TestEnumerate:

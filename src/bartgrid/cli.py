@@ -17,7 +17,7 @@ import numpy as np
 from . import analysis, datagen, perf
 from .analysis import PosteriorSample
 from .cluster import connect_worker, serve_master, worker_row_range
-from .datagen import TableError, iter_rows, read_table, write_table
+from .datagen import TableError, iter_rows, read_table, table_shape, write_table
 from .sampler import ChainResult, FitSettings, run_serial
 from .trees import CutpointGrid, forest_from_lines, forest_lines
 
@@ -295,26 +295,23 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _load_worker_shard(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, int]:
-    """Stream the worker's contiguous row slice out of the data file."""
-    n_total = 0
-    for _ in iter_rows(cfg.data):
-        n_total += 1
+    """Parse the worker's contiguous row slice out of the data file.
+
+    The other workers' rows are counted, not parsed; each row is checked by
+    the worker that owns it.
+    """
+    header, n_total = table_shape(cfg.data)
     if n_total == 0:
         raise TableError("data file has no rows")
+    if cfg.response not in header:
+        raise TableError(f"response column {cfg.response!r} not in header")
+    ycol = header.index(cfg.response)
     blocks = cfg.reduction_blocks or cfg.workers
     lo, hi = worker_row_range(n_total, blocks, cfg.workers, cfg.rank)
-    xs = []
-    ys = []
-    ycol = None
-    for i, (header, row) in enumerate(iter_rows(cfg.data)):
-        if ycol is None:
-            if cfg.response not in header:
-                raise TableError(f"response column {cfg.response!r} not in header")
-            ycol = header.index(cfg.response)
-        if lo <= i < hi:
-            ys.append(row[ycol])
-            xs.append([v for j, v in enumerate(row) if j != ycol])
-    return np.array(xs), np.array(ys), n_total
+    data = np.array(
+        [row for _header, row in iter_rows(cfg.data, lo, hi)], dtype=np.float64
+    ).reshape(hi - lo, len(header))
+    return np.delete(data, ycol, axis=1), data[:, ycol].copy(), n_total
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:

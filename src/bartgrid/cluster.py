@@ -41,7 +41,6 @@ from .sampler import (
     run_chain_core,
     scale_moment_blocks,
     shard_move_stats,
-    shard_mu_stats,
 )
 from .trees import CutpointGrid, Tree, children_ids, enumerate_nodes
 
@@ -244,7 +243,7 @@ class MessageIO:
     def recv(
         self,
         allowed: tuple[type, ...],
-        mu_records: int | Callable[[], int] | None = None,
+        mu_records: int | None = None,
     ) -> proto.Message:
         try:
             frame = proto.read_frame(self.channel.recv, mu_records)
@@ -324,14 +323,10 @@ def run_worker(
         proto.BirthAccept,
         proto.DeathAccept,
         proto.Reject,
-        proto.MuValues,
         proto.Shutdown,
     )
     while True:
-        msg = io.recv(
-            expected_msgs,
-            mu_records=lambda: len(enumerate_nodes(forest[j], "terminal")),
-        )
+        msg = io.recv(expected_msgs)
         if isinstance(msg, proto.Shutdown):
             return
         if isinstance(msg, proto.IterBegin):
@@ -348,19 +343,19 @@ def run_worker(
                 raise ClusterError(f"unknown iteration phase {msg.phase}")
             continue
         tree = forest[j]
-        if isinstance(msg, proto.BirthProposal):
-            prop = Proposal(BIRTH, j, msg.node_id, msg.v, msg.c)
-            left, right = shard_move_stats(shard, tree, grid, prop)
+        if isinstance(msg, (proto.BirthProposal, proto.DeathProposal)):
+            if isinstance(msg, proto.BirthProposal):
+                pending = Proposal(BIRTH, j, msg.node_id, msg.v, msg.c)
+            else:
+                if msg.left_id // 2 != msg.right_id // 2 or msg.left_id + 1 != msg.right_id:
+                    raise ClusterError("death proposal children are not siblings")
+                pending = Proposal(DEATH, j, msg.left_id // 2)
+            left, right = shard_move_stats(shard, tree, grid, pending)
             io.send(proto.MoveStats(left.n, right.n, left.s, right.s))
-            pending = prop
-        elif isinstance(msg, proto.DeathProposal):
-            if msg.left_id // 2 != msg.right_id // 2 or msg.left_id + 1 != msg.right_id:
-                raise ClusterError("death proposal children are not siblings")
-            prop = Proposal(DEATH, j, msg.left_id // 2)
-            left, right = shard_move_stats(shard, tree, grid, prop)
-            io.send(proto.MoveStats(left.n, right.n, left.s, right.s))
-            pending = prop
-        elif isinstance(msg, proto.BirthAccept):
+            continue
+        # The decision on the pending proposal, or a bare reject for a tree
+        # whose drawn proposal had no admissible rule; the leaf pass follows.
+        if isinstance(msg, proto.BirthAccept):
             if pending is None or pending.node_id != msg.node_id:
                 raise ClusterError("birth accept does not match the pending proposal")
             shard.apply_birth(
@@ -368,35 +363,27 @@ def run_worker(
                 msg.mu_left, msg.mu_right,
             )
             tree.birth(msg.node_id, msg.v, msg.c, msg.mu_left, msg.mu_right)
-            pending = None
-            _send_mu_stats(io, shard, tree, j)
         elif isinstance(msg, proto.DeathAccept):
             if pending is None or pending.node_id != msg.node_id:
                 raise ClusterError("death accept does not match the pending proposal")
             node = tree.node(msg.node_id)
             shard.apply_death(j, msg.node_id, node.left.mu, node.right.mu, msg.mu)
             tree.death(msg.node_id, msg.mu)
-            pending = None
-            _send_mu_stats(io, shard, tree, j)
-        elif isinstance(msg, proto.Reject):
-            # Decision for a pending proposal, or a bare reject for a tree
-            # whose drawn proposal had no admissible rule.
-            pending = None
-            _send_mu_stats(io, shard, tree, j)
-        elif isinstance(msg, proto.MuValues):
-            terminals = enumerate_nodes(tree, "terminal")
-            ids = np.array([t.id for t in terminals], dtype=np.uint32)
-            old = np.array([t.mu for t in terminals], dtype=np.float64)
-            new = np.array(msg.values, dtype=np.float64)
-            shard.apply_mus(j, ids, old, new)
-            for t, mu in zip(terminals, msg.values):
-                t.mu = float(mu)
-            j = (j + 1) % setup.m
+        pending = None
+        _leaf_pass(io, shard, tree, j)
+        j = (j + 1) % setup.m
 
 
-def _send_mu_stats(io: MessageIO, shard: ShardData, tree: Tree, j: int) -> None:
-    stats = shard_mu_stats(shard, tree, j)
+def _leaf_pass(io: MessageIO, shard: ShardData, tree: Tree, j: int) -> None:
+    """Send tree j's leaf statistics, then apply the leaf means drawn from them."""
+    terminals = enumerate_nodes(tree, "terminal")
+    old = np.array([t.mu for t in terminals], dtype=np.float64)
+    stats = pairwise_fold(shard.mu_stats_blocks(j, old))
     io.send(proto.MuStats(tuple(zip(stats.n.tolist(), stats.s.tolist(), stats.s2.tolist()))))
+    msg = io.recv((proto.MuValues,), mu_records=len(terminals))
+    shard.apply_mus(j, old, np.array(msg.values, dtype=np.float64))
+    for t, mu in zip(terminals, msg.values):
+        t.mu = float(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -445,17 +432,16 @@ class RemoteProvider:
     def reject_move(self, j, prop):
         self._broadcast(proto.Reject())
 
-    def mu_stats(self, j, tree):
-        b = len(enumerate_nodes(tree, "terminal"))
+    def mu_stats(self, j, mus):
         partials = []
         for io in self.ios:
-            msg = io.recv((proto.MuStats,), mu_records=b)
+            msg = io.recv((proto.MuStats,), mu_records=mus.size)
             n, s, s2 = zip(*msg.records)
             partials.append(StatsVec(np.array(n, dtype=np.int64), np.array(s), np.array(s2)))
         return reduce_stats(partials)
 
-    def apply_mus(self, j, tree, ids, old, new):
-        self._broadcast(proto.MuValues(tuple(float(v) for v in new)), expected_records=ids.size)
+    def apply_mus(self, j, old, new):
+        self._broadcast(proto.MuValues(tuple(float(v) for v in new)), expected_records=new.size)
 
     def rss(self) -> float:
         self._broadcast(proto.IterBegin(self._iteration, proto.PHASE_SIGMA))

@@ -8,6 +8,7 @@ one row at a time so file size never dictates memory.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -117,19 +118,33 @@ class TableError(ValueError):
     """Malformed table: ragged row, non-numeric or non-finite cell, missing column."""
 
 
-def iter_rows(path: str) -> Iterator[tuple[list[str], list[float]]]:
+def _read_header(fh) -> list[str]:
+    header_line = fh.readline()
+    if not header_line:
+        raise TableError("empty table file")
+    return header_line.rstrip("\n").split(",")
+
+
+def table_shape(path: str) -> tuple[list[str], int]:
+    """(header, number of data lines) of a table, without parsing any row."""
+    with open(path, "r", encoding="ascii") as fh:
+        header = _read_header(fh)
+        return header, sum(1 for _ in fh)
+
+
+def iter_rows(
+    path: str, start: int = 0, stop: int | None = None
+) -> Iterator[tuple[list[str], list[float]]]:
     """Stream (header, row) pairs; the header is re-yielded with every row.
 
     Reads one line at a time; raises TableError with the 1-based line number
-    on the first ragged, non-numeric or non-finite row.
+    on the first ragged, non-numeric or non-finite row.  Only data rows
+    [start, stop) are parsed and checked.
     """
     with open(path, "r", encoding="ascii") as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise TableError("empty table file")
-        header = header_line.rstrip("\n").split(",")
+        header = _read_header(fh)
         width = len(header)
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in itertools.islice(enumerate(fh, start=2), start, stop):
             cells = line.rstrip("\n").split(",")
             if len(cells) != width:
                 raise TableError(f"line {lineno}: expected {width} cells, found {len(cells)}")

@@ -245,14 +245,11 @@ def encode(msg: Message, expected_records: int | None = None) -> bytes:
     return bytes([opcode]) + payload
 
 
-def read_frame(
-    recv: Callable[[int], bytes], records: int | Callable[[], int] | None = None
-) -> bytes:
+def read_frame(recv: Callable[[int], bytes], records: int | None = None) -> bytes:
     """Read one whole frame from a stream; `recv(k)` returns exactly k bytes.
 
     The exchange is lockstep, so the receiver knows how many records a
-    per-leaf message carries: `records` (a count, or a callable giving it
-    when such a message arrives) sizes MU_STATS / MU_VALUES frames.
+    per-leaf message carries: `records` sizes MU_STATS / MU_VALUES frames.
     """
     opcode = recv(1)[0]
     if opcode not in _BY_OPCODE:
@@ -261,7 +258,7 @@ def read_frame(
     if kind in _PER_RECORD:
         if records is None:
             raise ProtocolError("per-leaf message arrived without an expected count")
-        size = layout.size * (records() if callable(records) else records)
+        size = layout.size * records
     elif kind in _RANGES:
         head = recv(layout.size)
         (d,) = _U32.unpack_from(head, layout.size - _U32.size)

@@ -15,6 +15,7 @@ variate sequence, so equal statistics imply bit-equal chains.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -325,43 +326,117 @@ def accept_log_ratio(
 # Shard-local data state
 # ---------------------------------------------------------------------------
 
-def _terminal_slots(terminal_ids: np.ndarray, leaf: np.ndarray) -> np.ndarray:
-    """Position of each row's terminal node within the ascending `terminal_ids`.
+def _scatter(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    out = np.zeros(mask.size)
+    out[mask] = values
+    return out
 
-    A table indexed by node id is several times faster than a binary search;
-    trees too deep for a small table fall back to the search.
+
+class _Slices:
+    """Where each terminal node of one tree sits in that tree's row order.
+
+    Terminals are listed left to right, the order of their slices.  A slice
+    holds its rows ascending, so the rows of reduction block k form its k-th
+    run, `counts[t, k]` rows long.  Everything besides `ids` and `counts` is
+    derived once per birth or death, so the per-call kernels do no
+    bookkeeping.  Instances are never modified; a move builds a new one.
     """
-    top = int(terminal_ids[-1])
-    if top > 1 << 16:
-        return np.searchsorted(terminal_ids, leaf)
-    table = np.empty(top + 1, dtype=np.intp)
-    table[terminal_ids] = np.arange(terminal_ids.size)
-    return table[leaf]
+
+    __slots__ = ("ids", "counts", "starts", "runs", "lens", "seg", "nonempty",
+                 "rank", "by_id", "n_by_id")
+
+    def __init__(self, ids: list[int], counts: np.ndarray):
+        self.ids = ids
+        self.counts = counts
+        # Run boundaries inside each slice, and each slice's start, as ints.
+        self.runs = [[0, *itertools.accumulate(row)] for row in counts.tolist()]
+        self.starts = [0, *itertools.accumulate(r[-1] for r in self.runs)]
+        self.lens = counts.sum(axis=1)
+        # Starts of the non-empty (terminal, block) segments, for reduceat.
+        flat = counts.ravel()
+        nonempty = flat > 0
+        self.seg = (np.cumsum(flat) - flat)[nonempty]
+        self.nonempty = None if nonempty.all() else nonempty
+        # by_id: slice positions in ascending id order; rank: its inverse.
+        self.by_id = np.argsort(ids)
+        self.rank = np.empty_like(self.by_id)
+        self.rank[self.by_id] = np.arange(len(ids))
+        self.n_by_id = np.ascontiguousarray(counts[self.by_id].T)
+
+    def split(self, t: int, left_counts: np.ndarray) -> "_Slices":
+        """Terminal t replaced by its children, the left child's slice first."""
+        node_id = self.ids[t]
+        children = np.stack((left_counts, self.counts[t] - left_counts))
+        return _Slices(
+            [*self.ids[:t], *children_ids(node_id), *self.ids[t + 1:]],
+            np.concatenate((self.counts[:t], children, self.counts[t + 1:])),
+        )
+
+    def join(self, t: int) -> "_Slices":
+        """Sibling terminals t and t+1 replaced by their parent."""
+        merged = (self.counts[t] + self.counts[t + 1])[None]
+        return _Slices(
+            [*self.ids[:t], self.ids[t] // 2, *self.ids[t + 2:]],
+            np.concatenate((self.counts[:t], merged, self.counts[t + 2:])),
+        )
 
 
 class ShardData:
-    """One shard's rows plus the cached residual and leaf assignments.
+    """One shard's rows plus the cached residual and each tree's row layout.
+
+    `order[j]` permutes the shard's rows so that every terminal node of tree
+    j owns one contiguous slice of it, rows ascending; a birth partitions a
+    slice stably and a death merges two adjacent sibling slices.  Kernels
+    therefore touch only the rows of the nodes involved, except the leaf pass,
+    which moves every residual.  `order` is int32 to keep the per-tree state
+    at 4 bytes per row; each kernel copies the slice it needs into one native
+    index buffer, because numpy indexes with int32 about 2.5 times slower.
 
     `blocks` are the local slices of the global reduction blocks this shard
-    owns; every sum leaves the shard as a pairwise fold of per-block sums so
-    the master can keep folding without caring how rows map to workers.
+    owns, in row order and covering every row; every sum leaves the shard as
+    a pairwise fold of per-block sums so the master can keep folding without
+    caring how rows map to workers.
     """
 
-    __slots__ = ("x", "ys", "residual", "leaf", "blocks", "_pos_cache")
+    __slots__ = ("x", "ys", "residual", "order", "blocks", "_slices", "_idx", "_gathered")
 
     def __init__(self, x: np.ndarray, ys: np.ndarray, m: int, blocks: Sequence[tuple[int, int]]):
         self.x = np.ascontiguousarray(x, dtype=np.float64)
         self.ys = np.asarray(ys, dtype=np.float64)
         self.residual = self.ys.copy()
-        self.leaf = np.ones((m, self.ys.size), dtype=np.uint32)
         self.blocks = list(blocks)
-        # Row -> terminal-slot positions computed by the last mu_stats call;
-        # reused by the immediately following apply_mus for the same tree.
-        self._pos_cache: tuple[int, np.ndarray, np.ndarray] | None = None
+        n = self.ys.size
+        edges = [lo for lo, _ in self.blocks] + [n]
+        if not self.blocks or [hi for _, hi in self.blocks] != edges[1:] or edges[0] != 0:
+            raise ValueError("blocks must tile the shard's rows in order")
+        if n > np.iinfo(np.int32).max:
+            raise ValueError("a shard holds at most 2**31 - 1 rows")
+        self.order = np.tile(np.arange(n, dtype=np.int32), (m, 1))
+        root = _Slices([1], np.array([[hi - lo for lo, hi in self.blocks]], dtype=np.int64))
+        self._slices = [root] * m
+        self._idx = np.empty(n, dtype=np.intp)
+        # (tree, residual gathered through _idx) from the last mu_stats_blocks
+        # call; the apply_mus that follows it writes back through _idx.
+        self._gathered: tuple[int, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
         return self.ys.size
+
+    def _rows(self, j: int, lo: int, hi: int) -> np.ndarray:
+        """`order[j][lo:hi]` as native indices, in the shared index buffer."""
+        idx = self._idx[: hi - lo]
+        np.copyto(idx, self.order[j, lo:hi], casting="unsafe")
+        self._gathered = None
+        return idx
+
+    def slices(self, j: int) -> list[tuple[int, int, int, list[int]]]:
+        """(node id, start, stop, rows per block) per terminal of tree j."""
+        sl = self._slices[j]
+        return [
+            (node_id, sl.starts[t], sl.starts[t + 1], sl.counts[t].tolist())
+            for t, node_id in enumerate(sl.ids)
+        ]
 
     # -- statistics ---------------------------------------------------------
 
@@ -373,48 +448,63 @@ class ShardData:
         For a birth, `mu_left == mu_right` is the mean of the splitting node
         and `cutval` partitions its rows.  For a death, the children already
         exist and carry their own means.  The MH ratio reads no sum of
-        squares, so none is computed.
+        squares, so none is computed.  Each sum adds the same values in the
+        same row order as a masked pass over the whole block would.
         """
-        leaf = self.leaf[j]
-        out = []
-        for lo, hi in self.blocks:
-            if prop.move == BIRTH:
-                sel = leaf[lo:hi] == prop.node_id
-                r = self.residual[lo:hi][sel] + mu_left
-                go_left = self.x[lo:hi, prop.v][sel] < cutval
-                r_l = r[go_left]
-                r_r = r[~go_left]
-            else:
-                left_id, right_id = children_ids(prop.node_id)
-                sel_l = leaf[lo:hi] == left_id
-                sel_r = leaf[lo:hi] == right_id
-                r_l = self.residual[lo:hi][sel_l] + mu_left
-                r_r = self.residual[lo:hi][sel_r] + mu_right
-            out.append(
-                (SuffStats(r_l.size, float(r_l.sum())), SuffStats(r_r.size, float(r_r.sum())))
-            )
-        return out
+        sl = self._slices[j]
+        parts = []  # (left child's values, right child's values) per block
+        if prop.move == BIRTH:
+            t = sl.ids.index(prop.node_id)
+            rows = self._rows(j, sl.starts[t], sl.starts[t + 1])
+            r = self.residual[rows] + mu_left
+            go_left = self.x[rows, prop.v] < cutval
+            runs = sl.runs[t]
+            for a, b in zip(runs, runs[1:]):
+                # compress is several times faster than a boolean index here.
+                parts.append((r[a:b].compress(go_left[a:b]), r[a:b].compress(~go_left[a:b])))
+        else:
+            t = sl.ids.index(children_ids(prop.node_id)[0])
+            lo, mid, hi = sl.starts[t : t + 3]
+            r = self.residual[self._rows(j, lo, hi)]
+            r[: mid - lo] += mu_left
+            r[mid - lo :] += mu_right
+            left_runs = sl.runs[t]
+            right_runs = [mid - lo + c for c in sl.runs[t + 1]]
+            for k in range(len(self.blocks)):
+                parts.append((
+                    r[left_runs[k] : left_runs[k + 1]],
+                    r[right_runs[k] : right_runs[k + 1]],
+                ))
+        return [
+            (SuffStats(r_l.size, float(r_l.sum())), SuffStats(r_r.size, float(r_r.sum())))
+            for r_l, r_r in parts
+        ]
 
-    def mu_stats_blocks(
-        self, j: int, terminal_ids: np.ndarray, mus: np.ndarray
-    ) -> list[StatsVec]:
-        """Per-block partial-residual statistics for every terminal node."""
-        leaf = self.leaf[j]
-        b = terminal_ids.size
-        pos_full = _terminal_slots(terminal_ids, leaf)
-        self._pos_cache = (j, terminal_ids, pos_full)
-        out = []
-        for lo, hi in self.blocks:
-            pos = pos_full[lo:hi]
-            r = self.residual[lo:hi] + mus[pos]
-            out.append(
-                StatsVec(
-                    np.bincount(pos, minlength=b).astype(np.int64),
-                    np.bincount(pos, weights=r, minlength=b),
-                    np.bincount(pos, weights=r * r, minlength=b),
-                )
-            )
-        return out
+    def mu_stats_blocks(self, j: int, mus: np.ndarray) -> list[StatsVec]:
+        """Per-block partial-residual statistics for every terminal node.
+
+        `mus` are tree j's leaf means in ascending node id order, the order
+        of the returned columns too.
+        """
+        sl = self._slices[j]
+        if mus.size != len(sl.ids):
+            raise ValueError(f"tree {j} has {len(sl.ids)} terminal nodes, got {mus.size} means")
+        rows = self._rows(j, 0, self.n)
+        gathered = self.residual[rows]
+        self._gathered = (j, gathered)
+        r = np.repeat(mus[sl.rank], sl.lens)
+        r += gathered
+        s = np.add.reduceat(r, sl.seg)
+        s2 = np.add.reduceat(np.square(r, out=r), sl.seg)
+        if sl.nonempty is not None:
+            # reduceat yields an element, not 0, for an empty segment, so
+            # only the non-empty ones are reduced.
+            s = _scatter(s, sl.nonempty)
+            s2 = _scatter(s2, sl.nonempty)
+        k = len(self.blocks)
+        s = s.reshape(-1, k)[sl.by_id].T
+        s2 = s2.reshape(-1, k)[sl.by_id].T
+        return [StatsVec(sl.n_by_id[i].copy(), s[i], s2[i]) for i in range(k)]
 
     def rss_blocks(self) -> list[float]:
         return [
@@ -434,40 +524,54 @@ class ShardData:
         mu_left: float,
         mu_right: float,
     ) -> None:
-        self._pos_cache = None
-        leaf = self.leaf[j]
-        rows = np.nonzero(leaf == node_id)[0]
-        go_left = self.x[rows, v] < cutval
-        left_rows = rows[go_left]
-        right_rows = rows[~go_left]
-        left_id, right_id = children_ids(node_id)
-        for idx, new_id, new_mu in (
-            (left_rows, left_id, mu_left),
-            (right_rows, right_id, mu_right),
-        ):
-            self.residual[idx] -= new_mu - mu_old
-            leaf[idx] = new_id
+        sl = self._slices[j]
+        t = sl.ids.index(node_id)
+        lo, hi = sl.starts[t], sl.starts[t + 1]
+        go_left = self.x[self._rows(j, lo, hi), v] < cutval
+        # Stable partition: the left child's rows, then the right child's.
+        part = self.order[j, lo:hi]
+        left, right = part.compress(go_left), part.compress(~go_left)
+        part[: left.size] = left
+        part[left.size :] = right
+        # Rows in their new order, each shifted by its own child's mean.
+        self.residual[self._rows(j, lo, hi)] -= np.repeat(
+            [mu_left - mu_old, mu_right - mu_old], [left.size, right.size]
+        )
+        runs = sl.runs[t]
+        left_counts = np.array(
+            [np.count_nonzero(go_left[a:b]) for a, b in zip(runs, runs[1:])], dtype=np.int64
+        )
+        self._slices[j] = sl.split(t, left_counts)
 
     def apply_death(
         self, j: int, node_id: int, mu_old_left: float, mu_old_right: float, mu_new: float
     ) -> None:
-        self._pos_cache = None
-        leaf = self.leaf[j]
+        sl = self._slices[j]
         left_id, right_id = children_ids(node_id)
-        for child_id, mu_old in ((left_id, mu_old_left), (right_id, mu_old_right)):
-            idx = np.nonzero(leaf == child_id)[0]
-            self.residual[idx] -= mu_new - mu_old
-            leaf[idx] = node_id
+        t = sl.ids.index(left_id)
+        if sl.ids[t + 1 : t + 2] != [right_id]:
+            raise ValueError(f"node {node_id} of tree {j} is not a nog node")
+        lo, mid, hi = sl.starts[t : t + 3]
+        rows = self._rows(j, lo, hi)
+        self.residual[rows[: mid - lo]] -= mu_new - mu_old_left
+        self.residual[rows[mid - lo :]] -= mu_new - mu_old_right
+        # The two children's rows are two ascending runs; a stable sort
+        # merges them in one linear pass.
+        part = self.order[j, lo:hi]
+        part[:] = np.sort(part, kind="stable")
+        self._slices[j] = sl.join(t)
 
-    def apply_mus(
-        self, j: int, terminal_ids: np.ndarray, old_mus: np.ndarray, new_mus: np.ndarray
-    ) -> None:
-        cache = self._pos_cache
-        if cache is not None and cache[0] == j and np.array_equal(cache[1], terminal_ids):
-            pos = cache[2]
+    def apply_mus(self, j: int, old_mus: np.ndarray, new_mus: np.ndarray) -> None:
+        """Move every row of tree j from its old leaf mean to the new one."""
+        if self._gathered is not None and self._gathered[0] == j:
+            rows, gathered = self._idx, self._gathered[1]
+            self._gathered = None
         else:
-            pos = _terminal_slots(terminal_ids, self.leaf[j])
-        self.residual -= (new_mus - old_mus)[pos]
+            rows = self._rows(j, 0, self.n)
+            gathered = self.residual[rows]
+        sl = self._slices[j]
+        shift = np.repeat((new_mus - old_mus)[sl.rank], sl.lens)
+        self.residual[rows] = np.subtract(gathered, shift, out=shift)
 
 
 def shard_move_stats(
@@ -485,14 +589,6 @@ def shard_move_stats(
         )
     lefts, rights = zip(*blocks)
     return pairwise_fold(lefts), pairwise_fold(rights)
-
-
-def shard_mu_stats(shard: ShardData, tree: Tree, tree_index: int) -> StatsVec:
-    """Per-terminal-node statistics of one tree over one shard, ascending id."""
-    terminals = enumerate_nodes(tree, "terminal")
-    ids = np.array([t.id for t in terminals], dtype=np.uint32)
-    mus = np.array([t.mu for t in terminals], dtype=np.float64)
-    return pairwise_fold(shard.mu_stats_blocks(tree_index, ids, mus))
 
 
 # ---------------------------------------------------------------------------
@@ -611,11 +707,9 @@ class StatsProvider(Protocol):
 
     def reject_move(self, j: int, prop: Proposal) -> None: ...
 
-    def mu_stats(self, j: int, tree: Tree) -> StatsVec: ...
+    def mu_stats(self, j: int, mus: np.ndarray) -> StatsVec: ...
 
-    def apply_mus(
-        self, j: int, tree: Tree, ids: np.ndarray, old: np.ndarray, new: np.ndarray
-    ) -> None: ...
+    def apply_mus(self, j: int, old: np.ndarray, new: np.ndarray) -> None: ...
 
     def rss(self) -> float: ...
 
@@ -652,11 +746,11 @@ class LocalProvider:
     def reject_move(self, j, prop):
         pass
 
-    def mu_stats(self, j, tree):
-        return shard_mu_stats(self.shard, tree, j)
+    def mu_stats(self, j, mus):
+        return pairwise_fold(self.shard.mu_stats_blocks(j, mus))
 
-    def apply_mus(self, j, tree, ids, old, new):
-        self.shard.apply_mus(j, ids, old, new)
+    def apply_mus(self, j, old, new):
+        self.shard.apply_mus(j, old, new)
 
     def rss(self) -> float:
         return pairwise_fold(self.shard.rss_blocks())
@@ -761,10 +855,9 @@ def _update_tree(
             provider.reject_move(j, prop)
     # Leaf-mean Gibbs pass for this tree (always, move or not).
     terminals = enumerate_nodes(tree, "terminal")
-    ids = np.array([t.id for t in terminals], dtype=np.uint32)
     old_mus = np.array([t.mu for t in terminals], dtype=np.float64)
-    new_mus = draw_mus(provider.mu_stats(j, tree), sigma, prior.tau, rng)
-    provider.apply_mus(j, tree, ids, old_mus, new_mus)
+    new_mus = draw_mus(provider.mu_stats(j, old_mus), sigma, prior.tau, rng)
+    provider.apply_mus(j, old_mus, new_mus)
     for t, mu_new in zip(terminals, new_mus):
         t.mu = float(mu_new)
     return move, accepted, len(terminals)

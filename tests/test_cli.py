@@ -9,13 +9,14 @@ from bartgrid.cli import (
     ConfigError,
     ModelFileError,
     _CONFIG_KEYS,
+    _load_worker_shard,
     load_model,
     main,
     parse_config,
     save_model,
     write_chain_log,
 )
-from bartgrid.datagen import read_table
+from bartgrid.datagen import TableError, read_table
 from bartgrid.sampler import FitSettings, run_serial
 
 
@@ -236,6 +237,36 @@ class TestCliCommands:
             assert w.returncode == 0, werr
         assert open(serial_model).read() == open(dist_model).read()
         assert open(serial_model + ".chainlog").read() == open(dist_model + ".chainlog").read()
+
+
+class TestWorkerShard:
+    def _write(self, tmp_path, bad_line=None):
+        path = tmp_path / "d.csv"
+        lines = ["y,x0,x1"] + [f"{i}.5,{i}.25,{-i}.0" for i in range(8)]
+        if bad_line is not None:
+            lines[bad_line - 1] = "1.0,oops,2.0"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def _cfg(self, data, rank):
+        return parse_config({"data": data, "workers": "2", "rank": str(rank),
+                             "reduction_blocks": "2"})
+
+    def test_each_worker_parses_its_own_rows(self, tmp_path):
+        data = self._write(tmp_path)
+        x_all, y_all, _ = read_table(data, response="y")
+        for rank, rows in ((1, slice(0, 4)), (2, slice(4, 8))):
+            x, y, n_total = _load_worker_shard(self._cfg(data, rank))
+            assert n_total == 8
+            assert np.array_equal(x, x_all[rows]) and np.array_equal(y, y_all[rows])
+
+    def test_bad_line_fails_only_its_owner(self, tmp_path):
+        # Line 8 holds data row 6, which belongs to rank 2.
+        data = self._write(tmp_path, bad_line=8)
+        x, y, n_total = _load_worker_shard(self._cfg(data, 1))
+        assert x.shape == (4, 2) and y.shape == (4,) and n_total == 8
+        with pytest.raises(TableError, match="line 8: non-numeric cell 'oops'"):
+            _load_worker_shard(self._cfg(data, 2))
 
 
 def _free_port() -> int:

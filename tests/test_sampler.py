@@ -28,7 +28,6 @@ from bartgrid.sampler import (
     run_serial,
     scale_moment_blocks,
     shard_move_stats,
-    shard_mu_stats,
     sigma_lambda,
     split_prior_prob,
 )
@@ -255,9 +254,10 @@ class TestShardStats:
         grid = CutpointGrid.from_ranges(np.full(2, -1.0), np.full(2, 1.0), 10)
         rng = np.random.default_rng(10)
         shard = build_shard(rng, 4, 2, 1)
-        # Region of node 2 is empty until a birth happens; propose one at a
-        # node no row reaches by marking all rows as node 3.
-        shard.leaf[0][:] = 3
+        # A cut at the smallest value sends every row right, so node 2 is
+        # reached by no row; then propose a birth at it.
+        shard.apply_birth(0, 1, 0, float(shard.x[:, 0].min()), 0.0, 0.0, 0.0)
+        assert [s[:3] for s in shard.slices(0)] == [(2, 0, 0), (3, 0, 4)]
         tree = Tree()
         tree.birth(1, 0, 5, 0.0, 0.0)
         prop = Proposal(BIRTH, 0, 2, 1, 3)
@@ -307,8 +307,9 @@ class TestShardStats:
                 if k != j:
                     r_oracle -= evaluate_rows(forest[k], grid, x)
             leaf_of_row = route_rows(forest[j], grid, x)
-            stats = shard_mu_stats(shard, forest[j], j)
             terminals = enumerate_nodes(forest[j], "terminal")
+            mus = np.array([t.mu for t in terminals])
+            stats = pairwise_fold(shard.mu_stats_blocks(j, mus))
             assert stats.n.size == len(terminals)
             for node, cnt, s, s2 in zip(terminals, stats.n, stats.s, stats.s2):
                 rows = leaf_of_row == node.id
@@ -317,6 +318,141 @@ class TestShardStats:
                 assert s2 == pytest.approx(float((r_oracle[rows] ** 2).sum()), abs=1e-8)
                 if cnt > 0:
                     assert s2 >= s**2 / cnt - 1e-12
+
+
+def _masked_move_stats(shard, leaf, prop, cutval, mu_left, mu_right):
+    """Per-block move statistics from a masked pass over every row of a block."""
+    out = []
+    for lo, hi in shard.blocks:
+        if prop.move == BIRTH:
+            sel = leaf[lo:hi] == prop.node_id
+            r = shard.residual[lo:hi][sel] + mu_left
+            go_left = shard.x[lo:hi, prop.v][sel] < cutval
+            r_l, r_r = r[go_left], r[~go_left]
+        else:
+            r_l = shard.residual[lo:hi][leaf[lo:hi] == 2 * prop.node_id] + mu_left
+            r_r = shard.residual[lo:hi][leaf[lo:hi] == 2 * prop.node_id + 1] + mu_right
+        out.append((SuffStats(r_l.size, float(r_l.sum())), SuffStats(r_r.size, float(r_r.sum()))))
+    return out
+
+
+class TestShardLayout:
+    """Each terminal owns one ascending slice of `order`, whatever the moves."""
+
+    @pytest.mark.parametrize("blocks", [2, 4])
+    def test_random_moves_keep_the_layout(self, blocks):
+        rng = np.random.default_rng(40 + blocks)
+        n, d = 203, 3
+        x = rng.uniform(-1, 1, (n, d))
+        # Variable 0 grows with the row index, so cuts on it make nodes whose
+        # rows lie in one block.
+        x[:, 0] = np.sort(x[:, 0])
+        ys = rng.standard_normal(n)
+        grid = CutpointGrid.from_data(x, 12)
+        bounds = partition_bounds(n, blocks)
+        half = int(bounds[blocks // 2])
+        whole = ShardData(x, ys, 2, [(int(bounds[i]), int(bounds[i + 1])) for i in range(blocks)])
+        halves = [
+            ShardData(x[:half], ys[:half], 2, [
+                (int(bounds[i]), int(bounds[i + 1])) for i in range(blocks // 2)
+            ]),
+            ShardData(x[half:], ys[half:], 2, [
+                (int(bounds[i]) - half, int(bounds[i + 1]) - half)
+                for i in range(blocks // 2, blocks)
+            ]),
+        ]
+        shards = [whole, *halves]
+        forest = [Tree(), Tree()]
+        one_block_nodes = 0
+        for step in range(60):
+            j = int(rng.integers(2))
+            tree = forest[j]
+            terminals = enumerate_nodes(tree, "terminal")
+            nogs = enumerate_nodes(tree, "nog")
+            leaf = route_rows(tree, grid, x)
+
+            # Move statistics, bitwise against a masked pass, for a birth and
+            # a death proposal on the current tree.
+            node = terminals[int(rng.integers(len(terminals)))]
+            v = int(rng.integers(d))
+            prop = Proposal(BIRTH, j, node.id, v, int(rng.integers(grid.count(v))))
+            cutval = grid.value(prop.v, prop.c)
+            got = whole.move_stats_blocks(j, prop, cutval, node.mu, node.mu)
+            assert got == _masked_move_stats(whole, leaf, prop, cutval, node.mu, node.mu)
+            if nogs:
+                nog = nogs[int(rng.integers(len(nogs)))]
+                death = Proposal(DEATH, j, nog.id)
+                got = whole.move_stats_blocks(j, death, 0.0, nog.left.mu, nog.right.mu)
+                assert got == _masked_move_stats(
+                    whole, leaf, death, 0.0, nog.left.mu, nog.right.mu
+                )
+
+            # Apply a random birth or death to every shard and to the tree.
+            if not nogs or rng.random() < 0.6:
+                mu_l, mu_r = rng.normal(0, 0.3, 2)
+                for shard in shards:
+                    shard.apply_birth(j, node.id, v, cutval, node.mu, mu_l, mu_r)
+                tree.birth(node.id, v, prop.c, mu_l, mu_r)
+            else:
+                mu = float(rng.normal(0, 0.3))
+                for shard in shards:
+                    shard.apply_death(j, nog.id, nog.left.mu, nog.right.mu, mu)
+                tree.death(nog.id, mu)
+
+            # Layout: one ascending slice per terminal, equal to the routed
+            # row set, with the right count in every block.
+            leaf = route_rows(tree, grid, x)
+            terminals = enumerate_nodes(tree, "terminal")
+            slices = whole.slices(j)
+            assert sorted(s[0] for s in slices) == [t.id for t in terminals]
+            assert [s[1] for s in slices[1:]] == [s[2] for s in slices[:-1]]
+            assert slices[0][1] == 0 and slices[-1][2] == n
+            for node_id, start, stop, counts in slices:
+                rows = whole.order[j, start:stop]
+                assert np.array_equal(rows, np.flatnonzero(leaf == node_id))
+                assert counts == [
+                    int(np.count_nonzero((rows >= lo) & (rows < hi))) for lo, hi in whole.blocks
+                ]
+                one_block_nodes += sum(c > 0 for c in counts) == 1
+
+            # Leaf statistics against an oracle, and the halves' fold equal
+            # to the whole shard's, bit for bit.
+            mus = np.array([t.mu for t in terminals])
+            per_block = whole.mu_stats_blocks(j, mus)
+            ids = [t.id for t in terminals]
+            for (lo, hi), got in zip(whole.blocks, per_block):
+                r = whole.residual[lo:hi] + mus[np.searchsorted(ids, leaf[lo:hi])]
+                for i, t in enumerate(terminals):
+                    sel = leaf[lo:hi] == t.id
+                    assert got.n[i] == np.count_nonzero(sel)
+                    assert got.s[i] == pytest.approx(r[sel].sum(), abs=1e-12)
+                    assert got.s2[i] == pytest.approx((r[sel] ** 2).sum(), abs=1e-12)
+            folded = pairwise_fold(per_block)
+            split = pairwise_fold([pairwise_fold(h.mu_stats_blocks(j, mus)) for h in halves])
+            for col in ("n", "s", "s2"):
+                assert np.array_equal(getattr(folded, col), getattr(split, col))
+
+            # Leaf-mean update through the gather mu_stats_blocks left behind.
+            new = rng.normal(0, 0.3, mus.size)
+            whole.apply_mus(j, mus, new)
+            for h in halves:
+                h.apply_mus(j, mus, new)
+            for t, mu in zip(terminals, new):
+                t.mu = float(mu)
+            check_residual_invariant(forest, grid, whole, atol=1e-12)
+            assert np.array_equal(
+                np.concatenate([h.residual for h in halves]), whole.residual
+            )
+        assert one_block_nodes > 0
+
+    def test_row_state_is_four_bytes_per_row(self):
+        # The per-tree row layout is int32: a native-width index would add
+        # 4 bytes per row and tree to the peak resident set.
+        rng = np.random.default_rng(45)
+        n, m = 500, 7
+        shard = build_shard(rng, n, 2, m, blocks=2)
+        assert shard.order.dtype.itemsize == 4
+        assert shard.order.nbytes == m * n * 4
 
 
 class TestFold:

@@ -248,6 +248,15 @@ def load_model(path: str) -> PosteriorSample:
             forest = forest_from_lines(lines[body_start:pos], m)
         except ValueError as exc:
             raise ModelFileError(str(exc)) from None
+        for t, tree in enumerate(forest):
+            for k, rule in tree.nodes.items():
+                if isinstance(rule, tuple) and not (
+                    rule[0] < d and rule[1] < grid.count(rule[0])
+                ):
+                    raise ModelFileError(
+                        f"snapshot {idx}, tree {t}, node {k}: rule {rule} is outside the"
+                        f" cutpoint grid ({d} variables)"
+                    )
         snapshots.append((sigma, forest))
     if pos != len(lines):
         raise ModelFileError("trailing content after the last snapshot")

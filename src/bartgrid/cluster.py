@@ -42,7 +42,7 @@ from .sampler import (
     scale_moment_blocks,
     shard_move_stats,
 )
-from .trees import CutpointGrid, Tree, children_ids, enumerate_nodes
+from .trees import CutpointGrid, Tree, children_ids
 
 
 class ClusterError(RuntimeError):
@@ -232,12 +232,15 @@ class MessageIO:
         self.audit = audit
         self.capture = capture
 
+    def _log(self, frame: bytes, outgoing: bool) -> None:
+        if self.audit is not None:
+            self.audit.record(frame[0], len(frame) - 1, outgoing)
+        if self.capture is not None:
+            self.capture.append(("send" if outgoing else "recv", frame))
+
     def send(self, msg: proto.Message, expected_records: int | None = None) -> None:
         frame = proto.encode(msg, expected_records)
-        if self.audit is not None:
-            self.audit.record(frame[0], len(frame) - 1, outgoing=True)
-        if self.capture is not None:
-            self.capture.append(("send", frame))
+        self._log(frame, outgoing=True)
         self.channel.send(frame)
 
     def recv(
@@ -247,10 +250,7 @@ class MessageIO:
     ) -> proto.Message:
         try:
             frame = proto.read_frame(self.channel.recv, mu_records)
-            if self.audit is not None:
-                self.audit.record(frame[0], len(frame) - 1, outgoing=False)
-            if self.capture is not None:
-                self.capture.append(("recv", frame))
+            self._log(frame, outgoing=False)
             msg = proto.decode(frame)
         except proto.ProtocolError as exc:
             raise ClusterError(str(exc)) from exc
@@ -359,15 +359,15 @@ def run_worker(
             if pending is None or pending.node_id != msg.node_id:
                 raise ClusterError("birth accept does not match the pending proposal")
             shard.apply_birth(
-                j, msg.node_id, msg.v, grid.value(msg.v, msg.c), tree.node(msg.node_id).mu,
+                j, msg.node_id, msg.v, grid.value(msg.v, msg.c), tree.nodes[msg.node_id],
                 msg.mu_left, msg.mu_right,
             )
             tree.birth(msg.node_id, msg.v, msg.c, msg.mu_left, msg.mu_right)
         elif isinstance(msg, proto.DeathAccept):
             if pending is None or pending.node_id != msg.node_id:
                 raise ClusterError("death accept does not match the pending proposal")
-            node = tree.node(msg.node_id)
-            shard.apply_death(j, msg.node_id, node.left.mu, node.right.mu, msg.mu)
+            left_id, right_id = children_ids(msg.node_id)
+            shard.apply_death(j, msg.node_id, tree.nodes[left_id], tree.nodes[right_id], msg.mu)
             tree.death(msg.node_id, msg.mu)
         pending = None
         _leaf_pass(io, shard, tree, j)
@@ -376,14 +376,13 @@ def run_worker(
 
 def _leaf_pass(io: MessageIO, shard: ShardData, tree: Tree, j: int) -> None:
     """Send tree j's leaf statistics, then apply the leaf means drawn from them."""
-    terminals = enumerate_nodes(tree, "terminal")
-    old = np.array([t.mu for t in terminals], dtype=np.float64)
+    terminals = tree.terminals()
+    old = np.array([tree.nodes[k] for k in terminals], dtype=np.float64)
     stats = pairwise_fold(shard.mu_stats_blocks(j, old))
     io.send(proto.MuStats(tuple(zip(stats.n.tolist(), stats.s.tolist(), stats.s2.tolist()))))
     msg = io.recv((proto.MuValues,), mu_records=len(terminals))
     shard.apply_mus(j, old, np.array(msg.values, dtype=np.float64))
-    for t, mu in zip(terminals, msg.values):
-        t.mu = float(mu)
+    tree.nodes.update(zip(terminals, msg.values))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +456,7 @@ class RemoteProvider:
 
 
 def run_master(
-    channels: dict[int, Channel],
+    channels: Sequence[Channel],
     settings: FitSettings,
     *,
     audits: dict[int, ByteAudit] | None = None,
@@ -469,35 +468,34 @@ def run_master(
 ) -> ChainResult:
     """Drive the full distributed chain over connected worker channels.
 
-    The channels map is keyed by rank (1..p); workers must already have sent
-    nothing (the handshake starts here).  Returns the same result structure
-    as the serial sampler: for equal seeds and block layouts the two are
-    bit-identical.
+    The channels may come in any order: each worker names its rank (1..p) in
+    its HELLO, and must have sent nothing else yet (the handshake starts
+    here).  `audits` and `captures` are keyed by rank.  Returns the same
+    result structure as the serial sampler: for equal seeds and block
+    layouts the two are bit-identical.
     """
     settings.validate()
     p = len(channels)
     blocks = settings.reduction_blocks or p
-    ios = {
-        rank: MessageIO(
-            chan,
-            audits.get(rank) if audits else None,
-            captures.get(rank) if captures else None,
-        )
-        for rank, chan in channels.items()
-    }
-
+    ios: dict[int, MessageIO] = {}
     hellos: dict[int, proto.Hello] = {}
-    metas: dict[int, proto.ShardMeta] = {}
-    for rank in sorted(ios):
-        hello = ios[rank].recv((proto.Hello,))
+    for chan in channels:
+        io = MessageIO(chan)
+        hello = io.recv((proto.Hello,))
+        rank = hello.rank
         if hello.version != proto.PROTOCOL_VERSION:
-            raise ClusterError(
-                f"protocol version mismatch: worker {hello.rank} speaks {hello.version}"
-            )
-        if hello.rank != rank:
-            raise ClusterError(f"rank mismatch on channel {rank}: HELLO says {hello.rank}")
+            raise ClusterError(f"protocol version mismatch: worker {rank} speaks {hello.version}")
+        if not 1 <= rank <= p:
+            raise ClusterError(f"worker rank {rank} outside 1..{p}")
+        if rank in hellos:
+            raise ClusterError(f"two workers claim rank {rank}")
+        # The HELLO names the rank, so the rank's ledger starts with it.
+        io.audit = audits.get(rank) if audits else None
+        io.capture = captures.get(rank) if captures else None
+        io._log(proto.encode(hello), outgoing=False)
+        ios[rank] = io
         hellos[rank] = hello
-        metas[rank] = ios[rank].recv((proto.ShardMeta,))
+    metas = {rank: ios[rank].recv((proto.ShardMeta,)) for rank in sorted(ios)}
     widths = {rank: len(meta.x_min) for rank, meta in metas.items()}
     if len(set(widths.values())) > 1:
         counts = ", ".join(f"rank {rank} has {d}" for rank, d in sorted(widths.items()))
@@ -617,7 +615,7 @@ def run_cluster_inprocess(
 
     try:
         result = run_master(
-            master_channels,
+            list(master_channels.values()),
             settings,
             audits=audits,
             captures=captures,
@@ -657,63 +655,26 @@ def serve_master(
     """Listen, accept `workers` connections, run the chain, shut down."""
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    channels: dict[int, Channel] = {}
+    channels: list[SocketChannel] = []
     try:
         server.bind(listen)
         server.listen(workers)
         server.settimeout(accept_timeout)
         if on_bound is not None:
             on_bound(server.getsockname())
-        pending: list[SocketChannel] = []
         for _ in range(workers):
             try:
                 conn, _addr = server.accept()
             except socket.timeout:
                 raise ClusterError(
-                    f"only {len(pending)} of {workers} workers connected"
+                    f"only {len(channels)} of {workers} workers connected"
                 ) from None
-            pending.append(SocketChannel(conn))
-        # Peek each HELLO to learn the rank without consuming the stream:
-        # ranks arrive in arbitrary order, so buffer the frame and replay it.
-        for chan in pending:
-            frame = proto.read_frame(chan.recv)
-            hello = proto.decode(frame)
-            if not isinstance(hello, proto.Hello):
-                raise ClusterError("worker did not start with HELLO")
-            if hello.rank in channels:
-                raise ClusterError(f"duplicate worker rank {hello.rank}")
-            channels[hello.rank] = _ReplayChannel(frame, chan)
-        if sorted(channels) != list(range(1, workers + 1)):
-            raise ClusterError(f"expected ranks 1..{workers}, got {sorted(channels)}")
+            channels.append(SocketChannel(conn))
         return run_master(channels, settings, **master_kwargs)
     finally:
-        for chan in channels.values():
+        for chan in channels:
             chan.close()
         server.close()
-
-
-class _ReplayChannel:
-    """Channel that replays already-read bytes before the live stream."""
-
-    def __init__(self, buffered: bytes, inner: Channel):
-        self._buffer = bytearray(buffered)
-        self._inner = inner
-
-    def send(self, data: bytes) -> None:
-        self._inner.send(data)
-
-    def recv(self, n: int) -> bytes:
-        if self._buffer:
-            take = min(n, len(self._buffer))
-            out = bytes(self._buffer[:take])
-            del self._buffer[:take]
-            if take < n:
-                out += self._inner.recv(n - take)
-            return out
-        return self._inner.recv(n)
-
-    def close(self) -> None:
-        self._inner.close()
 
 
 # Bounds only the connection attempt: an established worker waits on its

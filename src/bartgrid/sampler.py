@@ -31,7 +31,6 @@ from .trees import (
     available_cut_range,
     children_ids,
     depth_of_id,
-    enumerate_nodes,
     evaluate_rows,
     tree_lines,
 )
@@ -228,36 +227,25 @@ def propose(
     least one cutpoint not excluded by ancestor rules, then a cutpoint
     uniformly in the surviving range.  A death picks a nog node uniformly.
     """
-    terminals = enumerate_nodes(tree, "terminal")
+    terminals = tree.terminals()
     p_birth = 1.0 if len(terminals) == 1 else 0.5
     if rng.random() < p_birth:
-        node = terminals[int(rng.integers(len(terminals)))]
-        if depth_of_id(node.id) >= MAX_DEPTH:
+        node_id = terminals[int(rng.integers(len(terminals)))]
+        if depth_of_id(node_id) >= MAX_DEPTH:
             return None
         ranges = [
             (v, lo, hi)
             for v in range(grid.n_vars)
-            for lo, hi in [available_cut_range(tree, node.id, v, grid.count(v))]
+            for lo, hi in [available_cut_range(tree, node_id, v, grid.count(v))]
             if hi > lo
         ]
         if not ranges:
             return None
         v, lo, hi = ranges[int(rng.integers(len(ranges)))]
         c = int(rng.integers(lo, hi))
-        return Proposal(BIRTH, tree_index, node.id, v, c)
-    nogs = enumerate_nodes(tree, "nog")
-    node = nogs[int(rng.integers(len(nogs)))]
-    return Proposal(DEATH, tree_index, node.id)
-
-
-def _nog_count_after_birth(tree: Tree, node_id: int) -> int:
-    """Nog count the tree would have after a birth at terminal `node_id`."""
-    count = len(enumerate_nodes(tree, "nog")) + 1
-    node = tree.node(node_id)
-    parent = node.parent
-    if parent is not None and parent.is_nog:
-        count -= 1
-    return count
+        return Proposal(BIRTH, tree_index, node_id, v, c)
+    nogs = tree.nogs()
+    return Proposal(DEATH, tree_index, nogs[int(rng.integers(len(nogs)))])
 
 
 def accept_log_ratio(
@@ -284,10 +272,14 @@ def accept_log_ratio(
     d = depth_of_id(prop.node_id)
     p_d = split_prior_prob(d, prior.alpha, prior.beta)
     p_d1 = split_prior_prob(d + 1, prior.alpha, prior.beta)
-    b = len(enumerate_nodes(tree, "terminal"))
+    b = (len(tree.nodes) + 1) // 2
+    nogs = len(tree.nogs())
     if prop.move == BIRTH:
         p_birth = 1.0 if b == 1 else 0.5
-        nog_after = _nog_count_after_birth(tree, prop.node_id)
+        # The birth makes its node a nog; its parent stops being one when the
+        # sibling is terminal.
+        k = prop.node_id
+        nog_after = nogs + 1 - (k > 1 and not isinstance(tree.nodes[k ^ 1], tuple))
         p_death_after = 0.5
         log_ratio = (
             math.log(p_d)
@@ -303,7 +295,6 @@ def accept_log_ratio(
                 - log_marginal_likelihood(merged, sigma, prior.tau)
             )
         return log_ratio
-    nogs = len(enumerate_nodes(tree, "nog"))
     p_death = 0.5
     p_birth_after = 1.0 if b - 1 == 1 else 0.5
     log_ratio = (
@@ -578,15 +569,14 @@ def shard_move_stats(
     shard: ShardData, tree: Tree, grid: CutpointGrid, prop: Proposal
 ) -> tuple[SuffStats, SuffStats]:
     """(left, right) statistics of a proposed move over one shard."""
-    node = tree.node(prop.node_id)
+    nodes = tree.nodes
+    k = prop.node_id
     if prop.move == BIRTH:
         blocks = shard.move_stats_blocks(
-            prop.tree_index, prop, grid.value(prop.v, prop.c), node.mu, node.mu
+            prop.tree_index, prop, grid.value(prop.v, prop.c), nodes[k], nodes[k]
         )
     else:
-        blocks = shard.move_stats_blocks(
-            prop.tree_index, prop, 0.0, node.left.mu, node.right.mu  # type: ignore[union-attr]
-        )
+        blocks = shard.move_stats_blocks(prop.tree_index, prop, 0.0, nodes[2 * k], nodes[2 * k + 1])
     lefts, rights = zip(*blocks)
     return pairwise_fold(lefts), pairwise_fold(rights)
 
@@ -734,14 +724,14 @@ class LocalProvider:
         return shard_move_stats(self.shard, tree, self.grid, prop)
 
     def apply_birth(self, j, tree, prop, mu_l, mu_r):
-        node = tree.node(prop.node_id)
         self.shard.apply_birth(
-            j, prop.node_id, prop.v, self.grid.value(prop.v, prop.c), node.mu, mu_l, mu_r
+            j, prop.node_id, prop.v, self.grid.value(prop.v, prop.c), tree.nodes[prop.node_id],
+            mu_l, mu_r,
         )
 
     def apply_death(self, j, tree, prop, mu):
-        node = tree.node(prop.node_id)
-        self.shard.apply_death(j, prop.node_id, node.left.mu, node.right.mu, mu)
+        k = prop.node_id
+        self.shard.apply_death(j, k, tree.nodes[2 * k], tree.nodes[2 * k + 1], mu)
 
     def reject_move(self, j, prop):
         pass
@@ -799,9 +789,7 @@ class ChainResult:
         """Mean terminal-node count over saved snapshots and trees."""
         if not self.snapshots:
             return float("nan")
-        total = sum(
-            len(enumerate_nodes(t, "terminal")) for _, _, forest in self.snapshots for t in forest
-        )
+        total = sum((len(t.nodes) + 1) // 2 for _, _, forest in self.snapshots for t in forest)
         return total / (len(self.snapshots) * self.settings.m)
 
 
@@ -854,12 +842,12 @@ def _update_tree(
         else:
             provider.reject_move(j, prop)
     # Leaf-mean Gibbs pass for this tree (always, move or not).
-    terminals = enumerate_nodes(tree, "terminal")
-    old_mus = np.array([t.mu for t in terminals], dtype=np.float64)
+    nodes = tree.nodes
+    terminals = tree.terminals()
+    old_mus = np.array([nodes[k] for k in terminals], dtype=np.float64)
     new_mus = draw_mus(provider.mu_stats(j, old_mus), sigma, prior.tau, rng)
     provider.apply_mus(j, old_mus, new_mus)
-    for t, mu_new in zip(terminals, new_mus):
-        t.mu = float(mu_new)
+    nodes.update(zip(terminals, new_mus.tolist()))
     return move, accepted, len(terminals)
 
 

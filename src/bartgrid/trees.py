@@ -1,10 +1,12 @@
 """Minimal regression trees with integer-coded decision rules.
 
-A tree node carries only a leaf mean, a (variable, cutpoint-index) rule and
-parent/child links.  Node ids are heap-path codes: the root is 1, the children
-of node k are 2k and 2k+1, so a single 32-bit integer names a node identically
-on every process.  Everything else about a tree (depth, leaf counts, nog sets)
-is recomputed on demand; trees stay small enough that this is cheap.
+A tree is one dict from heap-coded node id to node: the root is 1 and the
+children of node k are 2k and 2k+1, so a single 32-bit integer names a node
+identically on every process, and an id alone gives a node's parent, children
+and depth.  A terminal node maps to its leaf mean (a float), an internal node
+to its (variable, cutpoint-index) rule (a tuple).  Everything else about a
+tree (leaf counts, nog sets) is recomputed on demand; trees stay small enough
+that this is cheap.
 """
 from __future__ import annotations
 
@@ -20,131 +22,56 @@ class TreeError(ValueError):
     """Structural misuse of a tree (bad node kind, depth overflow, ...)."""
 
 
-class TreeNode:
-    """One tree node: leaf mean, split rule and family links."""
-
-    __slots__ = ("id", "mu", "v", "c", "parent", "left", "right")
-
-    def __init__(self, node_id: int, mu: float = 0.0, parent: "TreeNode | None" = None):
-        self.id = node_id
-        self.mu = mu
-        self.v = -1
-        self.c = -1
-        self.parent = parent
-        self.left: TreeNode | None = None
-        self.right: TreeNode | None = None
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.left is None
-
-    @property
-    def is_nog(self) -> bool:
-        """Internal node whose two children are both terminal."""
-        return (
-            self.left is not None
-            and self.left.is_terminal
-            and self.right.is_terminal  # type: ignore[union-attr]
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.is_terminal:
-            return f"TreeNode(id={self.id}, mu={self.mu!r})"
-        return f"TreeNode(id={self.id}, v={self.v}, c={self.c})"
+def _is_nog(nodes: dict, k: int) -> bool:
+    """Internal node whose two children are both terminal."""
+    return (
+        isinstance(nodes.get(k), tuple)
+        and not isinstance(nodes[2 * k], tuple)
+        and not isinstance(nodes[2 * k + 1], tuple)
+    )
 
 
 class Tree:
-    """A binary regression tree rooted at node id 1."""
+    """A binary regression tree: node id -> leaf mean or (v, c) rule.
 
-    __slots__ = ("root",)
+    Leaf means are plain Python floats, so `tree_lines` prints them exactly.
+    """
 
-    def __init__(self, root: TreeNode | None = None):
-        self.root = root if root is not None else TreeNode(1)
+    __slots__ = ("nodes",)
 
-    def walk(self) -> Iterator[TreeNode]:
-        """Preorder traversal (node, left subtree, right subtree)."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.left is not None:
-                stack.append(node.right)  # type: ignore[arg-type]
-                stack.append(node.left)
+    def __init__(self, nodes: dict[int, float | tuple[int, int]] | None = None):
+        self.nodes = nodes if nodes is not None else {1: 0.0}
 
-    def node(self, node_id: int) -> TreeNode:
-        """Find a node by following the bit path encoded in its id."""
-        if node_id < 1:
-            raise TreeError(f"invalid node id {node_id}")
-        node = self.root
-        # Bits below the leading 1, from most significant: 0 = left, 1 = right.
-        for shift in range(node_id.bit_length() - 2, -1, -1):
-            child = node.right if (node_id >> shift) & 1 else node.left
-            if child is None:
-                raise TreeError(f"node {node_id} not present")
-            node = child
-        return node
+    def terminals(self) -> list[int]:
+        """Terminal node ids, ascending."""
+        return sorted(k for k, val in self.nodes.items() if not isinstance(val, tuple))
 
-    def birth(self, node_id: int, v: int, c: int, mu_left: float, mu_right: float) -> TreeNode:
-        """Split terminal node `node_id` with rule (v, c); returns the node."""
-        node = self.node(node_id)
-        if not node.is_terminal:
+    def nogs(self) -> list[int]:
+        """Ids of internal nodes whose children are both terminal, ascending."""
+        nodes = self.nodes
+        return sorted(k for k in nodes if _is_nog(nodes, k))
+
+    def birth(self, node_id: int, v: int, c: int, mu_left: float, mu_right: float) -> None:
+        """Split terminal node `node_id` with rule (v, c)."""
+        nodes = self.nodes
+        if isinstance(nodes.get(node_id, ()), tuple):
             raise TreeError(f"birth at non-terminal node {node_id}")
         if depth_of_id(node_id) >= MAX_DEPTH:
             raise TreeError(f"birth at node {node_id} would exceed max depth {MAX_DEPTH}")
-        node.v = v
-        node.c = c
-        node.left = TreeNode(2 * node_id, mu_left, parent=node)
-        node.right = TreeNode(2 * node_id + 1, mu_right, parent=node)
-        return node
+        nodes[node_id] = (v, c)
+        nodes[2 * node_id] = float(mu_left)
+        nodes[2 * node_id + 1] = float(mu_right)
 
-    def death(self, node_id: int, mu: float) -> TreeNode:
+    def death(self, node_id: int, mu: float) -> None:
         """Collapse the two terminal children of nog node `node_id`."""
-        node = self.node(node_id)
-        if not node.is_nog:
+        nodes = self.nodes
+        if not _is_nog(nodes, node_id):
             raise TreeError(f"death at non-nog node {node_id}")
-        node.left = None
-        node.right = None
-        node.v = -1
-        node.c = -1
-        node.mu = mu
-        return node
+        del nodes[2 * node_id], nodes[2 * node_id + 1]
+        nodes[node_id] = float(mu)
 
     def clone(self) -> "Tree":
-        new_root = TreeNode(1, self.root.mu)
-        new_root.v = self.root.v
-        new_root.c = self.root.c
-        stack = [(self.root, new_root)]
-        while stack:
-            src, dst = stack.pop()
-            if src.left is not None:
-                for child_src in (src.left, src.right):
-                    child_dst = TreeNode(child_src.id, child_src.mu, parent=dst)  # type: ignore[union-attr]
-                    child_dst.v = child_src.v  # type: ignore[union-attr]
-                    child_dst.c = child_src.c  # type: ignore[union-attr]
-                    if child_src is src.left:
-                        dst.left = child_dst
-                    else:
-                        dst.right = child_dst
-                    stack.append((child_src, child_dst))  # type: ignore[arg-type]
-        return Tree(new_root)
-
-
-def enumerate_nodes(tree: Tree, kind: str) -> list[TreeNode]:
-    """Nodes of one kind ('terminal' | 'nog' | 'internal'), ascending id.
-
-    Level order visits heap-coded ids in ascending order, so nothing is sorted.
-    """
-    nodes = [tree.root]
-    for node in nodes:  # the loop also visits the children it appends
-        if node.left is not None:
-            nodes += (node.left, node.right)
-    if kind == "terminal":
-        return [n for n in nodes if n.left is None]
-    if kind == "nog":
-        return [n for n in nodes if n.is_nog]
-    if kind == "internal":
-        return [n for n in nodes if n.left is not None]
-    raise ValueError(f"unknown node kind {kind!r}")
+        return Tree(dict(self.nodes))
 
 
 class CutpointGrid:
@@ -214,61 +141,71 @@ def available_cut_range(tree: Tree, node_id: int, v: int, numcut_v: int) -> tupl
     (v, c) caps indices below c, descending right raises the floor to c + 1.
     """
     lo, hi = 0, numcut_v
-    node = tree.node(node_id)
-    while node.parent is not None:
-        parent = node.parent
-        if parent.v == v:
-            if node is parent.left:
-                hi = min(hi, parent.c)
+    nodes = tree.nodes
+    if node_id not in nodes:
+        raise TreeError(f"node {node_id} not present")
+    while node_id > 1:
+        pv, pc = nodes[node_id // 2]
+        if pv == v:
+            if node_id & 1:
+                lo = max(lo, pc + 1)
             else:
-                lo = max(lo, parent.c + 1)
-        node = parent
+                hi = min(hi, pc)
+        node_id //= 2
     return lo, hi
 
 
 def _terminal_rows(
     tree: Tree, grid: CutpointGrid, x: np.ndarray
-) -> Iterator[tuple[TreeNode, np.ndarray]]:
-    """Each terminal node with the indices of the rows of `x` that reach it."""
-    stack: list[tuple[TreeNode, np.ndarray]] = [(tree.root, np.arange(x.shape[0]))]
+) -> Iterator[tuple[int, float, np.ndarray]]:
+    """Each terminal node's id and mean, with the rows of `x` that reach it."""
+    nodes = tree.nodes
+    stack = [(1, np.arange(x.shape[0]))]
     while stack:
-        node, rows = stack.pop()
-        if node.is_terminal:
-            yield node, rows
+        k, rows = stack.pop()
+        val = nodes[k]
+        if not isinstance(val, tuple):
+            yield k, val, rows
             continue
-        go_left = x[rows, node.v] < grid.value(node.v, node.c)
-        stack.append((node.left, rows[go_left]))  # type: ignore[arg-type]
-        stack.append((node.right, rows[~go_left]))  # type: ignore[arg-type]
+        v, c = val
+        go_left = x[rows, v] < grid.value(v, c)
+        stack.append((2 * k, rows[go_left]))
+        stack.append((2 * k + 1, rows[~go_left]))
 
 
 def route_rows(tree: Tree, grid: CutpointGrid, x: np.ndarray) -> np.ndarray:
     """Terminal node id reached by every row of `x` (uint32 vector)."""
     out = np.ones(x.shape[0], dtype=np.uint32)
-    for node, rows in _terminal_rows(tree, grid, x):
-        out[rows] = node.id
+    for k, _mu, rows in _terminal_rows(tree, grid, x):
+        out[rows] = k
     return out
 
 
 def evaluate_rows(tree: Tree, grid: CutpointGrid, x: np.ndarray) -> np.ndarray:
     """Leaf mean reached by every row of `x`."""
     out = np.empty(x.shape[0], dtype=np.float64)
-    for node, rows in _terminal_rows(tree, grid, x):
-        out[rows] = node.mu
+    for _k, mu, rows in _terminal_rows(tree, grid, x):
+        out[rows] = mu
     return out
 
 
 def tree_lines(tree: Tree) -> list[str]:
-    """Preorder text serialization.
+    """Preorder text serialization (node, left subtree, right subtree).
 
     Internal node: ``i <id> <v> <c>``.  Terminal node: ``l <id> <mu>`` with
     the mean printed at full precision (repr round-trips binary64 exactly).
     """
+    nodes = tree.nodes
     lines = []
-    for node in tree.walk():
-        if node.is_terminal:
-            lines.append(f"l {node.id} {float(node.mu)!r}")
+    stack = [1]
+    while stack:
+        k = stack.pop()
+        val = nodes[k]
+        if isinstance(val, tuple):
+            lines.append(f"i {k} {val[0]} {val[1]}")
+            stack += (2 * k + 1, 2 * k)
         else:
-            lines.append(f"i {node.id} {node.v} {node.c}")
+            lines.append(f"l {k} {val!r}")
     return lines
 
 
@@ -276,43 +213,40 @@ def tree_from_lines(lines: Sequence[str]) -> Tree:
     """Rebuild a tree from its `tree_lines` serialization."""
     if not lines:
         raise ValueError("empty tree serialization")
-    nodes: dict[int, TreeNode] = {}
+    nodes: dict[int, float | tuple[int, int]] = {}
     for lineno, line in enumerate(lines):
         parts = line.split()
         try:
+            k = int(parts[1])
+            if k < 1:
+                raise ValueError
             if parts[0] == "i" and len(parts) == 4:
-                node = TreeNode(int(parts[1]))
-                node.v = int(parts[2])
-                node.c = int(parts[3])
+                val: float | tuple[int, int] = (int(parts[2]), int(parts[3]))
             elif parts[0] == "l" and len(parts) == 3:
-                node = TreeNode(int(parts[1]), float(parts[2]))
+                val = float(parts[2])
             else:
                 raise ValueError
         except (ValueError, IndexError):
             raise ValueError(f"bad tree line {lineno}: {line!r}") from None
-        nodes[node.id] = node
+        if k in nodes:
+            raise ValueError(f"node {k} appears twice in tree serialization")
+        nodes[k] = val
     if 1 not in nodes:
         raise ValueError("tree serialization has no root")
-    for node_id, node in nodes.items():
-        if node_id == 1:
-            continue
-        parent = nodes.get(node_id // 2)
-        if parent is None:
-            raise ValueError(f"node {node_id} has no parent in serialization")
-        node.parent = parent
-        if node_id % 2 == 0:
-            parent.left = node
-        else:
-            parent.right = node
-    tree = Tree(nodes[1])
-    for node in tree.walk():
-        if (node.left is None) != (node.right is None):
-            raise ValueError(f"node {node.id} has exactly one child")
-        if not node.is_terminal and (node.v < 0 or node.c < 0):
-            raise ValueError(f"internal node {node.id} lacks a rule")
-    if len(nodes) != sum(1 for _ in tree.walk()):
-        raise ValueError("disconnected nodes in tree serialization")
-    return tree
+    for k, val in nodes.items():
+        # Every node below the root hangs off an internal parent, so all
+        # nodes are connected to the root.
+        if k > 1 and not isinstance(nodes.get(k // 2), tuple):
+            raise ValueError(f"node {k} has no parent in serialization")
+        if isinstance(val, tuple):
+            if min(val) < 0:
+                raise ValueError(f"internal node {k} lacks a rule")
+            children = (2 * k in nodes) + (2 * k + 1 in nodes)
+            if children == 1:
+                raise ValueError(f"node {k} has exactly one child")
+            if children == 0:
+                raise ValueError(f"internal node {k} has no children")
+    return Tree(nodes)
 
 
 def depth_of_id(node_id: int) -> int:

@@ -22,7 +22,7 @@ def constant_sample(mu=0.25, m=1, d=2, y_mid=1.0, y_range=4.0, n_snapshots=3):
         forest = []
         for _ in range(m):
             tree = Tree()
-            tree.root.mu = mu
+            tree.nodes[1] = mu
             forest.append(tree)
         snaps.append((0.1, forest))
     return PosteriorSample(m=m, d=d, numcut=10, y_mid=y_mid, y_range=y_range,

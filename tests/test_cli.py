@@ -150,6 +150,23 @@ class TestModelFile:
         loaded = load_model(path)
         assert loaded.m == 200 and loaded.n_snapshots == 400
 
+    @pytest.mark.parametrize("rule", [(7, 0), (1, 3)])
+    def test_rule_outside_the_grid_rejected(self, tmp_path, rule):
+        # A split on a variable the model lacks, or past its last cutpoint,
+        # is refused at load time, not at the first prediction.
+        from bartgrid.analysis import PosteriorSample
+        from bartgrid.trees import CutpointGrid, Tree
+
+        grid = CutpointGrid.from_ranges(np.full(2, -1.0), np.full(2, 1.0), 3)
+        bad = Tree({1: (0, 1), 2: rule, 3: 0.5, 4: 0.0, 5: 1.0})
+        snaps = [(0.1, [Tree(), Tree()]), (0.1, [Tree(), bad])]
+        sample = PosteriorSample(m=2, d=2, numcut=3, y_mid=0.0, y_range=1.0,
+                                 grid=grid, snapshots=snaps)
+        path = str(tmp_path / "bad.model")
+        save_model(path, sample)
+        with pytest.raises(ModelFileError, match="snapshot 1, tree 1, node 2"):
+            load_model(path)
+
 
 class TestChainLog:
     def test_chain_log_round_trip_and_determinism(self, tmp_path):

@@ -237,31 +237,43 @@ class TestTransportErrors:
 
     def test_workers_disagreeing_on_d_are_named(self):
         x, y = toy_data(40)
-        settings = toy_settings(draws=4, burn=1, thin=1, reduction_blocks=2)
-        widths = {1: 3, 2: 2}
-        ends = {rank: queue_channel_pair(timeout=10.0) for rank in widths}
-        errors = []
-        threads = []
-        for rank, width in widths.items():
+        shards = []
+        for rank, width in ((1, 3), (2, 2)):
             lo, hi = worker_row_range(40, 2, 2, rank)
+            shards.append((rank, x[lo:hi, :width], y[lo:hi]))
+        refused_handshake(shards, "rank 1 has 3, rank 2 has 2")
 
-            def target(rank=rank, lo=lo, hi=hi, width=width):
-                try:
-                    run_worker(ends[rank][1], x[lo:hi, :width], y[lo:hi], rank, 2, 2)
-                except ClusterError as exc:
-                    errors.append(exc)
+    def test_two_workers_claiming_one_rank_are_refused(self):
+        x, y = toy_data(40)
+        lo, hi = worker_row_range(40, 2, 2, 1)
+        refused_handshake([(1, x[lo:hi], y[lo:hi])] * 2, "two workers claim rank 1")
 
-            threads.append(threading.Thread(target=target, daemon=True))
-            threads[-1].start()
-        with pytest.raises(ClusterError, match="rank 1 has 3, rank 2 has 2"):
-            run_master({rank: pair[0] for rank, pair in ends.items()}, settings)
-        # Workers still wait for the run setup; release them.
-        for master_end, _ in ends.values():
-            master_end.send(proto.encode(proto.Shutdown()))
-        for thread in threads:
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-        assert len(errors) == 2
+
+def refused_handshake(shards, match):
+    """Workers (rank, x, y) on 2 blocks whose handshake the master refuses."""
+    settings = toy_settings(draws=4, burn=1, thin=1, reduction_blocks=2)
+    ends = [queue_channel_pair(timeout=10.0) for _ in shards]
+    errors = []
+    threads = []
+    for (rank, xs, ys), (_, worker_end) in zip(shards, ends):
+
+        def target(chan=worker_end, rank=rank, xs=xs, ys=ys):
+            try:
+                run_worker(chan, xs, ys, rank, len(shards), 2)
+            except ClusterError as exc:
+                errors.append(exc)
+
+        threads.append(threading.Thread(target=target, daemon=True))
+        threads[-1].start()
+    with pytest.raises(ClusterError, match=match):
+        run_master([master_end for master_end, _ in ends], settings)
+    # Workers still wait for the run setup; release them.
+    for master_end, _ in ends:
+        master_end.send(proto.encode(proto.Shutdown()))
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert len(errors) == len(shards)
 
 
 class TestTcpTransport:

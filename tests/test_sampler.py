@@ -31,7 +31,17 @@ from bartgrid.sampler import (
     sigma_lambda,
     split_prior_prob,
 )
-from bartgrid.trees import CutpointGrid, Tree, enumerate_nodes, evaluate_rows, route_rows
+from bartgrid.trees import (
+    MAX_DEPTH,
+    CutpointGrid,
+    Tree,
+    available_cut_range,
+    depth_of_id,
+    evaluate_rows,
+    route_rows,
+)
+
+from test_trees import grow_random_tree
 
 
 def make_prior(**overrides):
@@ -123,8 +133,8 @@ class TestPropose:
         tree.birth(2, 1, 50, 0.0, 0.0)
         tree.birth(3, 1, 50, 0.0, 0.0)
         tree.birth(4, 0, 25, 0.0, 0.0)
-        terminals = [t.id for t in enumerate_nodes(tree, "terminal")]
-        nogs = [t.id for t in enumerate_nodes(tree, "nog")]
+        terminals = tree.terminals()
+        nogs = tree.nogs()
         assert len(terminals) == 5
         rng = np.random.default_rng(3)
         n_props = 100_000
@@ -162,17 +172,33 @@ class TestAcceptLogRatio:
         assert ratio == -math.inf
 
     def test_detailed_balance(self):
+        # A birth at any terminal and the death that undoes it: the root, a
+        # terminal whose sibling is terminal (its parent stops being a nog)
+        # and one whose sibling is internal.
         prior = make_prior()
-        tree = Tree()
-        tree.birth(1, 0, 5, 0.1, -0.1)
-        tree.birth(2, 0, 2, 0.2, 0.0)
+        grid = CutpointGrid.from_ranges(np.full(2, -1.0), np.full(2, 1.0), 10)
+        rng = np.random.default_rng(41)
         stats_l = SuffStats(4, 1.2, 0.9)
         stats_r = SuffStats(6, -0.7, 1.1)
-        lr_birth = accept_log_ratio(tree, Proposal(BIRTH, 0, 5, 0, 1), stats_l, stats_r, 0.8, prior)
-        after = tree.clone()
-        after.birth(5, 0, 1, 0.0, 0.0)
-        lr_death = accept_log_ratio(after, Proposal(DEATH, 0, 5), stats_l, stats_r, 0.8, prior)
-        assert lr_birth + lr_death == pytest.approx(0.0, abs=1e-12)
+        kinds = set()
+        trees = [Tree()] + [grow_random_tree(rng, grid, n_births=6) for _ in range(6)]
+        for tree in trees:
+            for k in tree.terminals():
+                lo, hi = available_cut_range(tree, k, 0, grid.count(0))
+                if hi <= lo or depth_of_id(k) >= MAX_DEPTH:
+                    continue
+                if k == 1:
+                    kinds.add("root")
+                else:
+                    kinds.add("internal" if isinstance(tree.nodes[k ^ 1], tuple) else "terminal")
+                birth = Proposal(BIRTH, 0, k, 0, lo)
+                lr_birth = accept_log_ratio(tree, birth, stats_l, stats_r, 0.8, prior)
+                after = tree.clone()
+                after.birth(k, 0, lo, 0.0, 0.0)
+                death = Proposal(DEATH, 0, k)
+                lr_death = accept_log_ratio(after, death, stats_l, stats_r, 0.8, prior)
+                assert lr_birth + lr_death == pytest.approx(0.0, abs=1e-12)
+        assert kinds == {"root", "terminal", "internal"}
 
     def test_depends_on_stats_only_through_n_and_s(self):
         prior = make_prior(min_leaf=1)
@@ -307,12 +333,12 @@ class TestShardStats:
                 if k != j:
                     r_oracle -= evaluate_rows(forest[k], grid, x)
             leaf_of_row = route_rows(forest[j], grid, x)
-            terminals = enumerate_nodes(forest[j], "terminal")
-            mus = np.array([t.mu for t in terminals])
+            terminals = forest[j].terminals()
+            mus = np.array([forest[j].nodes[k] for k in terminals])
             stats = pairwise_fold(shard.mu_stats_blocks(j, mus))
             assert stats.n.size == len(terminals)
-            for node, cnt, s, s2 in zip(terminals, stats.n, stats.s, stats.s2):
-                rows = leaf_of_row == node.id
+            for node_id, cnt, s, s2 in zip(terminals, stats.n, stats.s, stats.s2):
+                rows = leaf_of_row == node_id
                 assert cnt == int(rows.sum())
                 assert s == pytest.approx(float(r_oracle[rows].sum()), abs=1e-8)
                 assert s2 == pytest.approx(float((r_oracle[rows] ** 2).sum()), abs=1e-8)
@@ -367,44 +393,45 @@ class TestShardLayout:
         for step in range(60):
             j = int(rng.integers(2))
             tree = forest[j]
-            terminals = enumerate_nodes(tree, "terminal")
-            nogs = enumerate_nodes(tree, "nog")
+            nodes = tree.nodes
+            terminals = tree.terminals()
+            nogs = tree.nogs()
             leaf = route_rows(tree, grid, x)
 
             # Move statistics, bitwise against a masked pass, for a birth and
             # a death proposal on the current tree.
-            node = terminals[int(rng.integers(len(terminals)))]
+            node_id = terminals[int(rng.integers(len(terminals)))]
+            mu = nodes[node_id]
             v = int(rng.integers(d))
-            prop = Proposal(BIRTH, j, node.id, v, int(rng.integers(grid.count(v))))
+            prop = Proposal(BIRTH, j, node_id, v, int(rng.integers(grid.count(v))))
             cutval = grid.value(prop.v, prop.c)
-            got = whole.move_stats_blocks(j, prop, cutval, node.mu, node.mu)
-            assert got == _masked_move_stats(whole, leaf, prop, cutval, node.mu, node.mu)
+            got = whole.move_stats_blocks(j, prop, cutval, mu, mu)
+            assert got == _masked_move_stats(whole, leaf, prop, cutval, mu, mu)
             if nogs:
                 nog = nogs[int(rng.integers(len(nogs)))]
-                death = Proposal(DEATH, j, nog.id)
-                got = whole.move_stats_blocks(j, death, 0.0, nog.left.mu, nog.right.mu)
-                assert got == _masked_move_stats(
-                    whole, leaf, death, 0.0, nog.left.mu, nog.right.mu
-                )
+                mu_l, mu_r = nodes[2 * nog], nodes[2 * nog + 1]
+                death = Proposal(DEATH, j, nog)
+                got = whole.move_stats_blocks(j, death, 0.0, mu_l, mu_r)
+                assert got == _masked_move_stats(whole, leaf, death, 0.0, mu_l, mu_r)
 
             # Apply a random birth or death to every shard and to the tree.
             if not nogs or rng.random() < 0.6:
-                mu_l, mu_r = rng.normal(0, 0.3, 2)
+                new_l, new_r = rng.normal(0, 0.3, 2)
                 for shard in shards:
-                    shard.apply_birth(j, node.id, v, cutval, node.mu, mu_l, mu_r)
-                tree.birth(node.id, v, prop.c, mu_l, mu_r)
+                    shard.apply_birth(j, node_id, v, cutval, mu, new_l, new_r)
+                tree.birth(node_id, v, prop.c, new_l, new_r)
             else:
-                mu = float(rng.normal(0, 0.3))
+                merged = float(rng.normal(0, 0.3))
                 for shard in shards:
-                    shard.apply_death(j, nog.id, nog.left.mu, nog.right.mu, mu)
-                tree.death(nog.id, mu)
+                    shard.apply_death(j, nog, mu_l, mu_r, merged)
+                tree.death(nog, merged)
 
             # Layout: one ascending slice per terminal, equal to the routed
             # row set, with the right count in every block.
             leaf = route_rows(tree, grid, x)
-            terminals = enumerate_nodes(tree, "terminal")
+            terminals = tree.terminals()
             slices = whole.slices(j)
-            assert sorted(s[0] for s in slices) == [t.id for t in terminals]
+            assert sorted(s[0] for s in slices) == terminals
             assert [s[1] for s in slices[1:]] == [s[2] for s in slices[:-1]]
             assert slices[0][1] == 0 and slices[-1][2] == n
             for node_id, start, stop, counts in slices:
@@ -417,13 +444,12 @@ class TestShardLayout:
 
             # Leaf statistics against an oracle, and the halves' fold equal
             # to the whole shard's, bit for bit.
-            mus = np.array([t.mu for t in terminals])
+            mus = np.array([nodes[k] for k in terminals])
             per_block = whole.mu_stats_blocks(j, mus)
-            ids = [t.id for t in terminals]
             for (lo, hi), got in zip(whole.blocks, per_block):
-                r = whole.residual[lo:hi] + mus[np.searchsorted(ids, leaf[lo:hi])]
-                for i, t in enumerate(terminals):
-                    sel = leaf[lo:hi] == t.id
+                r = whole.residual[lo:hi] + mus[np.searchsorted(terminals, leaf[lo:hi])]
+                for i, k in enumerate(terminals):
+                    sel = leaf[lo:hi] == k
                     assert got.n[i] == np.count_nonzero(sel)
                     assert got.s[i] == pytest.approx(r[sel].sum(), abs=1e-12)
                     assert got.s2[i] == pytest.approx((r[sel] ** 2).sum(), abs=1e-12)
@@ -437,8 +463,7 @@ class TestShardLayout:
             whole.apply_mus(j, mus, new)
             for h in halves:
                 h.apply_mus(j, mus, new)
-            for t, mu in zip(terminals, new):
-                t.mu = float(mu)
+            nodes.update(zip(terminals, new.tolist()))
             check_residual_invariant(forest, grid, whole, atol=1e-12)
             assert np.array_equal(
                 np.concatenate([h.residual for h in halves]), whole.residual

@@ -9,7 +9,6 @@ from bartgrid.trees import (
     build_cutpoints,
     children_ids,
     depth_of_id,
-    enumerate_nodes,
     evaluate_rows,
     parent_id,
     route_rows,
@@ -22,33 +21,39 @@ def grow_random_tree(rng, grid, n_births=8):
     """Grow a tree by random valid births; test-local helper."""
     tree = Tree()
     for _ in range(n_births):
-        terminals = enumerate_nodes(tree, "terminal")
-        node = terminals[rng.integers(len(terminals))]
+        terminals = tree.terminals()
+        node_id = terminals[rng.integers(len(terminals))]
         options = [
             (v, lo, hi)
             for v in range(grid.n_vars)
-            for lo, hi in [available_cut_range(tree, node.id, v, grid.count(v))]
+            for lo, hi in [available_cut_range(tree, node_id, v, grid.count(v))]
             if hi > lo
         ]
-        if not options or depth_of_id(node.id) >= 30:
+        if not options or depth_of_id(node_id) >= 30:
             continue
         v, lo, hi = options[rng.integers(len(options))]
         c = int(rng.integers(lo, hi))
-        tree.birth(node.id, v, c, rng.normal(), rng.normal())
+        tree.birth(node_id, v, c, rng.normal(), rng.normal())
     return tree
 
 
 def naive_descend(tree, grid, x):
     """Independent path-following oracle: re-walk rules recursively."""
 
-    def walk(node):
-        if node.left is None:
-            return node.mu
-        if x[node.v] < grid.values[node.v][node.c]:
-            return walk(node.left)
-        return walk(node.right)
+    def walk(k):
+        node = tree.nodes[k]
+        if not isinstance(node, tuple):
+            return node
+        v, c = node
+        if x[v] < grid.values[v][c]:
+            return walk(2 * k)
+        return walk(2 * k + 1)
 
-    return walk(tree.root)
+    return walk(1)
+
+
+def internal_ids(tree):
+    return [k for k, node in sorted(tree.nodes.items()) if isinstance(node, tuple)]
 
 
 @pytest.fixture
@@ -59,7 +64,7 @@ def grid3():
 class TestEvaluate:
     def test_single_node(self, grid3):
         tree = Tree()
-        tree.root.mu = 7.5
+        tree.nodes[1] = 7.5
         assert evaluate_rows(tree, grid3, np.array([[0.3, -0.2, 0.9]])).tolist() == [7.5]
 
     def test_depth_one_forces_left(self):
@@ -84,7 +89,7 @@ class TestEvaluate:
         tree = grow_random_tree(rng, grid3, n_births=12)
         xs = rng.uniform(-1, 1, (500, 3))
         leaf_ids = route_rows(tree, grid3, xs)
-        terminal_ids = {t.id for t in enumerate_nodes(tree, "terminal")}
+        terminal_ids = set(tree.terminals())
         assert set(np.unique(leaf_ids)) <= terminal_ids
 
 
@@ -118,31 +123,32 @@ class TestCutpoints:
 
 class TestNodeDepth:
     def test_root(self):
-        assert depth_of_id(Tree().root.id) == 0
+        assert list(Tree().nodes) == [1]
+        assert depth_of_id(1) == 0
 
     def test_id_five(self):
         tree = Tree()
         tree.birth(1, 0, 4, 0.0, 0.0)
         tree.birth(2, 0, 2, 0.0, 0.0)
-        assert depth_of_id(tree.node(5).id) == 2
+        assert 5 in tree.nodes
         assert depth_of_id(5) == 2
 
 
 class TestEnumerate:
     def test_single_node(self):
         tree = Tree()
-        assert [n.id for n in enumerate_nodes(tree, "terminal")] == [1]
-        assert enumerate_nodes(tree, "nog") == []
-        assert enumerate_nodes(tree, "internal") == []
+        assert tree.terminals() == [1]
+        assert tree.nogs() == []
+        assert internal_ids(tree) == []
 
     def test_counts_relation(self):
         rng = np.random.default_rng(13)
         grid = CutpointGrid.from_ranges(np.full(3, -1.0), np.full(3, 1.0), 15)
         for _ in range(20):
             tree = grow_random_tree(rng, grid, n_births=7)
-            n_term = len(enumerate_nodes(tree, "terminal"))
-            n_int = len(enumerate_nodes(tree, "internal"))
-            total = sum(1 for _ in tree.walk())
+            n_term = len(tree.terminals())
+            n_int = len(internal_ids(tree))
+            total = len(tree.nodes)
             assert n_term == n_int + 1
             assert total == 2 * n_term - 1
 
@@ -150,13 +156,8 @@ class TestEnumerate:
         rng = np.random.default_rng(17)
         grid = CutpointGrid.from_ranges(np.full(2, -1.0), np.full(2, 1.0), 15)
         tree = grow_random_tree(rng, grid, n_births=10)
-        for kind in ("terminal", "nog", "internal"):
-            ids = [n.id for n in enumerate_nodes(tree, kind)]
+        for ids in (tree.terminals(), tree.nogs()):
             assert ids == sorted(ids)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown node kind"):
-            enumerate_nodes(Tree(), "leafy")
 
 
 class TestMutation:
@@ -165,12 +166,12 @@ class TestMutation:
         grid = CutpointGrid.from_ranges(np.full(3, -1.0), np.full(3, 1.0), 10)
         tree = grow_random_tree(rng, grid, n_births=6)
         before = [line.split()[:2] for line in tree_lines(tree)]
-        rules_before = [(n.id, n.v, n.c) for n in enumerate_nodes(tree, "internal")]
-        target = enumerate_nodes(tree, "terminal")[0]
-        tree.birth(target.id, 0, 3, 1.0, 2.0)
-        tree.death(target.id, 0.5)
+        rules_before = [(k, tree.nodes[k]) for k in internal_ids(tree)]
+        target = tree.terminals()[0]
+        tree.birth(target, 0, 3, 1.0, 2.0)
+        tree.death(target, 0.5)
         after = [line.split()[:2] for line in tree_lines(tree)]
-        rules_after = [(n.id, n.v, n.c) for n in enumerate_nodes(tree, "internal")]
+        rules_after = [(k, tree.nodes[k]) for k in internal_ids(tree)]
         assert before == after
         assert rules_before == rules_after
 
@@ -191,12 +192,11 @@ class TestMutation:
         tree = grow_random_tree(rng, grid, n_births=5)
         copy = tree.clone()
         assert tree_lines(copy) == tree_lines(tree)
-        copy.node(1).mu = 99.0
-        copy_terms = enumerate_nodes(copy, "terminal")
-        copy_terms[0].mu = 123.0
-        assert tree_lines(copy) != tree_lines(tree) or copy_terms[0].id not in {
-            t.id for t in enumerate_nodes(tree, "terminal")
-        }
+        original = tree_lines(tree)
+        copy.nodes[copy.terminals()[0]] = 123.0
+        copy.birth(copy.terminals()[-1], 0, 0, 1.0, 2.0)
+        assert tree_lines(copy) != original
+        assert tree_lines(tree) == original
 
 
 class TestIdCodec:
@@ -237,16 +237,16 @@ class TestSerialization:
 
     def test_line_format(self):
         tree = Tree()
-        tree.root.mu = 0.5
+        tree.nodes[1] = 0.5
         assert tree_lines(tree) == ["l 1 0.5"]
         tree.birth(1, 2, 7, -0.25, 0.125)
         assert tree_lines(tree) == ["i 1 2 7", "l 2 -0.25", "l 3 0.125"]
 
     def test_full_precision_round_trip(self):
         tree = Tree()
-        tree.root.mu = 0.1 + 0.2  # not exactly representable as a short decimal
+        tree.nodes[1] = 0.1 + 0.2  # not exactly representable as a short decimal
         rebuilt = tree_from_lines(tree_lines(tree))
-        assert rebuilt.root.mu == tree.root.mu
+        assert rebuilt.nodes[1] == tree.nodes[1]
 
     def test_bad_lines(self):
         with pytest.raises(ValueError):
@@ -257,3 +257,7 @@ class TestSerialization:
             tree_from_lines(["l 1 0.0", "l 4 0.0"])
         with pytest.raises(ValueError, match="exactly one child"):
             tree_from_lines(["i 1 0 0", "l 2 0.0"])
+        with pytest.raises(ValueError, match="node 2 appears twice"):
+            tree_from_lines(["i 1 0 0", "l 2 0.0", "l 3 1.0", "l 2 5.0"])
+        with pytest.raises(ValueError, match="internal node 1 has no children"):
+            tree_from_lines(["i 1 0 3"])

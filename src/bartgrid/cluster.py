@@ -8,17 +8,17 @@ reduction is the balanced pairwise fold from `sampler`, which is what makes
 the chain bit-identical across worker counts (and equal to the serial chain)
 whenever each worker holds a power-of-two number of blocks.
 
-Two transports: in-process byte queues (worker threads) and TCP stream
-sockets.  Failure model is fail-stop: any worker loss aborts the run.
+One transport, a stream socket: a socketpair per worker thread in-process,
+TCP across hosts.  Failure model is fail-stop: any worker loss aborts the
+run.
 """
 from __future__ import annotations
 
 import hashlib
-import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -29,6 +29,7 @@ from .sampler import (
     DEATH,
     ChainResult,
     FitSettings,
+    LocalProvider,
     Proposal,
     ShardData,
     StatsVec,
@@ -39,8 +40,7 @@ from .sampler import (
     partition_bounds,
     resolve_prior,
     run_chain_core,
-    scale_moment_blocks,
-    shard_move_stats,
+    summarize_shard,
 )
 from .trees import CutpointGrid, Tree, children_ids
 
@@ -86,18 +86,6 @@ def shard_block_slices(n_local: int, blocks: int, p: int) -> list[tuple[int, int
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(per)]
 
 
-def reduce_stats(partials: Sequence):
-    """Deterministically combine per-worker partials ordered by rank.
-
-    Partials are merged with the fixed balanced pairwise fold shared by all
-    reductions in this package; a missing entry is a protocol error.
-    """
-    if any(part is None for part in partials):
-        missing = [i + 1 for i, part in enumerate(partials) if part is None]
-        raise ClusterError(f"missing partial statistics from rank(s) {missing}")
-    return pairwise_fold(partials)
-
-
 # ---------------------------------------------------------------------------
 # Transports
 # ---------------------------------------------------------------------------
@@ -115,51 +103,8 @@ class Channel(Protocol):
     def close(self) -> None: ...
 
 
-class QueueChannel:
-    """In-process channel over a pair of byte queues."""
-
-    def __init__(self, inbox: "queue.SimpleQueue[bytes]", outbox: "queue.SimpleQueue[bytes]",
-                 fail_check: Callable[[], None] | None = None, timeout: float = 120.0):
-        self._inbox = inbox
-        self._outbox = outbox
-        self._buffer = bytearray()
-        self._fail_check = fail_check
-        self._timeout = timeout
-
-    def send(self, data: bytes) -> None:
-        self._outbox.put(data)
-
-    def recv(self, n: int) -> bytes:
-        deadline = time.monotonic() + self._timeout
-        while len(self._buffer) < n:
-            # Poll in short slices so a peer failure surfaces promptly.
-            try:
-                self._buffer.extend(self._inbox.get(timeout=0.2))
-            except queue.Empty:
-                if self._fail_check is not None:
-                    self._fail_check()
-                if time.monotonic() > deadline:
-                    raise ClusterError("channel receive timed out") from None
-        out = bytes(self._buffer[:n])
-        del self._buffer[:n]
-        return out
-
-    def close(self) -> None:
-        pass
-
-
-def queue_channel_pair(fail_check: Callable[[], None] | None = None,
-                       timeout: float = 120.0) -> tuple[QueueChannel, QueueChannel]:
-    a_to_b: "queue.SimpleQueue[bytes]" = queue.SimpleQueue()
-    b_to_a: "queue.SimpleQueue[bytes]" = queue.SimpleQueue()
-    return (
-        QueueChannel(b_to_a, a_to_b, fail_check, timeout),
-        QueueChannel(a_to_b, b_to_a, fail_check, timeout),
-    )
-
-
 class SocketChannel:
-    """TCP stream channel."""
+    """Stream-socket channel: TCP across hosts, a socketpair in-process."""
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
@@ -238,8 +183,8 @@ class MessageIO:
         if self.capture is not None:
             self.capture.append(("send" if outgoing else "recv", frame))
 
-    def send(self, msg: proto.Message, expected_records: int | None = None) -> None:
-        frame = proto.encode(msg, expected_records)
+    def send(self, msg: proto.Message) -> None:
+        frame = proto.encode(msg)
         self._log(frame, outgoing=True)
         self.channel.send(frame)
 
@@ -275,9 +220,11 @@ def run_worker(
 ) -> None:
     """Worker event loop: serve reduced statistics until SHUTDOWN.
 
-    The worker consumes no randomness; its forest replica evolves purely by
-    applying the master's accepted moves and leaf means, so after every
-    iteration it is structurally identical to the master's.
+    The worker drives a `LocalProvider` over its shard: each message becomes
+    the call the serial chain makes on its provider.  It consumes no
+    randomness; its forest replica evolves purely by applying the master's
+    accepted moves and leaf means, so after every iteration it is
+    structurally identical to the master's.
     """
     io = MessageIO(channel, audit)
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -285,18 +232,7 @@ def run_worker(
     blocks = shard_block_slices(y.size, reduction_blocks, workers)
 
     io.send(proto.Hello(proto.PROTOCOL_VERSION, rank, y.size))
-    y_sums, y_sumsqs = scale_moment_blocks(y, blocks)
-    io.send(
-        proto.ShardMeta(
-            y.size,
-            float(y.min()),
-            float(y.max()),
-            pairwise_fold(y_sums),
-            pairwise_fold(y_sumsqs),
-            tuple(x.min(axis=0)),
-            tuple(x.max(axis=0)),
-        )
-    )
+    io.send(proto.ShardMeta(*summarize_shard(x, y, blocks)))
     setup = io.recv((proto.RunSetup,))
     if setup.blocks != reduction_blocks:
         raise ClusterError(
@@ -311,7 +247,7 @@ def run_worker(
         np.array(setup.x_min), np.array(setup.x_max), setup.numcut
     )
     ys = (y - setup.y_mid) / setup.y_range
-    shard = ShardData(x, ys, setup.m, blocks)
+    provider = LocalProvider(ShardData(x, ys, setup.m, blocks), grid)
     forest = [Tree() for _ in range(setup.m)]
 
     j = 0
@@ -334,7 +270,7 @@ def run_worker(
                 j = 0
                 pending = None
             elif msg.phase == proto.PHASE_SIGMA:
-                io.send(proto.RssPartial(pairwise_fold(shard.rss_blocks())))
+                io.send(proto.RssPartial(provider.rss()))
             elif msg.phase == proto.PHASE_HASH:
                 io.send(proto.ReplicaHash(
                     hashlib.md5(forest_hash(forest).encode()).digest()
@@ -350,39 +286,31 @@ def run_worker(
                 if msg.left_id // 2 != msg.right_id // 2 or msg.left_id + 1 != msg.right_id:
                     raise ClusterError("death proposal children are not siblings")
                 pending = Proposal(DEATH, j, msg.left_id // 2)
-            left, right = shard_move_stats(shard, tree, grid, pending)
+            left, right = provider.move_stats(j, tree, pending)
             io.send(proto.MoveStats(left.n, right.n, left.s, right.s))
             continue
         # The decision on the pending proposal, or a bare reject for a tree
         # whose drawn proposal had no admissible rule; the leaf pass follows.
+        # An accept carries the whole move, which must be the one proposed.
         if isinstance(msg, proto.BirthAccept):
-            if pending is None or pending.node_id != msg.node_id:
+            if pending != Proposal(BIRTH, j, msg.node_id, msg.v, msg.c):
                 raise ClusterError("birth accept does not match the pending proposal")
-            shard.apply_birth(
-                j, msg.node_id, msg.v, grid.value(msg.v, msg.c), tree.nodes[msg.node_id],
-                msg.mu_left, msg.mu_right,
-            )
+            provider.apply_birth(j, tree, pending, msg.mu_left, msg.mu_right)
             tree.birth(msg.node_id, msg.v, msg.c, msg.mu_left, msg.mu_right)
         elif isinstance(msg, proto.DeathAccept):
-            if pending is None or pending.node_id != msg.node_id:
+            if pending != Proposal(DEATH, j, msg.node_id):
                 raise ClusterError("death accept does not match the pending proposal")
-            left_id, right_id = children_ids(msg.node_id)
-            shard.apply_death(j, msg.node_id, tree.nodes[left_id], tree.nodes[right_id], msg.mu)
+            provider.apply_death(j, tree, pending, msg.mu)
             tree.death(msg.node_id, msg.mu)
         pending = None
-        _leaf_pass(io, shard, tree, j)
+        terminals = tree.terminals()
+        old = np.array([tree.nodes[k] for k in terminals], dtype=np.float64)
+        stats = provider.mu_stats(j, old)
+        io.send(proto.MuStats(tuple(zip(stats.n.tolist(), stats.s.tolist(), stats.s2.tolist()))))
+        new = io.recv((proto.MuValues,), mu_records=len(terminals)).values
+        provider.apply_mus(j, old, np.array(new, dtype=np.float64))
+        tree.nodes.update(zip(terminals, new))
         j = (j + 1) % setup.m
-
-
-def _leaf_pass(io: MessageIO, shard: ShardData, tree: Tree, j: int) -> None:
-    """Send tree j's leaf statistics, then apply the leaf means drawn from them."""
-    terminals = tree.terminals()
-    old = np.array([tree.nodes[k] for k in terminals], dtype=np.float64)
-    stats = pairwise_fold(shard.mu_stats_blocks(j, old))
-    io.send(proto.MuStats(tuple(zip(stats.n.tolist(), stats.s.tolist(), stats.s2.tolist()))))
-    msg = io.recv((proto.MuValues,), mu_records=len(terminals))
-    shard.apply_mus(j, old, np.array(msg.values, dtype=np.float64))
-    tree.nodes.update(zip(terminals, msg.values))
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +325,15 @@ class RemoteProvider:
         self.n_total = n_total
         self._iteration = 0
 
-    def _broadcast(self, msg: proto.Message, expected_records: int | None = None) -> None:
+    def _broadcast(self, msg: proto.Message) -> None:
         for io in self.ios:
-            io.send(msg, expected_records)
+            io.send(msg)
 
     def begin_iteration(self, iteration: int) -> None:
         self._iteration = iteration
         self._broadcast(proto.IterBegin(iteration, proto.PHASE_TREES))
 
-    def null_move(self, j: int) -> None:
+    def reject(self, j: int) -> None:
         self._broadcast(proto.Reject())
 
     def move_stats(self, j, tree, prop):
@@ -420,7 +348,7 @@ class RemoteProvider:
             msg = io.recv((proto.MoveStats,))
             lefts.append(SuffStats(msg.n_left, msg.sum_left))
             rights.append(SuffStats(msg.n_right, msg.sum_right))
-        return reduce_stats(lefts), reduce_stats(rights)
+        return pairwise_fold(lefts), pairwise_fold(rights)
 
     def apply_birth(self, j, tree, prop, mu_l, mu_r):
         self._broadcast(proto.BirthAccept(prop.node_id, prop.v, prop.c, mu_l, mu_r))
@@ -428,24 +356,20 @@ class RemoteProvider:
     def apply_death(self, j, tree, prop, mu):
         self._broadcast(proto.DeathAccept(prop.node_id, mu))
 
-    def reject_move(self, j, prop):
-        self._broadcast(proto.Reject())
-
     def mu_stats(self, j, mus):
         partials = []
         for io in self.ios:
             msg = io.recv((proto.MuStats,), mu_records=mus.size)
             n, s, s2 = zip(*msg.records)
             partials.append(StatsVec(np.array(n, dtype=np.int64), np.array(s), np.array(s2)))
-        return reduce_stats(partials)
+        return pairwise_fold(partials)
 
     def apply_mus(self, j, old, new):
-        self._broadcast(proto.MuValues(tuple(float(v) for v in new)), expected_records=new.size)
+        self._broadcast(proto.MuValues(tuple(float(v) for v in new)))
 
     def rss(self) -> float:
         self._broadcast(proto.IterBegin(self._iteration, proto.PHASE_SIGMA))
-        partials = [io.recv((proto.RssPartial,)).rss for io in self.ios]
-        return reduce_stats(partials)
+        return pairwise_fold([io.recv((proto.RssPartial,)).rss for io in self.ios])
 
     def replica_hashes(self) -> list[bytes]:
         self._broadcast(proto.IterBegin(self._iteration, proto.PHASE_HASH))
@@ -509,16 +433,7 @@ def run_master(
                 f"rank {rank} holds {hellos[rank].shard_rows} rows, layout expects {hi - lo}"
             )
 
-    ordered = [metas[rank] for rank in sorted(metas)]
-    derived = derive_run_constants(
-        n_total,
-        min(m.y_min for m in ordered),
-        max(m.y_max for m in ordered),
-        pairwise_fold([m.y_sum for m in ordered]),
-        pairwise_fold([m.y_sumsq for m in ordered]),
-        np.min([m.x_min for m in ordered], axis=0),
-        np.max([m.x_max for m in ordered], axis=0),
-    )
+    derived = derive_run_constants([astuple(meta) for meta in metas.values()])
     setup = proto.RunSetup(
         settings.m,
         settings.numcut,
@@ -565,8 +480,13 @@ def run_master(
 
 
 # ---------------------------------------------------------------------------
-# In-process cluster (worker threads over byte queues)
+# In-process cluster (worker threads, each over a socketpair)
 # ---------------------------------------------------------------------------
+
+# Bounds every receive of an in-process run, on both ends, so a peer thread
+# that stops answering fails the run instead of hanging it.
+INPROCESS_RECV_TIMEOUT = 120.0
+
 
 def run_cluster_inprocess(
     x: np.ndarray,
@@ -581,41 +501,46 @@ def run_cluster_inprocess(
     collect_trace: bool = False,
     check_replicas: bool = False,
 ) -> ChainResult:
-    """Run master plus `workers` worker threads inside this process."""
+    """Run master plus `workers` worker threads inside this process.
+
+    A worker thread closes its end of the socketpair when it exits, so the
+    master's next receive fails at once.  The run then raises a ClusterError
+    naming the exception of the worker that failed first, or the master's own
+    error when no worker failed.
+    """
     settings.validate()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[0]
     blocks = settings.reduction_blocks or workers
-    failures: list[BaseException] = []
-
-    def fail_check() -> None:
-        if failures:
-            raise ClusterError(f"worker failed: {failures[0]!r}") from failures[0]
-
-    master_channels: dict[int, Channel] = {}
+    failures: list[Exception] = []
+    channels: list[SocketChannel] = []
     threads: list[threading.Thread] = []
     for rank in range(1, workers + 1):
         lo, hi = worker_row_range(n, blocks, workers, rank)
-        master_end, worker_end = queue_channel_pair(fail_check)
-        master_channels[rank] = master_end
+        master_end, worker_end = socket.socketpair()
+        for sock in (master_end, worker_end):
+            sock.settimeout(INPROCESS_RECV_TIMEOUT)
+        channels.append(SocketChannel(master_end))
 
-        def target(rank=rank, chan=worker_end, lo=lo, hi=hi):
+        def target(rank=rank, chan=SocketChannel(worker_end), lo=lo, hi=hi):
             try:
                 run_worker(
                     chan, x[lo:hi], y[lo:hi], rank, workers, blocks,
                     audit=worker_audits.get(rank) if worker_audits else None,
                 )
-            except BaseException as exc:  # noqa: BLE001 - reported to the master
+            except Exception as exc:  # noqa: BLE001 - raised again below
                 failures.append(exc)
+            finally:
+                chan.close()
 
         thread = threading.Thread(target=target, name=f"bartgrid-worker-{rank}", daemon=True)
         threads.append(thread)
         thread.start()
 
     try:
-        result = run_master(
-            list(master_channels.values()),
+        return run_master(
+            channels,
             settings,
             audits=audits,
             captures=captures,
@@ -623,20 +548,16 @@ def run_cluster_inprocess(
             collect_trace=collect_trace,
             check_replicas=check_replicas,
         )
-    except BaseException:
-        # Unblock workers stuck in recv so the threads can exit promptly.
-        for chan in master_channels.values():
-            try:
-                chan.send(proto.encode(proto.Shutdown()))
-            except Exception:
-                pass
-        for thread in threads:
-            thread.join(timeout=2.0)
+    except ClusterError:
+        if failures:
+            raise ClusterError(f"worker failed: {failures[0]!r}") from failures[0]
         raise
-    for thread in threads:
-        thread.join(timeout=10.0)
-    fail_check()
-    return result
+    finally:
+        # Workers still waiting on the master see their channel close and exit.
+        for chan in channels:
+            chan.close()
+        for thread in threads:
+            thread.join(timeout=10.0)
 
 
 # ---------------------------------------------------------------------------

@@ -403,7 +403,12 @@ def bench_run(
 
 
 def _run_tcp_cell(data_path: str, workers: int, settings: FitSettings, **master_kwargs):
-    """One master+subprocess-workers run over localhost TCP."""
+    """One master+subprocess-workers run over localhost TCP.
+
+    When the master fails, the error it raises again carries the stderr tail
+    of the first worker that exited with an error, which names the cause
+    when a worker died before it could connect.
+    """
     from .cluster import serve_master
 
     procs: list[subprocess.Popen] = []
@@ -429,9 +434,15 @@ def _run_tcp_cell(data_path: str, workers: int, settings: FitSettings, **master_
             )
 
     try:
-        result = serve_master(
-            ("127.0.0.1", 0), workers, settings, on_bound=launch_workers, **master_kwargs
-        )
+        try:
+            result = serve_master(
+                ("127.0.0.1", 0), workers, settings, on_bound=launch_workers, **master_kwargs
+            )
+        except Exception as exc:
+            worker_error = _first_worker_error(procs, wait=5.0)
+            if worker_error is None:
+                raise
+            raise RuntimeError(f"{exc}; {worker_error}") from exc
         deadline = time.monotonic() + 30.0
         for proc in procs:
             timeout = max(0.1, deadline - time.monotonic())
@@ -444,6 +455,32 @@ def _run_tcp_cell(data_path: str, workers: int, settings: FitSettings, **master_
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            proc.stderr.close()
+
+
+def _first_worker_error(procs: Sequence[subprocess.Popen], wait: float) -> str | None:
+    """Stderr tail of the worker that failed first, or None when none failed.
+
+    Workers that had exited before this call rank first: a failed master
+    closes its connections, which fails the workers still running.  Waits up
+    to `wait` seconds in all for the workers to exit and kills the rest; a
+    killed worker is not reported.
+    """
+    exited_before = [proc.poll() is not None for proc in procs]
+    deadline = time.monotonic() + wait
+    errors = []
+    for rank, proc in enumerate(procs, start=1):
+        try:
+            _, err = proc.communicate(timeout=max(0.1, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            continue
+        if proc.returncode != 0:
+            tail = err.decode(errors="replace").strip()[-500:]
+            message = f"worker {rank} exited with {proc.returncode}: {tail}"
+            errors.append((not exited_before[rank - 1], rank, message))
+    return min(errors)[2] if errors else None
 
 
 RECORD_HEADER = ["n", "m", "p_plus_1", "iterations", "seconds", "b_bar"]

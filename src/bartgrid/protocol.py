@@ -211,12 +211,8 @@ FIXED_PAYLOAD_SIZES: dict[int, int | None] = {
 SAMPLER_OPCODES = frozenset(op for op, _ in MESSAGES.values() if op >= OP_BIRTH_PROPOSAL)
 
 
-def encode(msg: Message, expected_records: int | None = None) -> bytes:
-    """Serialize a message: opcode byte plus its exact payload.
-
-    For MU_STATS / MU_VALUES an optional `expected_records` asserts the
-    record count matches the tree's terminal-node count on the sending side.
-    """
+def encode(msg: Message) -> bytes:
+    """Serialize a message: opcode byte plus its exact payload."""
     kind = type(msg)
     if kind not in MESSAGES:
         raise ProtocolError(f"cannot encode {kind.__name__}")
@@ -224,10 +220,6 @@ def encode(msg: Message, expected_records: int | None = None) -> bytes:
     values = [getattr(msg, name) for name in _FIELDS[kind]]
     if kind in _PER_RECORD:
         (records,) = values
-        if expected_records is not None and len(records) != expected_records:
-            raise ProtocolError(
-                f"{kind.__name__} carry {len(records)} records, expected {expected_records}"
-            )
         if kind is MuValues:
             payload = struct.pack(f"<{len(records)}d", *records)
         else:

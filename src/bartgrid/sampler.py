@@ -10,7 +10,11 @@ worker layout.
 
 The chain itself is driven by `run_chain_core`, which is shared between the
 serial sampler and the distributed master: both consume the exact same random
-variate sequence, so equal statistics imply bit-equal chains.
+variate sequence, so equal statistics imply bit-equal chains.  The shard
+side is shared too: the serial sampler hands `run_chain_core` a
+`LocalProvider` over all rows, and each worker drives a `LocalProvider` over
+its own rows, making for every master message the call the serial chain
+makes.
 """
 from __future__ import annotations
 
@@ -565,22 +569,6 @@ class ShardData:
         self.residual[rows] = np.subtract(gathered, shift, out=shift)
 
 
-def shard_move_stats(
-    shard: ShardData, tree: Tree, grid: CutpointGrid, prop: Proposal
-) -> tuple[SuffStats, SuffStats]:
-    """(left, right) statistics of a proposed move over one shard."""
-    nodes = tree.nodes
-    k = prop.node_id
-    if prop.move == BIRTH:
-        blocks = shard.move_stats_blocks(
-            prop.tree_index, prop, grid.value(prop.v, prop.c), nodes[k], nodes[k]
-        )
-    else:
-        blocks = shard.move_stats_blocks(prop.tree_index, prop, 0.0, nodes[2 * k], nodes[2 * k + 1])
-    lefts, rights = zip(*blocks)
-    return pairwise_fold(lefts), pairwise_fold(rights)
-
-
 # ---------------------------------------------------------------------------
 # Run configuration and derived constants
 # ---------------------------------------------------------------------------
@@ -625,20 +613,32 @@ class RunDerived:
     x_max: np.ndarray
 
 
-def derive_run_constants(
-    n_total: int,
-    y_min: float,
-    y_max: float,
-    y_sum: float,
-    y_sumsq: float,
-    x_min: np.ndarray,
-    x_max: np.ndarray,
-) -> RunDerived:
-    """Scaling constants from reduced data summaries.
+def summarize_shard(x: np.ndarray, y: np.ndarray, blocks: Sequence[tuple[int, int]]) -> tuple:
+    """One shard's data summary: (n, y_min, y_max, y_sum, y_sumsq, x_min, x_max).
 
-    Used identically from full-data summaries (serial) and from folded
-    per-worker summaries (distributed), so both paths share every bit.
+    The order is `protocol.ShardMeta`'s.  The sums are pairwise folds of the
+    per-block sums, so a fold of the shards' summaries equals the summary
+    of all rows under the same block layout.
     """
+    y_sum = pairwise_fold([float(np.sum(y[lo:hi])) for lo, hi in blocks])
+    y_sumsq = pairwise_fold([float(np.sum(y[lo:hi] * y[lo:hi])) for lo, hi in blocks])
+    return (
+        y.size, float(y.min()), float(y.max()), y_sum, y_sumsq,
+        tuple(x.min(axis=0)), tuple(x.max(axis=0)),
+    )
+
+
+def derive_run_constants(summaries: Sequence[Sequence]) -> RunDerived:
+    """Scaling constants from the rank-ordered `summarize_shard` summaries.
+
+    The serial sampler passes its one summary and the distributed master
+    one per worker, folded the same way, so both paths share every bit.
+    """
+    ns, y_mins, y_maxs, y_sums, y_sumsqs, x_mins, x_maxs = zip(*summaries)
+    n_total = sum(ns)
+    y_min, y_max = min(y_mins), max(y_maxs)
+    y_sum, y_sumsq = pairwise_fold(y_sums), pairwise_fold(y_sumsqs)
+    x_min, x_max = np.min(x_mins, axis=0), np.max(x_maxs, axis=0)
     if n_total < 2:
         raise ValueError("need at least two observations")
     y_range = y_max - y_min
@@ -647,7 +647,7 @@ def derive_run_constants(
     y_mid = 0.5 * (y_min + y_max)
     var_y = (y_sumsq - y_sum * y_sum / n_total) / (n_total - 1)
     sd_scaled = math.sqrt(max(var_y, 0.0)) / y_range
-    return RunDerived(n_total, y_mid, y_range, sd_scaled, np.asarray(x_min), np.asarray(x_max))
+    return RunDerived(n_total, y_mid, y_range, sd_scaled, x_min, x_max)
 
 
 def resolve_prior(settings: FitSettings, sd_scaled: float) -> PriorParams:
@@ -665,13 +665,6 @@ def resolve_prior(settings: FitSettings, sd_scaled: float) -> PriorParams:
     )
 
 
-def scale_moment_blocks(y: np.ndarray, blocks: Sequence[tuple[int, int]]):
-    """Per-block (sum, sum of squares) of the raw response."""
-    sums = [float(np.sum(y[lo:hi])) for lo, hi in blocks]
-    sumsqs = [float(np.sum(y[lo:hi] * y[lo:hi])) for lo, hi in blocks]
-    return sums, sumsqs
-
-
 # ---------------------------------------------------------------------------
 # The Gibbs loop, shared by the serial sampler and the distributed master
 # ---------------------------------------------------------------------------
@@ -687,15 +680,13 @@ class StatsProvider(Protocol):
 
     def begin_iteration(self, iteration: int) -> None: ...
 
-    def null_move(self, j: int) -> None: ...
+    def reject(self, j: int) -> None: ...
 
     def move_stats(self, j: int, tree: Tree, prop: Proposal) -> tuple[SuffStats, SuffStats]: ...
 
     def apply_birth(self, j: int, tree: Tree, prop: Proposal, mu_l: float, mu_r: float) -> None: ...
 
     def apply_death(self, j: int, tree: Tree, prop: Proposal, mu: float) -> None: ...
-
-    def reject_move(self, j: int, prop: Proposal) -> None: ...
 
     def mu_stats(self, j: int, mus: np.ndarray) -> StatsVec: ...
 
@@ -707,7 +698,8 @@ class StatsProvider(Protocol):
 
 
 class LocalProvider:
-    """Serial provider: all rows live in one shard on this process."""
+    """Provider over one shard in this process: all rows for the serial
+    sampler, a worker's rows on a worker."""
 
     def __init__(self, shard: ShardData, grid: CutpointGrid):
         self.shard = shard
@@ -717,11 +709,19 @@ class LocalProvider:
     def begin_iteration(self, iteration: int) -> None:
         pass
 
-    def null_move(self, j: int) -> None:
+    def reject(self, j: int) -> None:
         pass
 
     def move_stats(self, j, tree, prop):
-        return shard_move_stats(self.shard, tree, self.grid, prop)
+        """(left, right) statistics of a proposed move on tree j."""
+        nodes = tree.nodes
+        k = prop.node_id
+        if prop.move == BIRTH:
+            cutval, mu_left, mu_right = self.grid.value(prop.v, prop.c), nodes[k], nodes[k]
+        else:
+            cutval, mu_left, mu_right = 0.0, nodes[2 * k], nodes[2 * k + 1]
+        lefts, rights = zip(*self.shard.move_stats_blocks(j, prop, cutval, mu_left, mu_right))
+        return pairwise_fold(lefts), pairwise_fold(rights)
 
     def apply_birth(self, j, tree, prop, mu_l, mu_r):
         self.shard.apply_birth(
@@ -732,9 +732,6 @@ class LocalProvider:
     def apply_death(self, j, tree, prop, mu):
         k = prop.node_id
         self.shard.apply_death(j, k, tree.nodes[2 * k], tree.nodes[2 * k + 1], mu)
-
-    def reject_move(self, j, prop):
-        pass
 
     def mu_stats(self, j, mus):
         return pairwise_fold(self.shard.mu_stats_blocks(j, mus))
@@ -821,26 +818,24 @@ def _update_tree(
     prop = propose(tree, grid, rng, j)
     move = None
     accepted = False
-    if prop is None:
-        provider.null_move(j)
-    else:
+    if prop is not None:
         move = prop.move
         stats_l, stats_r = provider.move_stats(j, tree, prop)
         log_ratio = accept_log_ratio(tree, prop, stats_l, stats_r, sigma, prior, prior_only)
         u = rng.random()
         accepted = u > 0.0 and math.log(u) < log_ratio
-        if accepted:
-            if move == BIRTH:
-                mu_l = draw_mu(stats_l, sigma, prior.tau, rng)
-                mu_r = draw_mu(stats_r, sigma, prior.tau, rng)
-                provider.apply_birth(j, tree, prop, mu_l, mu_r)
-                tree.birth(prop.node_id, prop.v, prop.c, mu_l, mu_r)
-            else:
-                mu = draw_mu(stats_l + stats_r, sigma, prior.tau, rng)
-                provider.apply_death(j, tree, prop, mu)
-                tree.death(prop.node_id, mu)
-        else:
-            provider.reject_move(j, prop)
+        if accepted and move == BIRTH:
+            mu_l = draw_mu(stats_l, sigma, prior.tau, rng)
+            mu_r = draw_mu(stats_r, sigma, prior.tau, rng)
+            provider.apply_birth(j, tree, prop, mu_l, mu_r)
+            tree.birth(prop.node_id, prop.v, prop.c, mu_l, mu_r)
+        elif accepted:
+            mu = draw_mu(stats_l + stats_r, sigma, prior.tau, rng)
+            provider.apply_death(j, tree, prop, mu)
+            tree.death(prop.node_id, mu)
+    if not accepted:
+        # No admissible proposal, or a rejected one.
+        provider.reject(j)
     # Leaf-mean Gibbs pass for this tree (always, move or not).
     nodes = tree.nodes
     terminals = tree.terminals()
@@ -954,16 +949,7 @@ def run_serial(
     bounds = partition_bounds(n, nblocks)
     blocks = [(int(bounds[i]), int(bounds[i + 1])) for i in range(nblocks)]
 
-    y_sums, y_sumsqs = scale_moment_blocks(y, blocks)
-    derived = derive_run_constants(
-        n,
-        float(y.min()),
-        float(y.max()),
-        pairwise_fold(y_sums),
-        pairwise_fold(y_sumsqs),
-        x.min(axis=0),
-        x.max(axis=0),
-    )
+    derived = derive_run_constants([summarize_shard(x, y, blocks)])
     grid = CutpointGrid.from_ranges(derived.x_min, derived.x_max, settings.numcut)
     prior = resolve_prior(settings, derived.sd_scaled)
     ys = (y - derived.y_mid) / derived.y_range

@@ -13,8 +13,6 @@ from bartgrid.cluster import (
     MessageIO,
     SocketChannel,
     connect_worker,
-    queue_channel_pair,
-    reduce_stats,
     run_cluster_inprocess,
     run_master,
     run_worker,
@@ -23,7 +21,7 @@ from bartgrid.cluster import (
     worker_row_range,
 )
 from bartgrid.protocol import iteration_byte_count
-from bartgrid.sampler import FitSettings, SuffStats, partition_bounds, run_serial
+from bartgrid.sampler import FitSettings, partition_bounds, run_serial
 
 
 def toy_data(n=400, d=3, seed=0):
@@ -37,6 +35,14 @@ def toy_settings(**overrides):
     base = dict(m=6, draws=40, burn=10, thin=5, seed=42, min_leaf=2, numcut=25)
     base.update(overrides)
     return FitSettings(**base)
+
+
+def channel_pair():
+    """Both ends of one in-process channel, each with a 10 s receive timeout."""
+    ends = socket.socketpair()
+    for sock in ends:
+        sock.settimeout(10.0)
+    return tuple(SocketChannel(sock) for sock in ends)
 
 
 class TestShardData:
@@ -62,30 +68,6 @@ class TestShardData:
             worker_row_range(100, 3, 2, 1)
         with pytest.raises(ValueError, match="power of two"):
             worker_row_range(100, 12, 2, 1)
-
-
-class TestReduceStats:
-    def test_all_zero(self):
-        total = reduce_stats([SuffStats(), SuffStats(), SuffStats()])
-        assert total == SuffStats(0, 0.0, 0.0)
-
-    def test_single_identity(self):
-        st = SuffStats(3, 1.5, 2.0)
-        assert reduce_stats([st]) == st
-
-    def test_rank_sorted_is_deterministic(self):
-        rng = np.random.default_rng(1)
-        parts = [SuffStats(int(rng.integers(10)), rng.normal(), abs(rng.normal())) for _ in range(7)]
-        direct = reduce_stats(parts)
-        order = rng.permutation(7)
-        shuffled = [parts[i] for i in order]
-        resorted = [shuffled[int(np.argsort(order)[i])] for i in range(7)]
-        assert resorted == parts
-        assert reduce_stats(resorted) == direct
-
-    def test_missing_rank_errors(self):
-        with pytest.raises(ClusterError, match="missing partial"):
-            reduce_stats([SuffStats(), None, SuffStats()])
 
 
 class TestEquivalence:
@@ -195,18 +177,22 @@ class TestByteAccounting:
 
 class TestTransportErrors:
     def test_unknown_opcode_is_fatal(self):
-        a, b = queue_channel_pair()
+        a, b = channel_pair()
         b.send(b"\xfe")
         io = MessageIO(a)
         with pytest.raises(ClusterError, match="unknown opcode"):
             io.recv((proto.Reject,))
+        a.close()
+        b.close()
 
     def test_unexpected_message_type(self):
-        a, b = queue_channel_pair()
+        a, b = channel_pair()
         b.send(proto.encode(proto.Reject()))
         io = MessageIO(a)
         with pytest.raises(ClusterError, match="unexpected Reject"):
             io.recv((proto.MoveStats,))
+        a.close()
+        b.close()
 
     def test_closed_socket_raises(self):
         left, right = socket.socketpair()
@@ -214,6 +200,7 @@ class TestTransportErrors:
         right.close()
         with pytest.raises(ClusterError, match="closed the connection"):
             chan.recv(4)
+        chan.close()
 
     def test_worker_failure_surfaces(self):
         # A worker that dies instantly must abort the master with a diagnostic.
@@ -229,11 +216,64 @@ class TestTransportErrors:
 
         cluster_mod.run_worker = dying_worker
         try:
-            with pytest.raises(ClusterError):
+            with pytest.raises(ClusterError, match="synthetic worker crash"):
                 run_cluster_inprocess(x, y, settings, workers=2)
         finally:
             cluster_mod.run_worker = orig
 
+    def test_master_failure_propagates_and_stops_workers(self, monkeypatch):
+        # The master's own error comes out unchanged, and closing its ends
+        # releases every worker thread waiting on it.
+        def failing_master(channels, settings, **kwargs):
+            raise RuntimeError("synthetic master failure")
+
+        monkeypatch.setattr(cluster, "run_master", failing_master)
+        x, y = toy_data(40)
+        with pytest.raises(RuntimeError, match="synthetic master failure") as info:
+            run_cluster_inprocess(x, y, toy_settings(draws=4, burn=1, thin=1), workers=2)
+        assert type(info.value) is RuntimeError
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("bartgrid-worker-")]
+        assert alive == []
+
+    @pytest.mark.parametrize(
+        "accept",
+        [
+            proto.BirthAccept(1, 1, 3, 0.1, -0.1),  # another variable
+            proto.BirthAccept(1, 0, 4, 0.1, -0.1),  # another cutpoint
+            proto.DeathAccept(1, 0.0),  # another move
+        ],
+    )
+    def test_accept_must_match_the_pending_proposal(self, accept):
+        # A scripted master proposes a birth, then accepts another move.
+        x, y = toy_data(40)
+        master_end, worker_end = channel_pair()
+        errors = []
+
+        def target():
+            try:
+                run_worker(worker_end, x, y, 1, 1, 1)
+            except ClusterError as exc:
+                errors.append(exc)
+            finally:
+                worker_end.close()
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        try:
+            io = MessageIO(master_end)
+            io.recv((proto.Hello,))
+            meta = io.recv((proto.ShardMeta,))
+            io.send(proto.RunSetup(1, 10, 1, 40, 0.0, 1.0, meta.x_min, meta.x_max))
+            io.send(proto.IterBegin(1, proto.PHASE_TREES))
+            io.send(proto.BirthProposal(1, 0, 3))
+            io.recv((proto.MoveStats,))
+            io.send(accept)
+            thread.join(timeout=15)
+        finally:
+            master_end.close()
+        assert not thread.is_alive()
+        assert len(errors) == 1
+        assert "does not match the pending proposal" in str(errors[0])
 
     def test_workers_disagreeing_on_d_are_named(self):
         x, y = toy_data(40)
@@ -252,7 +292,7 @@ class TestTransportErrors:
 def refused_handshake(shards, match):
     """Workers (rank, x, y) on 2 blocks whose handshake the master refuses."""
     settings = toy_settings(draws=4, burn=1, thin=1, reduction_blocks=2)
-    ends = [queue_channel_pair(timeout=10.0) for _ in shards]
+    ends = [channel_pair() for _ in shards]
     errors = []
     threads = []
     for (rank, xs, ys), (_, worker_end) in zip(shards, ends):
@@ -262,14 +302,17 @@ def refused_handshake(shards, match):
                 run_worker(chan, xs, ys, rank, len(shards), 2)
             except ClusterError as exc:
                 errors.append(exc)
+            finally:
+                chan.close()
 
         threads.append(threading.Thread(target=target, daemon=True))
         threads[-1].start()
     with pytest.raises(ClusterError, match=match):
         run_master([master_end for master_end, _ in ends], settings)
-    # Workers still wait for the run setup; release them.
+    # Workers still wait for the run setup; closing the master's ends
+    # releases them.
     for master_end, _ in ends:
-        master_end.send(proto.encode(proto.Shutdown()))
+        master_end.close()
     for thread in threads:
         thread.join(timeout=10)
         assert not thread.is_alive()

@@ -5,6 +5,7 @@ from bartgrid.perf import (
     PARALLEL_TERMS,
     RuntimeModel,
     TimingRecord,
+    _run_tcp_cell,
     bench_run,
     draw_prior_b_samples,
     efficiency_report,
@@ -15,6 +16,7 @@ from bartgrid.perf import (
     speedup_efficiency,
     write_records,
 )
+from bartgrid.sampler import FitSettings
 
 
 class TestSpeedupEfficiency:
@@ -253,3 +255,12 @@ class TestBenchHarness:
         assert serial.b_bar >= 1.0 and dist.b_bar >= 1.0
         report = efficiency_report(records)
         assert len(report) == 2
+
+    def test_failed_worker_stderr_reaches_the_master_error(self, tmp_path):
+        # The worker cannot read its data and exits before it connects; the
+        # master's accept timeout alone would only say that nobody came.
+        missing = str(tmp_path / "missing.csv")
+        settings = FitSettings(m=2, draws=3, burn=1, thin=1)
+        with pytest.raises(Exception, match="missing.csv") as info:
+            _run_tcp_cell(missing, 1, settings, accept_timeout=3.0)
+        assert "only 0 of 1 workers connected" in str(info.value)

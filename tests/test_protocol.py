@@ -178,16 +178,6 @@ class TestDecodeErrors:
 
 
 class TestEncodeErrors:
-    def test_mu_stats_record_count_validated(self):
-        msg = MuStats(((1, 0.5, 0.25), (2, 0.1, 0.2)))
-        with pytest.raises(ProtocolError, match="expected 3"):
-            encode(msg, expected_records=3)
-        assert decode(encode(msg, expected_records=2)) == msg
-
-    def test_mu_values_record_count_validated(self):
-        with pytest.raises(ProtocolError, match="expected 2"):
-            encode(MuValues((0.5,)), expected_records=2)
-
     def test_replica_hash_length(self):
         with pytest.raises(ProtocolError, match="16 bytes"):
             encode(ReplicaHash(b"\x00" * 4))

@@ -26,10 +26,9 @@ from bartgrid.sampler import (
     resolve_prior,
     run_chain_core,
     run_serial,
-    scale_moment_blocks,
-    shard_move_stats,
     sigma_lambda,
     split_prior_prob,
+    summarize_shard,
 )
 from bartgrid.trees import (
     MAX_DEPTH,
@@ -287,7 +286,7 @@ class TestShardStats:
         tree = Tree()
         tree.birth(1, 0, 5, 0.0, 0.0)
         prop = Proposal(BIRTH, 0, 2, 1, 3)
-        left, right = shard_move_stats(shard, tree, grid, prop)
+        left, right = LocalProvider(shard, grid).move_stats(0, tree, prop)
         assert (left.n, left.s, left.s2) == (0, 0.0, 0.0)
         assert (right.n, right.s, right.s2) == (0, 0.0, 0.0)
 
@@ -302,9 +301,9 @@ class TestShardStats:
         right_half = ShardData(x[32:], ys[32:], 1, [(0, 32)])
         tree = Tree()
         prop = Proposal(BIRTH, 0, 1, 0, 4)
-        w_l, w_r = shard_move_stats(whole, tree, grid, prop)
-        a_l, a_r = shard_move_stats(left_half, tree, grid, prop)
-        b_l, b_r = shard_move_stats(right_half, tree, grid, prop)
+        w_l, w_r = LocalProvider(whole, grid).move_stats(0, tree, prop)
+        a_l, a_r = LocalProvider(left_half, grid).move_stats(0, tree, prop)
+        b_l, b_r = LocalProvider(right_half, grid).move_stats(0, tree, prop)
         assert pairwise_fold([a_l, b_l]) == w_l
         assert pairwise_fold([a_r, b_r]) == w_r
 
@@ -499,6 +498,24 @@ class TestFold:
         with pytest.raises(ValueError):
             pairwise_fold([])
 
+    def test_all_zero(self):
+        total = pairwise_fold([SuffStats(), SuffStats(), SuffStats()])
+        assert total == SuffStats(0, 0.0, 0.0)
+
+    def test_single_identity(self):
+        st = SuffStats(3, 1.5, 2.0)
+        assert pairwise_fold([st]) == st
+
+    def test_rank_sorted_is_deterministic(self):
+        rng = np.random.default_rng(1)
+        parts = [SuffStats(int(rng.integers(10)), rng.normal(), abs(rng.normal())) for _ in range(7)]
+        direct = pairwise_fold(parts)
+        order = rng.permutation(7)
+        shuffled = [parts[i] for i in order]
+        resorted = [shuffled[int(np.argsort(order)[i])] for i in range(7)]
+        assert resorted == parts
+        assert pairwise_fold(resorted) == direct
+
     def test_partition_bounds(self):
         assert partition_bounds(10, 3).tolist() == [0, 4, 7, 10]
         assert partition_bounds(10, 1).tolist() == [0, 10]
@@ -575,12 +592,7 @@ class TestDerivedConstants:
         rng = np.random.default_rng(24)
         y = rng.normal(3.0, 2.0, 500)
         x = rng.uniform(0, 1, (500, 2))
-        sums, sumsqs = scale_moment_blocks(y, [(0, 250), (250, 500)])
-        derived = derive_run_constants(
-            500, float(y.min()), float(y.max()),
-            pairwise_fold(sums), pairwise_fold(sumsqs),
-            x.min(axis=0), x.max(axis=0),
-        )
+        derived = derive_run_constants([summarize_shard(x, y, [(0, 250), (250, 500)])])
         assert derived.y_mid == pytest.approx(0.5 * (y.min() + y.max()))
         assert derived.y_range == pytest.approx(y.max() - y.min())
         assert derived.sd_scaled == pytest.approx(np.std(y, ddof=1) / derived.y_range, rel=1e-12)
@@ -591,4 +603,4 @@ class TestDerivedConstants:
 
     def test_constant_response_rejected(self):
         with pytest.raises(ValueError, match="constant"):
-            derive_run_constants(10, 1.0, 1.0, 10.0, 10.0, np.zeros(1), np.ones(1))
+            derive_run_constants([(10, 1.0, 1.0, 10.0, 10.0, (0.0,), (1.0,))])

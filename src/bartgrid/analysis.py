@@ -2,10 +2,14 @@
 
 Prediction averages tree sums over saved posterior snapshots and is exactly
 linear in both rows and snapshots, so inputs can be partitioned across
-threads or machines with bit-identical results.  Sensitivity estimators
-(main effects, first-order and total Sobol indices) work against any
-real-valued predictor of the inputs, which lets the same code run on a
-fitted surface or on an analytic test function.
+threads or machines with bit-identical results.  A sample is compiled once,
+on its first prediction, into its distinct tree structures; each call bins
+its inputs once, routes them once per structure and adds every tree's leaf
+means in snapshot-then-tree order, the order of a per-tree walk, so the bits
+do not depend on the compilation.  Sensitivity estimators (main effects,
+first-order and total Sobol indices) work against any real-valued predictor
+of the inputs, which lets the same code run on a fitted surface or on an
+analytic test function.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .sampler import partition_bounds
-from .trees import CutpointGrid, Tree, evaluate_rows
+from .trees import CompiledTrees, CutpointGrid, Tree
 
 Predictor = Callable[[np.ndarray], np.ndarray]
 
@@ -33,6 +37,7 @@ class PosteriorSample:
     y_range: float
     grid: CutpointGrid
     snapshots: list[tuple[float, list[Tree]]]  # (sigma, forest), scaled units
+    _compiled: CompiledTrees | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.snapshots:
@@ -49,7 +54,17 @@ class PosteriorSample:
     def sigmas_original(self) -> np.ndarray:
         return np.array([s for s, _ in self.snapshots]) * self.y_range
 
+    def compiled(self) -> CompiledTrees:
+        """Every snapshot's trees, snapshot then tree, compiled on first use.
+
+        The snapshots must not change after the first prediction.
+        """
+        if self._compiled is None:
+            self._compiled = CompiledTrees([tree for _, forest in self.snapshots for tree in forest])
+        return self._compiled
+
     def predictor(self) -> Predictor:
+        self.compiled()  # before any caller's thread can reach it
         return lambda x: predict_mean(self, x)
 
 
@@ -71,14 +86,10 @@ def predict_mean(samples: PosteriorSample, xstar: np.ndarray) -> np.ndarray:
 
     Per row: the average over snapshots of the forest sum, accumulated in
     snapshot-then-tree order so any row partition reproduces the same bits.
+    The inputs are binned once; the compiled sample routes them once per
+    distinct tree structure.
     """
-    xstar = np.asarray(xstar, dtype=np.float64)
-    if xstar.ndim != 2 or xstar.shape[1] != samples.d:
-        raise ValueError(f"prediction inputs must be (rows, {samples.d})")
-    acc = np.zeros(xstar.shape[0])
-    for _sigma, forest in samples.snapshots:
-        for tree in forest:
-            acc += evaluate_rows(tree, samples.grid, xstar)
+    acc = samples.compiled().sum(samples.grid.bin(xstar))
     acc /= samples.n_snapshots
     return acc * samples.y_range + samples.y_mid
 

@@ -7,6 +7,15 @@ and depth.  A terminal node maps to its leaf mean (a float), an internal node
 to its (variable, cutpoint-index) rule (a tuple).  Everything else about a
 tree (leaf counts, nog sets) is recomputed on demand; trees stay small enough
 that this is cheap.
+
+Rows are routed over binned columns: `CutpointGrid.bin` turns each value into
+the count of its variable's cutpoints at or below it, and a rule (v, c) sends
+a row left exactly when that count is at most c, which is the float test
+x[v] < value(v, c).  One router, `CompiledTrees`, serves prediction, the
+residual check and the single-tree helpers `route_rows` and `evaluate_rows`:
+it takes any sequence of trees, routes each distinct structure once and each
+run of rules that structures share from the root once, and sums leaf means
+in the trees' order.
 """
 from __future__ import annotations
 
@@ -106,6 +115,24 @@ class CutpointGrid:
             raise ValueError(f"cutpoint index {c} out of range for variable {v}")
         return float(self.values[v][c])
 
+    def bin(self, x: np.ndarray) -> np.ndarray:
+        """Cut indices of the rows of `x`, column-major: (n_vars, rows).
+
+        xb[v, i] counts the cutpoints of v at or below x[i, v].  The
+        cutpoints are strictly increasing, so the rule x[i, v] < value(v, c)
+        holds exactly when xb[v, i] <= c; a NaN counts above every cutpoint
+        and goes right under both.  The dtype is the smallest unsigned type
+        that holds the largest cutpoint count: uint8 up to 255 cutpoints.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.n_vars:
+            raise ValueError(f"inputs must be (rows, {self.n_vars})")
+        dtype = np.min_scalar_type(max(cuts.size for cuts in self.values))
+        xb = np.empty((self.n_vars, x.shape[0]), dtype)
+        for v, cuts in enumerate(self.values):
+            xb[v] = np.searchsorted(cuts, x[:, v], side="right")
+        return xb
+
     @classmethod
     def from_ranges(cls, mins: np.ndarray, maxs: np.ndarray, numcut: int) -> "CutpointGrid":
         return cls([_cutpoints_between(float(lo), float(hi), numcut) for lo, hi in zip(mins, maxs)])
@@ -155,38 +182,113 @@ def available_cut_range(tree: Tree, node_id: int, v: int, numcut_v: int) -> tupl
     return lo, hi
 
 
-def _terminal_rows(
-    tree: Tree, grid: CutpointGrid, x: np.ndarray
-) -> Iterator[tuple[int, float, np.ndarray]]:
-    """Each terminal node's id and mean, with the rows of `x` that reach it."""
-    nodes = tree.nodes
-    stack = [(1, np.arange(x.shape[0]))]
-    while stack:
-        k, rows = stack.pop()
-        val = nodes[k]
-        if not isinstance(val, tuple):
-            yield k, val, rows
-            continue
-        v, c = val
-        go_left = x[rows, v] < grid.value(v, c)
-        stack.append((2 * k, rows[go_left]))
-        stack.append((2 * k + 1, rows[~go_left]))
+# Rows per routing pass of `CompiledTrees.sum`.  A pass's slot matrix takes
+# one byte per row and structure (while no structure has over 256 leaves),
+# so memory stays bounded however many rows are summed.
+ROUTE_CHUNK = 8192
+
+
+class CompiledTrees:
+    """A sequence of trees compiled for routing binned rows through all of them.
+
+    Trees with the same internal rules share one *structure*.  A *path* is a
+    node position reached by a given sequence of rules and turns from the
+    root; structures that agree from the root down share their paths, so the
+    rows of each distinct path are found once, as one boolean mask, however
+    many trees pass through it.  A row's *slot* in a structure is the
+    left-to-right index of the leaf it reaches: the sum, over the right turns
+    it takes, of the leaf count of the subtree it turned away from.
+    """
+
+    __slots__ = ("leaves", "structure_of", "leaf_means", "_splits", "_turns", "_slot_type")
+
+    def __init__(self, trees: Sequence[Tree]):
+        index: dict[tuple, int] = {}
+        self.leaves: list[list[int]] = []  # per structure: leaf ids, left to right
+        self.structure_of: list[int] = []  # per tree: its structure
+        self.leaf_means: list[np.ndarray] = []  # per tree: means in its structure's leaf order
+        for tree in trees:
+            nodes = tree.nodes
+            key = tuple(sorted((k, val) for k, val in nodes.items() if isinstance(val, tuple)))
+            s = index.setdefault(key, len(index))
+            if s == len(self.leaves):
+                self.leaves.append([k for k in _preorder(nodes) if not isinstance(nodes[k], tuple)])
+            self.structure_of.append(s)
+            self.leaf_means.append(np.array([nodes[k] for k in self.leaves[s]]))
+        self._slot_type = np.min_scalar_type(max(map(len, self.leaves), default=1) - 1).type
+        # Path 0 is the root.  _splits[p] lists (v, c, left path, right path)
+        # once per distinct rule at p; _turns[p] lists (structure, left leaf
+        # count) for every structure node whose right child sits at p.
+        self._splits: list[list[tuple]] = [[]]
+        self._turns: list[list[tuple]] = [[]]
+        split_at: dict[tuple, tuple[int, int]] = {}
+        for key, s in index.items():
+            rules = dict(key)
+            size = dict.fromkeys(self.leaves[s], 1)
+            for k in sorted(rules, reverse=True):
+                size[k] = size[2 * k] + size[2 * k + 1]
+            path = {1: 0}
+            for k in sorted(rules):
+                v, c = rules[k]
+                at = (path[k], v, c)
+                if at not in split_at:
+                    split_at[at] = (len(self._splits), len(self._splits) + 1)
+                    self._splits[path[k]].append((v, c, *split_at[at]))
+                    self._splits += [], []
+                    self._turns += [], []
+                path[2 * k], path[2 * k + 1] = split_at[at]
+                self._turns[path[2 * k + 1]].append((s, self._slot_type(size[2 * k])))
+
+    def route(self, xb: np.ndarray) -> np.ndarray:
+        """Slot of every binned row in every structure: (structures, rows).
+
+        `xb` holds rows as columns, as `CutpointGrid.bin` returns them.
+        """
+        slots = np.zeros((len(self.leaves), xb.shape[1]), self._slot_type)
+        stack = [(0, np.ones(xb.shape[1], dtype=bool))]  # (path, its rows as a mask)
+        while stack:
+            p, rows = stack.pop()
+            for s, skipped in self._turns[p]:
+                slots[s] += rows.view(np.uint8) * skipped
+            for v, c, left, right in self._splits[p]:
+                go_left = xb[v] <= c
+                stack += (left, rows & go_left), (right, rows & ~go_left)
+        return slots
+
+    def sum(self, xb: np.ndarray) -> np.ndarray:
+        """Per binned row: 0.0 plus the leaf mean of each tree, in sequence order.
+
+        Rows are routed ROUTE_CHUNK at a time; each row's sum is the same
+        sequence of float additions whichever chunk it falls in.
+        """
+        out = np.zeros(xb.shape[1])
+        for lo in range(0, xb.shape[1], ROUTE_CHUNK):
+            acc = out[lo : lo + ROUTE_CHUNK]
+            slots = self.route(xb[:, lo : lo + ROUTE_CHUNK])
+            for s, means in zip(self.structure_of, self.leaf_means):
+                acc += means.take(slots[s])
+        return out
 
 
 def route_rows(tree: Tree, grid: CutpointGrid, x: np.ndarray) -> np.ndarray:
     """Terminal node id reached by every row of `x` (uint32 vector)."""
-    out = np.ones(x.shape[0], dtype=np.uint32)
-    for k, _mu, rows in _terminal_rows(tree, grid, x):
-        out[rows] = k
-    return out
+    compiled = CompiledTrees([tree])
+    return np.array(compiled.leaves[0], dtype=np.uint32)[compiled.route(grid.bin(x))[0]]
 
 
 def evaluate_rows(tree: Tree, grid: CutpointGrid, x: np.ndarray) -> np.ndarray:
     """Leaf mean reached by every row of `x`."""
-    out = np.empty(x.shape[0], dtype=np.float64)
-    for _k, mu, rows in _terminal_rows(tree, grid, x):
-        out[rows] = mu
-    return out
+    return CompiledTrees([tree]).sum(grid.bin(x))
+
+
+def _preorder(nodes: dict) -> Iterator[int]:
+    """Node ids in preorder (node, left subtree, right subtree)."""
+    stack = [1]
+    while stack:
+        k = stack.pop()
+        yield k
+        if isinstance(nodes[k], tuple):
+            stack += (2 * k + 1, 2 * k)
 
 
 def tree_lines(tree: Tree) -> list[str]:
@@ -197,13 +299,10 @@ def tree_lines(tree: Tree) -> list[str]:
     """
     nodes = tree.nodes
     lines = []
-    stack = [1]
-    while stack:
-        k = stack.pop()
+    for k in _preorder(nodes):
         val = nodes[k]
         if isinstance(val, tuple):
             lines.append(f"i {k} {val[0]} {val[1]}")
-            stack += (2 * k + 1, 2 * k)
         else:
             lines.append(f"l {k} {val!r}")
     return lines

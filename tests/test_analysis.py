@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bartgrid import analysis
 from bartgrid.analysis import (
     PosteriorSample,
     main_effect,
@@ -12,7 +13,8 @@ from bartgrid.analysis import (
     sobol_indices,
 )
 from bartgrid.sampler import FitSettings, run_serial
-from bartgrid.trees import CutpointGrid, Tree
+from bartgrid.trees import ROUTE_CHUNK, CutpointGrid, Tree
+from test_trees import naive_descend
 
 
 def constant_sample(mu=0.25, m=1, d=2, y_mid=1.0, y_range=4.0, n_snapshots=3):
@@ -62,6 +64,63 @@ class TestPredictMean:
         sample = constant_sample(d=2)
         with pytest.raises(ValueError, match="rows, 2"):
             predict_mean(sample, np.zeros((4, 3)))
+
+
+@pytest.fixture(scope="module")
+def fitted_sample():
+    rng = np.random.default_rng(21)
+    x = rng.uniform(-1, 1, (500, 3))
+    y = np.sin(2 * x[:, 0]) * x[:, 1] + 0.1 * rng.standard_normal(500)
+    fit = run_serial(x, y, FitSettings(m=10, draws=30, burn=10, thin=2, seed=22, min_leaf=2))
+    return posterior_from_chain(fit)
+
+
+class TestCompiledPrediction:
+    def test_equals_per_tree_oracle_bitwise(self, fitted_sample):
+        sample = fitted_sample
+        xstar = np.random.default_rng(23).uniform(-1.2, 1.2, (300, 3))
+        acc = np.zeros(xstar.shape[0])
+        for _sigma, forest in sample.snapshots:
+            for tree in forest:
+                acc += np.array([naive_descend(tree, sample.grid, row) for row in xstar])
+        acc /= sample.n_snapshots
+        expected = acc * sample.y_range + sample.y_mid
+        assert predict_mean(sample, xstar).tobytes() == expected.tobytes()
+
+    def test_row_splits_around_the_chunk_size(self, fitted_sample):
+        # Pieces of chunk-1, chunk and chunk+1 rows, and their remainders.
+        xstar = np.random.default_rng(24).uniform(-1, 1, (2 * ROUTE_CHUNK + 1, 3))
+        whole = predict_mean(fitted_sample, xstar)
+        for cut in (ROUTE_CHUNK - 1, ROUTE_CHUNK, ROUTE_CHUNK + 1):
+            parts = [predict_mean(fitted_sample, xstar[:cut]), predict_mean(fitted_sample, xstar[cut:])]
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    def test_zero_rows(self, fitted_sample):
+        preds = predict_mean(fitted_sample, np.zeros((0, 3)))
+        assert preds.shape == (0,)
+
+    def test_threaded_sobol_equals_serial(self, fitted_sample):
+        serial = sobol_indices(fitted_sample.predictor(), 3, 2000, 4, seed=25, threads=1)
+        threaded = sobol_indices(fitted_sample.predictor(), 3, 2000, 4, seed=25, threads=2)
+        for a, b in zip(serial.estimates, threaded.estimates):
+            assert (a.s1, a.st, a.v_k) == (b.s1, b.st, b.v_k)
+        assert serial.f0 == threaded.f0
+
+    def test_compiled_once(self, monkeypatch):
+        compiles = []
+
+        class Counting(analysis.CompiledTrees):
+            def __init__(self, trees):
+                compiles.append(len(trees))
+                super().__init__(trees)
+
+        monkeypatch.setattr(analysis, "CompiledTrees", Counting)
+        sample = constant_sample(m=2, n_snapshots=3)
+        first, second = sample.predictor(), sample.predictor()
+        assert compiles == [6]
+        xstar = np.zeros((4, 2))
+        assert first(xstar).tobytes() == second(xstar).tobytes() == predict_mean(sample, xstar).tobytes()
+        assert compiles == [6]
 
 
 class TestMainEffect:

@@ -109,7 +109,8 @@ class TestModelFile:
         result, _ = fit_small()
         path = str(tmp_path / "fit.model")
         save_model(path, posterior_from_chain(result))
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
         truncated = tmp_path / "cut.model"
         truncated.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
         with pytest.raises(ModelFileError):
@@ -175,7 +176,8 @@ class TestChainLog:
         p1, p2 = str(tmp_path / "a.log"), str(tmp_path / "b.log")
         write_chain_log(p1, result)
         write_chain_log(p2, again)
-        assert open(p1).read() == open(p2).read()
+        with open(p1) as f1, open(p2) as f2:
+            assert f1.read() == f2.read()
         data, names = read_table(p1)
         assert names[:4] == ["iteration", "sigma", "sigma_y", "mean_b"]
         assert np.array_equal(data[:, 1], result.sigmas)
@@ -252,8 +254,10 @@ class TestCliCommands:
         for w in workers:
             _o, werr = w.communicate(timeout=30)
             assert w.returncode == 0, werr
-        assert open(serial_model).read() == open(dist_model).read()
-        assert open(serial_model + ".chainlog").read() == open(dist_model + ".chainlog").read()
+        with open(serial_model) as f1, open(dist_model) as f2:
+            assert f1.read() == f2.read()
+        with open(serial_model + ".chainlog") as f1, open(dist_model + ".chainlog") as f2:
+            assert f1.read() == f2.read()
 
 
 class TestWorkerShard:

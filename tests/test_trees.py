@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bartgrid.trees import (
+    CompiledTrees,
     CutpointGrid,
     Tree,
     TreeError,
@@ -91,6 +92,86 @@ class TestEvaluate:
         leaf_ids = route_rows(tree, grid3, xs)
         terminal_ids = set(tree.terminals())
         assert set(np.unique(leaf_ids)) <= terminal_ids
+
+
+def edge_rows(grid, rng, n_random=40):
+    """Rows holding, per variable, every cutpoint, one ulp below and above it,
+    +0.0 and -0.0, values outside the cutpoint range, +-inf and NaN, then
+    random values."""
+    cols = [
+        np.concatenate([
+            cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
+            [0.0, -0.0, cuts[0] - 1.0, cuts[-1] + 1.0, -np.inf, np.inf, np.nan],
+        ])
+        for cuts in grid.values
+    ]
+    x = rng.uniform(-2.0, 2.0, (max(map(len, cols)) + n_random, grid.n_vars))
+    for v, col in enumerate(cols):
+        x[: col.size, v] = col
+    return x
+
+
+# Cutpoints include +0.0 and -0.0; the second grid needs uint16 cut indices.
+EDGE_GRIDS = [
+    ([np.array([-0.5, 0.0, 0.25]), np.linspace(-1.0, 1.0, 10), np.array([2.0])], np.uint8),
+    ([np.linspace(-1.0, 1.0, 300), np.array([-0.0, 1.0])], np.uint16),
+]
+
+
+class TestBinnedRouting:
+    @pytest.mark.parametrize("cuts, dtype", EDGE_GRIDS)
+    def test_binned_rule_equals_float_rule(self, cuts, dtype):
+        grid = CutpointGrid(cuts)
+        x = edge_rows(grid, np.random.default_rng(41))
+        xb = grid.bin(x)
+        assert xb.dtype == dtype and xb.shape == (grid.n_vars, x.shape[0])
+        for v in range(grid.n_vars):
+            for c in range(grid.count(v)):
+                assert np.array_equal(xb[v] <= c, x[:, v] < grid.value(v, c)), (v, c)
+            # NaN counts above every cutpoint, so it goes right under both rules.
+            assert np.all(xb[v][np.isnan(x[:, v])] == grid.count(v))
+
+    @pytest.mark.parametrize("cuts, dtype", EDGE_GRIDS)
+    def test_routing_matches_float_oracle(self, cuts, dtype):
+        grid = CutpointGrid(cuts)
+        rng = np.random.default_rng(43)
+        x = edge_rows(grid, rng)
+        for _ in range(5):
+            tree = grow_random_tree(rng, grid, n_births=12)
+            expected = [naive_descend(tree, grid, row) for row in x]
+            assert evaluate_rows(tree, grid, x).tolist() == expected
+            ids = route_rows(tree, grid, x)
+            assert [tree.nodes[k] for k in ids.tolist()] == expected
+
+    def test_shared_prefixes_route_like_single_trees(self, grid3):
+        # Clones grown apart share their rules from the root down; clones with
+        # new means share a whole structure.
+        rng = np.random.default_rng(47)
+        base = grow_random_tree(rng, grid3, n_births=4)
+        trees = []
+        for _ in range(12):
+            tree = base.clone()
+            for k in tree.terminals():
+                tree.nodes[k] = float(rng.normal())
+            if rng.random() < 0.6:
+                for _ in range(3):
+                    k = tree.terminals()[rng.integers(len(tree.terminals()))]
+                    v = int(rng.integers(3))
+                    lo, hi = available_cut_range(tree, k, v, grid3.count(v))
+                    if hi > lo:
+                        tree.birth(k, v, int(rng.integers(lo, hi)), rng.normal(), rng.normal())
+            trees.append(tree)
+        compiled = CompiledTrees(trees)
+        assert len(compiled.leaves) < len(trees)
+        x = edge_rows(grid3, rng, n_random=300)
+        slots = compiled.route(grid3.bin(x))
+        for t, tree in enumerate(trees):
+            values = compiled.leaf_means[t].take(slots[compiled.structure_of[t]])
+            assert values.tolist() == [naive_descend(tree, grid3, row) for row in x]
+
+    def test_bin_rejects_wrong_width(self, grid3):
+        with pytest.raises(ValueError, match="rows, 3"):
+            grid3.bin(np.zeros((4, 2)))
 
 
 class TestCutpoints:

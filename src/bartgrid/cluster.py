@@ -221,9 +221,11 @@ def run_worker(
     """Worker event loop: serve reduced statistics until SHUTDOWN.
 
     The worker drives a `LocalProvider` over its shard: each message becomes
-    the call the serial chain makes on its provider.  It consumes no
-    randomness; its forest replica evolves purely by applying the master's
-    accepted moves and leaf means, so after every iteration it is
+    the call the serial chain makes on its provider.  Once RUN_SETUP has
+    fixed the cutpoint grid, the worker bins its rows into the shard's cut
+    indices and drops its own reference to the float rows `x`.  It consumes
+    no randomness; its forest replica evolves purely by applying the
+    master's accepted moves and leaf means, so after every iteration it is
     structurally identical to the master's.
     """
     io = MessageIO(channel, audit)
@@ -247,7 +249,8 @@ def run_worker(
         np.array(setup.x_min), np.array(setup.x_max), setup.numcut
     )
     ys = (y - setup.y_mid) / setup.y_range
-    provider = LocalProvider(ShardData(x, ys, setup.m, blocks), grid)
+    provider = LocalProvider(ShardData(grid.bin(x), ys, setup.m, blocks))
+    del x, y
     forest = [Tree() for _ in range(setup.m)]
 
     j = 0
@@ -305,7 +308,8 @@ def run_worker(
         pending = None
         terminals = tree.terminals()
         old = np.array([tree.nodes[k] for k in terminals], dtype=np.float64)
-        stats = provider.mu_stats(j, old)
+        # The payload carries sums of squares too; the master discards them.
+        stats = pairwise_fold(provider.shard.mu_stats_blocks(j, old, squares=True))
         io.send(proto.MuStats(tuple(zip(stats.n.tolist(), stats.s.tolist(), stats.s2.tolist()))))
         new = io.recv((proto.MuValues,), mu_records=len(terminals)).values
         provider.apply_mus(j, old, np.array(new, dtype=np.float64))
@@ -360,8 +364,8 @@ class RemoteProvider:
         partials = []
         for io in self.ios:
             msg = io.recv((proto.MuStats,), mu_records=mus.size)
-            n, s, s2 = zip(*msg.records)
-            partials.append(StatsVec(np.array(n, dtype=np.int64), np.array(s), np.array(s2)))
+            n, s, _s2 = zip(*msg.records)
+            partials.append(StatsVec(np.array(n, dtype=np.int64), np.array(s)))
         return pairwise_fold(partials)
 
     def apply_mus(self, j, old, new):

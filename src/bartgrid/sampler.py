@@ -15,6 +15,12 @@ side is shared too: the serial sampler hands `run_chain_core` a
 `LocalProvider` over all rows, and each worker drives a `LocalProvider` over
 its own rows, making for every master message the call the serial chain
 makes.
+
+A shard holds its rows as cut indices (`CutpointGrid.bin`), not floats: every
+split rule is a (variable, cut index) pair, so a row's cut index per variable
+decides every rule.  The serial sampler bins its rows once the grid is fixed;
+a worker bins its rows once RUN_SETUP has fixed the grid and then drops its
+reference to the float rows.
 """
 from __future__ import annotations
 
@@ -49,32 +55,35 @@ DEATH = "death"
 
 @dataclass(slots=True)
 class SuffStats:
-    """(count, residual sum, residual sum of squares) for one node.
+    """(count, residual sum) for one node.
 
     Additive across disjoint row sets, which is what lets shards contribute
-    fixed-size partials regardless of how many rows they hold.  Move
-    statistics leave s2 at zero: the MH ratio and the leaf-mean draw read
-    only n and s.
+    fixed-size partials regardless of how many rows they hold.  The MH ratio
+    and the leaf-mean draw read nothing else.
     """
 
     n: int = 0
     s: float = 0.0
-    s2: float = 0.0
 
     def __add__(self, other: "SuffStats") -> "SuffStats":
-        return SuffStats(self.n + other.n, self.s + other.s, self.s2 + other.s2)
+        return SuffStats(self.n + other.n, self.s + other.s)
 
 
 @dataclass(slots=True)
 class StatsVec:
-    """Per-node SuffStats columns for one tree (ascending node id)."""
+    """Per-node count and residual-sum columns for one tree (ascending node id).
+
+    `s2`, the residual sums of squares, is computed only by a worker, for the
+    MuStats payload that carries it; the chain never reads it.
+    """
 
     n: np.ndarray
     s: np.ndarray
-    s2: np.ndarray
+    s2: np.ndarray | None = None
 
     def __add__(self, other: "StatsVec") -> "StatsVec":
-        return StatsVec(self.n + other.n, self.s + other.s, self.s2 + other.s2)
+        s2 = None if self.s2 is None else self.s2 + other.s2
+        return StatsVec(self.n + other.n, self.s + other.s, s2)
 
 
 def pairwise_fold(items: Sequence):
@@ -379,6 +388,11 @@ class _Slices:
 class ShardData:
     """One shard's rows plus the cached residual and each tree's row layout.
 
+    The rows are held only as cut indices: `xb` is the column-major
+    `CutpointGrid.bin` matrix, (variables, rows) of unsigned integers, so
+    rule (v, c) sends row i left exactly when `xb[v, i] <= c`.  At up to 255
+    cutpoints per variable that is one byte per row and variable.
+
     `order[j]` permutes the shard's rows so that every terminal node of tree
     j owns one contiguous slice of it, rows ascending; a birth partitions a
     slice stably and a death merges two adjacent sibling slices.  Kernels
@@ -393,14 +407,18 @@ class ShardData:
     caring how rows map to workers.
     """
 
-    __slots__ = ("x", "ys", "residual", "order", "blocks", "_slices", "_idx", "_gathered")
+    __slots__ = ("xb", "ys", "residual", "order", "blocks", "_slices", "_idx", "_gathered")
 
-    def __init__(self, x: np.ndarray, ys: np.ndarray, m: int, blocks: Sequence[tuple[int, int]]):
-        self.x = np.ascontiguousarray(x, dtype=np.float64)
+    def __init__(self, xb: np.ndarray, ys: np.ndarray, m: int, blocks: Sequence[tuple[int, int]]):
         self.ys = np.asarray(ys, dtype=np.float64)
+        self.xb = np.ascontiguousarray(xb)
+        n = self.ys.size
+        if self.xb.ndim != 2 or self.xb.shape[1] != n:
+            raise ValueError(f"xb must be (variables, {n}) cut indices, got shape {self.xb.shape}")
+        if self.xb.dtype.kind != "u":
+            raise ValueError(f"xb must hold unsigned cut indices, got dtype {self.xb.dtype}")
         self.residual = self.ys.copy()
         self.blocks = list(blocks)
-        n = self.ys.size
         edges = [lo for lo, _ in self.blocks] + [n]
         if not self.blocks or [hi for _, hi in self.blocks] != edges[1:] or edges[0] != 0:
             raise ValueError("blocks must tile the shard's rows in order")
@@ -436,15 +454,15 @@ class ShardData:
     # -- statistics ---------------------------------------------------------
 
     def move_stats_blocks(
-        self, j: int, prop: Proposal, cutval: float, mu_left: float, mu_right: float
+        self, j: int, prop: Proposal, mu_left: float, mu_right: float
     ) -> list[tuple[SuffStats, SuffStats]]:
         """Per-block child (count, sum) statistics for a proposed move on tree j.
 
         For a birth, `mu_left == mu_right` is the mean of the splitting node
-        and `cutval` partitions its rows.  For a death, the children already
-        exist and carry their own means.  The MH ratio reads no sum of
-        squares, so none is computed.  Each sum adds the same values in the
-        same row order as a masked pass over the whole block would.
+        and the rule (prop.v, prop.c) partitions its rows.  For a death, the
+        children already exist and carry their own means.  Each sum adds the
+        same values in the same row order as a masked pass over the whole
+        block would.
         """
         sl = self._slices[j]
         parts = []  # (left child's values, right child's values) per block
@@ -452,7 +470,7 @@ class ShardData:
             t = sl.ids.index(prop.node_id)
             rows = self._rows(j, sl.starts[t], sl.starts[t + 1])
             r = self.residual[rows] + mu_left
-            go_left = self.x[rows, prop.v] < cutval
+            go_left = self.xb[prop.v].take(rows) <= prop.c
             runs = sl.runs[t]
             for a, b in zip(runs, runs[1:]):
                 # compress is several times faster than a boolean index here.
@@ -475,11 +493,12 @@ class ShardData:
             for r_l, r_r in parts
         ]
 
-    def mu_stats_blocks(self, j: int, mus: np.ndarray) -> list[StatsVec]:
+    def mu_stats_blocks(self, j: int, mus: np.ndarray, squares: bool = False) -> list[StatsVec]:
         """Per-block partial-residual statistics for every terminal node.
 
         `mus` are tree j's leaf means in ascending node id order, the order
-        of the returned columns too.
+        of the returned columns too.  `squares` adds the sums of squares,
+        which only the MuStats payload carries.
         """
         sl = self._slices[j]
         if mus.size != len(sl.ids):
@@ -489,17 +508,18 @@ class ShardData:
         self._gathered = (j, gathered)
         r = np.repeat(mus[sl.rank], sl.lens)
         r += gathered
-        s = np.add.reduceat(r, sl.seg)
-        s2 = np.add.reduceat(np.square(r, out=r), sl.seg)
-        if sl.nonempty is not None:
-            # reduceat yields an element, not 0, for an empty segment, so
-            # only the non-empty ones are reduced.
-            s = _scatter(s, sl.nonempty)
-            s2 = _scatter(s2, sl.nonempty)
+        sums = [np.add.reduceat(r, sl.seg)]
+        if squares:
+            sums.append(np.add.reduceat(np.square(r, out=r), sl.seg))
         k = len(self.blocks)
-        s = s.reshape(-1, k)[sl.by_id].T
-        s2 = s2.reshape(-1, k)[sl.by_id].T
-        return [StatsVec(sl.n_by_id[i].copy(), s[i], s2[i]) for i in range(k)]
+        columns = []
+        for col in sums:
+            if sl.nonempty is not None:
+                # reduceat yields an element, not 0, for an empty segment, so
+                # only the non-empty ones are reduced.
+                col = _scatter(col, sl.nonempty)
+            columns.append(col.reshape(-1, k)[sl.by_id].T)
+        return [StatsVec(sl.n_by_id[i].copy(), *(col[i] for col in columns)) for i in range(k)]
 
     def rss_blocks(self) -> list[float]:
         return [
@@ -514,7 +534,7 @@ class ShardData:
         j: int,
         node_id: int,
         v: int,
-        cutval: float,
+        c: int,
         mu_old: float,
         mu_left: float,
         mu_right: float,
@@ -522,7 +542,7 @@ class ShardData:
         sl = self._slices[j]
         t = sl.ids.index(node_id)
         lo, hi = sl.starts[t], sl.starts[t + 1]
-        go_left = self.x[self._rows(j, lo, hi), v] < cutval
+        go_left = self.xb[v].take(self._rows(j, lo, hi)) <= c
         # Stable partition: the left child's rows, then the right child's.
         part = self.order[j, lo:hi]
         left, right = part.compress(go_left), part.compress(~go_left)
@@ -701,9 +721,8 @@ class LocalProvider:
     """Provider over one shard in this process: all rows for the serial
     sampler, a worker's rows on a worker."""
 
-    def __init__(self, shard: ShardData, grid: CutpointGrid):
+    def __init__(self, shard: ShardData):
         self.shard = shard
-        self.grid = grid
         self.n_total = shard.n
 
     def begin_iteration(self, iteration: int) -> None:
@@ -717,16 +736,15 @@ class LocalProvider:
         nodes = tree.nodes
         k = prop.node_id
         if prop.move == BIRTH:
-            cutval, mu_left, mu_right = self.grid.value(prop.v, prop.c), nodes[k], nodes[k]
+            mu_left = mu_right = nodes[k]
         else:
-            cutval, mu_left, mu_right = 0.0, nodes[2 * k], nodes[2 * k + 1]
-        lefts, rights = zip(*self.shard.move_stats_blocks(j, prop, cutval, mu_left, mu_right))
+            mu_left, mu_right = nodes[2 * k], nodes[2 * k + 1]
+        lefts, rights = zip(*self.shard.move_stats_blocks(j, prop, mu_left, mu_right))
         return pairwise_fold(lefts), pairwise_fold(rights)
 
     def apply_birth(self, j, tree, prop, mu_l, mu_r):
         self.shard.apply_birth(
-            j, prop.node_id, prop.v, self.grid.value(prop.v, prop.c), tree.nodes[prop.node_id],
-            mu_l, mu_r,
+            j, prop.node_id, prop.v, prop.c, tree.nodes[prop.node_id], mu_l, mu_r
         )
 
     def apply_death(self, j, tree, prop, mu):
@@ -953,7 +971,7 @@ def run_serial(
     grid = CutpointGrid.from_ranges(derived.x_min, derived.x_max, settings.numcut)
     prior = resolve_prior(settings, derived.sd_scaled)
     ys = (y - derived.y_mid) / derived.y_range
-    shard = ShardData(x, ys, settings.m, blocks)
+    shard = ShardData(grid.bin(x), ys, settings.m, blocks)
     forest = [Tree() for _ in range(settings.m)]
     rng = np.random.default_rng(settings.seed)
 
@@ -963,7 +981,7 @@ def run_serial(
         prior,
         derived.sd_scaled,
         rng,
-        LocalProvider(shard, grid),
+        LocalProvider(shard),
         settings,
         collect_hashes=collect_hashes,
         collect_trace=collect_trace,
@@ -978,9 +996,12 @@ def check_residual_invariant(
 ) -> float:
     """Max abs deviation of the cached residual from ys minus the forest's fit.
 
-    The fit is recomputed by routing every row, binned once, through every tree.
+    The fit is recomputed by routing the shard's cut-index rows through every
+    tree; `grid` must be the grid they were binned on.
     """
-    fit = CompiledTrees(forest).sum(grid.bin(shard.x))
+    if shard.xb.shape[0] != grid.n_vars:
+        raise ValueError(f"shard has {shard.xb.shape[0]} variables, grid has {grid.n_vars}")
+    fit = CompiledTrees(forest).sum(shard.xb)
     err = float(np.max(np.abs(shard.ys - fit - shard.residual))) if shard.n else 0.0
     if err > atol:
         raise AssertionError(f"residual invariant violated: max deviation {err}")

@@ -11,11 +11,11 @@ that this is cheap.
 Rows are routed over binned columns: `CutpointGrid.bin` turns each value into
 the count of its variable's cutpoints at or below it, and a rule (v, c) sends
 a row left exactly when that count is at most c, which is the float test
-x[v] < value(v, c).  One router, `CompiledTrees`, serves prediction, the
-residual check and the single-tree helpers `route_rows` and `evaluate_rows`:
-it takes any sequence of trees, routes each distinct structure once and each
-run of rules that structures share from the root once, and sums leaf means
-in the trees' order.
+x[v] < value(v, c).  The sampler's shards hold only these cut indices.  One
+router, `CompiledTrees`, serves prediction, the residual check and
+`route_rows`: it takes any sequence of trees, routes each distinct structure
+once and each run of rules that structures share from the root once, and sums
+leaf means in the trees' order.
 """
 from __future__ import annotations
 
@@ -130,7 +130,7 @@ class CutpointGrid:
         dtype = np.min_scalar_type(max(cuts.size for cuts in self.values))
         xb = np.empty((self.n_vars, x.shape[0]), dtype)
         for v, cuts in enumerate(self.values):
-            xb[v] = np.searchsorted(cuts, x[:, v], side="right")
+            xb[v] = _cut_counts(cuts, np.ascontiguousarray(x[:, v]))
         return xb
 
     @classmethod
@@ -141,6 +141,34 @@ class CutpointGrid:
     def from_data(cls, x: np.ndarray, numcut: int) -> "CutpointGrid":
         x = np.asarray(x, dtype=np.float64)
         return cls.from_ranges(x.min(axis=0), x.max(axis=0), numcut)
+
+
+def _cut_counts(cuts: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(cuts, col, side="right")`, mostly without the search.
+
+    Each count is guessed from the mean cutpoint spacing, exact up to
+    rounding on an equally spaced grid, and checked against the cutpoints on
+    either side of it; only the rows whose guess fails that check are
+    searched.  NaN and +inf count every cutpoint, -inf none.
+    """
+    k = cuts.size
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        scale = (k - 1) / (cuts[-1] - cuts[0]) if k > 1 else 0.0
+        guess = col - cuts[0]
+        guess *= scale
+    guess += 1.0
+    np.fmin(guess, k, out=guess)  # NaN and +inf become k
+    np.maximum(guess, 0.0, out=guess)
+    idx = guess.astype(np.intp)
+    # below[i] and above[i] bound count i; the NaN ends compare false.
+    below = np.concatenate(([np.nan], cuts))
+    above = np.concatenate((cuts, [np.nan]))
+    wrong = col < below.take(idx)
+    wrong |= col >= above.take(idx)
+    wrong = np.flatnonzero(wrong)
+    if wrong.size:
+        idx[wrong] = np.searchsorted(cuts, col[wrong], side="right")
+    return idx
 
 
 def _cutpoints_between(lo: float, hi: float, numcut: int) -> np.ndarray:
@@ -274,11 +302,6 @@ def route_rows(tree: Tree, grid: CutpointGrid, x: np.ndarray) -> np.ndarray:
     """Terminal node id reached by every row of `x` (uint32 vector)."""
     compiled = CompiledTrees([tree])
     return np.array(compiled.leaves[0], dtype=np.uint32)[compiled.route(grid.bin(x))[0]]
-
-
-def evaluate_rows(tree: Tree, grid: CutpointGrid, x: np.ndarray) -> np.ndarray:
-    """Leaf mean reached by every row of `x`."""
-    return CompiledTrees([tree]).sum(grid.bin(x))
 
 
 def _preorder(nodes: dict) -> Iterator[int]:

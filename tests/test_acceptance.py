@@ -153,7 +153,7 @@ def test_02_serial_distributed_equivalence(tmp_path):
 def test_03_conjugate_draw_moments():
     with _criterion(3, "mu and sigma draws match closed-form moments to 1%"):
         rng = np.random.default_rng(303)
-        stats = SuffStats(10, 5.0, 0.0)
+        stats = SuffStats(10, 5.0)
         mus = np.array([draw_mu(stats, 1.0, 0.5, rng) for _ in range(100_000)])
         mean_true = 0.25 * 5.0 / (1.0 + 10 * 0.25)
         var_true = 0.25 / (1.0 + 10 * 0.25)

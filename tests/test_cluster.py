@@ -1,6 +1,7 @@
 import socket
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -90,6 +91,20 @@ class TestEquivalence:
         assert serial.forest_hashes == two.forest_hashes == four.forest_hashes
         assert serial.y_mid == two.y_mid == four.y_mid
         assert serial.prior.lam == two.prior.lam == four.prior.lam
+
+    def test_serial_vs_two_workers_on_a_uint16_grid(self):
+        # 300 cutpoints need uint16 cut indices in every shard.
+        x, y = toy_data(400)
+        settings = toy_settings(numcut=300, reduction_blocks=2)
+        serial = run_serial(x, y, settings, collect_hashes=True)
+        two = run_cluster_inprocess(x, y, settings, workers=2, collect_hashes=True)
+        assert np.array_equal(serial.sigmas, two.sigmas)
+        assert serial.forest_hashes == two.forest_hashes
+        cuts = [
+            val[1] for _, _, forest in serial.snapshots for tree in forest
+            for val in tree.nodes.values() if isinstance(val, tuple)
+        ]
+        assert max(cuts) > 255
 
     def test_prior_only_distributed_matches_serial(self):
         x, y = toy_data(64)
@@ -274,6 +289,57 @@ class TestTransportErrors:
         assert not thread.is_alive()
         assert len(errors) == 1
         assert "does not match the pending proposal" in str(errors[0])
+
+    def test_worker_shard_holds_only_cut_indices(self, monkeypatch):
+        providers = []
+
+        class RecordingProvider(cluster.LocalProvider):
+            def __init__(self, shard):
+                super().__init__(shard)
+                providers.append(self)
+
+        monkeypatch.setattr(cluster, "LocalProvider", RecordingProvider)
+        x, y = toy_data(200)
+        run_cluster_inprocess(x, y, toy_settings(draws=3, burn=1, thin=1), workers=2)
+        assert len(providers) == 2
+        for provider in providers:
+            shard = provider.shard
+            assert shard.xb.dtype == np.uint8 and shard.xb.shape == (3, 100)
+            arrays = {name: getattr(shard, name) for name in type(shard).__slots__}
+            float_tables = [
+                name for name, value in arrays.items()
+                if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim > 1
+            ]
+            assert float_tables == []
+
+    def test_worker_drops_its_float_rows(self):
+        x, y = toy_data(40)
+        rows = [x.copy()]  # the worker is handed the only reference
+        released = weakref.ref(rows[0])
+        master_end, worker_end = channel_pair()
+
+        def target():
+            try:
+                run_worker(worker_end, rows.pop(), y, 1, 1, 1)
+            finally:
+                worker_end.close()
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        try:
+            io = MessageIO(master_end)
+            io.recv((proto.Hello,))
+            meta = io.recv((proto.ShardMeta,))
+            io.send(proto.RunSetup(1, 10, 1, 40, 0.0, 1.0, meta.x_min, meta.x_max))
+            # The answer to the sigma phase comes after the worker binned.
+            io.send(proto.IterBegin(1, proto.PHASE_SIGMA))
+            io.recv((proto.RssPartial,))
+            assert released() is None
+            io.send(proto.Shutdown())
+            thread.join(timeout=15)
+        finally:
+            master_end.close()
+        assert not thread.is_alive()
 
     def test_workers_disagreeing_on_d_are_named(self):
         x, y = toy_data(40)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -32,11 +33,11 @@ from bartgrid.sampler import (
 )
 from bartgrid.trees import (
     MAX_DEPTH,
+    CompiledTrees,
     CutpointGrid,
     Tree,
     available_cut_range,
     depth_of_id,
-    evaluate_rows,
     route_rows,
 )
 
@@ -62,29 +63,33 @@ class TestSplitPrior:
 
 class TestLogMarginalLikelihood:
     def test_empty_node_is_zero(self):
-        assert log_marginal_likelihood(SuffStats(0, 0.0, 0.0), 0.7, 0.3) == 0.0
+        assert log_marginal_likelihood(SuffStats(0, 0.0), 0.7, 0.3) == 0.0
 
     def test_matches_quadrature_oracle(self):
         # Oracle: log of int N(r=1; mu, 1) N(mu; 0, 1) dmu over N(1; 0, 1).
         num, _ = quad(lambda mu: norm.pdf(1.0, mu, 1.0) * norm.pdf(mu, 0.0, 1.0), -12, 12)
         oracle = math.log(num / norm.pdf(1.0, 0.0, 1.0))
-        got = log_marginal_likelihood(SuffStats(1, 1.0, 1.0), 1.0, 1.0)
+        got = log_marginal_likelihood(SuffStats(1, 1.0), 1.0, 1.0)
         assert got == pytest.approx(oracle, abs=1e-12)
         assert got == pytest.approx(-0.0965736, abs=1e-7)
 
     def test_additivity_over_disjoint_sets(self):
-        a = SuffStats(3, 1.5, 2.0)
-        b = SuffStats(5, -0.5, 1.0)
+        a = SuffStats(3, 1.5)
+        b = SuffStats(5, -0.5)
         merged = a + b
-        direct = SuffStats(8, 1.0, 3.0)
+        direct = SuffStats(8, 1.0)
         assert log_marginal_likelihood(merged, 0.9, 0.4) == log_marginal_likelihood(
             direct, 0.9, 0.4
         )
 
     def test_depends_only_on_n_and_s(self):
-        x = log_marginal_likelihood(SuffStats(4, 2.0, 10.0), 1.1, 0.3)
-        y = log_marginal_likelihood(SuffStats(4, 2.0, 99.0), 1.1, 0.3)
+        # Different residuals with the same count and sum.
+        a = np.array([0.5, 0.5, 0.5, 0.5])
+        b = np.array([3.0, -1.0, 0.0, 0.0])
+        x = log_marginal_likelihood(SuffStats(a.size, float(a.sum())), 1.1, 0.3)
+        y = log_marginal_likelihood(SuffStats(b.size, float(b.sum())), 1.1, 0.3)
         assert x == y
+        assert [f.name for f in fields(SuffStats)] == ["n", "s"]
 
 
 class TestPropose:
@@ -167,7 +172,7 @@ class TestAcceptLogRatio:
         prior = make_prior(min_leaf=5)
         tree = Tree()
         prop = Proposal(BIRTH, 0, 1, 0, 10)
-        ratio = accept_log_ratio(tree, prop, SuffStats(0, 0, 0), SuffStats(0, 0, 0), 1.0, prior)
+        ratio = accept_log_ratio(tree, prop, SuffStats(0, 0), SuffStats(0, 0), 1.0, prior)
         assert ratio == -math.inf
 
     def test_detailed_balance(self):
@@ -177,8 +182,8 @@ class TestAcceptLogRatio:
         prior = make_prior()
         grid = CutpointGrid.from_ranges(np.full(2, -1.0), np.full(2, 1.0), 10)
         rng = np.random.default_rng(41)
-        stats_l = SuffStats(4, 1.2, 0.9)
-        stats_r = SuffStats(6, -0.7, 1.1)
+        stats_l = SuffStats(4, 1.2)
+        stats_r = SuffStats(6, -0.7)
         kinds = set()
         trees = [Tree()] + [grow_random_tree(rng, grid, n_births=6) for _ in range(6)]
         for tree in trees:
@@ -200,20 +205,30 @@ class TestAcceptLogRatio:
         assert kinds == {"root", "terminal", "internal"}
 
     def test_depends_on_stats_only_through_n_and_s(self):
+        # Two row sets per child with equal counts and sums, different rows.
         prior = make_prior(min_leaf=1)
         tree = Tree()
         prop = Proposal(BIRTH, 0, 1, 0, 3)
-        a = accept_log_ratio(tree, prop, SuffStats(3, 1.0, 5.0), SuffStats(2, 0.5, 9.0), 1.0, prior)
-        b = accept_log_ratio(tree, prop, SuffStats(3, 1.0, 1.0), SuffStats(2, 0.5, 0.5), 1.0, prior)
-        assert a == b
+        sets = [
+            (np.array([1.0, 0.0, 0.0]), np.array([0.25, 0.25])),
+            (np.array([-2.0, 1.5, 1.5]), np.array([1.0, -0.5])),
+        ]
+        ratios = [
+            accept_log_ratio(
+                tree, prop, SuffStats(left.size, float(left.sum())),
+                SuffStats(right.size, float(right.sum())), 1.0, prior,
+            )
+            for left, right in sets
+        ]
+        assert ratios[0] == ratios[1]
 
     def test_prior_only_drops_likelihood(self):
         prior = make_prior(min_leaf=0)
         tree = Tree()
         prop = Proposal(BIRTH, 0, 1, 0, 3)
-        with_lik = accept_log_ratio(tree, prop, SuffStats(3, 8.0, 30.0), SuffStats(2, -4.0, 9.0), 0.5, prior)
-        without = accept_log_ratio(tree, prop, SuffStats(3, 8.0, 30.0), SuffStats(2, -4.0, 9.0), 0.5, prior, prior_only=True)
-        empty = accept_log_ratio(tree, prop, SuffStats(0, 0.0, 0.0), SuffStats(0, 0.0, 0.0), 0.5, prior)
+        with_lik = accept_log_ratio(tree, prop, SuffStats(3, 8.0), SuffStats(2, -4.0), 0.5, prior)
+        without = accept_log_ratio(tree, prop, SuffStats(3, 8.0), SuffStats(2, -4.0), 0.5, prior, prior_only=True)
+        empty = accept_log_ratio(tree, prop, SuffStats(0, 0.0), SuffStats(0, 0.0), 0.5, prior)
         assert without == empty  # zero-count stats have zero likelihood term
         assert with_lik != without
 
@@ -221,21 +236,21 @@ class TestAcceptLogRatio:
 class TestConjugateDraws:
     def test_mu_prior_when_empty(self):
         rng = np.random.default_rng(4)
-        draws = np.array([draw_mu(SuffStats(0, 0, 0), 1.0, 0.5, rng) for _ in range(50_000)])
+        draws = np.array([draw_mu(SuffStats(0, 0), 1.0, 0.5, rng) for _ in range(50_000)])
         assert abs(draws.mean()) < 3 * 0.5 / math.sqrt(draws.size)
         assert draws.var() == pytest.approx(0.25, rel=0.05)
 
     def test_mu_moments_match_closed_form(self):
         # n=10, s=5, sigma=1, tau=0.5: mean 5*0.25/3.5, var 0.25/3.5.
         rng = np.random.default_rng(5)
-        stats = SuffStats(10, 5.0, 0.0)
+        stats = SuffStats(10, 5.0)
         draws = np.array([draw_mu(stats, 1.0, 0.5, rng) for _ in range(100_000)])
         assert draws.mean() == pytest.approx(5 * 0.25 / 3.5, rel=0.01)
         assert draws.var() == pytest.approx(0.25 / 3.5, rel=0.01)
 
     def test_mu_likelihood_dominance(self):
         rng = np.random.default_rng(6)
-        stats = SuffStats(10_000_000, 10_000_000 * 1.7, 0.0)
+        stats = SuffStats(10_000_000, 10_000_000 * 1.7)
         draws = np.array([draw_mu(stats, 1.0, 0.5, rng) for _ in range(100)])
         assert draws.mean() == pytest.approx(1.7, abs=1e-2)
 
@@ -267,28 +282,43 @@ class TestConjugateDraws:
         assert np.mean(draws < sd) == pytest.approx(q, abs=0.005)
 
 
-def build_shard(rng, n, d, m, blocks=1):
+def build_shard(rng, n, d, m, blocks=1, numcut=10):
     x = rng.uniform(-1, 1, (n, d))
     ys = rng.standard_normal(n) * 0.3
     bounds = partition_bounds(n, blocks)
-    return ShardData(x, ys, m, [(int(bounds[i]), int(bounds[i + 1])) for i in range(blocks)])
+    grid = CutpointGrid.from_ranges(np.full(d, -1.0), np.full(d, 1.0), numcut)
+    blocks = [(int(bounds[i]), int(bounds[i + 1])) for i in range(blocks)]
+    return ShardData(grid.bin(x), ys, m, blocks)
+
+
+def float_leaves(tree, grid, x):
+    """Terminal id of every row of `x` under the float rule x[v] < value(v, c)."""
+    leaf = np.ones(x.shape[0], dtype=np.int64)
+    # Ascending ids visit every parent before its children.
+    for k, rule in sorted(tree.nodes.items()):
+        if isinstance(rule, tuple):
+            sel = leaf == k
+            leaf[sel] = 2 * k + ~(x[sel, rule[0]] < grid.value(*rule))
+    return leaf
 
 
 class TestShardStats:
     def test_empty_shard_rows_all_zero(self):
-        grid = CutpointGrid.from_ranges(np.full(2, -1.0), np.full(2, 1.0), 10)
         rng = np.random.default_rng(10)
-        shard = build_shard(rng, 4, 2, 1)
-        # A cut at the smallest value sends every row right, so node 2 is
-        # reached by no row; then propose a birth at it.
-        shard.apply_birth(0, 1, 0, float(shard.x[:, 0].min()), 0.0, 0.0, 0.0)
+        x = rng.uniform(-1, 1, (4, 2))
+        # Variable 0's first cutpoint is its smallest value, so its rule sends
+        # every row right and node 2 is reached by no row; then propose a
+        # birth at it.
+        grid = CutpointGrid([np.array([x[:, 0].min(), 1.0]), np.linspace(-1.0, 1.0, 10)])
+        shard = ShardData(grid.bin(x), rng.standard_normal(4), 1, [(0, 4)])
+        shard.apply_birth(0, 1, 0, 0, 0.0, 0.0, 0.0)
         assert [s[:3] for s in shard.slices(0)] == [(2, 0, 0), (3, 0, 4)]
         tree = Tree()
-        tree.birth(1, 0, 5, 0.0, 0.0)
+        tree.birth(1, 0, 0, 0.0, 0.0)
         prop = Proposal(BIRTH, 0, 2, 1, 3)
-        left, right = LocalProvider(shard, grid).move_stats(0, tree, prop)
-        assert (left.n, left.s, left.s2) == (0, 0.0, 0.0)
-        assert (right.n, right.s, right.s2) == (0, 0.0, 0.0)
+        left, right = LocalProvider(shard).move_stats(0, tree, prop)
+        assert (left.n, left.s) == (0, 0.0)
+        assert (right.n, right.s) == (0, 0.0)
 
     def test_half_shards_sum_to_whole(self):
         rng = np.random.default_rng(11)
@@ -296,14 +326,14 @@ class TestShardStats:
         n = 64
         x = rng.uniform(-1, 1, (n, 2))
         ys = rng.standard_normal(n)
-        whole = ShardData(x, ys, 1, [(0, 32), (32, 64)])
-        left_half = ShardData(x[:32], ys[:32], 1, [(0, 32)])
-        right_half = ShardData(x[32:], ys[32:], 1, [(0, 32)])
+        whole = ShardData(grid.bin(x), ys, 1, [(0, 32), (32, 64)])
+        left_half = ShardData(grid.bin(x[:32]), ys[:32], 1, [(0, 32)])
+        right_half = ShardData(grid.bin(x[32:]), ys[32:], 1, [(0, 32)])
         tree = Tree()
         prop = Proposal(BIRTH, 0, 1, 0, 4)
-        w_l, w_r = LocalProvider(whole, grid).move_stats(0, tree, prop)
-        a_l, a_r = LocalProvider(left_half, grid).move_stats(0, tree, prop)
-        b_l, b_r = LocalProvider(right_half, grid).move_stats(0, tree, prop)
+        w_l, w_r = LocalProvider(whole).move_stats(0, tree, prop)
+        a_l, a_r = LocalProvider(left_half).move_stats(0, tree, prop)
+        b_l, b_r = LocalProvider(right_half).move_stats(0, tree, prop)
         assert pairwise_fold([a_l, b_l]) == w_l
         assert pairwise_fold([a_r, b_r]) == w_r
 
@@ -319,22 +349,23 @@ class TestShardStats:
         y_mid = 0.5 * (y.min() + y.max())
         y_range = y.max() - y.min()
         ys = (y - y_mid) / y_range
-        shard = ShardData(x, ys, m, [(0, n)])
+        shard = ShardData(grid.bin(x), ys, m, [(0, n)])
         forest = [Tree() for _ in range(m)]
         sd = float(np.std(ys, ddof=1))
         run_chain_core(
             forest, grid, resolve_prior(settings, sd), sd, np.random.default_rng(14),
-            LocalProvider(shard, grid), settings,
+            LocalProvider(shard), settings,
         )
         for j in range(m):
             r_oracle = ys.copy()
             for k in range(m):
                 if k != j:
-                    r_oracle -= evaluate_rows(forest[k], grid, x)
+                    r_oracle -= CompiledTrees([forest[k]]).sum(grid.bin(x))
             leaf_of_row = route_rows(forest[j], grid, x)
             terminals = forest[j].terminals()
             mus = np.array([forest[j].nodes[k] for k in terminals])
-            stats = pairwise_fold(shard.mu_stats_blocks(j, mus))
+            assert pairwise_fold(shard.mu_stats_blocks(j, mus)).s2 is None
+            stats = pairwise_fold(shard.mu_stats_blocks(j, mus, squares=True))
             assert stats.n.size == len(terminals)
             for node_id, cnt, s, s2 in zip(terminals, stats.n, stats.s, stats.s2):
                 rows = leaf_of_row == node_id
@@ -345,14 +376,15 @@ class TestShardStats:
                     assert s2 >= s**2 / cnt - 1e-12
 
 
-def _masked_move_stats(shard, leaf, prop, cutval, mu_left, mu_right):
-    """Per-block move statistics from a masked pass over every row of a block."""
+def _masked_move_stats(shard, x, leaf, prop, cutval, mu_left, mu_right):
+    """Per-block move statistics from a masked pass over every row of a block,
+    splitting on the float rows `x` with the float rule."""
     out = []
     for lo, hi in shard.blocks:
         if prop.move == BIRTH:
             sel = leaf[lo:hi] == prop.node_id
             r = shard.residual[lo:hi][sel] + mu_left
-            go_left = shard.x[lo:hi, prop.v][sel] < cutval
+            go_left = x[lo:hi, prop.v][sel] < cutval
             r_l, r_r = r[go_left], r[~go_left]
         else:
             r_l = shard.residual[lo:hi][leaf[lo:hi] == 2 * prop.node_id] + mu_left
@@ -362,26 +394,39 @@ def _masked_move_stats(shard, leaf, prop, cutval, mu_left, mu_right):
 
 
 class TestShardLayout:
-    """Each terminal owns one ascending slice of `order`, whatever the moves."""
+    """Each terminal owns one ascending slice of `order`, whatever the moves.
+
+    The shards hold cut indices; the oracles split the float rows with the
+    float rule x[v] < value(v, c).
+    """
 
     @pytest.mark.parametrize("blocks", [2, 4])
     def test_random_moves_keep_the_layout(self, blocks):
-        rng = np.random.default_rng(40 + blocks)
+        self._random_moves(np.random.default_rng(40 + blocks), blocks, 12, np.uint8)
+
+    def test_random_moves_on_a_uint16_grid(self):
+        self._random_moves(np.random.default_rng(47), 2, 300, np.uint16)
+
+    @staticmethod
+    def _random_moves(rng, blocks, numcut, dtype):
         n, d = 203, 3
         x = rng.uniform(-1, 1, (n, d))
         # Variable 0 grows with the row index, so cuts on it make nodes whose
         # rows lie in one block.
         x[:, 0] = np.sort(x[:, 0])
         ys = rng.standard_normal(n)
-        grid = CutpointGrid.from_data(x, 12)
+        grid = CutpointGrid.from_data(x, numcut)
         bounds = partition_bounds(n, blocks)
         half = int(bounds[blocks // 2])
-        whole = ShardData(x, ys, 2, [(int(bounds[i]), int(bounds[i + 1])) for i in range(blocks)])
+        whole = ShardData(
+            grid.bin(x), ys, 2, [(int(bounds[i]), int(bounds[i + 1])) for i in range(blocks)]
+        )
+        assert whole.xb.dtype == dtype
         halves = [
-            ShardData(x[:half], ys[:half], 2, [
+            ShardData(grid.bin(x[:half]), ys[:half], 2, [
                 (int(bounds[i]), int(bounds[i + 1])) for i in range(blocks // 2)
             ]),
-            ShardData(x[half:], ys[half:], 2, [
+            ShardData(grid.bin(x[half:]), ys[half:], 2, [
                 (int(bounds[i]) - half, int(bounds[i + 1]) - half)
                 for i in range(blocks // 2, blocks)
             ]),
@@ -395,7 +440,7 @@ class TestShardLayout:
             nodes = tree.nodes
             terminals = tree.terminals()
             nogs = tree.nogs()
-            leaf = route_rows(tree, grid, x)
+            leaf = float_leaves(tree, grid, x)
 
             # Move statistics, bitwise against a masked pass, for a birth and
             # a death proposal on the current tree.
@@ -404,20 +449,20 @@ class TestShardLayout:
             v = int(rng.integers(d))
             prop = Proposal(BIRTH, j, node_id, v, int(rng.integers(grid.count(v))))
             cutval = grid.value(prop.v, prop.c)
-            got = whole.move_stats_blocks(j, prop, cutval, mu, mu)
-            assert got == _masked_move_stats(whole, leaf, prop, cutval, mu, mu)
+            got = whole.move_stats_blocks(j, prop, mu, mu)
+            assert got == _masked_move_stats(whole, x, leaf, prop, cutval, mu, mu)
             if nogs:
                 nog = nogs[int(rng.integers(len(nogs)))]
                 mu_l, mu_r = nodes[2 * nog], nodes[2 * nog + 1]
                 death = Proposal(DEATH, j, nog)
-                got = whole.move_stats_blocks(j, death, 0.0, mu_l, mu_r)
-                assert got == _masked_move_stats(whole, leaf, death, 0.0, mu_l, mu_r)
+                got = whole.move_stats_blocks(j, death, mu_l, mu_r)
+                assert got == _masked_move_stats(whole, x, leaf, death, 0.0, mu_l, mu_r)
 
             # Apply a random birth or death to every shard and to the tree.
             if not nogs or rng.random() < 0.6:
                 new_l, new_r = rng.normal(0, 0.3, 2)
                 for shard in shards:
-                    shard.apply_birth(j, node_id, v, cutval, mu, new_l, new_r)
+                    shard.apply_birth(j, node_id, v, prop.c, mu, new_l, new_r)
                 tree.birth(node_id, v, prop.c, new_l, new_r)
             else:
                 merged = float(rng.normal(0, 0.3))
@@ -425,9 +470,9 @@ class TestShardLayout:
                     shard.apply_death(j, nog, mu_l, mu_r, merged)
                 tree.death(nog, merged)
 
-            # Layout: one ascending slice per terminal, equal to the routed
-            # row set, with the right count in every block.
-            leaf = route_rows(tree, grid, x)
+            # Layout: one ascending slice per terminal, equal to the row set
+            # the float rule routes there, with the right count in every block.
+            leaf = float_leaves(tree, grid, x)
             terminals = tree.terminals()
             slices = whole.slices(j)
             assert sorted(s[0] for s in slices) == terminals
@@ -444,7 +489,7 @@ class TestShardLayout:
             # Leaf statistics against an oracle, and the halves' fold equal
             # to the whole shard's, bit for bit.
             mus = np.array([nodes[k] for k in terminals])
-            per_block = whole.mu_stats_blocks(j, mus)
+            per_block = whole.mu_stats_blocks(j, mus, squares=True)
             for (lo, hi), got in zip(whole.blocks, per_block):
                 r = whole.residual[lo:hi] + mus[np.searchsorted(terminals, leaf[lo:hi])]
                 for i, k in enumerate(terminals):
@@ -453,7 +498,9 @@ class TestShardLayout:
                     assert got.s[i] == pytest.approx(r[sel].sum(), abs=1e-12)
                     assert got.s2[i] == pytest.approx((r[sel] ** 2).sum(), abs=1e-12)
             folded = pairwise_fold(per_block)
-            split = pairwise_fold([pairwise_fold(h.mu_stats_blocks(j, mus)) for h in halves])
+            split = pairwise_fold([
+                pairwise_fold(h.mu_stats_blocks(j, mus, squares=True)) for h in halves
+            ])
             for col in ("n", "s", "s2"):
                 assert np.array_equal(getattr(folded, col), getattr(split, col))
 
@@ -478,6 +525,31 @@ class TestShardLayout:
         assert shard.order.dtype.itemsize == 4
         assert shard.order.nbytes == m * n * 4
 
+    @pytest.mark.parametrize("numcut, width", [(255, 1), (256, 2)])
+    def test_rows_are_cut_indices(self, numcut, width):
+        # Up to 255 cutpoints a row costs one byte per variable; no float
+        # copy of the rows is kept.
+        rng = np.random.default_rng(46)
+        n, d = 500, 3
+        shard = build_shard(rng, n, d, 2, numcut=numcut)
+        assert shard.xb.shape == (d, n) and shard.xb.nbytes == d * n * width
+        for name in ShardData.__slots__:
+            value = getattr(shard, name)
+            if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+                assert value.ndim == 1, name
+
+    def test_rejects_bad_cut_index_matrix(self):
+        rng = np.random.default_rng(48)
+        x = rng.uniform(-1, 1, (10, 2))
+        ys = rng.standard_normal(10)
+        xb = CutpointGrid.from_data(x, 5).bin(x)
+        with pytest.raises(ValueError, match=r"xb must be \(variables, 10\) cut indices"):
+            ShardData(xb.T, ys, 1, [(0, 10)])
+        with pytest.raises(ValueError, match=r"xb must be \(variables, 10\) cut indices"):
+            ShardData(xb[:, :9], ys, 1, [(0, 10)])
+        with pytest.raises(ValueError, match="xb must hold unsigned cut indices, got dtype float64"):
+            ShardData(x.T, ys, 1, [(0, 10)])
+
 
 class TestFold:
     def test_fold_singleton_and_pair(self):
@@ -500,15 +572,15 @@ class TestFold:
 
     def test_all_zero(self):
         total = pairwise_fold([SuffStats(), SuffStats(), SuffStats()])
-        assert total == SuffStats(0, 0.0, 0.0)
+        assert total == SuffStats(0, 0.0)
 
     def test_single_identity(self):
-        st = SuffStats(3, 1.5, 2.0)
+        st = SuffStats(3, 1.5)
         assert pairwise_fold([st]) == st
 
     def test_rank_sorted_is_deterministic(self):
         rng = np.random.default_rng(1)
-        parts = [SuffStats(int(rng.integers(10)), rng.normal(), abs(rng.normal())) for _ in range(7)]
+        parts = [SuffStats(int(rng.integers(10)), rng.normal()) for _ in range(7)]
         direct = pairwise_fold(parts)
         order = rng.permutation(7)
         shuffled = [parts[i] for i in order]
@@ -528,12 +600,12 @@ class TestFold:
 
 class TestSuffStats:
     def test_fieldwise_addition(self):
-        a = SuffStats(2, 1.0, 3.0)
-        b = SuffStats(5, -2.0, 4.0)
-        assert a + b == SuffStats(7, -1.0, 7.0)
+        a = SuffStats(2, 1.0)
+        b = SuffStats(5, -2.0)
+        assert a + b == SuffStats(7, -1.0)
 
     def test_zero_identity(self):
-        a = SuffStats(3, 1.5, 2.25)
+        a = SuffStats(3, 1.5)
         assert a + SuffStats() == a
 
 
@@ -556,7 +628,7 @@ class TestOneIteration:
         grid = CutpointGrid.from_data(x, settings.numcut)
         y_mid = 0.5 * (y.min() + y.max())
         ys = (y - y_mid) / (y.max() - y.min())
-        shard = ShardData(x, ys, m, [(0, n)])
+        shard = ShardData(grid.bin(x), ys, m, [(0, n)])
         forest = [Tree() for _ in range(m)]
         sd = float(np.std(ys, ddof=1))
         checked = []
@@ -567,7 +639,7 @@ class TestOneIteration:
 
         run_chain_core(
             forest, grid, resolve_prior(settings, sd), sd, np.random.default_rng(21),
-            LocalProvider(shard, grid), settings, on_iteration=check,
+            LocalProvider(shard), settings, on_iteration=check,
         )
         assert len(checked) == 30 and min(checked) > 0
 

@@ -10,7 +10,6 @@ from bartgrid.trees import (
     build_cutpoints,
     children_ids,
     depth_of_id,
-    evaluate_rows,
     parent_id,
     route_rows,
     tree_from_lines,
@@ -66,14 +65,16 @@ class TestEvaluate:
     def test_single_node(self, grid3):
         tree = Tree()
         tree.nodes[1] = 7.5
-        assert evaluate_rows(tree, grid3, np.array([[0.3, -0.2, 0.9]])).tolist() == [7.5]
+        xb = grid3.bin(np.array([[0.3, -0.2, 0.9]]))
+        assert CompiledTrees([tree]).sum(xb).tolist() == [7.5]
 
     def test_depth_one_forces_left(self):
         grid = CutpointGrid([np.array([0.0])])
         tree = Tree()
         tree.birth(1, 0, 0, mu_left=-1.0, mu_right=2.0)
         # The rule is strict <, so a row on the cutpoint goes right.
-        assert evaluate_rows(tree, grid, np.array([[-0.3], [0.3], [0.0]])).tolist() == [
+        xb = grid.bin(np.array([[-0.3], [0.3], [0.0]]))
+        assert CompiledTrees([tree]).sum(xb).tolist() == [
             -1.0, 2.0, 2.0,
         ]
 
@@ -83,7 +84,7 @@ class TestEvaluate:
             tree = grow_random_tree(rng, grid3, n_births=15)
             xs = rng.uniform(-1, 1, (100, 3))
             expected = [naive_descend(tree, grid3, x) for x in xs]
-            assert evaluate_rows(tree, grid3, xs).tolist() == expected
+            assert CompiledTrees([tree]).sum(grid3.bin(xs)).tolist() == expected
 
     def test_every_row_reaches_exactly_one_leaf(self, grid3):
         rng = np.random.default_rng(9)
@@ -112,9 +113,16 @@ def edge_rows(grid, rng, n_random=40):
 
 
 # Cutpoints include +0.0 and -0.0; the second grid needs uint16 cut indices.
+# The later grids defeat `bin`'s guess from the mean cutpoint spacing:
+# geometrically spaced cutpoints (on a uint8 and a uint16 grid) and a grid of
+# one cutpoint.
 EDGE_GRIDS = [
     ([np.array([-0.5, 0.0, 0.25]), np.linspace(-1.0, 1.0, 10), np.array([2.0])], np.uint8),
     ([np.linspace(-1.0, 1.0, 300), np.array([-0.0, 1.0])], np.uint16),
+    ([np.geomspace(1e-3, 1.5, 40), -np.geomspace(2.0, 1e-4, 25)], np.uint8),
+    ([np.array([0.25])], np.uint8),
+    ([np.geomspace(1e-6, 1.9, 700), np.concatenate((-np.geomspace(1.0, 1e-3, 9), [0.0]))],
+     np.uint16),
 ]
 
 
@@ -126,6 +134,7 @@ class TestBinnedRouting:
         xb = grid.bin(x)
         assert xb.dtype == dtype and xb.shape == (grid.n_vars, x.shape[0])
         for v in range(grid.n_vars):
+            assert np.array_equal(xb[v], np.searchsorted(grid.values[v], x[:, v], side="right"))
             for c in range(grid.count(v)):
                 assert np.array_equal(xb[v] <= c, x[:, v] < grid.value(v, c)), (v, c)
             # NaN counts above every cutpoint, so it goes right under both rules.
@@ -139,7 +148,7 @@ class TestBinnedRouting:
         for _ in range(5):
             tree = grow_random_tree(rng, grid, n_births=12)
             expected = [naive_descend(tree, grid, row) for row in x]
-            assert evaluate_rows(tree, grid, x).tolist() == expected
+            assert CompiledTrees([tree]).sum(grid.bin(x)).tolist() == expected
             ids = route_rows(tree, grid, x)
             assert [tree.nodes[k] for k in ids.tolist()] == expected
 

@@ -8,6 +8,11 @@ reduction is the balanced pairwise fold from `sampler`, which is what makes
 the chain bit-identical across worker counts (and equal to the serial chain)
 whenever each worker holds a power-of-two number of blocks.
 
+A worker answers in a fixed order.  In an iteration's tree phase it takes
+each tree in turn: a proposal (answered with MOVE_STATS, then the decision)
+or a bare reject, then the leaf pass.  Any other message, or a proposal that
+does not fit its forest replica, fails the run.
+
 One transport, a stream socket: a socketpair per worker thread in-process,
 TCP across hosts.  Failure model is fail-stop: any worker loss aborts the
 run.
@@ -19,7 +24,7 @@ import socket
 import threading
 import time
 from dataclasses import astuple, dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,11 +43,10 @@ from .sampler import (
     forest_hash,
     pairwise_fold,
     partition_bounds,
-    resolve_prior,
-    run_chain_core,
+    start_chain,
     summarize_shard,
 )
-from .trees import CutpointGrid, Tree, children_ids
+from .trees import MAX_DEPTH, CutpointGrid, Tree, available_cut_range, children_ids, depth_of_id
 
 
 class ClusterError(RuntimeError):
@@ -89,19 +93,6 @@ def shard_block_slices(n_local: int, blocks: int, p: int) -> list[tuple[int, int
 # ---------------------------------------------------------------------------
 # Transports
 # ---------------------------------------------------------------------------
-
-class Channel(Protocol):
-    """Ordered, reliable duplex byte channel (one endpoint).
-
-    `recv(n)` blocks until exactly n bytes have arrived.
-    """
-
-    def send(self, data: bytes) -> None: ...
-
-    def recv(self, n: int) -> bytes: ...
-
-    def close(self) -> None: ...
-
 
 class SocketChannel:
     """Stream-socket channel: TCP across hosts, a socketpair in-process."""
@@ -171,11 +162,10 @@ class MessageIO:
     arrive next and, for the per-leaf messages, how many records to expect.
     """
 
-    def __init__(self, channel: Channel, audit: ByteAudit | None = None,
-                 capture: list | None = None):
+    def __init__(self, channel: SocketChannel, audit: ByteAudit | None = None):
         self.channel = channel
         self.audit = audit
-        self.capture = capture
+        self.capture: list | None = None
 
     def _log(self, frame: bytes, outgoing: bool) -> None:
         if self.audit is not None:
@@ -210,7 +200,7 @@ class MessageIO:
 # ---------------------------------------------------------------------------
 
 def run_worker(
-    channel: Channel,
+    channel: SocketChannel,
     x: np.ndarray,
     y: np.ndarray,
     rank: int,
@@ -218,7 +208,7 @@ def run_worker(
     reduction_blocks: int,
     audit: ByteAudit | None = None,
 ) -> None:
-    """Worker event loop: serve reduced statistics until SHUTDOWN.
+    """Worker loop: serve reduced statistics, phase by phase, until SHUTDOWN.
 
     The worker drives a `LocalProvider` over its shard: each message becomes
     the call the serial chain makes on its provider.  Once RUN_SETUP has
@@ -245,76 +235,78 @@ def run_worker(
         raise ClusterError(
             f"rank {rank} shard holds {y.size} rows, layout expects {expected_hi - expected_lo}"
         )
-    grid = CutpointGrid.from_ranges(
-        np.array(setup.x_min), np.array(setup.x_max), setup.numcut
-    )
+    grid = CutpointGrid.from_ranges(setup.x_min, setup.x_max, setup.numcut)
     ys = (y - setup.y_mid) / setup.y_range
     provider = LocalProvider(ShardData(grid.bin(x), ys, setup.m, blocks))
     del x, y
     forest = [Tree() for _ in range(setup.m)]
 
-    j = 0
-    pending = None  # proposal awaiting the master's decision
-    expected_msgs = (
-        proto.IterBegin,
-        proto.BirthProposal,
-        proto.DeathProposal,
-        proto.BirthAccept,
-        proto.DeathAccept,
-        proto.Reject,
-        proto.Shutdown,
-    )
     while True:
-        msg = io.recv(expected_msgs)
+        msg = io.recv((proto.IterBegin, proto.Shutdown))
         if isinstance(msg, proto.Shutdown):
             return
-        if isinstance(msg, proto.IterBegin):
-            if msg.phase == proto.PHASE_TREES:
-                j = 0
-                pending = None
-            elif msg.phase == proto.PHASE_SIGMA:
-                io.send(proto.RssPartial(provider.rss()))
-            elif msg.phase == proto.PHASE_HASH:
-                io.send(proto.ReplicaHash(
-                    hashlib.md5(forest_hash(forest).encode()).digest()
-                ))
-            else:
-                raise ClusterError(f"unknown iteration phase {msg.phase}")
-            continue
-        tree = forest[j]
-        if isinstance(msg, (proto.BirthProposal, proto.DeathProposal)):
-            if isinstance(msg, proto.BirthProposal):
-                pending = Proposal(BIRTH, j, msg.node_id, msg.v, msg.c)
-            else:
-                if msg.left_id // 2 != msg.right_id // 2 or msg.left_id + 1 != msg.right_id:
-                    raise ClusterError("death proposal children are not siblings")
-                pending = Proposal(DEATH, j, msg.left_id // 2)
-            left, right = provider.move_stats(j, tree, pending)
-            io.send(proto.MoveStats(left.n, right.n, left.s, right.s))
-            continue
-        # The decision on the pending proposal, or a bare reject for a tree
-        # whose drawn proposal had no admissible rule; the leaf pass follows.
-        # An accept carries the whole move, which must be the one proposed.
+        if msg.phase == proto.PHASE_TREES:
+            for j, tree in enumerate(forest):
+                _serve_tree(io, provider, grid, j, tree)
+        elif msg.phase == proto.PHASE_SIGMA:
+            io.send(proto.RssPartial(provider.rss()))
+        elif msg.phase == proto.PHASE_HASH:
+            io.send(proto.ReplicaHash(hashlib.md5(forest_hash(forest).encode()).digest()))
+        else:
+            raise ClusterError(f"unknown iteration phase {msg.phase}")
+
+
+def _serve_tree(
+    io: MessageIO, provider: LocalProvider, grid: CutpointGrid, j: int, tree: Tree
+) -> None:
+    """Tree j's exchange: a proposal and its decision, or a bare reject (the
+    drawn birth had no admissible rule); then the leaf pass.  An accept
+    carries the whole move, which must be the one proposed."""
+    msg = io.recv((proto.BirthProposal, proto.DeathProposal, proto.Reject))
+    if not isinstance(msg, proto.Reject):
+        prop = _checked_proposal(j, tree, grid, msg)
+        left, right = provider.move_stats(j, tree, prop)
+        io.send(proto.MoveStats(left.n, right.n, left.s, right.s))
+        msg = io.recv((proto.BirthAccept, proto.DeathAccept, proto.Reject))
         if isinstance(msg, proto.BirthAccept):
-            if pending != Proposal(BIRTH, j, msg.node_id, msg.v, msg.c):
+            if prop != Proposal(BIRTH, j, msg.node_id, msg.v, msg.c):
                 raise ClusterError("birth accept does not match the pending proposal")
-            provider.apply_birth(j, tree, pending, msg.mu_left, msg.mu_right)
+            provider.apply_birth(j, tree, prop, msg.mu_left, msg.mu_right)
             tree.birth(msg.node_id, msg.v, msg.c, msg.mu_left, msg.mu_right)
         elif isinstance(msg, proto.DeathAccept):
-            if pending != Proposal(DEATH, j, msg.node_id):
+            if prop != Proposal(DEATH, j, msg.node_id):
                 raise ClusterError("death accept does not match the pending proposal")
-            provider.apply_death(j, tree, pending, msg.mu)
+            provider.apply_death(j, tree, prop, msg.mu)
             tree.death(msg.node_id, msg.mu)
-        pending = None
-        terminals = tree.terminals()
-        old = np.array([tree.nodes[k] for k in terminals], dtype=np.float64)
-        # The payload carries sums of squares too; the master discards them.
-        stats = pairwise_fold(provider.shard.mu_stats_blocks(j, old, squares=True))
-        io.send(proto.MuStats(tuple(zip(stats.n.tolist(), stats.s.tolist(), stats.s2.tolist()))))
-        new = io.recv((proto.MuValues,), mu_records=len(terminals)).values
-        provider.apply_mus(j, old, np.array(new, dtype=np.float64))
-        tree.nodes.update(zip(terminals, new))
-        j = (j + 1) % setup.m
+    terminals = tree.terminals()
+    old = np.array([tree.nodes[k] for k in terminals], dtype=np.float64)
+    # The payload carries sums of squares too; the master discards them.
+    stats = pairwise_fold(provider.shard.mu_stats_blocks(j, old, squares=True))
+    io.send(proto.MuStats(tuple(zip(stats.n.tolist(), stats.s.tolist(), stats.s2.tolist()))))
+    new = io.recv((proto.MuValues,), mu_records=len(terminals)).values
+    provider.apply_mus(j, old, np.array(new, dtype=np.float64))
+    tree.nodes.update(zip(terminals, new))
+
+
+def _checked_proposal(j: int, tree: Tree, grid: CutpointGrid, msg: proto.Message) -> Proposal:
+    """The move `msg` proposes on tree j: a birth of a leaf above the maximum
+    depth by a rule its ancestors leave open, or a death of a nog's leaves."""
+    if isinstance(msg, proto.BirthProposal):
+        k, v, c = msg.node_id, msg.v, msg.c
+        if isinstance(tree.nodes.get(k, ()), tuple) or depth_of_id(k) >= MAX_DEPTH:
+            raise ClusterError(f"tree {j}: birth at node {k}, which is not a leaf that may split")
+        if v >= grid.n_vars:
+            raise ClusterError(f"tree {j}: birth at node {k} on variable {v} of {grid.n_vars}")
+        lo, hi = available_cut_range(tree, k, v, grid.count(v))
+        if not lo <= c < hi:
+            raise ClusterError(
+                f"tree {j}: birth at node {k} cuts variable {v} at {c}, outside [{lo}, {hi})"
+            )
+        return Proposal(BIRTH, j, k, v, c)
+    k, pair = msg.left_id // 2, (msg.left_id, msg.right_id)
+    if children_ids(k) != pair or k not in tree.nogs():
+        raise ClusterError(f"tree {j}: death of nodes {pair}, which are not the leaves of a nog")
+    return Proposal(DEATH, j, k)
 
 
 # ---------------------------------------------------------------------------
@@ -375,32 +367,36 @@ class RemoteProvider:
         self._broadcast(proto.IterBegin(self._iteration, proto.PHASE_SIGMA))
         return pairwise_fold([io.recv((proto.RssPartial,)).rss for io in self.ios])
 
-    def replica_hashes(self) -> list[bytes]:
+    def check_replicas(self, it: int, sigma: float, forest: list[Tree]) -> None:
+        """Chain hook: every worker's forest replica must hash as `forest` does."""
+        expected = hashlib.md5(forest_hash(forest).encode()).digest()
         self._broadcast(proto.IterBegin(self._iteration, proto.PHASE_HASH))
-        return [io.recv((proto.ReplicaHash,)).digest for io in self.ios]
+        for rank, io in enumerate(self.ios, start=1):
+            if io.recv((proto.ReplicaHash,)).digest != expected:
+                raise ClusterError(f"rank {rank} forest replica diverged at iteration {it}")
 
-    def finish(self) -> None:
+    def shutdown(self) -> None:
         self._broadcast(proto.Shutdown())
 
 
 def run_master(
-    channels: Sequence[Channel],
+    channels: Sequence[SocketChannel],
     settings: FitSettings,
     *,
     audits: dict[int, ByteAudit] | None = None,
     captures: dict[int, list] | None = None,
-    collect_hashes: bool = False,
-    collect_trace: bool = False,
     check_replicas: bool = False,
-    on_iteration: Callable[[int, float, list[Tree]], None] | None = None,
+    **chain_kwargs,
 ) -> ChainResult:
     """Drive the full distributed chain over connected worker channels.
 
     The channels may come in any order: each worker names its rank (1..p) in
     its HELLO, and must have sent nothing else yet (the handshake starts
-    here).  `audits` and `captures` are keyed by rank.  Returns the same
-    result structure as the serial sampler: for equal seeds and block
-    layouts the two are bit-identical.
+    here).  `audits` and `captures` are keyed by rank.  `check_replicas`
+    compares every worker's forest replica with the master's forest after
+    each iteration; `chain_kwargs` (`collect_hashes`, `collect_trace`) go to
+    `run_chain_core`.  Returns the same result structure as the serial
+    sampler: for equal seeds and block layouts the two are bit-identical.
     """
     settings.validate()
     p = len(channels)
@@ -448,38 +444,14 @@ def run_master(
         tuple(derived.x_min),
         tuple(derived.x_max),
     )
-    for rank in sorted(ios):
-        ios[rank].send(setup)
-
-    grid = CutpointGrid.from_ranges(derived.x_min, derived.x_max, settings.numcut)
-    prior = resolve_prior(settings, derived.sd_scaled)
     provider = RemoteProvider(ios, n_total)
-    forest = [Tree() for _ in range(settings.m)]
-    rng = np.random.default_rng(settings.seed)
-
-    def iteration_hook(it: int, sigma: float, f: list[Tree]) -> None:
-        if check_replicas:
-            expected = hashlib.md5(forest_hash(f).encode()).digest()
-            for rank, digest in zip(sorted(ios), provider.replica_hashes()):
-                if digest != expected:
-                    raise ClusterError(f"rank {rank} forest replica diverged at iteration {it}")
-        if on_iteration is not None:
-            on_iteration(it, sigma, f)
-
-    result = run_chain_core(
-        forest,
-        grid,
-        prior,
-        derived.sd_scaled,
-        rng,
-        provider,
-        settings,
-        collect_hashes=collect_hashes,
-        collect_trace=collect_trace,
-        on_iteration=iteration_hook,
+    provider._broadcast(setup)
+    grid = CutpointGrid.from_ranges(derived.x_min, derived.x_max, settings.numcut)
+    result = start_chain(
+        settings, derived, grid, provider,
+        on_iteration=provider.check_replicas if check_replicas else None, **chain_kwargs,
     )
-    result.y_mid = derived.y_mid
-    result.y_range = derived.y_range
+    provider.shutdown()
     return result
 
 
@@ -498,14 +470,12 @@ def run_cluster_inprocess(
     settings: FitSettings,
     workers: int,
     *,
-    audits: dict[int, ByteAudit] | None = None,
     worker_audits: dict[int, ByteAudit] | None = None,
-    captures: dict[int, list] | None = None,
-    collect_hashes: bool = False,
-    collect_trace: bool = False,
-    check_replicas: bool = False,
+    **master_kwargs,
 ) -> ChainResult:
     """Run master plus `workers` worker threads inside this process.
+
+    `master_kwargs` go to `run_master`; `worker_audits` are keyed by rank.
 
     A worker thread closes its end of the socketpair when it exits, so the
     master's next receive fails at once.  The run then raises a ClusterError
@@ -543,15 +513,7 @@ def run_cluster_inprocess(
         thread.start()
 
     try:
-        return run_master(
-            channels,
-            settings,
-            audits=audits,
-            captures=captures,
-            collect_hashes=collect_hashes,
-            collect_trace=collect_trace,
-            check_replicas=check_replicas,
-        )
+        return run_master(channels, settings, **master_kwargs)
     except ClusterError:
         if failures:
             raise ClusterError(f"worker failed: {failures[0]!r}") from failures[0]

@@ -10,8 +10,10 @@ worker layout.
 
 The chain itself is driven by `run_chain_core`, which is shared between the
 serial sampler and the distributed master: both consume the exact same random
-variate sequence, so equal statistics imply bit-equal chains.  The shard
-side is shared too: the serial sampler hands `run_chain_core` a
+variate sequence, so equal statistics imply bit-equal chains.  Both start it
+through `start_chain`, which builds the empty forest, the prior and the
+seeded generator, and returns the result in the response's units.  The shard
+side is shared too: the serial sampler hands `start_chain` a
 `LocalProvider` over all rows, and each worker drives a `LocalProvider` over
 its own rows, making for every master message the call the serial chain
 makes.
@@ -625,7 +627,6 @@ class FitSettings:
 class RunDerived:
     """Data-derived constants shared verbatim by master and workers."""
 
-    n_total: int
     y_mid: float
     y_range: float
     sd_scaled: float
@@ -667,7 +668,7 @@ def derive_run_constants(summaries: Sequence[Sequence]) -> RunDerived:
     y_mid = 0.5 * (y_min + y_max)
     var_y = (y_sumsq - y_sum * y_sum / n_total) / (n_total - 1)
     sd_scaled = math.sqrt(max(var_y, 0.0)) / y_range
-    return RunDerived(n_total, y_mid, y_range, sd_scaled, x_min, x_max)
+    return RunDerived(y_mid, y_range, sd_scaled, x_min, x_max)
 
 
 def resolve_prior(settings: FitSettings, sd_scaled: float) -> PriorParams:
@@ -714,8 +715,6 @@ class StatsProvider(Protocol):
 
     def rss(self) -> float: ...
 
-    def finish(self) -> None: ...
-
 
 class LocalProvider:
     """Provider over one shard in this process: all rows for the serial
@@ -759,9 +758,6 @@ class LocalProvider:
 
     def rss(self) -> float:
         return pairwise_fold(self.shard.rss_blocks())
-
-    def finish(self) -> None:
-        pass
 
 
 @dataclass(slots=True)
@@ -925,7 +921,6 @@ def run_chain_core(
         if on_iteration is not None:
             on_iteration(it, sigma, forest)
     elapsed = time.perf_counter() - start
-    provider.finish()
 
     return ChainResult(
         settings=settings,
@@ -946,6 +941,28 @@ def run_chain_core(
         elapsed=elapsed,
         trace=trace if collect_trace else None,
     )
+
+
+def start_chain(
+    settings: FitSettings,
+    derived: RunDerived,
+    grid: CutpointGrid,
+    provider: StatsProvider,
+    **chain_kwargs,
+) -> ChainResult:
+    """Run the chain from an empty forest and a generator seeded from `settings`.
+
+    The one start of the serial sampler and the distributed master.
+    `chain_kwargs` go to `run_chain_core`; the result is in the units of y.
+    """
+    result = run_chain_core(
+        [Tree() for _ in range(settings.m)], grid, resolve_prior(settings, derived.sd_scaled),
+        derived.sd_scaled, np.random.default_rng(settings.seed), provider, settings,
+        **chain_kwargs,
+    )
+    result.y_mid = derived.y_mid
+    result.y_range = derived.y_range
+    return result
 
 
 def run_serial(
@@ -969,26 +986,12 @@ def run_serial(
 
     derived = derive_run_constants([summarize_shard(x, y, blocks)])
     grid = CutpointGrid.from_ranges(derived.x_min, derived.x_max, settings.numcut)
-    prior = resolve_prior(settings, derived.sd_scaled)
     ys = (y - derived.y_mid) / derived.y_range
-    shard = ShardData(grid.bin(x), ys, settings.m, blocks)
-    forest = [Tree() for _ in range(settings.m)]
-    rng = np.random.default_rng(settings.seed)
-
-    result = run_chain_core(
-        forest,
-        grid,
-        prior,
-        derived.sd_scaled,
-        rng,
-        LocalProvider(shard),
-        settings,
-        collect_hashes=collect_hashes,
-        collect_trace=collect_trace,
+    provider = LocalProvider(ShardData(grid.bin(x), ys, settings.m, blocks))
+    return start_chain(
+        settings, derived, grid, provider,
+        collect_hashes=collect_hashes, collect_trace=collect_trace,
     )
-    result.y_mid = derived.y_mid
-    result.y_range = derived.y_range
-    return result
 
 
 def check_residual_invariant(

@@ -1,3 +1,4 @@
+import contextlib
 import socket
 import threading
 import time
@@ -23,6 +24,7 @@ from bartgrid.cluster import (
 )
 from bartgrid.protocol import iteration_byte_count
 from bartgrid.sampler import FitSettings, partition_bounds, run_serial
+from bartgrid.trees import MAX_DEPTH
 
 
 def toy_data(n=400, d=3, seed=0):
@@ -44,6 +46,66 @@ def channel_pair():
     for sock in ends:
         sock.settimeout(10.0)
     return tuple(SocketChannel(sock) for sock in ends)
+
+
+@contextlib.contextmanager
+def scripted_master(m=1, d=3, numcut=10):
+    """The master's end of a worker on 40 rows, past RUN_SETUP on a grid of
+    `numcut` cutpoints per variable; yields it and the list of the worker's
+    ClusterErrors, which is complete once the block exits."""
+    x, y = toy_data(40, d)
+    master_end, worker_end = channel_pair()
+    errors = []
+
+    def target():
+        try:
+            run_worker(worker_end, x, y, 1, 1, 1)
+        except ClusterError as exc:
+            errors.append(exc)
+        finally:
+            worker_end.close()
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    try:
+        io = MessageIO(master_end)
+        io.recv((proto.Hello,))
+        meta = io.recv((proto.ShardMeta,))
+        io.send(proto.RunSetup(m, numcut, 1, 40, 0.0, 1.0, meta.x_min, meta.x_max))
+        yield io, errors
+        thread.join(timeout=15)
+    finally:
+        master_end.close()
+    assert not thread.is_alive()
+
+
+def play(io, steps):
+    """Send each message in `steps`; receive each message type instead, and
+    each (type, records) pair as a per-leaf message of that many records."""
+    for step in steps:
+        if isinstance(step, tuple):
+            io.recv(step[:1], mu_records=step[1])
+        elif isinstance(step, type):
+            io.recv((step,))
+        else:
+            io.send(step)
+
+
+def right_spine(depth):
+    """Tree sweeps of a one-tree chain that split node 1 at (0, 0), its right
+    child at (0, 1), and so on, until the tree is `depth` deep."""
+    steps = []
+    for level in range(depth):
+        node = 2 ** (level + 1) - 1
+        steps += [
+            proto.IterBegin(level + 1, proto.PHASE_TREES),
+            proto.BirthProposal(node, 0, level),
+            proto.MoveStats,
+            proto.BirthAccept(node, 0, level, 0.0, 0.0),
+            (proto.MuStats, level + 2),
+            proto.MuValues((0.0,) * (level + 2)),
+        ]
+    return steps
 
 
 class TestShardData:
@@ -119,6 +181,21 @@ class TestEquivalence:
         settings = toy_settings(draws=15, burn=5, thin=2)
         result = run_cluster_inprocess(x, y, settings, workers=2, check_replicas=True)
         assert result.sigmas.size == 15
+
+    def test_replica_check_catches_a_diverged_replica(self, monkeypatch):
+        # Rank 2 shifts a leaf of its first tree after every leaf pass.
+        serve_tree = cluster._serve_tree
+
+        def perturbed(io, provider, grid, j, tree):
+            serve_tree(io, provider, grid, j, tree)
+            if j == 0 and threading.current_thread().name == "bartgrid-worker-2":
+                tree.nodes[tree.terminals()[0]] += 1.0
+
+        monkeypatch.setattr(cluster, "_serve_tree", perturbed)
+        x, y = toy_data(120)
+        settings = toy_settings(draws=4, burn=1, thin=1)
+        with pytest.raises(ClusterError, match="rank 2 forest replica diverged at iteration 1"):
+            run_cluster_inprocess(x, y, settings, workers=2, check_replicas=True)
 
 
 class TestByteAccounting:
@@ -260,35 +337,83 @@ class TestTransportErrors:
     )
     def test_accept_must_match_the_pending_proposal(self, accept):
         # A scripted master proposes a birth, then accepts another move.
-        x, y = toy_data(40)
-        master_end, worker_end = channel_pair()
-        errors = []
-
-        def target():
-            try:
-                run_worker(worker_end, x, y, 1, 1, 1)
-            except ClusterError as exc:
-                errors.append(exc)
-            finally:
-                worker_end.close()
-
-        thread = threading.Thread(target=target, daemon=True)
-        thread.start()
-        try:
-            io = MessageIO(master_end)
-            io.recv((proto.Hello,))
-            meta = io.recv((proto.ShardMeta,))
-            io.send(proto.RunSetup(1, 10, 1, 40, 0.0, 1.0, meta.x_min, meta.x_max))
-            io.send(proto.IterBegin(1, proto.PHASE_TREES))
-            io.send(proto.BirthProposal(1, 0, 3))
-            io.recv((proto.MoveStats,))
-            io.send(accept)
-            thread.join(timeout=15)
-        finally:
-            master_end.close()
-        assert not thread.is_alive()
+        with scripted_master() as (io, errors):
+            play(io, [
+                proto.IterBegin(1, proto.PHASE_TREES),
+                proto.BirthProposal(1, 0, 3),
+                proto.MoveStats,
+                accept,
+            ])
         assert len(errors) == 1
         assert "does not match the pending proposal" in str(errors[0])
+
+    @pytest.mark.parametrize(
+        "m, steps, match",
+        [
+            pytest.param(
+                1,
+                [
+                    proto.IterBegin(1, proto.PHASE_TREES),
+                    proto.BirthProposal(1, 0, 3),
+                    proto.MoveStats,
+                    proto.BirthProposal(1, 0, 3),
+                ],
+                "unexpected BirthProposal, wanted BirthAccept/DeathAccept/Reject",
+                id="second-proposal-before-the-decision",
+            ),
+            pytest.param(
+                2,
+                [
+                    proto.IterBegin(1, proto.PHASE_TREES),
+                    proto.Reject(),
+                    (proto.MuStats, 1),
+                    proto.MuValues((0.0,)),
+                    proto.IterBegin(1, proto.PHASE_TREES),
+                ],
+                "unexpected IterBegin, wanted BirthProposal/DeathProposal/Reject",
+                id="tree-phase-restarted-mid-sweep",
+            ),
+        ],
+    )
+    def test_worker_refuses_messages_out_of_order(self, m, steps, match):
+        with scripted_master(m=m) as (io, errors):
+            play(io, steps)
+        assert len(errors) == 1
+        assert match in str(errors[0])
+
+    @pytest.mark.parametrize(
+        "depth, proposal, match",
+        [
+            (0, proto.DeathProposal(0, 1), "tree 0: death of nodes (0, 1), which are not"),
+            (0, proto.DeathProposal(2, 3), "tree 0: death of nodes (2, 3), which are not"),
+            (0, proto.DeathProposal(3, 4), "tree 0: death of nodes (3, 4), which are not"),
+            (0, proto.BirthProposal(1, 5, 0), "tree 0: birth at node 1 on variable 5 of 2"),
+            (0, proto.BirthProposal(1, 0, 50), "node 1 cuts variable 0 at 50, outside [0, 31)"),
+            (0, proto.BirthProposal(2, 0, 3), "tree 0: birth at node 2, which is not a leaf"),
+            (1, proto.BirthProposal(1, 1, 3), "tree 0: birth at node 1, which is not a leaf"),
+            (1, proto.BirthProposal(3, 0, 0), "node 3 cuts variable 0 at 0, outside [1, 31)"),
+            (1, proto.DeathProposal(4, 5), "tree 0: death of nodes (4, 5), which are not"),
+            (
+                MAX_DEPTH,
+                proto.BirthProposal(2 ** (MAX_DEPTH + 1) - 1, 0, MAX_DEPTH),
+                f"birth at node {2 ** (MAX_DEPTH + 1) - 1}, which is not a leaf that may split",
+            ),
+        ],
+        ids=[
+            "death-at-node-0", "death-at-a-leaf-root", "death-of-non-siblings",
+            "birth-on-a-missing-variable", "birth-past-the-grid", "birth-at-a-missing-node",
+            "birth-at-an-internal-node", "birth-outside-the-ancestor-range", "death-at-a-leaf",
+            "birth-at-the-maximum-depth",
+        ],
+    )
+    def test_worker_refuses_a_proposal_its_replica_cannot_make(self, depth, proposal, match):
+        # Two predictors and MAX_DEPTH + 1 cutpoints; the tree is a right
+        # spine `depth` deep, its root split at (0, 0).
+        steps = [*right_spine(depth), proto.IterBegin(depth + 1, proto.PHASE_TREES), proposal]
+        with scripted_master(d=2, numcut=MAX_DEPTH + 1) as (io, errors):
+            play(io, steps)
+        assert len(errors) == 1
+        assert match in str(errors[0])
 
     def test_worker_shard_holds_only_cut_indices(self, monkeypatch):
         providers = []

@@ -2,14 +2,16 @@
 
 Configuration is flat key=value text (one pair per line, # comments)
 optionally combined with command-line flags; flags override file values,
-file values override defaults.  Fitted posteriors persist as plain text
-with full-precision decimals, so a reloaded model predicts bit-identically.
+file values override defaults.  The fit keys are `FitSettings`' fields,
+which declare their defaults and domains.  Fitted posteriors persist as
+plain text with full-precision decimals, so a reloaded model predicts
+bit-identically.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,10 +36,6 @@ class ModelFileError(ValueError):
 # Run configuration
 # ---------------------------------------------------------------------------
 
-def _positive_int(v: int) -> bool:
-    return v >= 1
-
-
 def _bool(text: str) -> bool:
     if text.lower() in ("1", "true", "yes"):
         return True
@@ -46,32 +44,29 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# key -> (converter, domain check, default)
+# Run keys: key -> (converter, domain check, default)
 _CONFIG_KEYS: dict[str, tuple[Callable, Callable, object]] = {
     "role": (str, lambda v: v in ("serial", "master", "worker"), "serial"),
     "listen": (str, lambda v: True, ""),
     "connect": (str, lambda v: True, ""),
-    "rank": (int, _positive_int, 1),
+    "rank": (int, lambda v: v >= 1, 1),
     "data": (str, lambda v: True, ""),
     "response": (str, lambda v: bool(v), "y"),
-    "m": (int, _positive_int, 200),
-    "kfac": (float, lambda v: v > 0, 2.0),
-    "alpha": (float, lambda v: 0 < v < 1, 0.95),
-    "beta": (float, lambda v: v >= 0, 2.0),
-    "nu": (float, lambda v: v > 0, 3.0),
-    "sigma_quantile": (float, lambda v: 0 < v < 1, 0.9),
-    "numcut": (int, _positive_int, 100),
-    "min_leaf": (int, lambda v: v >= 0, 5),
-    "draws": (int, _positive_int, 1000),
-    "burn": (int, lambda v: v >= 0, 100),
-    "thin": (int, _positive_int, 1),
-    "seed": (int, lambda v: v >= 0, 0),
-    "workers": (int, _positive_int, 1),
-    "reduction_blocks": (int, _positive_int, 0),  # 0 = default to worker count
+    "workers": (int, lambda v: v >= 1, 1),
     "out": (str, lambda v: True, ""),
     "chain_log": (str, lambda v: True, ""),
-    "prior_only": (_bool, lambda v: True, False),
     "check_replicas": (_bool, lambda v: True, False),
+}
+
+# Fit keys: key -> FitSettings field, spelled as the field except these.
+_FIELD_KEY = {"sigquant": "sigma_quantile"}
+_FIT_KEYS = {_FIELD_KEY.get(f.name, f.name): f for f in fields(FitSettings)}
+
+# Every key -> (converter, domain check, default).  A fit key's text converts
+# by the type of its default; FitSettings.validate checks its domain.
+_KEYS: dict[str, tuple[Callable, Callable, object]] = _CONFIG_KEYS | {
+    key: (_bool if isinstance(f.default, bool) else type(f.default), lambda v: True, f.default)
+    for key, f in _FIT_KEYS.items()
 }
 
 
@@ -83,44 +78,11 @@ class RunConfig:
     rank: int
     data: str
     response: str
-    m: int
-    kfac: float
-    alpha: float
-    beta: float
-    nu: float
-    sigma_quantile: float
-    numcut: int
-    min_leaf: int
-    draws: int
-    burn: int
-    thin: int
-    seed: int
     workers: int
-    reduction_blocks: int
     out: str
     chain_log: str
-    prior_only: bool
     check_replicas: bool
-
-    def fit_settings(self) -> FitSettings:
-        if self.draws <= self.burn:
-            raise ConfigError("draws must exceed burn (empty posterior otherwise)")
-        return FitSettings(
-            m=self.m,
-            kfac=self.kfac,
-            alpha=self.alpha,
-            beta=self.beta,
-            nu=self.nu,
-            sigquant=self.sigma_quantile,
-            numcut=self.numcut,
-            min_leaf=self.min_leaf,
-            draws=self.draws,
-            burn=self.burn,
-            thin=self.thin,
-            seed=self.seed,
-            reduction_blocks=self.reduction_blocks or None,
-            prior_only=self.prior_only,
-        )
+    fit: FitSettings
 
     def require(self, *keys: str) -> None:
         for key in keys:
@@ -144,13 +106,13 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def parse_config(flags: dict[str, str], file: str | None = None) -> RunConfig:
     """Merge defaults, config-file pairs and flag pairs (flags win)."""
-    merged = {key: spec[2] for key, spec in _CONFIG_KEYS.items()}
+    merged = {key: spec[2] for key, spec in _KEYS.items()}
     for source_name, pairs in (("config file", _read_config_file(file) if file else {}),
                                ("flag", flags)):
         for key, raw in pairs.items():
-            if key not in _CONFIG_KEYS:
+            if key not in _KEYS:
                 raise ConfigError(f"unknown {source_name} key {key!r}")
-            conv, check, _default = _CONFIG_KEYS[key]
+            conv, check, _default = _KEYS[key]
             try:
                 value = conv(raw) if isinstance(raw, str) else raw
             except ValueError as exc:
@@ -158,7 +120,13 @@ def parse_config(flags: dict[str, str], file: str | None = None) -> RunConfig:
             if not check(value):
                 raise ConfigError(f"{key}: value {value!r} out of domain")
             merged[key] = value
-    return RunConfig(**merged)
+    fit = FitSettings(**{f.name: merged.pop(key) for key, f in _FIT_KEYS.items()})
+    try:
+        fit.validate()
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{_FIELD_KEY.get(name, name)} {rest}") from None
+    return RunConfig(**merged, fit=fit)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +283,7 @@ def _load_worker_shard(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, int]:
     if cfg.response not in header:
         raise TableError(f"response column {cfg.response!r} not in header")
     ycol = header.index(cfg.response)
-    blocks = cfg.reduction_blocks or cfg.workers
+    blocks = cfg.fit.reduction_blocks or cfg.workers
     lo, hi = worker_row_range(n_total, blocks, cfg.workers, cfg.rank)
     data = np.array(
         [row for _header, row in iter_rows(cfg.data, lo, hi)], dtype=np.float64
@@ -327,10 +295,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     flag_pairs = {
         key: value
         for key, value in vars(args).items()
-        if key in _CONFIG_KEYS and value is not None
+        if key in _KEYS and value is not None
     }
     cfg = parse_config(flag_pairs, args.config)
-    settings = cfg.fit_settings()
 
     if cfg.role == "worker":
         cfg.require("connect", "data")
@@ -338,7 +305,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         x, y, _n_total = _load_worker_shard(cfg)
         connect_worker(
             (host or "127.0.0.1", int(port)), x, y, cfg.rank, cfg.workers,
-            cfg.reduction_blocks or cfg.workers,
+            cfg.fit.reduction_blocks or cfg.workers,
         )
         return 0
 
@@ -348,13 +315,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         result = serve_master(
             (host or "127.0.0.1", int(port)),
             cfg.workers,
-            settings,
+            cfg.fit,
             check_replicas=cfg.check_replicas,
         )
     else:
         cfg.require("data", "out")
         x, y, _names = read_table(cfg.data, response=cfg.response)
-        result = run_serial(x, y, settings)
+        result = run_serial(x, y, cfg.fit)
 
     if not result.snapshots:
         raise ConfigError("no posterior snapshots kept; check draws/burn/thin")
@@ -468,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="run the sampler (serial, master, or worker role)")
     fit.add_argument("--config", default=None, help="key=value configuration file")
-    for key in _CONFIG_KEYS:
+    for key in _KEYS:
         fit.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
     fit.set_defaults(func=_cmd_fit)
 

@@ -540,6 +540,7 @@ def serve_master(
     **master_kwargs,
 ) -> ChainResult:
     """Listen, accept `workers` connections, run the chain, shut down."""
+    settings.validate()
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     channels: list[SocketChannel] = []

@@ -153,7 +153,8 @@ def fit_runtime_model(
 
     RMSE is the degrees-of-freedom-adjusted residual error sqrt(RSS/(n-k)).
     Each step removes the term whose removal leaves the lowest RMSE, as long
-    as that RMSE stays within (1 + rmse_slack) of the current one.  A term
+    as that RMSE stays within (1 + rmse_slack) of the lowest RMSE on the
+    path so far, so the slack cannot compound from step to step.  A term
     that actually carries signal blows RMSE up by far more than the slack
     when removed, while a noise-fitting term moves it only a few percent, so
     the rule prunes reliably where a strict no-increase rule stalls on terms
@@ -176,6 +177,7 @@ def fit_runtime_model(
     # Absolute floor keeps the ratio test meaningful when the fit is exact
     # and RMSE sits at rounding-noise level.
     floor = 1e-10 * math.sqrt(float(np.mean(y * y)))
+    best_rmse = rmse
     while len(terms) > 1:
         best = None
         for i in range(len(terms)):
@@ -188,9 +190,10 @@ def fit_runtime_model(
                 continue
             if best is None or cand_rmse < best[1]:
                 best = (reduced, cand_rmse, cand_coefs)
-        if best is None or best[1] > rmse * (1.0 + rmse_slack) + floor:
+        if best is None or best[1] > best_rmse * (1.0 + rmse_slack) + floor:
             break
         terms, rmse, coefs = best[0], best[1], best[2]
+        best_rmse = min(best_rmse, rmse)
     fitted = _design_matrix(records, target, terms) @ coefs
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -331,27 +334,26 @@ def bench_run(
     iterations: int,
     seed: int,
     *,
-    burn: int | None = None,
     d: int = 10,
-    noise_sd: float = 0.15,
     workdir: str | None = None,
-    min_leaf: int = 5,
-    numcut: int = 100,
     progress: Callable[[str], None] | None = None,
 ) -> list[TimingRecord]:
     """Time the sampler over the {n, m, workers} factorial grid.
 
     Worker count 0 runs the serial sampler; positive counts run a TCP
     master with that many worker subprocesses on localhost.  One dataset is
-    generated per n (fixed seed) and reused across cells.  Wall time covers
-    the MCMC iterations only, not data loading or the handshake; failures
-    in one cell abort that cell but keep earlier records.
+    generated per n (fixed seed, noise sd 0.15) and reused across cells.
+    Cells burn in for half the iterations, other settings at their defaults.
+    A cell's seconds are its fastest iteration times the iteration count:
+    other processes on the host stretch iterations several-fold, while the
+    fastest stays near the undisturbed cost.  Failures in one cell abort
+    that cell but keep earlier records.
     """
     from . import datagen
 
     if iterations < 2:
         raise ValueError("iterations must be >= 2")
-    burn = iterations // 2 if burn is None else burn
+    burn = iterations // 2
     own_dir = None
     if workdir is None:
         own_dir = tempfile.TemporaryDirectory(prefix="bartgrid-bench-")
@@ -363,7 +365,7 @@ def bench_run(
         spec = datagen.gen_spec(d, 30, gen_rng)
         for n in sorted(set(ns)):
             path = os.path.join(workdir, f"bench-n{n}.csv")
-            datagen.write_dataset(path, spec, n, noise_sd, np.random.default_rng([seed, n]))
+            datagen.write_dataset(path, spec, n, 0.15, np.random.default_rng([seed, n]))
             data_paths[n] = path
         for n in ns:
             x = y = None
@@ -374,7 +376,7 @@ def bench_run(
                         progress(f"bench cell {label}")
                     settings = FitSettings(
                         m=m, draws=iterations, burn=burn, thin=max(1, (iterations - burn) // 10),
-                        seed=seed, min_leaf=min_leaf, numcut=numcut,
+                        seed=seed, reduction_blocks=workers,
                     )
                     try:
                         if workers == 0:
@@ -382,10 +384,7 @@ def bench_run(
                                 x, y, _names = datagen.read_table(data_paths[n], response="y")
                             result = run_serial(x, y, settings)
                         else:
-                            settings.reduction_blocks = workers
-                            result = _run_tcp_cell(
-                                data_paths[n], workers, settings
-                            )
+                            result = _run_tcp_cell(data_paths[n], workers, settings)
                     except Exception as exc:
                         if progress:
                             progress(f"bench cell {label} failed: {exc}")
@@ -393,7 +392,8 @@ def bench_run(
                     records.append(
                         TimingRecord(
                             n=n, m=m, p_plus_1=workers + 1, iterations=iterations,
-                            seconds=result.elapsed, b_bar=result.b_bar,
+                            seconds=float(result.iteration_seconds.min()) * iterations,
+                            b_bar=result.b_bar,
                         )
                     )
     finally:

@@ -23,6 +23,8 @@ split rule is a (variable, cut index) pair, so a row's cut index per variable
 decides every rule.  The serial sampler bins its rows once the grid is fixed;
 a worker bins its rows once RUN_SETUP has fixed the grid and then drops its
 reference to the float rows.
+
+`FitSettings` declares every fit setting, its default and its domain.
 """
 from __future__ import annotations
 
@@ -126,30 +128,15 @@ def partition_bounds(n: int, parts: int) -> np.ndarray:
 
 @dataclass(slots=True)
 class PriorParams:
-    """Resolved prior for one run (leaf scale and sigma scale already derived)."""
+    """Resolved prior for one run, from `resolve_prior` on validated settings."""
 
     m: int
     alpha: float
     beta: float
-    kfac: float
     tau: float
     nu: float
     lam: float
     min_leaf: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
-        if self.kfac <= 0.0 or self.tau <= 0.0:
-            raise ValueError("kfac and tau must be positive")
-        if self.nu <= 0.0 or self.lam <= 0.0:
-            raise ValueError("nu and lambda must be positive")
-        if self.min_leaf < 0:
-            raise ValueError("min_leaf must be >= 0")
 
 
 def split_prior_prob(depth: int, alpha: float, beta: float) -> float:
@@ -597,7 +584,12 @@ class ShardData:
 
 @dataclass(slots=True)
 class FitSettings:
-    """Everything a fit needs besides the data itself."""
+    """Everything a fit needs besides the data itself.
+
+    The fields declare each setting and its default (the prior's are those of
+    Chipman, George & McCulloch 2010); `validate` checks each one's domain.
+    `reduction_blocks` 0 is the default layout: one block, or one per worker.
+    """
 
     m: int = 200
     kfac: float = 2.0
@@ -611,16 +603,29 @@ class FitSettings:
     burn: int = 100
     thin: int = 1
     seed: int = 0
-    reduction_blocks: int | None = None
+    reduction_blocks: int = 0
     prior_only: bool = False
 
     def validate(self) -> None:
-        if self.draws <= self.burn or self.burn < 0:
-            raise ValueError("draws must exceed burn-in (draws > burn >= 0)")
-        if self.thin < 1:
-            raise ValueError("thin must be >= 1")
-        if self.numcut < 1:
-            raise ValueError("numcut must be >= 1")
+        """Raise a ValueError, naming the field first, for the first bad setting."""
+        for name, ok, domain in (
+            ("m", self.m >= 1, ">= 1"),
+            ("kfac", self.kfac > 0, "> 0"),
+            ("alpha", 0 < self.alpha < 1, "in (0, 1)"),
+            ("beta", self.beta >= 0, ">= 0"),
+            ("nu", self.nu > 0, "> 0"),
+            ("sigquant", 0 < self.sigquant < 1, "in (0, 1)"),
+            ("numcut", self.numcut >= 1, ">= 1"),
+            ("min_leaf", self.min_leaf >= 0, ">= 0"),
+            ("burn", self.burn >= 0, ">= 0"),
+            ("draws", self.draws > self.burn, f"> burn ({self.burn})"),
+            ("thin", self.thin >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("reduction_blocks", self.reduction_blocks >= 0, ">= 0 (0: the default layout)"),
+            ("prior_only", isinstance(self.prior_only, bool), "True or False"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {domain}, got {getattr(self, name)!r}")
 
 
 @dataclass(slots=True)
@@ -678,7 +683,6 @@ def resolve_prior(settings: FitSettings, sd_scaled: float) -> PriorParams:
         m=settings.m,
         alpha=settings.alpha,
         beta=settings.beta,
-        kfac=settings.kfac,
         tau=tau,
         nu=settings.nu,
         lam=lam,
@@ -782,6 +786,7 @@ class ChainResult:
     prior: PriorParams
     sigmas: np.ndarray  # per iteration, scaled response units
     mean_b: np.ndarray  # per iteration, mean terminal count over trees
+    iteration_seconds: np.ndarray  # per iteration, wall seconds
     birth_proposed: np.ndarray
     birth_accepted: np.ndarray
     death_proposed: np.ndarray
@@ -881,18 +886,18 @@ def run_chain_core(
     each accepted change to whatever holds the data (a local shard or a set of
     remote replicas).
     """
-    settings.validate()
     sigma = sigma0
     draws = settings.draws
     m = prior.m
     sigmas = np.empty(draws)
     mean_b = np.empty(draws)
+    iteration_seconds = np.empty(draws)
     counters = {k: np.zeros(draws, dtype=np.int64) for k in ("bp", "ba", "dp", "da")}
     snapshots: list[tuple[int, float, list[Tree]]] = []
     hashes: list[str] = []
     trace: list[list[TreeMoveRecord]] = []
 
-    start = time.perf_counter()
+    start = mark = time.perf_counter()
     for it in range(1, draws + 1):
         provider.begin_iteration(it)
         itrace: list[TreeMoveRecord] = []
@@ -920,7 +925,9 @@ def run_chain_core(
             snapshots.append((it, sigma, [t.clone() for t in forest]))
         if on_iteration is not None:
             on_iteration(it, sigma, forest)
-    elapsed = time.perf_counter() - start
+        now = time.perf_counter()
+        iteration_seconds[it - 1] = now - mark
+        mark = now
 
     return ChainResult(
         settings=settings,
@@ -932,13 +939,14 @@ def run_chain_core(
         prior=prior,
         sigmas=sigmas,
         mean_b=mean_b,
+        iteration_seconds=iteration_seconds,
         birth_proposed=counters["bp"],
         birth_accepted=counters["ba"],
         death_proposed=counters["dp"],
         death_accepted=counters["da"],
         snapshots=snapshots,
         forest_hashes=hashes,
-        elapsed=elapsed,
+        elapsed=mark - start,
         trace=trace if collect_trace else None,
     )
 

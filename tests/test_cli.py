@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from bartgrid import cli
 from bartgrid.analysis import posterior_from_chain, predict_mean
 from bartgrid.cli import (
     ConfigError,
@@ -34,19 +35,19 @@ class TestParseConfig:
     def test_empty_gives_defaults(self):
         cfg = parse_config({})
         assert cfg.role == "serial"
-        assert cfg.m == 200
-        assert cfg.kfac == 2.0
-        assert cfg.alpha == 0.95
-        assert cfg.beta == 2.0
-        assert cfg.nu == 3.0
-        assert cfg.sigma_quantile == 0.9
-        assert cfg.numcut == 100
-        assert cfg.min_leaf == 5
-        assert cfg.thin == 1
+        assert cfg.fit.m == 200
+        assert cfg.fit.kfac == 2.0
+        assert cfg.fit.alpha == 0.95
+        assert cfg.fit.beta == 2.0
+        assert cfg.fit.nu == 3.0
+        assert cfg.fit.sigquant == 0.9
+        assert cfg.fit.numcut == 100
+        assert cfg.fit.min_leaf == 5
+        assert cfg.fit.thin == 1
 
     def test_prior_sweep_cell(self):
         cfg = parse_config({"kfac": "1", "m": "500"})
-        assert cfg.kfac == 1.0 and cfg.m == 500
+        assert cfg.fit.kfac == 1.0 and cfg.fit.m == 500
 
     def test_domain_error_names_key(self):
         with pytest.raises(ConfigError, match="kfac"):
@@ -60,7 +61,7 @@ class TestParseConfig:
         path = tmp_path / "run.cfg"
         path.write_text("# a comment\nm = 25\nseed=9  # trailing comment\n\n")
         cfg = parse_config({}, str(path))
-        assert cfg.m == 25 and cfg.seed == 9
+        assert cfg.fit.m == 25 and cfg.fit.seed == 9
 
     def test_malformed_file_line(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -72,26 +73,53 @@ class TestParseConfig:
         # Property check over random key subsets: flags > file > defaults.
         rng = np.random.default_rng(1)
         numeric_keys = ["m", "draws", "burn", "seed", "numcut", "min_leaf", "workers", "rank"]
+        fit_keys = {"m", "draws", "burn", "seed", "numcut", "min_leaf"}
+        # Every draws value drawn exceeds every burn value drawn (at most 507).
+        offset = {"draws": 9000}
         for _ in range(25):
             file_keys = {k for k in numeric_keys if rng.random() < 0.5}
             flag_keys = {k for k in numeric_keys if rng.random() < 0.5}
-            file_pairs = {k: str(100 + i) for i, k in enumerate(sorted(file_keys))}
-            flag_pairs = {k: str(500 + i) for i, k in enumerate(sorted(flag_keys))}
+            file_pairs = {
+                k: str(100 + i + offset.get(k, 0)) for i, k in enumerate(sorted(file_keys))
+            }
+            flag_pairs = {
+                k: str(500 + i + offset.get(k, 0)) for i, k in enumerate(sorted(flag_keys))
+            }
             path = tmp_path / "p.cfg"
             path.write_text("".join(f"{k}={v}\n" for k, v in file_pairs.items()))
             cfg = parse_config(flag_pairs, str(path))
             for key in numeric_keys:
+                value = getattr(cfg.fit if key in fit_keys else cfg, key)
                 if key in flag_pairs:
-                    assert getattr(cfg, key) == int(flag_pairs[key])
+                    assert value == int(flag_pairs[key])
                 elif key in file_pairs:
-                    assert getattr(cfg, key) == int(file_pairs[key])
+                    assert value == int(file_pairs[key])
+                elif key in fit_keys:
+                    assert value == getattr(FitSettings(), key)
                 else:
-                    assert getattr(cfg, key) == _CONFIG_KEYS[key][2]
+                    assert value == _CONFIG_KEYS[key][2]
 
     def test_draws_must_exceed_burn(self):
-        cfg = parse_config({"draws": "50", "burn": "50"})
         with pytest.raises(ConfigError, match="burn"):
-            cfg.fit_settings()
+            parse_config({"draws": "50", "burn": "50"})
+
+    def test_each_fit_flag_reaches_its_setting(self, capsys, monkeypatch):
+        configs = []
+        monkeypatch.setattr(
+            cli, "parse_config", lambda *args: configs.append(parse_config(*args)) or configs[-1]
+        )
+        # No --data: the serial role stops right after parsing.
+        assert main(["fit", "--sigma-quantile", "0.8", "--prior-only", "true",
+                     "--reduction-blocks", "0"]) == 2
+        assert "requires 'data'" in capsys.readouterr().err
+        fit = configs[0].fit
+        assert fit.sigquant == 0.8
+        assert fit.prior_only is True
+        assert fit.reduction_blocks == 0 == FitSettings().reduction_blocks
+        assert fit == FitSettings(sigquant=0.8, prior_only=True)
+        assert main(["fit", "--sigma-quantile", "1.5"]) == 2
+        assert "sigma_quantile must be in (0, 1), got 1.5" in capsys.readouterr().err
+        assert len(configs) == 1
 
 
 class TestModelFile:

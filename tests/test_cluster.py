@@ -267,6 +267,43 @@ class TestByteAccounting:
         assert proto.OP_RSS_PARTIAL in sampler_ops_seen
 
 
+# One out-of-domain value per FitSettings field, and the field its error names.
+BAD_SETTINGS = [
+    ("m", {"m": 0}),
+    ("m", {"m": -2}),
+    ("kfac", {"kfac": 0.0}),
+    ("alpha", {"alpha": float("nan")}),
+    ("alpha", {"alpha": 1.0}),
+    ("beta", {"beta": -0.5}),
+    ("nu", {"nu": 0.0}),
+    ("sigquant", {"sigquant": 1.5}),
+    ("numcut", {"numcut": 0}),
+    ("min_leaf", {"min_leaf": -1}),
+    ("burn", {"burn": -1}),
+    ("draws", {"burn": 40, "draws": 40}),
+    ("thin", {"thin": 0}),
+    ("seed", {"seed": -1}),
+    ("reduction_blocks", {"reduction_blocks": -2}),
+    ("prior_only", {"prior_only": "false"}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, overrides", BAD_SETTINGS, ids=[f"{n}-{next(iter(o.values()))}" for n, o in BAD_SETTINGS]
+)
+def test_bad_setting_is_named_before_any_work(name, overrides):
+    bad = toy_settings(**overrides)
+    x, y = toy_data(n=40)
+    for run in (lambda: run_serial(x, y, bad), lambda: run_cluster_inprocess(x, y, bad, 2)):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            run()
+    bound = []
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        serve_master(("127.0.0.1", 0), 2, bad, accept_timeout=30, on_bound=bound.append)
+    assert time.monotonic() - start < 2.0 and not bound
+
+
 class TestTransportErrors:
     def test_unknown_opcode_is_fatal(self):
         a, b = channel_pair()

@@ -45,7 +45,7 @@ from test_trees import grow_random_tree
 
 
 def make_prior(**overrides):
-    base = dict(m=1, alpha=0.95, beta=2.0, kfac=2.0, tau=0.25, nu=3.0, lam=0.1, min_leaf=0)
+    base = dict(m=1, alpha=0.95, beta=2.0, tau=0.25, nu=3.0, lam=0.1, min_leaf=0)
     base.update(overrides)
     return PriorParams(**base)
 
@@ -652,6 +652,15 @@ class TestOneIteration:
         b = run_serial(x, y, settings)
         assert np.array_equal(a.sigmas, b.sigmas)
         assert a.forest_hashes == b.forest_hashes
+
+    def test_iteration_seconds_partition_elapsed(self):
+        rng = np.random.default_rng(25)
+        x = rng.uniform(-1, 1, (100, 2))
+        y = x[:, 0] + 0.1 * rng.standard_normal(100)
+        result = run_serial(x, y, FitSettings(m=4, draws=12, burn=2, seed=26, min_leaf=2))
+        assert result.iteration_seconds.shape == (12,)
+        assert np.all(result.iteration_seconds > 0)
+        assert result.iteration_seconds.sum() == pytest.approx(result.elapsed, rel=1e-9)
 
     def test_draws_must_exceed_burn(self):
         settings = FitSettings(draws=10, burn=10)

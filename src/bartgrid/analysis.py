@@ -24,6 +24,7 @@ from .sampler import partition_bounds
 from .trees import CompiledTrees, CutpointGrid, Tree
 
 Predictor = Callable[[np.ndarray], np.ndarray]
+DOMAIN = (-1.0, 1.0)  # each input's range in the estimators: the generator's U[-1, 1]
 
 
 @dataclass
@@ -77,7 +78,7 @@ def posterior_from_chain(result) -> PosteriorSample:
         y_mid=result.y_mid,
         y_range=result.y_range,
         grid=result.grid,
-        snapshots=[(sigma, forest) for _, sigma, forest in result.snapshots],
+        snapshots=result.snapshots,
     )
 
 
@@ -101,24 +102,22 @@ def main_effect(
     n_mc: int,
     dim: int,
     *,
-    domain: tuple[float, float] = (-1.0, 1.0),
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Centered main-effect curve of variable k by Monte Carlo integration.
 
     For every grid value g: the average of the predictor over draws with all
-    other coordinates uniform on the domain and x_k pinned to g, minus the
-    overall mean estimated from full-domain draws.
+    other coordinates uniform on DOMAIN and x_k pinned to g, minus the
+    overall mean estimated from draws over all of DOMAIN.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
     rng = rng if rng is not None else np.random.default_rng()
-    lo, hi = domain
-    base = rng.uniform(lo, hi, (n_mc, dim))
+    base = rng.uniform(*DOMAIN, (n_mc, dim))
     f0 = float(np.mean(predictor(base)))
     curve = np.empty(len(grid_values))
     for i, g in enumerate(grid_values):
-        x = rng.uniform(lo, hi, (n_mc, dim))
+        x = rng.uniform(*DOMAIN, (n_mc, dim))
         x[:, k] = g
         curve[i] = float(np.mean(predictor(x))) - f0
     return curve
@@ -163,15 +162,13 @@ class _PartSums:
 
 
 def _part_sums(
-    predictor: Predictor, ks: Sequence[int], rows: int, dim: int,
-    domain: tuple[float, float], seed: int, part: int,
+    predictor: Predictor, ks: Sequence[int], rows: int, dim: int, seed: int, part: int
 ) -> _PartSums:
     # Each part draws from its own stream so parts stay independent no matter
     # which thread runs them.
     rng = np.random.default_rng([seed, part])
-    lo, hi = domain
-    a = rng.uniform(lo, hi, (rows, dim))
-    b = rng.uniform(lo, hi, (rows, dim))
+    a = rng.uniform(*DOMAIN, (rows, dim))
+    b = rng.uniform(*DOMAIN, (rows, dim))
     fa = np.asarray(predictor(a), dtype=np.float64)
     fb = np.asarray(predictor(b), dtype=np.float64)
     prod = np.empty(len(ks))
@@ -210,15 +207,15 @@ def sobol_indices(
     seed: int,
     *,
     ks: Sequence[int] | None = None,
-    domain: tuple[float, float] = (-1.0, 1.0),
     threads: int | None = None,
 ) -> SensitivityResult:
     """First-order and total Sobol indices for the requested variables.
 
-    `p_parts` independent A/B matrix pairs of about n_s/p_parts rows each are
-    generated from distinct streams; their partial sums are combined in part
-    order on one thread, so the estimate is identical however parts are
-    scheduled.  Standard errors come from batch means over the parts.
+    `p_parts` independent A/B matrix pairs of about n_s/p_parts rows each,
+    uniform on DOMAIN, come from distinct streams; their partial sums are
+    combined in part order on one thread, so the estimate is identical
+    however parts are scheduled.  Standard errors come from batch means over
+    the parts.
     """
     if n_s < 2:
         raise ValueError("n_s must be >= 2")
@@ -231,7 +228,7 @@ def sobol_indices(
         raise ValueError("each part needs at least 2 rows; lower p_parts")
 
     def compute(part: int) -> _PartSums:
-        return _part_sums(predictor, ks, sizes[part], dim, domain, seed, part)
+        return _part_sums(predictor, ks, sizes[part], dim, seed, part)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -284,20 +281,15 @@ def sensitivity_report(
     *,
     effect_points: int = 21,
     effect_mc: int = 2000,
-    domain: tuple[float, float] = (-1.0, 1.0),
     threads: int | None = None,
 ) -> SensitivityResult:
-    """Sobol indices for every variable plus main-effect curves on a grid."""
-    result = sobol_indices(
-        predictor, dim, n_s, p_parts, seed, domain=domain, threads=threads
-    )
-    lo, hi = domain
-    grid = np.linspace(lo, hi, effect_points)
+    """Sobol indices for every variable plus main-effect curves across DOMAIN."""
+    result = sobol_indices(predictor, dim, n_s, p_parts, seed, threads=threads)
+    grid = np.linspace(*DOMAIN, effect_points)
     effects = np.empty((dim, effect_points))
     for k in range(dim):
         effects[k] = main_effect(
-            predictor, k, grid, effect_mc, dim, domain=domain,
-            rng=np.random.default_rng([seed, 10_000 + k]),
+            predictor, k, grid, effect_mc, dim, rng=np.random.default_rng([seed, 10_000 + k])
         )
     result.effect_grid = grid
     result.effects = effects

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis, datagen, perf
 from .analysis import PosteriorSample
-from .cluster import connect_worker, serve_master, worker_row_range
+from .cluster import ClusterError, connect_worker, serve_master, worker_row_range
 from .datagen import TableError, iter_rows, read_table, table_shape, write_table
 from .sampler import ChainResult, FitSettings, run_serial
 from .trees import CutpointGrid, forest_from_lines, forest_lines
@@ -475,7 +475,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ModelFileError, TableError, ValueError, OSError) as exc:
+    except (ConfigError, ModelFileError, TableError, ClusterError, ValueError, OSError) as exc:
         print(f"bartgrid {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

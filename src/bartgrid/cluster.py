@@ -10,8 +10,9 @@ whenever each worker holds a power-of-two number of blocks.
 
 A worker answers in a fixed order.  In an iteration's tree phase it takes
 each tree in turn: a proposal (answered with MOVE_STATS, then the decision)
-or a bare reject, then the leaf pass.  Any other message, or a proposal that
-does not fit its forest replica, fails the run.
+or a bare reject, then the leaf pass.  The phase ends with the worker's
+RSS_PARTIAL, sent unprompted after the last tree's leaf pass.  Any other
+message, or a proposal that does not fit its forest replica, fails the run.
 
 One transport, a stream socket: a socketpair per worker thread in-process,
 TCP across hosts.  Failure model is fail-stop: any worker loss aborts the
@@ -66,15 +67,24 @@ def _blocks_per_worker(blocks: int, p: int) -> int:
     return per
 
 
+def _no_rows(rank: int, p: int, rows: int, blocks: int) -> ValueError:
+    return ValueError(
+        f"no rows for rank {rank} of {p} workers: {rows} rows in {blocks} reduction blocks"
+    )
+
+
 def worker_row_range(n_total: int, blocks: int, p: int, rank: int) -> tuple[int, int]:
     """Global row range of worker `rank` (1-based) under the block layout.
 
     Shards are unions of whole reduction blocks so that block sums never
-    straddle a worker boundary.
+    straddle a worker boundary.  A rank outside 1..p, or one whose blocks
+    hold no rows, is refused with a ValueError.
     """
     per = _blocks_per_worker(blocks, p)
     bounds = partition_bounds(n_total, blocks)
-    return int(bounds[(rank - 1) * per]), int(bounds[rank * per])
+    if 1 <= rank <= p and bounds[rank * per] > bounds[(rank - 1) * per]:
+        return int(bounds[(rank - 1) * per]), int(bounds[rank * per])
+    raise _no_rows(rank, p, n_total, blocks)
 
 
 def shard_block_slices(n_local: int, blocks: int, p: int) -> list[tuple[int, int]]:
@@ -216,12 +226,15 @@ def run_worker(
     indices and drops its own reference to the float rows `x`.  It consumes
     no randomness; its forest replica evolves purely by applying the
     master's accepted moves and leaf means, so after every iteration it is
-    structurally identical to the master's.
+    structurally identical to the master's.  A rank outside 1..workers or an
+    empty shard is refused with a ValueError before the handshake.
     """
-    io = MessageIO(channel, audit)
-    x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     blocks = shard_block_slices(y.size, reduction_blocks, workers)
+    if not (y.size and 1 <= rank <= workers):
+        raise _no_rows(rank, workers, y.size, reduction_blocks)
+    io = MessageIO(channel, audit)
+    x = np.ascontiguousarray(x, dtype=np.float64)
 
     io.send(proto.Hello(proto.PROTOCOL_VERSION, rank, y.size))
     io.send(proto.ShardMeta(*summarize_shard(x, y, blocks)))
@@ -248,7 +261,6 @@ def run_worker(
         if msg.phase == proto.PHASE_TREES:
             for j, tree in enumerate(forest):
                 _serve_tree(io, provider, grid, j, tree)
-        elif msg.phase == proto.PHASE_SIGMA:
             io.send(proto.RssPartial(provider.rss()))
         elif msg.phase == proto.PHASE_HASH:
             io.send(proto.ReplicaHash(hashlib.md5(forest_hash(forest).encode()).digest()))
@@ -269,12 +281,12 @@ def _serve_tree(
         io.send(proto.MoveStats(left.n, right.n, left.s, right.s))
         msg = io.recv((proto.BirthAccept, proto.DeathAccept, proto.Reject))
         if isinstance(msg, proto.BirthAccept):
-            if prop != Proposal(BIRTH, j, msg.node_id, msg.v, msg.c):
+            if prop != Proposal(BIRTH, msg.node_id, msg.v, msg.c):
                 raise ClusterError("birth accept does not match the pending proposal")
             provider.apply_birth(j, tree, prop, msg.mu_left, msg.mu_right)
             tree.birth(msg.node_id, msg.v, msg.c, msg.mu_left, msg.mu_right)
         elif isinstance(msg, proto.DeathAccept):
-            if prop != Proposal(DEATH, j, msg.node_id):
+            if prop != Proposal(DEATH, msg.node_id):
                 raise ClusterError("death accept does not match the pending proposal")
             provider.apply_death(j, tree, prop, msg.mu)
             tree.death(msg.node_id, msg.mu)
@@ -302,11 +314,11 @@ def _checked_proposal(j: int, tree: Tree, grid: CutpointGrid, msg: proto.Message
             raise ClusterError(
                 f"tree {j}: birth at node {k} cuts variable {v} at {c}, outside [{lo}, {hi})"
             )
-        return Proposal(BIRTH, j, k, v, c)
+        return Proposal(BIRTH, k, v, c)
     k, pair = msg.left_id // 2, (msg.left_id, msg.right_id)
     if children_ids(k) != pair or k not in tree.nogs():
         raise ClusterError(f"tree {j}: death of nodes {pair}, which are not the leaves of a nog")
-    return Proposal(DEATH, j, k)
+    return Proposal(DEATH, k)
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +331,13 @@ class RemoteProvider:
     def __init__(self, ios: dict[int, MessageIO], n_total: int):
         self.ios = [ios[rank] for rank in sorted(ios)]
         self.n_total = n_total
-        self._iteration = 0
 
     def _broadcast(self, msg: proto.Message) -> None:
         for io in self.ios:
             io.send(msg)
 
-    def begin_iteration(self, iteration: int) -> None:
-        self._iteration = iteration
-        self._broadcast(proto.IterBegin(iteration, proto.PHASE_TREES))
+    def begin_iteration(self) -> None:
+        self._broadcast(proto.IterBegin(proto.PHASE_TREES))
 
     def reject(self, j: int) -> None:
         self._broadcast(proto.Reject())
@@ -364,13 +374,12 @@ class RemoteProvider:
         self._broadcast(proto.MuValues(tuple(float(v) for v in new)))
 
     def rss(self) -> float:
-        self._broadcast(proto.IterBegin(self._iteration, proto.PHASE_SIGMA))
         return pairwise_fold([io.recv((proto.RssPartial,)).rss for io in self.ios])
 
     def check_replicas(self, it: int, sigma: float, forest: list[Tree]) -> None:
         """Chain hook: every worker's forest replica must hash as `forest` does."""
         expected = hashlib.md5(forest_hash(forest).encode()).digest()
-        self._broadcast(proto.IterBegin(self._iteration, proto.PHASE_HASH))
+        self._broadcast(proto.IterBegin(proto.PHASE_HASH))
         for rank, io in enumerate(self.ios, start=1):
             if io.recv((proto.ReplicaHash,)).digest != expected:
                 raise ClusterError(f"rank {rank} forest replica diverged at iteration {it}")
@@ -419,12 +428,6 @@ def run_master(
         io._log(proto.encode(hello), outgoing=False)
         ios[rank] = io
         hellos[rank] = hello
-    metas = {rank: ios[rank].recv((proto.ShardMeta,)) for rank in sorted(ios)}
-    widths = {rank: len(meta.x_min) for rank, meta in metas.items()}
-    if len(set(widths.values())) > 1:
-        counts = ", ".join(f"rank {rank} has {d}" for rank, d in sorted(widths.items()))
-        raise ClusterError(f"workers disagree on the predictor count: {counts}")
-
     n_total = sum(h.shard_rows for h in hellos.values())
     for rank in sorted(ios):
         lo, hi = worker_row_range(n_total, blocks, p, rank)
@@ -432,6 +435,11 @@ def run_master(
             raise ClusterError(
                 f"rank {rank} holds {hellos[rank].shard_rows} rows, layout expects {hi - lo}"
             )
+    metas = {rank: ios[rank].recv((proto.ShardMeta,)) for rank in sorted(ios)}
+    widths = {rank: len(meta.x_min) for rank, meta in metas.items()}
+    if len(set(widths.values())) > 1:
+        counts = ", ".join(f"rank {rank} has {d}" for rank, d in sorted(widths.items()))
+        raise ClusterError(f"workers disagree on the predictor count: {counts}")
 
     derived = derive_run_constants([astuple(meta) for meta in metas.values()])
     setup = proto.RunSetup(
@@ -487,11 +495,11 @@ def run_cluster_inprocess(
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[0]
     blocks = settings.reduction_blocks or workers
+    ranges = [worker_row_range(n, blocks, workers, rank) for rank in range(1, workers + 1)]
     failures: list[Exception] = []
     channels: list[SocketChannel] = []
     threads: list[threading.Thread] = []
-    for rank in range(1, workers + 1):
-        lo, hi = worker_row_range(n, blocks, workers, rank)
+    for rank, (lo, hi) in enumerate(ranges, start=1):
         master_end, worker_end = socket.socketpair()
         for sock in (master_end, worker_end):
             sock.settimeout(INPROCESS_RECV_TIMEOUT)
@@ -568,6 +576,7 @@ def serve_master(
 # Bounds only the connection attempt: an established worker waits on its
 # master for as long as the master computes.
 CONNECT_TIMEOUT = 10.0
+CONNECT_RETRY = 30.0  # seconds a worker keeps retrying while its master binds
 
 
 def connect_worker(
@@ -577,12 +586,9 @@ def connect_worker(
     rank: int,
     workers: int,
     reduction_blocks: int,
-    *,
-    retry_for: float = 30.0,
-    audit: ByteAudit | None = None,
 ) -> None:
     """Connect to the master (with retries while it binds) and serve a shard."""
-    deadline = time.monotonic() + retry_for
+    deadline = time.monotonic() + CONNECT_RETRY
     last_err: Exception | None = None
     sock = None
     while time.monotonic() < deadline:
@@ -597,6 +603,6 @@ def connect_worker(
     sock.settimeout(None)
     chan = SocketChannel(sock)
     try:
-        run_worker(chan, x, y, rank, workers, reduction_blocks, audit=audit)
+        run_worker(chan, x, y, rank, workers, reduction_blocks)
     finally:
         chan.close()

@@ -38,11 +38,6 @@ class FriedmanSpec:
 
     d: int
     kernels: list[Kernel]
-    noise_sd: float = 0.15
-
-    @property
-    def q(self) -> int:
-        return len(self.kernels)
 
 
 def _random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -51,33 +46,26 @@ def _random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def gen_spec(
-    d: int,
-    q: int,
-    rng: np.random.Generator,
-    *,
-    noise_sd: float = 0.15,
-    subset_mean: float = 2.0,
-) -> FriedmanSpec:
+def gen_spec(d: int, q: int, rng: np.random.Generator) -> FriedmanSpec:
     """Draw a random function specification with `q` kernels over `d` inputs.
 
     Coefficients and kernel centers are U[-1, 1]; the square roots of the
     dilation entries are U[0.1, 2].  Subset sizes follow
-    min(d, floor(1.5 + Exp(subset_mean))) and subsets are drawn uniformly
-    without replacement.
+    min(d, floor(1.5 + E)), E exponential with mean 2, and subsets are drawn
+    uniformly without replacement.
     """
     if d < 1 or q < 1:
         raise ValueError("d and q must be >= 1")
     kernels = []
     for _ in range(q):
         coeff = float(rng.uniform(-1.0, 1.0))
-        size = min(d, int(math.floor(1.5 + rng.exponential(subset_mean))))
+        size = min(d, int(math.floor(1.5 + rng.exponential(2.0))))
         subset = np.sort(rng.choice(d, size=size, replace=False))
         center = rng.uniform(-1.0, 1.0, size)
         dilation = rng.uniform(0.1, 2.0, size) ** 2
         rotation = _random_orthogonal(size, rng)
         kernels.append(Kernel(coeff, subset, center, rotation, dilation))
-    return FriedmanSpec(d, kernels, noise_sd)
+    return FriedmanSpec(d, kernels)
 
 
 def eval_friedman(spec: FriedmanSpec, x: np.ndarray) -> np.ndarray:
@@ -217,9 +205,8 @@ def write_dataset(
     rng: np.random.Generator,
     *,
     truth_path: str | None = None,
-    chunk: int = 65536,
 ) -> int:
-    """Generate and stream a dataset straight to disk in fixed-size chunks.
+    """Generate and stream a dataset straight to disk, 65536 rows at a time.
 
     Column layout: response first ("y"), then x0..x{d-1}.  If `truth_path`
     is given, the noiseless response is written there as a one-column table.
@@ -232,7 +219,7 @@ def write_dataset(
             if truth_fh:
                 truth_fh.write("f\n")
             while written < n:
-                take = min(chunk, n - written)
+                take = min(65536, n - written)
                 x, y, f = gen_dataset(spec, take, sigma_noise, rng)
                 for i in range(take):
                     fh.write(

@@ -146,26 +146,22 @@ def _ols(design: np.ndarray, y: np.ndarray, terms: Sequence[str]) -> tuple[np.nd
     return coefs, math.sqrt(float(resid @ resid) / dof)
 
 
-def fit_runtime_model(
-    records: Sequence[TimingRecord], target: str, rmse_slack: float = 0.5
-) -> RuntimeModel:
+def fit_runtime_model(records: Sequence[TimingRecord], target: str) -> RuntimeModel:
     """OLS on the full term set, then backward elimination on RMSE.
 
     RMSE is the degrees-of-freedom-adjusted residual error sqrt(RSS/(n-k)).
     Each step removes the term whose removal leaves the lowest RMSE, as long
-    as that RMSE stays within (1 + rmse_slack) of the lowest RMSE on the
-    path so far, so the slack cannot compound from step to step.  A term
-    that actually carries signal blows RMSE up by far more than the slack
-    when removed, while a noise-fitting term moves it only a few percent, so
-    the rule prunes reliably where a strict no-increase rule stalls on terms
-    whose in-sample F-statistic happens to exceed one.
+    as that RMSE stays within 1.5 times the lowest RMSE on the path so far,
+    so the slack cannot compound from step to step.  A term that actually
+    carries signal blows RMSE up by far more than the slack when removed,
+    while a noise-fitting term moves it only a few percent, so the rule
+    prunes reliably where a strict no-increase rule stalls on terms whose
+    in-sample F-statistic happens to exceed one.
     """
     if target not in ("serial", "parallel"):
         raise ValueError("target must be 'serial' or 'parallel'")
     if target == "parallel" and any(rec.p_plus_1 < 2 for rec in records):
         raise ValueError("parallel model needs records with at least one worker")
-    if rmse_slack < 0:
-        raise ValueError("rmse_slack must be >= 0")
     full = list(SERIAL_TERMS if target == "serial" else PARALLEL_TERMS)
     if len(records) < len(full) + 2:
         raise ValueError(
@@ -190,7 +186,7 @@ def fit_runtime_model(
                 continue
             if best is None or cand_rmse < best[1]:
                 best = (reduced, cand_rmse, cand_coefs)
-        if best is None or best[1] > best_rmse * (1.0 + rmse_slack) + floor:
+        if best is None or best[1] > best_rmse * 1.5 + floor:
             break
         terms, rmse, coefs = best[0], best[1], best[2]
         best_rmse = min(best_rmse, rmse)
@@ -283,12 +279,12 @@ def isoefficiency_solve(
     bounds: tuple[float, float] = (1e2, 1e9),
     n_draws: int = 2000,
     seed: int = 0,
-    grid_points: int = 241,
 ) -> float:
     """Smallest problem size n in `bounds` reaching expected efficiency e.
 
-    Evaluates expected efficiency on a log-spaced grid with one shared prior
-    sample for b, verifies monotonicity, then bisects between grid neighbors.
+    Evaluates expected efficiency on a log-spaced grid of 241 points with one
+    shared prior sample for b, verifies monotonicity, then bisects between
+    grid neighbors.
     """
     if not 0.0 < e < 1.0:
         raise ValueError("target efficiency must lie in (0, 1)")
@@ -300,7 +296,7 @@ def isoefficiency_solve(
             n, m, p_plus_1, models=models, b_samples=b_samples
         )
 
-    grid = np.logspace(math.log10(bounds[0]), math.log10(bounds[1]), grid_points)
+    grid = np.logspace(math.log10(bounds[0]), math.log10(bounds[1]), 241)
     values = np.array([eff(n) for n in grid])
     if np.any(np.diff(values) < -1e-12):
         raise ValueError("expected efficiency is not monotone increasing over the bounds")

@@ -9,8 +9,9 @@ The sampler-phase payload sizes are pinned exactly:
     partial RSS 8.
 
 No payload grows with the number of observations.  Control messages (HELLO,
-SHARD_META, RUN_SETUP, ITER_BEGIN, REPLICA_HASH, SHUTDOWN) are artifact
-plumbing outside that ledger and carry whatever the handshake needs.
+SHARD_META, RUN_SETUP, ITER_BEGIN with only its phase, REPLICA_HASH,
+SHUTDOWN) are plumbing outside that ledger.  The tree phase ends with
+RSS_PARTIAL, which a worker sends unprompted after the last tree's leaf pass.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import struct
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 OP_HELLO = 0x01
 OP_SHARD_META = 0x02
@@ -38,8 +39,7 @@ OP_RSS_PARTIAL = 0x18
 
 # Iteration phases carried by ITER_BEGIN.
 PHASE_TREES = 0
-PHASE_SIGMA = 1
-PHASE_HASH = 2
+PHASE_HASH = 1
 
 
 class ProtocolError(ValueError):
@@ -82,7 +82,6 @@ class RunSetup:
 
 @dataclass(frozen=True)
 class IterBegin:
-    iteration: int
     phase: int
 
 
@@ -179,7 +178,7 @@ MESSAGES: dict[type, tuple[int, struct.Struct]] = {
     Hello: (OP_HELLO, struct.Struct("<III")),
     ShardMeta: (OP_SHARD_META, struct.Struct("<IddddI")),
     RunSetup: (OP_RUN_SETUP, struct.Struct("<IIIQddI")),
-    IterBegin: (OP_ITER_BEGIN, struct.Struct("<IB")),
+    IterBegin: (OP_ITER_BEGIN, struct.Struct("<B")),
     Shutdown: (OP_SHUTDOWN, struct.Struct("<")),
     ReplicaHash: (OP_REPLICA_HASH, struct.Struct("<16s")),
     BirthProposal: (OP_BIRTH_PROPOSAL, struct.Struct("<III")),
@@ -199,12 +198,6 @@ _U32 = struct.Struct("<I")
 
 _BY_OPCODE = {opcode: (kind, layout) for kind, (opcode, layout) in MESSAGES.items()}
 _FIELDS = {kind: tuple(f.name for f in fields(kind)) for kind in MESSAGES}
-
-# Payload byte size per opcode; None = derived from message content.
-FIXED_PAYLOAD_SIZES: dict[int, int | None] = {
-    opcode: None if issubclass(kind, _PER_RECORD + _RANGES) else layout.size
-    for kind, (opcode, layout) in MESSAGES.items()
-}
 
 # Opcodes whose payloads appear in the communication ledger: the sampler
 # phase, numbered from 0x10; control plumbing is excluded.

@@ -210,18 +210,15 @@ def sigma_lambda(sd_y: float, nu: float, sigquant: float) -> float:
 
 @dataclass(slots=True)
 class Proposal:
-    """One birth or death proposal on tree `tree_index`."""
+    """One birth or death proposal on one tree."""
 
     move: str
-    tree_index: int
     node_id: int
     v: int = -1
     c: int = -1
 
 
-def propose(
-    tree: Tree, grid: CutpointGrid, rng: np.random.Generator, tree_index: int = 0
-) -> Proposal | None:
+def propose(tree: Tree, grid: CutpointGrid, rng: np.random.Generator) -> Proposal | None:
     """Draw a birth/death proposal, or None when the drawn birth has no rule.
 
     Birth probability is 1 for a single-node tree and 1/2 otherwise.  A birth
@@ -245,9 +242,9 @@ def propose(
             return None
         v, lo, hi = ranges[int(rng.integers(len(ranges)))]
         c = int(rng.integers(lo, hi))
-        return Proposal(BIRTH, tree_index, node_id, v, c)
+        return Proposal(BIRTH, node_id, v, c)
     nogs = tree.nogs()
-    return Proposal(DEATH, tree_index, nogs[int(rng.integers(len(nogs)))])
+    return Proposal(DEATH, nogs[int(rng.integers(len(nogs)))])
 
 
 def accept_log_ratio(
@@ -703,7 +700,7 @@ class StatsProvider(Protocol):
 
     n_total: int
 
-    def begin_iteration(self, iteration: int) -> None: ...
+    def begin_iteration(self) -> None: ...
 
     def reject(self, j: int) -> None: ...
 
@@ -728,7 +725,7 @@ class LocalProvider:
         self.shard = shard
         self.n_total = shard.n
 
-    def begin_iteration(self, iteration: int) -> None:
+    def begin_iteration(self) -> None:
         pass
 
     def reject(self, j: int) -> None:
@@ -791,7 +788,7 @@ class ChainResult:
     birth_accepted: np.ndarray
     death_proposed: np.ndarray
     death_accepted: np.ndarray
-    snapshots: list[tuple[int, float, list[Tree]]] = field(default_factory=list)
+    snapshots: list[tuple[float, list[Tree]]] = field(default_factory=list)  # (sigma, forest)
     forest_hashes: list[str] = field(default_factory=list)
     elapsed: float = 0.0
     trace: list[list[TreeMoveRecord]] | None = None
@@ -805,7 +802,7 @@ class ChainResult:
         """Mean terminal-node count over saved snapshots and trees."""
         if not self.snapshots:
             return float("nan")
-        total = sum((len(t.nodes) + 1) // 2 for _, _, forest in self.snapshots for t in forest)
+        total = sum((len(t.nodes) + 1) // 2 for _, forest in self.snapshots for t in forest)
         return total / (len(self.snapshots) * self.settings.m)
 
 
@@ -834,7 +831,7 @@ def _update_tree(
     This is the single source of the per-tree random variate sequence for
     both the serial sampler and the distributed master.
     """
-    prop = propose(tree, grid, rng, j)
+    prop = propose(tree, grid, rng)
     move = None
     accepted = False
     if prop is not None:
@@ -893,13 +890,13 @@ def run_chain_core(
     mean_b = np.empty(draws)
     iteration_seconds = np.empty(draws)
     counters = {k: np.zeros(draws, dtype=np.int64) for k in ("bp", "ba", "dp", "da")}
-    snapshots: list[tuple[int, float, list[Tree]]] = []
+    snapshots: list[tuple[float, list[Tree]]] = []
     hashes: list[str] = []
     trace: list[list[TreeMoveRecord]] = []
 
     start = mark = time.perf_counter()
     for it in range(1, draws + 1):
-        provider.begin_iteration(it)
+        provider.begin_iteration()
         itrace: list[TreeMoveRecord] = []
         b_sum = 0
         for j in range(m):
@@ -922,7 +919,7 @@ def run_chain_core(
         if collect_trace:
             trace.append(itrace)
         if it > settings.burn and (it - settings.burn) % settings.thin == 0:
-            snapshots.append((it, sigma, [t.clone() for t in forest]))
+            snapshots.append((sigma, [t.clone() for t in forest]))
         if on_iteration is not None:
             on_iteration(it, sigma, forest)
         now = time.perf_counter()

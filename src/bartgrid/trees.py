@@ -137,11 +137,6 @@ class CutpointGrid:
     def from_ranges(cls, mins: np.ndarray, maxs: np.ndarray, numcut: int) -> "CutpointGrid":
         return cls([_cutpoints_between(float(lo), float(hi), numcut) for lo, hi in zip(mins, maxs)])
 
-    @classmethod
-    def from_data(cls, x: np.ndarray, numcut: int) -> "CutpointGrid":
-        x = np.asarray(x, dtype=np.float64)
-        return cls.from_ranges(x.min(axis=0), x.max(axis=0), numcut)
-
 
 def _cut_counts(cuts: np.ndarray, col: np.ndarray) -> np.ndarray:
     """`np.searchsorted(cuts, col, side="right")`, mostly without the search.
@@ -179,14 +174,6 @@ def _cutpoints_between(lo: float, hi: float, numcut: int) -> np.ndarray:
     # Equally spaced, endpoints excluded: a rule at min or max creates an
     # empty child region.
     return np.linspace(lo, hi, numcut + 2)[1:-1]
-
-
-def build_cutpoints(column: Sequence[float] | np.ndarray, numcut: int) -> np.ndarray:
-    """Cutpoints for one variable: `numcut` values strictly inside its range."""
-    col = np.asarray(column, dtype=np.float64)
-    if col.size == 0:
-        raise ValueError("empty variable")
-    return _cutpoints_between(float(col.min()), float(col.max()), numcut)
 
 
 def available_cut_range(tree: Tree, node_id: int, v: int, numcut_v: int) -> tuple[int, int]:
@@ -374,10 +361,6 @@ def tree_from_lines(lines: Sequence[str]) -> Tree:
 def depth_of_id(node_id: int) -> int:
     """floor(log2(id)): the depth a heap-coded id implies."""
     return node_id.bit_length() - 1
-
-
-def parent_id(node_id: int) -> int:
-    return node_id // 2
 
 
 def children_ids(node_id: int) -> tuple[int, int]:

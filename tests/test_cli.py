@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from bartgrid import cli
+from bartgrid import cli, cluster
 from bartgrid.analysis import posterior_from_chain, predict_mean
 from bartgrid.cli import (
     ConfigError,
@@ -316,6 +316,22 @@ class TestWorkerShard:
         assert x.shape == (4, 2) and y.shape == (4,) and n_total == 8
         with pytest.raises(TableError, match="line 8: non-numeric cell 'oops'"):
             _load_worker_shard(self._cfg(data, 2))
+
+    def test_rank_outside_the_layout_is_named(self, tmp_path, capsys):
+        data = self._write(tmp_path)
+        rc = main(["fit", "--role", "worker", "--connect", "127.0.0.1:9", "--rank", "3",
+                   "--workers", "2", "--data", data])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bartgrid fit: error: no rows for rank 3 of 2 workers: 8 rows in 2" in err
+
+    def test_unreachable_master_is_reported(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cluster, "CONNECT_RETRY", 0.3)
+        data = self._write(tmp_path)
+        rc = main(["fit", "--role", "worker", "--connect", f"127.0.0.1:{_free_port()}",
+                   "--rank", "1", "--workers", "1", "--data", data])
+        assert rc == 2
+        assert "bartgrid fit: error: could not reach master" in capsys.readouterr().err
 
 
 def _free_port() -> int:

@@ -98,12 +98,13 @@ def right_spine(depth):
     for level in range(depth):
         node = 2 ** (level + 1) - 1
         steps += [
-            proto.IterBegin(level + 1, proto.PHASE_TREES),
+            proto.IterBegin(proto.PHASE_TREES),
             proto.BirthProposal(node, 0, level),
             proto.MoveStats,
             proto.BirthAccept(node, 0, level, 0.0, 0.0),
             (proto.MuStats, level + 2),
             proto.MuValues((0.0,) * (level + 2)),
+            proto.RssPartial,
         ]
     return steps
 
@@ -131,6 +132,50 @@ class TestShardData:
             worker_row_range(100, 3, 2, 1)
         with pytest.raises(ValueError, match="power of two"):
             worker_row_range(100, 12, 2, 1)
+
+    @pytest.mark.parametrize(
+        "n, blocks, p, rank",
+        [(100, 2, 2, 3), (100, 2, 2, 0), (3, 4, 4, 4), (3, 8, 2, 2)],
+        ids=["rank-above-p", "rank-0", "last-of-4-on-3-rows", "last-of-2-on-3-rows-in-8-blocks"],
+    )
+    def test_a_rank_without_rows_is_named(self, n, blocks, p, rank):
+        match = f"no rows for rank {rank} of {p} workers: {n} rows in {blocks} reduction blocks"
+        with pytest.raises(ValueError, match=match):
+            worker_row_range(n, blocks, p, rank)
+
+    def test_inprocess_run_refuses_a_worker_without_rows(self):
+        x, y = toy_data(3)
+        with pytest.raises(ValueError, match="no rows for rank 4 of 4 workers: 3 rows in 4"):
+            run_cluster_inprocess(x, y, toy_settings(), workers=4)
+        assert not [t for t in threading.enumerate() if t.name.startswith("bartgrid-worker-")]
+
+    def test_serial_fit_keeps_empty_blocks(self):
+        x, y = toy_data(3)
+        assert run_serial(x, y, toy_settings(reduction_blocks=4)).sigmas.size == 40
+
+    def test_master_refuses_a_worker_without_rows_before_its_shard_meta(self):
+        # Two workers announce 1 and 0 rows and send nothing else.
+        ends = [channel_pair() for _ in range(2)]
+        for rank, (_, worker_end) in enumerate(ends, start=1):
+            worker_end.send(proto.encode(proto.Hello(proto.PROTOCOL_VERSION, rank, 2 - rank)))
+        try:
+            with pytest.raises(ValueError, match="no rows for rank 2 of 2 workers: 1 rows in 2"):
+                run_master([master_end for master_end, _ in ends], toy_settings())
+        finally:
+            for pair in ends:
+                for chan in pair:
+                    chan.close()
+
+    @pytest.mark.parametrize("rank, rows", [(1, 0), (3, 20)], ids=["empty-shard", "rank-3-of-2"])
+    def test_worker_refuses_a_bad_layout_before_the_handshake(self, rank, rows):
+        x, y = toy_data(20)
+        master_end, worker_end = channel_pair()
+        with pytest.raises(ValueError, match=f"no rows for rank {rank} of 2 workers: {rows} rows"):
+            run_worker(worker_end, x[:rows], y[:rows], rank, 2, 2)
+        worker_end.close()
+        with pytest.raises(ClusterError, match="closed the connection"):
+            master_end.recv(1)
+        master_end.close()
 
 
 class TestEquivalence:
@@ -163,7 +208,7 @@ class TestEquivalence:
         assert np.array_equal(serial.sigmas, two.sigmas)
         assert serial.forest_hashes == two.forest_hashes
         cuts = [
-            val[1] for _, _, forest in serial.snapshots for tree in forest
+            val[1] for _, forest in serial.snapshots for tree in forest
             for val in tree.nodes.values() if isinstance(val, tuple)
         ]
         assert max(cuts) > 255
@@ -376,7 +421,7 @@ class TestTransportErrors:
         # A scripted master proposes a birth, then accepts another move.
         with scripted_master() as (io, errors):
             play(io, [
-                proto.IterBegin(1, proto.PHASE_TREES),
+                proto.IterBegin(proto.PHASE_TREES),
                 proto.BirthProposal(1, 0, 3),
                 proto.MoveStats,
                 accept,
@@ -390,7 +435,7 @@ class TestTransportErrors:
             pytest.param(
                 1,
                 [
-                    proto.IterBegin(1, proto.PHASE_TREES),
+                    proto.IterBegin(proto.PHASE_TREES),
                     proto.BirthProposal(1, 0, 3),
                     proto.MoveStats,
                     proto.BirthProposal(1, 0, 3),
@@ -401,11 +446,11 @@ class TestTransportErrors:
             pytest.param(
                 2,
                 [
-                    proto.IterBegin(1, proto.PHASE_TREES),
+                    proto.IterBegin(proto.PHASE_TREES),
                     proto.Reject(),
                     (proto.MuStats, 1),
                     proto.MuValues((0.0,)),
-                    proto.IterBegin(1, proto.PHASE_TREES),
+                    proto.IterBegin(proto.PHASE_TREES),
                 ],
                 "unexpected IterBegin, wanted BirthProposal/DeathProposal/Reject",
                 id="tree-phase-restarted-mid-sweep",
@@ -446,11 +491,36 @@ class TestTransportErrors:
     def test_worker_refuses_a_proposal_its_replica_cannot_make(self, depth, proposal, match):
         # Two predictors and MAX_DEPTH + 1 cutpoints; the tree is a right
         # spine `depth` deep, its root split at (0, 0).
-        steps = [*right_spine(depth), proto.IterBegin(depth + 1, proto.PHASE_TREES), proposal]
+        steps = [*right_spine(depth), proto.IterBegin(proto.PHASE_TREES), proposal]
         with scripted_master(d=2, numcut=MAX_DEPTH + 1) as (io, errors):
             play(io, steps)
         assert len(errors) == 1
         assert match in str(errors[0])
+
+    def test_worker_sends_its_rss_unprompted_after_the_sweep(self):
+        x, y = toy_data(40)
+        with scripted_master() as (io, errors):
+            play(io, [
+                proto.IterBegin(proto.PHASE_TREES),
+                proto.Reject(),
+                (proto.MuStats, 1),
+                proto.MuValues((0.0,)),
+            ])
+            rss = io.recv((proto.RssPartial,)).rss
+            io.send(proto.Shutdown())
+        assert errors == []
+        # The one leaf mean stays 0, so the residual is the scaled response.
+        assert rss == float(np.sum(y * y))
+
+    def test_worker_speaking_protocol_version_1_is_refused(self):
+        master_end, worker_end = channel_pair()
+        worker_end.send(proto.encode(proto.Hello(1, 1, 40)))
+        try:
+            with pytest.raises(ClusterError, match="protocol version mismatch: worker 1 speaks 1"):
+                run_master([master_end], toy_settings())
+        finally:
+            master_end.close()
+            worker_end.close()
 
     def test_worker_shard_holds_only_cut_indices(self, monkeypatch):
         providers = []
@@ -493,9 +563,9 @@ class TestTransportErrors:
             io.recv((proto.Hello,))
             meta = io.recv((proto.ShardMeta,))
             io.send(proto.RunSetup(1, 10, 1, 40, 0.0, 1.0, meta.x_min, meta.x_max))
-            # The answer to the sigma phase comes after the worker binned.
-            io.send(proto.IterBegin(1, proto.PHASE_SIGMA))
-            io.recv((proto.RssPartial,))
+            # The answer to the hash phase comes after the worker binned.
+            io.send(proto.IterBegin(proto.PHASE_HASH))
+            io.recv((proto.ReplicaHash,))
             assert released() is None
             io.send(proto.Shutdown())
             thread.join(timeout=15)

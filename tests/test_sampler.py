@@ -171,7 +171,7 @@ class TestAcceptLogRatio:
     def test_min_leaf_deterministic_reject(self):
         prior = make_prior(min_leaf=5)
         tree = Tree()
-        prop = Proposal(BIRTH, 0, 1, 0, 10)
+        prop = Proposal(BIRTH, 1, 0, 10)
         ratio = accept_log_ratio(tree, prop, SuffStats(0, 0), SuffStats(0, 0), 1.0, prior)
         assert ratio == -math.inf
 
@@ -195,11 +195,11 @@ class TestAcceptLogRatio:
                     kinds.add("root")
                 else:
                     kinds.add("internal" if isinstance(tree.nodes[k ^ 1], tuple) else "terminal")
-                birth = Proposal(BIRTH, 0, k, 0, lo)
+                birth = Proposal(BIRTH, k, 0, lo)
                 lr_birth = accept_log_ratio(tree, birth, stats_l, stats_r, 0.8, prior)
                 after = tree.clone()
                 after.birth(k, 0, lo, 0.0, 0.0)
-                death = Proposal(DEATH, 0, k)
+                death = Proposal(DEATH, k)
                 lr_death = accept_log_ratio(after, death, stats_l, stats_r, 0.8, prior)
                 assert lr_birth + lr_death == pytest.approx(0.0, abs=1e-12)
         assert kinds == {"root", "terminal", "internal"}
@@ -208,7 +208,7 @@ class TestAcceptLogRatio:
         # Two row sets per child with equal counts and sums, different rows.
         prior = make_prior(min_leaf=1)
         tree = Tree()
-        prop = Proposal(BIRTH, 0, 1, 0, 3)
+        prop = Proposal(BIRTH, 1, 0, 3)
         sets = [
             (np.array([1.0, 0.0, 0.0]), np.array([0.25, 0.25])),
             (np.array([-2.0, 1.5, 1.5]), np.array([1.0, -0.5])),
@@ -225,7 +225,7 @@ class TestAcceptLogRatio:
     def test_prior_only_drops_likelihood(self):
         prior = make_prior(min_leaf=0)
         tree = Tree()
-        prop = Proposal(BIRTH, 0, 1, 0, 3)
+        prop = Proposal(BIRTH, 1, 0, 3)
         with_lik = accept_log_ratio(tree, prop, SuffStats(3, 8.0), SuffStats(2, -4.0), 0.5, prior)
         without = accept_log_ratio(tree, prop, SuffStats(3, 8.0), SuffStats(2, -4.0), 0.5, prior, prior_only=True)
         empty = accept_log_ratio(tree, prop, SuffStats(0, 0.0), SuffStats(0, 0.0), 0.5, prior)
@@ -315,7 +315,7 @@ class TestShardStats:
         assert [s[:3] for s in shard.slices(0)] == [(2, 0, 0), (3, 0, 4)]
         tree = Tree()
         tree.birth(1, 0, 0, 0.0, 0.0)
-        prop = Proposal(BIRTH, 0, 2, 1, 3)
+        prop = Proposal(BIRTH, 2, 1, 3)
         left, right = LocalProvider(shard).move_stats(0, tree, prop)
         assert (left.n, left.s) == (0, 0.0)
         assert (right.n, right.s) == (0, 0.0)
@@ -330,7 +330,7 @@ class TestShardStats:
         left_half = ShardData(grid.bin(x[:32]), ys[:32], 1, [(0, 32)])
         right_half = ShardData(grid.bin(x[32:]), ys[32:], 1, [(0, 32)])
         tree = Tree()
-        prop = Proposal(BIRTH, 0, 1, 0, 4)
+        prop = Proposal(BIRTH, 1, 0, 4)
         w_l, w_r = LocalProvider(whole).move_stats(0, tree, prop)
         a_l, a_r = LocalProvider(left_half).move_stats(0, tree, prop)
         b_l, b_r = LocalProvider(right_half).move_stats(0, tree, prop)
@@ -345,7 +345,7 @@ class TestShardStats:
         y = np.sin(2 * x[:, 0]) + 0.2 * rng.standard_normal(n)
         settings = FitSettings(m=m, draws=20, burn=5, thin=1, seed=13, min_leaf=2, numcut=20)
         settings.validate()
-        grid = CutpointGrid.from_data(x, settings.numcut)
+        grid = CutpointGrid.from_ranges(x.min(axis=0), x.max(axis=0), settings.numcut)
         y_mid = 0.5 * (y.min() + y.max())
         y_range = y.max() - y.min()
         ys = (y - y_mid) / y_range
@@ -415,7 +415,7 @@ class TestShardLayout:
         # rows lie in one block.
         x[:, 0] = np.sort(x[:, 0])
         ys = rng.standard_normal(n)
-        grid = CutpointGrid.from_data(x, numcut)
+        grid = CutpointGrid.from_ranges(x.min(axis=0), x.max(axis=0), numcut)
         bounds = partition_bounds(n, blocks)
         half = int(bounds[blocks // 2])
         whole = ShardData(
@@ -447,14 +447,14 @@ class TestShardLayout:
             node_id = terminals[int(rng.integers(len(terminals)))]
             mu = nodes[node_id]
             v = int(rng.integers(d))
-            prop = Proposal(BIRTH, j, node_id, v, int(rng.integers(grid.count(v))))
+            prop = Proposal(BIRTH, node_id, v, int(rng.integers(grid.count(v))))
             cutval = grid.value(prop.v, prop.c)
             got = whole.move_stats_blocks(j, prop, mu, mu)
             assert got == _masked_move_stats(whole, x, leaf, prop, cutval, mu, mu)
             if nogs:
                 nog = nogs[int(rng.integers(len(nogs)))]
                 mu_l, mu_r = nodes[2 * nog], nodes[2 * nog + 1]
-                death = Proposal(DEATH, j, nog)
+                death = Proposal(DEATH, nog)
                 got = whole.move_stats_blocks(j, death, mu_l, mu_r)
                 assert got == _masked_move_stats(whole, x, leaf, death, 0.0, mu_l, mu_r)
 
@@ -542,7 +542,7 @@ class TestShardLayout:
         rng = np.random.default_rng(48)
         x = rng.uniform(-1, 1, (10, 2))
         ys = rng.standard_normal(10)
-        xb = CutpointGrid.from_data(x, 5).bin(x)
+        xb = CutpointGrid.from_ranges(x.min(axis=0), x.max(axis=0), 5).bin(x)
         with pytest.raises(ValueError, match=r"xb must be \(variables, 10\) cut indices"):
             ShardData(xb.T, ys, 1, [(0, 10)])
         with pytest.raises(ValueError, match=r"xb must be \(variables, 10\) cut indices"):
@@ -625,7 +625,7 @@ class TestOneIteration:
         x = rng.uniform(-1, 1, (n, d))
         y = x[:, 0] ** 2 + 0.1 * rng.standard_normal(n)
         settings = FitSettings(m=m, draws=30, burn=0, thin=1, seed=20, min_leaf=2, numcut=25)
-        grid = CutpointGrid.from_data(x, settings.numcut)
+        grid = CutpointGrid.from_ranges(x.min(axis=0), x.max(axis=0), settings.numcut)
         y_mid = 0.5 * (y.min() + y.max())
         ys = (y - y_mid) / (y.max() - y.min())
         shard = ShardData(grid.bin(x), ys, m, [(0, n)])

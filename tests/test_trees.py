@@ -7,10 +7,8 @@ from bartgrid.trees import (
     Tree,
     TreeError,
     available_cut_range,
-    build_cutpoints,
     children_ids,
     depth_of_id,
-    parent_id,
     route_rows,
     tree_from_lines,
     tree_lines,
@@ -183,26 +181,31 @@ class TestBinnedRouting:
             grid3.bin(np.zeros((4, 2)))
 
 
+def range_cutpoints(lo, hi, numcut):
+    """One variable's cutpoints for the range [lo, hi]."""
+    return CutpointGrid.from_ranges([lo], [hi], numcut).values[0]
+
+
 class TestCutpoints:
     def test_equal_spacing(self):
-        assert np.allclose(build_cutpoints([0.0, 1.0], 3), [0.25, 0.5, 0.75])
+        assert np.allclose(range_cutpoints(0.0, 1.0, 3), [0.25, 0.5, 0.75])
 
     def test_constant_column(self):
-        assert np.array_equal(build_cutpoints([2.0, 2.0, 2.0], 100), [2.0])
+        assert np.array_equal(range_cutpoints(2.0, 2.0, 100), [2.0])
 
     def test_uniform_column_matches_linspace(self):
         rng = np.random.default_rng(5)
         col = rng.uniform(-1, 1, 1000)
-        cuts = build_cutpoints(col, 100)
+        cuts = range_cutpoints(col.min(), col.max(), 100)
         expected = np.linspace(col.min(), col.max(), 102)[1:-1]
         assert np.array_equal(cuts, expected)
         assert cuts.size == 100
         assert np.all(np.diff(cuts) > 0)
         assert cuts[0] > col.min() and cuts[-1] < col.max()
 
-    def test_empty_column_errors(self):
-        with pytest.raises(ValueError, match="empty variable"):
-            build_cutpoints([], 10)
+    def test_numcut_must_be_positive(self):
+        with pytest.raises(ValueError, match="numcut must be >= 1"):
+            range_cutpoints(0.0, 1.0, 0)
 
     def test_grid_invariants(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -296,8 +299,7 @@ class TestIdCodec:
             node_id = int(rng.integers(1, 2**31))
             left, right = children_ids(node_id)
             assert left == 2 * node_id and right == 2 * node_id + 1
-            assert parent_id(left) == node_id
-            assert parent_id(right) == node_id
+            assert depth_of_id(left) == depth_of_id(right) == depth_of_id(node_id) + 1
 
 
 class TestAvailableRange:

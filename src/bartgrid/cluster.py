@@ -10,9 +10,11 @@ whenever each worker holds a power-of-two number of blocks.
 
 A worker answers in a fixed order.  In an iteration's tree phase it takes
 each tree in turn: a proposal (answered with MOVE_STATS, then the decision)
-or a bare reject, then the leaf pass.  The phase ends with the worker's
-RSS_PARTIAL, sent unprompted after the last tree's leaf pass.  Any other
-message, or a proposal that does not fit its forest replica, fails the run.
+or a bare reject, then the leaf pass, whose MU_STATS carries the rows of the
+worker's folded leaf-statistics array; the master stacks the workers' rows
+and folds them once.  The phase ends with the worker's RSS_PARTIAL, sent
+unprompted after the last tree's leaf pass.  Any other message, or a
+proposal that does not fit its forest replica, fails the run.
 
 One transport, a stream socket: a socketpair per worker thread in-process,
 TCP across hosts.  Failure model is fail-stop: any worker loss aborts the
@@ -38,7 +40,6 @@ from .sampler import (
     LocalProvider,
     Proposal,
     ShardData,
-    StatsVec,
     SuffStats,
     derive_run_constants,
     forest_hash,
@@ -111,8 +112,12 @@ class SocketChannel:
         self._sock = sock
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
+            for name, value in KEEPALIVE:
+                if hasattr(socket, name):
+                    sock.setsockopt(socket.IPPROTO_TCP, getattr(socket, name), value)
         except OSError:
-            pass  # non-TCP stream sockets (e.g. a unix socketpair) lack the option
+            pass  # non-TCP stream sockets (e.g. a unix socketpair) lack the options
 
     def send(self, data: bytes) -> None:
         try:
@@ -175,13 +180,10 @@ class MessageIO:
     def __init__(self, channel: SocketChannel, audit: ByteAudit | None = None):
         self.channel = channel
         self.audit = audit
-        self.capture: list | None = None
 
     def _log(self, frame: bytes, outgoing: bool) -> None:
         if self.audit is not None:
             self.audit.record(frame[0], len(frame) - 1, outgoing)
-        if self.capture is not None:
-            self.capture.append(("send" if outgoing else "recv", frame))
 
     def send(self, msg: proto.Message) -> None:
         frame = proto.encode(msg)
@@ -292,9 +294,10 @@ def _serve_tree(
             tree.death(msg.node_id, msg.mu)
     terminals = tree.terminals()
     old = np.array([tree.nodes[k] for k in terminals], dtype=np.float64)
-    # The payload carries sums of squares too; the master discards them.
-    stats = pairwise_fold(provider.shard.mu_stats_blocks(j, old, squares=True))
-    io.send(proto.MuStats(tuple(zip(stats.n.tolist(), stats.s.tolist(), stats.s2.tolist()))))
+    # The payload carries sums of squares too, which the master discards, and
+    # the counts as ints, as MuStats packs them.
+    n, s, s2 = pairwise_fold(provider.shard.mu_stats_blocks(j, old, squares=True)).tolist()
+    io.send(proto.MuStats(tuple(zip(map(int, n), s, s2))))
     new = io.recv((proto.MuValues,), mu_records=len(terminals)).values
     provider.apply_mus(j, old, np.array(new, dtype=np.float64))
     tree.nodes.update(zip(terminals, new))
@@ -348,13 +351,9 @@ class RemoteProvider:
         else:
             left_id, right_id = children_ids(prop.node_id)
             self._broadcast(proto.DeathProposal(left_id, right_id))
-        lefts = []
-        rights = []
-        for io in self.ios:
-            msg = io.recv((proto.MoveStats,))
-            lefts.append(SuffStats(msg.n_left, msg.sum_left))
-            rights.append(SuffStats(msg.n_right, msg.sum_right))
-        return pairwise_fold(lefts), pairwise_fold(rights)
+        msgs = [io.recv((proto.MoveStats,)) for io in self.ios]
+        return (pairwise_fold([SuffStats(m.n_left, m.sum_left) for m in msgs]),
+                pairwise_fold([SuffStats(m.n_right, m.sum_right) for m in msgs]))
 
     def apply_birth(self, j, tree, prop, mu_l, mu_r):
         self._broadcast(proto.BirthAccept(prop.node_id, prop.v, prop.c, mu_l, mu_r))
@@ -363,12 +362,9 @@ class RemoteProvider:
         self._broadcast(proto.DeathAccept(prop.node_id, mu))
 
     def mu_stats(self, j, mus):
-        partials = []
-        for io in self.ios:
-            msg = io.recv((proto.MuStats,), mu_records=mus.size)
-            n, s, _s2 = zip(*msg.records)
-            partials.append(StatsVec(np.array(n, dtype=np.int64), np.array(s)))
-        return pairwise_fold(partials)
+        # (workers, rows, leaves), without the sums of squares.
+        records = [io.recv((proto.MuStats,), mu_records=mus.size).records for io in self.ios]
+        return pairwise_fold(np.array(records).transpose(0, 2, 1)[:, :2])
 
     def apply_mus(self, j, old, new):
         self._broadcast(proto.MuValues(tuple(float(v) for v in new)))
@@ -393,7 +389,6 @@ def run_master(
     settings: FitSettings,
     *,
     audits: dict[int, ByteAudit] | None = None,
-    captures: dict[int, list] | None = None,
     check_replicas: bool = False,
     **chain_kwargs,
 ) -> ChainResult:
@@ -401,11 +396,11 @@ def run_master(
 
     The channels may come in any order: each worker names its rank (1..p) in
     its HELLO, and must have sent nothing else yet (the handshake starts
-    here).  `audits` and `captures` are keyed by rank.  `check_replicas`
-    compares every worker's forest replica with the master's forest after
-    each iteration; `chain_kwargs` (`collect_hashes`, `collect_trace`) go to
-    `run_chain_core`.  Returns the same result structure as the serial
-    sampler: for equal seeds and block layouts the two are bit-identical.
+    here).  `audits` are keyed by rank.  `check_replicas` compares every
+    worker's forest replica with the master's forest after each iteration;
+    `chain_kwargs` (`collect_hashes`, `collect_trace`) go to `run_chain_core`.
+    Returns the same result structure as the serial sampler: for equal seeds
+    and block layouts the two are bit-identical.
     """
     settings.validate()
     p = len(channels)
@@ -424,7 +419,6 @@ def run_master(
             raise ClusterError(f"two workers claim rank {rank}")
         # The HELLO names the rank, so the rank's ledger starts with it.
         io.audit = audits.get(rank) if audits else None
-        io.capture = captures.get(rank) if captures else None
         io._log(proto.encode(hello), outgoing=False)
         ios[rank] = io
         hellos[rank] = hello
@@ -576,6 +570,9 @@ def serve_master(
 # Bounds only the connection attempt: an established worker waits on its
 # master for as long as the master computes.
 CONNECT_TIMEOUT = 10.0
+# TCP keepalive: after 60 idle seconds, a probe every 10 s; 6 unanswered probes
+# fail the next receive.  A busy peer's kernel still answers them.
+KEEPALIVE = (("TCP_KEEPIDLE", 60), ("TCP_KEEPINTVL", 10), ("TCP_KEEPCNT", 6))
 CONNECT_RETRY = 30.0  # seconds a worker keeps retrying while its master binds
 
 

@@ -6,7 +6,8 @@ worker holding several blocks folds its own blocks and ships one partial; the
 master folds the partials with the same tree.  Because the fold groupings line
 up whenever each worker holds a power-of-two number of blocks, the chain is
 bit-identical whether those sums are computed serially or across any such
-worker layout.
+worker layout.  A tree's leaf statistics are one float64 array throughout:
+(blocks, rows, leaves) from the shard, folded along blocks to (rows, leaves).
 
 The chain itself is driven by `run_chain_core`, which is shared between the
 serial sampler and the distributed master: both consume the exact same random
@@ -73,32 +74,15 @@ class SuffStats:
         return SuffStats(self.n + other.n, self.s + other.s)
 
 
-@dataclass(slots=True)
-class StatsVec:
-    """Per-node count and residual-sum columns for one tree (ascending node id).
-
-    `s2`, the residual sums of squares, is computed only by a worker, for the
-    MuStats payload that carries it; the chain never reads it.
-    """
-
-    n: np.ndarray
-    s: np.ndarray
-    s2: np.ndarray | None = None
-
-    def __add__(self, other: "StatsVec") -> "StatsVec":
-        s2 = None if self.s2 is None else self.s2 + other.s2
-        return StatsVec(self.n + other.n, self.s + other.s, s2)
-
-
 def pairwise_fold(items: Sequence):
-    """Combine a list with a fixed balanced pairwise tree.
+    """Combine a list, or an array along its first axis, with a fixed balanced pairwise tree.
 
-    The grouping depends only on the list length.  Folding B leaves directly
+    The grouping depends only on the length.  Folding B leaves directly
     gives the same result as folding chunk-folds, provided every chunk holds a
     power-of-two count of leaves; that regrouping property is what makes the
     reduction independent of how blocks are spread over workers.
     """
-    if not items:
+    if len(items) == 0:
         raise ValueError("cannot fold an empty list")
     level = list(items)
     while len(level) > 1:
@@ -176,15 +160,15 @@ def draw_mu(stats: SuffStats, sigma: float, tau: float, rng: np.random.Generator
 
 
 def draw_mus(
-    stats: StatsVec, sigma: float, tau: float, rng: np.random.Generator
+    stats: np.ndarray, sigma: float, tau: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Leaf means for all terminal nodes of one tree, in column order."""
+    """Leaf means for all terminal nodes of one tree, from their (count, sum) rows."""
     s2 = sigma * sigma
     t2 = tau * tau
-    denom = s2 + t2 * stats.n
-    means = t2 * stats.s / denom
+    denom = s2 + t2 * stats[0]
+    means = t2 * stats[1] / denom
     sds = np.sqrt(s2 * t2 / denom)
-    return means + sds * rng.standard_normal(stats.n.size)
+    return means + sds * rng.standard_normal(stats.shape[1])
 
 
 def draw_sigma(
@@ -316,12 +300,6 @@ def accept_log_ratio(
 # Shard-local data state
 # ---------------------------------------------------------------------------
 
-def _scatter(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    out = np.zeros(mask.size)
-    out[mask] = values
-    return out
-
-
 class _Slices:
     """Where each terminal node of one tree sits in that tree's row order.
 
@@ -332,8 +310,7 @@ class _Slices:
     bookkeeping.  Instances are never modified; a move builds a new one.
     """
 
-    __slots__ = ("ids", "counts", "starts", "runs", "lens", "seg", "nonempty",
-                 "rank", "by_id", "n_by_id")
+    __slots__ = ("ids", "counts", "starts", "runs", "lens", "rank", "seg", "seg_n", "cells")
 
     def __init__(self, ids: list[int], counts: np.ndarray):
         self.ids = ids
@@ -342,16 +319,17 @@ class _Slices:
         self.runs = [[0, *itertools.accumulate(row)] for row in counts.tolist()]
         self.starts = [0, *itertools.accumulate(r[-1] for r in self.runs)]
         self.lens = counts.sum(axis=1)
-        # Starts of the non-empty (terminal, block) segments, for reduceat.
+        # rank: each slice's position in ascending id order.  Then the
+        # non-empty (terminal, block) segments: their starts, for reduceat,
+        # their row counts, and their (block, leaf rank) cells.
+        self.rank = np.empty(len(ids), dtype=np.intp)
+        self.rank[np.argsort(ids)] = np.arange(len(ids))
         flat = counts.ravel()
-        nonempty = flat > 0
+        nonempty = np.flatnonzero(flat)
         self.seg = (np.cumsum(flat) - flat)[nonempty]
-        self.nonempty = None if nonempty.all() else nonempty
-        # by_id: slice positions in ascending id order; rank: its inverse.
-        self.by_id = np.argsort(ids)
-        self.rank = np.empty_like(self.by_id)
-        self.rank[self.by_id] = np.arange(len(ids))
-        self.n_by_id = np.ascontiguousarray(counts[self.by_id].T)
+        self.seg_n = flat[nonempty]
+        t, k = np.divmod(nonempty, counts.shape[1])
+        self.cells = (k, self.rank[t])
 
     def split(self, t: int, left_counts: np.ndarray) -> "_Slices":
         """Terminal t replaced by its children, the left child's slice first."""
@@ -479,12 +457,13 @@ class ShardData:
             for r_l, r_r in parts
         ]
 
-    def mu_stats_blocks(self, j: int, mus: np.ndarray, squares: bool = False) -> list[StatsVec]:
+    def mu_stats_blocks(self, j: int, mus: np.ndarray, squares: bool = False) -> np.ndarray:
         """Per-block partial-residual statistics for every terminal node.
 
-        `mus` are tree j's leaf means in ascending node id order, the order
-        of the returned columns too.  `squares` adds the sums of squares,
-        which only the MuStats payload carries.
+        Returns a (blocks, rows, leaves) float64 array: row 0 holds the
+        counts, row 1 the residual sums and, with `squares`, row 2 the sums
+        of squares, which only the MuStats payload carries.  `mus` are tree
+        j's leaf means in ascending node id order, the order of the leaves.
         """
         sl = self._slices[j]
         if mus.size != len(sl.ids):
@@ -494,18 +473,15 @@ class ShardData:
         self._gathered = (j, gathered)
         r = np.repeat(mus[sl.rank], sl.lens)
         r += gathered
-        sums = [np.add.reduceat(r, sl.seg)]
+        # reduceat yields an element, not 0, for an empty segment, so only the
+        # non-empty ones are reduced; the cells of the empty ones stay 0.
+        k, leaf = sl.cells
+        out = np.zeros((len(self.blocks), 3 if squares else 2, len(sl.ids)))
+        out[k, 0, leaf] = sl.seg_n
+        out[k, 1, leaf] = np.add.reduceat(r, sl.seg)
         if squares:
-            sums.append(np.add.reduceat(np.square(r, out=r), sl.seg))
-        k = len(self.blocks)
-        columns = []
-        for col in sums:
-            if sl.nonempty is not None:
-                # reduceat yields an element, not 0, for an empty segment, so
-                # only the non-empty ones are reduced.
-                col = _scatter(col, sl.nonempty)
-            columns.append(col.reshape(-1, k)[sl.by_id].T)
-        return [StatsVec(sl.n_by_id[i].copy(), *(col[i] for col in columns)) for i in range(k)]
+            out[k, 2, leaf] = np.add.reduceat(np.square(r, out=r), sl.seg)
+        return out
 
     def rss_blocks(self) -> list[float]:
         return [
@@ -710,7 +686,7 @@ class StatsProvider(Protocol):
 
     def apply_death(self, j: int, tree: Tree, prop: Proposal, mu: float) -> None: ...
 
-    def mu_stats(self, j: int, mus: np.ndarray) -> StatsVec: ...
+    def mu_stats(self, j: int, mus: np.ndarray) -> np.ndarray: ...
 
     def apply_mus(self, j: int, old: np.ndarray, new: np.ndarray) -> None: ...
 

@@ -290,21 +290,38 @@ class TestByteAccounting:
                 elif opcode == proto.OP_MU_VALUES:
                     assert total % 8 == 0
 
-    def test_golden_trace_replays_identically(self):
-        # Capture every frame of a live 2-worker run, then decode the byte
-        # trace offline: every frame must parse, and re-encoding the parsed
-        # message must reproduce the captured bytes exactly.
+    def test_golden_trace_replays_identically(self, monkeypatch):
+        # Capture every frame of a live 2-worker run, on the master's and the
+        # workers' threads, then decode the byte trace offline: every frame
+        # must parse, and re-encoding the parsed message must reproduce the
+        # captured bytes exactly.
+        encode, read_frame = proto.encode, proto.read_frame
+        captures: dict[tuple[str, str], list[bytes]] = {}
+
+        def capture(direction, frame):
+            key = (threading.current_thread().name, direction)
+            captures.setdefault(key, []).append(frame)
+            return frame
+
+        monkeypatch.setattr(proto, "encode", lambda msg: capture("send", encode(msg)))
+        monkeypatch.setattr(
+            proto, "read_frame", lambda *args: capture("recv", read_frame(*args))
+        )
         x, y = toy_data(150)
         settings = toy_settings(draws=6, burn=1, thin=1)
-        captures: dict[int, list] = {1: [], 2: []}
-        result = run_cluster_inprocess(x, y, settings, workers=2, captures=captures)
+        result = run_cluster_inprocess(x, y, settings, workers=2)
         assert result.sigmas.size == settings.draws
+        master = threading.main_thread().name
+        assert set(captures) == {
+            (name, direction)
+            for name in (master, "bartgrid-worker-1", "bartgrid-worker-2")
+            for direction in ("send", "recv")
+        }
         sampler_ops_seen = set()
-        for rank, frames in captures.items():
-            assert frames, "captured trace must be non-empty"
-            for _direction, frame in frames:
+        for frames in captures.values():
+            for frame in frames:
                 msg = proto.decode(frame)
-                assert proto.encode(msg) == frame
+                assert encode(msg) == frame
                 if frame[0] in proto.SAMPLER_OPCODES:
                     sampler_ops_seen.add(frame[0])
         assert proto.OP_MOVE_STATS in sampler_ops_seen
@@ -618,6 +635,29 @@ def refused_handshake(shards, match):
 
 
 class TestTcpTransport:
+    def test_tcp_channels_send_keepalive_probes(self):
+        # Both ends of a loopback TCP connection probe their peer; a unix
+        # socketpair, which has no TCP options, still makes a channel.
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            client = socket.create_connection(server.getsockname(), timeout=10.0)
+            conn, _addr = server.accept()
+        channels = [SocketChannel(client), SocketChannel(conn)]
+        try:
+            for sock in (client, conn):
+                assert sock.getsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE) != 0
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+                for name, value in cluster.KEEPALIVE:
+                    if hasattr(socket, name):
+                        assert sock.getsockopt(socket.IPPROTO_TCP, getattr(socket, name)) == value
+        finally:
+            for chan in channels:
+                chan.close()
+        ends = channel_pair()
+        ends[0].send(b"ok")
+        assert ends[1].recv(2) == b"ok"
+        for chan in ends:
+            chan.close()
+
     def test_idle_worker_outlives_connect_timeout(self, monkeypatch):
         # A connected worker waits on its master as long as the master needs;
         # here the master is silent for longer than the connect timeout.

@@ -364,10 +364,10 @@ class TestShardStats:
             leaf_of_row = route_rows(forest[j], grid, x)
             terminals = forest[j].terminals()
             mus = np.array([forest[j].nodes[k] for k in terminals])
-            assert pairwise_fold(shard.mu_stats_blocks(j, mus)).s2 is None
+            assert shard.mu_stats_blocks(j, mus).shape == (1, 2, len(terminals))
             stats = pairwise_fold(shard.mu_stats_blocks(j, mus, squares=True))
-            assert stats.n.size == len(terminals)
-            for node_id, cnt, s, s2 in zip(terminals, stats.n, stats.s, stats.s2):
+            assert stats.shape == (3, len(terminals))
+            for node_id, cnt, s, s2 in zip(terminals, *stats):
                 rows = leaf_of_row == node_id
                 assert cnt == int(rows.sum())
                 assert s == pytest.approx(float(r_oracle[rows].sum()), abs=1e-8)
@@ -490,19 +490,19 @@ class TestShardLayout:
             # to the whole shard's, bit for bit.
             mus = np.array([nodes[k] for k in terminals])
             per_block = whole.mu_stats_blocks(j, mus, squares=True)
-            for (lo, hi), got in zip(whole.blocks, per_block):
+            assert per_block.shape == (blocks, 3, len(terminals))
+            for (lo, hi), (n_got, s_got, s2_got) in zip(whole.blocks, per_block):
                 r = whole.residual[lo:hi] + mus[np.searchsorted(terminals, leaf[lo:hi])]
                 for i, k in enumerate(terminals):
                     sel = leaf[lo:hi] == k
-                    assert got.n[i] == np.count_nonzero(sel)
-                    assert got.s[i] == pytest.approx(r[sel].sum(), abs=1e-12)
-                    assert got.s2[i] == pytest.approx((r[sel] ** 2).sum(), abs=1e-12)
+                    assert n_got[i] == np.count_nonzero(sel)
+                    assert s_got[i] == pytest.approx(r[sel].sum(), abs=1e-12)
+                    assert s2_got[i] == pytest.approx((r[sel] ** 2).sum(), abs=1e-12)
             folded = pairwise_fold(per_block)
-            split = pairwise_fold([
+            split = pairwise_fold(np.stack([
                 pairwise_fold(h.mu_stats_blocks(j, mus, squares=True)) for h in halves
-            ])
-            for col in ("n", "s", "s2"):
-                assert np.array_equal(getattr(folded, col), getattr(split, col))
+            ]))
+            assert np.array_equal(folded, split)
 
             # Leaf-mean update through the gather mu_stats_blocks left behind.
             new = rng.normal(0, 0.3, mus.size)
@@ -566,9 +566,22 @@ class TestFold:
             ]
             assert pairwise_fold(parts) == full
 
-    def test_fold_empty_errors(self):
-        with pytest.raises(ValueError):
-            pairwise_fold([])
+    @pytest.mark.parametrize("empty", [[], np.zeros((0, 3, 4))])
+    def test_fold_empty_errors(self, empty):
+        with pytest.raises(ValueError, match="cannot fold an empty list"):
+            pairwise_fold(empty)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_array_fold_equals_list_and_scalar_folds(self, k):
+        # Leaf statistics fold as one (blocks, rows, leaves) array; its fold
+        # must group every cell exactly as the list and the scalar folds do.
+        rng = np.random.default_rng(17 + k)
+        stacked = rng.uniform(-1, 1, (k, 3, 5)) * 10.0 ** rng.integers(-8, 8, (k, 3, 5))
+        folded = pairwise_fold(stacked)
+        assert folded.shape == (3, 5)
+        assert np.array_equal(folded, pairwise_fold(list(stacked)))
+        for r, c in np.ndindex(3, 5):
+            assert folded[r, c] == pairwise_fold(stacked[:, r, c].tolist())
 
     def test_all_zero(self):
         total = pairwise_fold([SuffStats(), SuffStats(), SuffStats()])

@@ -219,7 +219,7 @@ def load_model(path: str) -> PosteriorSample:
         for t, tree in enumerate(forest):
             for k, rule in tree.nodes.items():
                 if isinstance(rule, tuple) and not (
-                    rule[0] < d and rule[1] < grid.count(rule[0])
+                    rule[0] < d and rule[1] < grid.counts[rule[0]]
                 ):
                     raise ModelFileError(
                         f"snapshot {idx}, tree {t}, node {k}: rule {rule} is outside the"
@@ -302,10 +302,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if cfg.role == "worker":
         cfg.require("connect", "data")
         host, _, port = cfg.connect.rpartition(":")
-        x, y, _n_total = _load_worker_shard(cfg)
+        # No local keeps the shard: the worker frees its float rows once binned.
         connect_worker(
-            (host or "127.0.0.1", int(port)), x, y, cfg.rank, cfg.workers,
-            cfg.fit.reduction_blocks or cfg.workers,
+            (host or "127.0.0.1", int(port)), list(_load_worker_shard(cfg)[:2]), cfg.rank,
+            cfg.workers, cfg.fit.reduction_blocks or cfg.workers,
         )
         return 0
 

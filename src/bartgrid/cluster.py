@@ -48,7 +48,7 @@ from .sampler import (
     start_chain,
     summarize_shard,
 )
-from .trees import MAX_DEPTH, CutpointGrid, Tree, available_cut_range, children_ids, depth_of_id
+from .trees import MAX_DEPTH, CutpointGrid, Tree, available_cut_ranges, children_ids, depth_of_id
 
 
 class ClusterError(RuntimeError):
@@ -293,7 +293,7 @@ def _serve_tree(
             provider.apply_death(j, tree, prop, msg.mu)
             tree.death(msg.node_id, msg.mu)
     terminals = tree.terminals()
-    old = np.array([tree.nodes[k] for k in terminals], dtype=np.float64)
+    old = np.array(list(map(tree.nodes.__getitem__, terminals)), dtype=np.float64)
     # The payload carries sums of squares too, which the master discards, and
     # the counts as ints, as MuStats packs them.
     n, s, s2 = pairwise_fold(provider.shard.mu_stats_blocks(j, old, squares=True)).tolist()
@@ -312,7 +312,7 @@ def _checked_proposal(j: int, tree: Tree, grid: CutpointGrid, msg: proto.Message
             raise ClusterError(f"tree {j}: birth at node {k}, which is not a leaf that may split")
         if v >= grid.n_vars:
             raise ClusterError(f"tree {j}: birth at node {k} on variable {v} of {grid.n_vars}")
-        lo, hi = available_cut_range(tree, k, v, grid.count(v))
+        lo, hi = available_cut_ranges(tree, k, grid.counts)[v]
         if not lo <= c < hi:
             raise ClusterError(
                 f"tree {j}: birth at node {k} cuts variable {v} at {c}, outside [{lo}, {hi})"
@@ -578,13 +578,17 @@ CONNECT_RETRY = 30.0  # seconds a worker keeps retrying while its master binds
 
 def connect_worker(
     address: tuple[str, int],
-    x: np.ndarray,
-    y: np.ndarray,
+    shard: list[np.ndarray],
     rank: int,
     workers: int,
     reduction_blocks: int,
 ) -> None:
-    """Connect to the master (with retries while it binds) and serve a shard."""
+    """Connect to the master (with retries while it binds) and serve a shard.
+
+    `shard` is the list [x, y].  It is emptied as its arrays go to
+    `run_worker`, so once the worker has binned the float rows `x`, no
+    caller that passed the list keeps them alive.
+    """
     deadline = time.monotonic() + CONNECT_RETRY
     last_err: Exception | None = None
     sock = None
@@ -600,6 +604,6 @@ def connect_worker(
     sock.settimeout(None)
     chan = SocketChannel(sock)
     try:
-        run_worker(chan, x, y, rank, workers, reduction_blocks)
+        run_worker(chan, shard.pop(0), shard.pop(0), rank, workers, reduction_blocks)
     finally:
         chan.close()

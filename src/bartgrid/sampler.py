@@ -25,12 +25,18 @@ decides every rule.  The serial sampler bins its rows once the grid is fixed;
 a worker bins its rows once RUN_SETUP has fixed the grid and then drops its
 reference to the float rows.
 
+A tree update on a small shard costs about as many microseconds as the
+Python and numpy calls it makes, so the per-tree path keeps them few: it
+reads the tree's cached terminal and nog lists, finds a birth's cut ranges
+in one walk up the tree, takes the tree prior's logs from the per-depth
+table in `PriorParams`, and calls numpy's array methods and ufuncs
+directly.  None of this changes an operation or its order.
+
 `FitSettings` declares every fit setting, its default and its domain.
 """
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -44,9 +50,8 @@ from .trees import (
     CompiledTrees,
     CutpointGrid,
     Tree,
-    available_cut_range,
+    available_cut_ranges,
     children_ids,
-    depth_of_id,
     tree_lines,
 )
 
@@ -82,7 +87,12 @@ def pairwise_fold(items: Sequence):
     power-of-two count of leaves; that regrouping property is what makes the
     reduction independent of how blocks are spread over workers.
     """
-    if len(items) == 0:
+    n = len(items)
+    if n == 2:
+        return items[0] + items[1]
+    if n == 1:
+        return items[0]
+    if n == 0:
         raise ValueError("cannot fold an empty list")
     level = list(items)
     while len(level) > 1:
@@ -112,7 +122,12 @@ def partition_bounds(n: int, parts: int) -> np.ndarray:
 
 @dataclass(slots=True)
 class PriorParams:
-    """Resolved prior for one run, from `resolve_prior` on validated settings."""
+    """Resolved prior for one run, from `resolve_prior` on validated settings.
+
+    `split_logs[d]` holds the tree-prior logs the MH ratio reads for a move
+    at depth d: log p_d, 2 log(1 - p_{d+1}) and log(1 - p_d), where p is
+    `split_prior_prob`.  They are derived once from alpha and beta.
+    """
 
     m: int
     alpha: float
@@ -121,6 +136,16 @@ class PriorParams:
     nu: float
     lam: float
     min_leaf: int
+    split_logs: list[tuple[float, float, float]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.split_logs = []
+        for d in range(MAX_DEPTH + 1):
+            p_d = split_prior_prob(d, self.alpha, self.beta)
+            p_d1 = split_prior_prob(d + 1, self.alpha, self.beta)
+            # A node that cannot split has no birth to weigh: log 0 = -inf.
+            log_p = math.log(p_d) if p_d > 0.0 else -math.inf
+            self.split_logs.append((log_p, 2.0 * math.log1p(-p_d1), math.log1p(-p_d)))
 
 
 def split_prior_prob(depth: int, alpha: float, beta: float) -> float:
@@ -214,14 +239,12 @@ def propose(tree: Tree, grid: CutpointGrid, rng: np.random.Generator) -> Proposa
     p_birth = 1.0 if len(terminals) == 1 else 0.5
     if rng.random() < p_birth:
         node_id = terminals[int(rng.integers(len(terminals)))]
-        if depth_of_id(node_id) >= MAX_DEPTH:
+        if node_id.bit_length() > MAX_DEPTH:  # its depth is MAX_DEPTH or more
             return None
-        ranges = [
-            (v, lo, hi)
-            for v in range(grid.n_vars)
-            for lo, hi in [available_cut_range(tree, node_id, v, grid.count(v))]
-            if hi > lo
-        ]
+        ranges = []
+        for v, (lo, hi) in enumerate(available_cut_ranges(tree, node_id, grid.counts)):
+            if hi > lo:
+                ranges.append((v, lo, hi))
         if not ranges:
             return None
         v, lo, hi = ranges[int(rng.integers(len(ranges)))]
@@ -251,23 +274,21 @@ def accept_log_ratio(
         raise ValueError(f"unknown move {prop.move!r}")
     if prop.move == BIRTH and min(stats_left.n, stats_right.n) < prior.min_leaf:
         return -math.inf
-    merged = stats_left + stats_right
-    d = depth_of_id(prop.node_id)
-    p_d = split_prior_prob(d, prior.alpha, prior.beta)
-    p_d1 = split_prior_prob(d + 1, prior.alpha, prior.beta)
+    merged = SuffStats(stats_left.n + stats_right.n, stats_left.s + stats_right.s)
+    k = prop.node_id
+    log_p_d, two_log1m_p_d1, log1m_p_d = prior.split_logs[k.bit_length() - 1]
     b = (len(tree.nodes) + 1) // 2
     nogs = len(tree.nogs())
     if prop.move == BIRTH:
         p_birth = 1.0 if b == 1 else 0.5
         # The birth makes its node a nog; its parent stops being one when the
         # sibling is terminal.
-        k = prop.node_id
         nog_after = nogs + 1 - (k > 1 and not isinstance(tree.nodes[k ^ 1], tuple))
         p_death_after = 0.5
         log_ratio = (
-            math.log(p_d)
-            + 2.0 * math.log1p(-p_d1)
-            - math.log1p(-p_d)
+            log_p_d
+            + two_log1m_p_d1
+            - log1m_p_d
             + math.log(p_death_after * b)
             - math.log(p_birth * nog_after)
         )
@@ -281,9 +302,9 @@ def accept_log_ratio(
     p_death = 0.5
     p_birth_after = 1.0 if b - 1 == 1 else 0.5
     log_ratio = (
-        -math.log(p_d)
-        - 2.0 * math.log1p(-p_d1)
-        + math.log1p(-p_d)
+        -log_p_d
+        - two_log1m_p_d1
+        + log1m_p_d
         + math.log(p_birth_after * nogs)
         - math.log(p_death * (b - 1))
     )
@@ -300,52 +321,74 @@ def accept_log_ratio(
 # Shard-local data state
 # ---------------------------------------------------------------------------
 
+class _StatsPair(tuple):
+    """One block's (left, right) move statistics.
+
+    Pairs add elementwise, so `pairwise_fold` folds a list of them into one
+    pair: each side's fold is the fold of that side's statistics alone.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other: "_StatsPair") -> "_StatsPair":
+        return _StatsPair((self[0] + other[0], self[1] + other[1]))
+
+
 class _Slices:
     """Where each terminal node of one tree sits in that tree's row order.
 
     Terminals are listed left to right, the order of their slices.  A slice
     holds its rows ascending, so the rows of reduction block k form its k-th
-    run, `counts[t, k]` rows long.  Everything besides `ids` and `counts` is
+    run, `counts[t][k]` rows long.  Everything besides `ids` and `counts` is
     derived once per birth or death, so the per-call kernels do no
-    bookkeeping.  Instances are never modified; a move builds a new one.
+    bookkeeping.  A tree has a handful of leaves, so the tables are built
+    from Python lists, and only those the kernels index with become arrays.
+    Instances are never modified; a move builds a new one.
     """
 
     __slots__ = ("ids", "counts", "starts", "runs", "lens", "rank", "seg", "seg_n", "cells")
 
-    def __init__(self, ids: list[int], counts: np.ndarray):
+    def __init__(self, ids: list[int], counts: list[list[int]]):
         self.ids = ids
         self.counts = counts
-        # Run boundaries inside each slice, and each slice's start, as ints.
-        self.runs = [[0, *itertools.accumulate(row)] for row in counts.tolist()]
-        self.starts = [0, *itertools.accumulate(r[-1] for r in self.runs)]
-        self.lens = counts.sum(axis=1)
-        # rank: each slice's position in ascending id order.  Then the
-        # non-empty (terminal, block) segments: their starts, for reduceat,
-        # their row counts, and their (block, leaf rank) cells.
-        self.rank = np.empty(len(ids), dtype=np.intp)
-        self.rank[np.argsort(ids)] = np.arange(len(ids))
-        flat = counts.ravel()
-        nonempty = np.flatnonzero(flat)
-        self.seg = (np.cumsum(flat) - flat)[nonempty]
-        self.seg_n = flat[nonempty]
-        t, k = np.divmod(nonempty, counts.shape[1])
-        self.cells = (k, self.rank[t])
+        # rank: each slice's position in ascending id order.
+        rank = [0] * len(ids)
+        for r, t in enumerate(sorted(range(len(ids)), key=ids.__getitem__)):
+            rank[t] = r
+        # Run boundaries inside each slice, each slice's start and length;
+        # then the non-empty (terminal, block) segments: their starts, for
+        # reduceat, their row counts, and their (block, leaf rank) cells.
+        self.runs, self.starts, lens = [], [0], []
+        seg, seg_n, block, leaf = [], [], [], []
+        for t, row in enumerate(counts):
+            run = [0]
+            for k, c in enumerate(row):
+                if c:
+                    seg.append(self.starts[-1] + run[-1])
+                    seg_n.append(c)
+                    block.append(k)
+                    leaf.append(rank[t])
+                run.append(run[-1] + c)
+            self.runs.append(run)
+            self.starts.append(self.starts[-1] + run[-1])
+            lens.append(run[-1])
+        self.lens, self.rank = np.array((lens, rank), dtype=np.intp)
+        self.seg, self.seg_n, *self.cells = np.array((seg, seg_n, block, leaf), dtype=np.intp)
 
-    def split(self, t: int, left_counts: np.ndarray) -> "_Slices":
+    def split(self, t: int, left_counts: list[int]) -> "_Slices":
         """Terminal t replaced by its children, the left child's slice first."""
-        node_id = self.ids[t]
-        children = np.stack((left_counts, self.counts[t] - left_counts))
+        right_counts = [c - left for c, left in zip(self.counts[t], left_counts)]
         return _Slices(
-            [*self.ids[:t], *children_ids(node_id), *self.ids[t + 1:]],
-            np.concatenate((self.counts[:t], children, self.counts[t + 1:])),
+            [*self.ids[:t], *children_ids(self.ids[t]), *self.ids[t + 1:]],
+            [*self.counts[:t], left_counts, right_counts, *self.counts[t + 1:]],
         )
 
     def join(self, t: int) -> "_Slices":
         """Sibling terminals t and t+1 replaced by their parent."""
-        merged = (self.counts[t] + self.counts[t + 1])[None]
+        merged = [a + b for a, b in zip(self.counts[t], self.counts[t + 1])]
         return _Slices(
             [*self.ids[:t], self.ids[t] // 2, *self.ids[t + 2:]],
-            np.concatenate((self.counts[:t], merged, self.counts[t + 2:])),
+            [*self.counts[:t], merged, *self.counts[t + 2:]],
         )
 
 
@@ -368,7 +411,8 @@ class ShardData:
     `blocks` are the local slices of the global reduction blocks this shard
     owns, in row order and covering every row; every sum leaves the shard as
     a pairwise fold of per-block sums so the master can keep folding without
-    caring how rows map to workers.
+    caring how rows map to workers.  The kernels sum with `np.add.reduce`,
+    which adds in the order `ndarray.sum` does without its Python wrapper.
     """
 
     __slots__ = ("xb", "ys", "residual", "order", "blocks", "_slices", "_idx", "_gathered")
@@ -389,7 +433,7 @@ class ShardData:
         if n > np.iinfo(np.int32).max:
             raise ValueError("a shard holds at most 2**31 - 1 rows")
         self.order = np.tile(np.arange(n, dtype=np.int32), (m, 1))
-        root = _Slices([1], np.array([[hi - lo for lo, hi in self.blocks]], dtype=np.int64))
+        root = _Slices([1], [[hi - lo for lo, hi in self.blocks]])
         self._slices = [root] * m
         self._idx = np.empty(n, dtype=np.intp)
         # (tree, residual gathered through _idx) from the last mu_stats_blocks
@@ -403,7 +447,7 @@ class ShardData:
     def _rows(self, j: int, lo: int, hi: int) -> np.ndarray:
         """`order[j][lo:hi]` as native indices, in the shared index buffer."""
         idx = self._idx[: hi - lo]
-        np.copyto(idx, self.order[j, lo:hi], casting="unsafe")
+        idx[:] = self.order[j, lo:hi]
         self._gathered = None
         return idx
 
@@ -411,7 +455,7 @@ class ShardData:
         """(node id, start, stop, rows per block) per terminal of tree j."""
         sl = self._slices[j]
         return [
-            (node_id, sl.starts[t], sl.starts[t + 1], sl.counts[t].tolist())
+            (node_id, sl.starts[t], sl.starts[t + 1], list(sl.counts[t]))
             for t, node_id in enumerate(sl.ids)
         ]
 
@@ -426,7 +470,7 @@ class ShardData:
         and the rule (prop.v, prop.c) partitions its rows.  For a death, the
         children already exist and carry their own means.  Each sum adds the
         same values in the same row order as a masked pass over the whole
-        block would.
+        block would.  The pairs fold into one with `pairwise_fold`.
         """
         sl = self._slices[j]
         parts = []  # (left child's values, right child's values) per block
@@ -435,27 +479,32 @@ class ShardData:
             rows = self._rows(j, sl.starts[t], sl.starts[t + 1])
             r = self.residual[rows] + mu_left
             go_left = self.xb[prop.v].take(rows) <= prop.c
+            go_right = ~go_left
             runs = sl.runs[t]
             for a, b in zip(runs, runs[1:]):
                 # compress is several times faster than a boolean index here.
-                parts.append((r[a:b].compress(go_left[a:b]), r[a:b].compress(~go_left[a:b])))
+                block = r[a:b]
+                parts.append((block.compress(go_left[a:b]), block.compress(go_right[a:b])))
         else:
-            t = sl.ids.index(children_ids(prop.node_id)[0])
+            t = sl.ids.index(2 * prop.node_id)
             lo, mid, hi = sl.starts[t : t + 3]
             r = self.residual[self._rows(j, lo, hi)]
-            r[: mid - lo] += mu_left
-            r[mid - lo :] += mu_right
-            left_runs = sl.runs[t]
-            right_runs = [mid - lo + c for c in sl.runs[t + 1]]
+            left, right = r[: mid - lo], r[mid - lo :]
+            left += mu_left
+            right += mu_right
+            left_runs, right_runs = sl.runs[t], sl.runs[t + 1]
             for k in range(len(self.blocks)):
                 parts.append((
-                    r[left_runs[k] : left_runs[k + 1]],
-                    r[right_runs[k] : right_runs[k + 1]],
+                    left[left_runs[k] : left_runs[k + 1]],
+                    right[right_runs[k] : right_runs[k + 1]],
                 ))
-        return [
-            (SuffStats(r_l.size, float(r_l.sum())), SuffStats(r_r.size, float(r_r.sum())))
-            for r_l, r_r in parts
-        ]
+        add = np.add.reduce
+        pairs = []
+        for r_l, r_r in parts:
+            pairs.append(_StatsPair((
+                SuffStats(r_l.size, float(add(r_l))), SuffStats(r_r.size, float(add(r_r)))
+            )))
+        return pairs
 
     def mu_stats_blocks(self, j: int, mus: np.ndarray, squares: bool = False) -> np.ndarray:
         """Per-block partial-residual statistics for every terminal node.
@@ -468,10 +517,10 @@ class ShardData:
         sl = self._slices[j]
         if mus.size != len(sl.ids):
             raise ValueError(f"tree {j} has {len(sl.ids)} terminal nodes, got {mus.size} means")
-        rows = self._rows(j, 0, self.n)
+        rows = self._rows(j, 0, self.ys.size)
         gathered = self.residual[rows]
         self._gathered = (j, gathered)
-        r = np.repeat(mus[sl.rank], sl.lens)
+        r = mus[sl.rank].repeat(sl.lens)
         r += gathered
         # reduceat yields an element, not 0, for an empty segment, so only the
         # non-empty ones are reduced; the cells of the empty ones stay 0.
@@ -483,11 +532,13 @@ class ShardData:
             out[k, 2, leaf] = np.add.reduceat(np.square(r, out=r), sl.seg)
         return out
 
-    def rss_blocks(self) -> list[float]:
-        return [
-            float((self.residual[lo:hi] * self.residual[lo:hi]).sum())
-            for lo, hi in self.blocks
-        ]
+    def rss_blocks(self) -> np.ndarray:
+        """Per-block residual sums of squares."""
+        out = np.empty(len(self.blocks))
+        for k, (lo, hi) in enumerate(self.blocks):
+            r = self.residual[lo:hi]
+            out[k] = np.add.reduce(r * r)
+        return out
 
     # -- state updates -------------------------------------------------------
 
@@ -511,13 +562,13 @@ class ShardData:
         part[: left.size] = left
         part[left.size :] = right
         # Rows in their new order, each shifted by its own child's mean.
-        self.residual[self._rows(j, lo, hi)] -= np.repeat(
-            [mu_left - mu_old, mu_right - mu_old], [left.size, right.size]
-        )
+        rows = self._rows(j, lo, hi)
+        self.residual[rows[: left.size]] -= mu_left - mu_old
+        self.residual[rows[left.size :]] -= mu_right - mu_old
         runs = sl.runs[t]
-        left_counts = np.array(
-            [np.count_nonzero(go_left[a:b]) for a, b in zip(runs, runs[1:])], dtype=np.int64
-        )
+        left_counts = []
+        for a, b in zip(runs, runs[1:]):
+            left_counts.append(int(np.add.reduce(go_left[a:b])))
         self._slices[j] = sl.split(t, left_counts)
 
     def apply_death(
@@ -534,8 +585,7 @@ class ShardData:
         self.residual[rows[mid - lo :]] -= mu_new - mu_old_right
         # The two children's rows are two ascending runs; a stable sort
         # merges them in one linear pass.
-        part = self.order[j, lo:hi]
-        part[:] = np.sort(part, kind="stable")
+        self.order[j, lo:hi].sort(kind="stable")
         self._slices[j] = sl.join(t)
 
     def apply_mus(self, j: int, old_mus: np.ndarray, new_mus: np.ndarray) -> None:
@@ -544,10 +594,10 @@ class ShardData:
             rows, gathered = self._idx, self._gathered[1]
             self._gathered = None
         else:
-            rows = self._rows(j, 0, self.n)
+            rows = self._rows(j, 0, self.ys.size)
             gathered = self.residual[rows]
         sl = self._slices[j]
-        shift = np.repeat((new_mus - old_mus)[sl.rank], sl.lens)
+        shift = (new_mus - old_mus)[sl.rank].repeat(sl.lens)
         self.residual[rows] = np.subtract(gathered, shift, out=shift)
 
 
@@ -700,6 +750,8 @@ class LocalProvider:
     def __init__(self, shard: ShardData):
         self.shard = shard
         self.n_total = shard.n
+        # The leaf-mean update needs no translation: it is the shard's own.
+        self.apply_mus = shard.apply_mus
 
     def begin_iteration(self) -> None:
         pass
@@ -715,8 +767,7 @@ class LocalProvider:
             mu_left = mu_right = nodes[k]
         else:
             mu_left, mu_right = nodes[2 * k], nodes[2 * k + 1]
-        lefts, rights = zip(*self.shard.move_stats_blocks(j, prop, mu_left, mu_right))
-        return pairwise_fold(lefts), pairwise_fold(rights)
+        return pairwise_fold(self.shard.move_stats_blocks(j, prop, mu_left, mu_right))
 
     def apply_birth(self, j, tree, prop, mu_l, mu_r):
         self.shard.apply_birth(
@@ -730,11 +781,8 @@ class LocalProvider:
     def mu_stats(self, j, mus):
         return pairwise_fold(self.shard.mu_stats_blocks(j, mus))
 
-    def apply_mus(self, j, old, new):
-        self.shard.apply_mus(j, old, new)
-
     def rss(self) -> float:
-        return pairwise_fold(self.shard.rss_blocks())
+        return float(pairwise_fold(self.shard.rss_blocks()))
 
 
 @dataclass(slots=True)
@@ -831,7 +879,7 @@ def _update_tree(
     # Leaf-mean Gibbs pass for this tree (always, move or not).
     nodes = tree.nodes
     terminals = tree.terminals()
-    old_mus = np.array([nodes[k] for k in terminals], dtype=np.float64)
+    old_mus = np.array(list(map(nodes.__getitem__, terminals)), dtype=np.float64)
     new_mus = draw_mus(provider.mu_stats(j, old_mus), sigma, prior.tau, rng)
     provider.apply_mus(j, old_mus, new_mus)
     nodes.update(zip(terminals, new_mus.tolist()))

@@ -4,9 +4,11 @@ A tree is one dict from heap-coded node id to node: the root is 1 and the
 children of node k are 2k and 2k+1, so a single 32-bit integer names a node
 identically on every process, and an id alone gives a node's parent, children
 and depth.  A terminal node maps to its leaf mean (a float), an internal node
-to its (variable, cutpoint-index) rule (a tuple).  Everything else about a
-tree (leaf counts, nog sets) is recomputed on demand; trees stay small enough
-that this is cheap.
+to its (variable, cutpoint-index) rule (a tuple).  A tree's terminal and nog
+lists are computed on first use and kept until its structure next changes,
+which it does only through `Tree.birth` and `Tree.death`: they drop the lists
+rather than edit them, so a clone may share them.  Leaf means may be
+reassigned in `nodes` freely.
 
 Rows are routed over binned columns: `CutpointGrid.bin` turns each value into
 the count of its variable's cutpoints at or below it, and a rule (v, c) sends
@@ -31,34 +33,41 @@ class TreeError(ValueError):
     """Structural misuse of a tree (bad node kind, depth overflow, ...)."""
 
 
-def _is_nog(nodes: dict, k: int) -> bool:
-    """Internal node whose two children are both terminal."""
-    return (
-        isinstance(nodes.get(k), tuple)
-        and not isinstance(nodes[2 * k], tuple)
-        and not isinstance(nodes[2 * k + 1], tuple)
-    )
-
-
 class Tree:
     """A binary regression tree: node id -> leaf mean or (v, c) rule.
 
     Leaf means are plain Python floats, so `tree_lines` prints them exactly.
+    The node ids come from `terminals()` and `nogs()`, which hand out the
+    tree's cached lists: callers read them and never modify them.
     """
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "_terminals", "_nogs")
 
     def __init__(self, nodes: dict[int, float | tuple[int, int]] | None = None):
         self.nodes = nodes if nodes is not None else {1: 0.0}
+        self._terminals: list[int] | None = None
+        self._nogs: list[int] | None = None
 
     def terminals(self) -> list[int]:
         """Terminal node ids, ascending."""
-        return sorted(k for k, val in self.nodes.items() if not isinstance(val, tuple))
+        if self._terminals is None:
+            self._terminals = [k for k, val in self.nodes.items() if not isinstance(val, tuple)]
+            self._terminals.sort()
+        return self._terminals
 
     def nogs(self) -> list[int]:
-        """Ids of internal nodes whose children are both terminal, ascending."""
-        nodes = self.nodes
-        return sorted(k for k in nodes if _is_nog(nodes, k))
+        """Ids of internal nodes whose children are both terminal, ascending.
+
+        They are the parents of the left children whose siblings are
+        terminal too.
+        """
+        if self._nogs is None:
+            nodes = self.nodes
+            self._nogs = [
+                k >> 1 for k in self.terminals()
+                if not k & 1 and not isinstance(nodes[k + 1], tuple)
+            ]
+        return self._nogs
 
     def birth(self, node_id: int, v: int, c: int, mu_left: float, mu_right: float) -> None:
         """Split terminal node `node_id` with rule (v, c)."""
@@ -70,27 +79,32 @@ class Tree:
         nodes[node_id] = (v, c)
         nodes[2 * node_id] = float(mu_left)
         nodes[2 * node_id + 1] = float(mu_right)
+        self._terminals = self._nogs = None
 
     def death(self, node_id: int, mu: float) -> None:
         """Collapse the two terminal children of nog node `node_id`."""
-        nodes = self.nodes
-        if not _is_nog(nodes, node_id):
+        if node_id not in self.nogs():
             raise TreeError(f"death at non-nog node {node_id}")
+        nodes = self.nodes
         del nodes[2 * node_id], nodes[2 * node_id + 1]
         nodes[node_id] = float(mu)
+        self._terminals = self._nogs = None
 
     def clone(self) -> "Tree":
-        return Tree(dict(self.nodes))
+        copy = Tree(dict(self.nodes))
+        copy._terminals, copy._nogs = self._terminals, self._nogs
+        return copy
 
 
 class CutpointGrid:
     """Pre-computed cutpoint values per variable, indexed by integers.
 
     Each variable's list is strictly increasing, so a rule is fully described
-    by (variable index, cutpoint index).
+    by (variable index, cutpoint index).  `counts[v]` is variable v's number
+    of cutpoints.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "counts")
 
     def __init__(self, values: Sequence[np.ndarray]):
         vals = []
@@ -102,13 +116,11 @@ class CutpointGrid:
                 raise ValueError(f"variable {j}: cutpoints must be strictly increasing")
             vals.append(arr)
         self.values = vals
+        self.counts = [arr.size for arr in vals]
 
     @property
     def n_vars(self) -> int:
         return len(self.values)
-
-    def count(self, v: int) -> int:
-        return self.values[v].size
 
     def value(self, v: int, c: int) -> float:
         if not 0 <= c < self.values[v].size:
@@ -176,25 +188,27 @@ def _cutpoints_between(lo: float, hi: float, numcut: int) -> np.ndarray:
     return np.linspace(lo, hi, numcut + 2)[1:-1]
 
 
-def available_cut_range(tree: Tree, node_id: int, v: int, numcut_v: int) -> tuple[int, int]:
-    """Half-open index range [lo, hi) of cutpoints for variable v at a node.
+def available_cut_ranges(tree: Tree, node_id: int, counts: Sequence[int]) -> list[tuple[int, int]]:
+    """[lo, hi) of cutpoint indices for every variable at a node, in one walk.
 
-    Ancestor rules on the same variable shrink the range: descending left of
-    (v, c) caps indices below c, descending right raises the floor to c + 1.
+    Variable v starts from [0, counts[v]), and each ancestor rule on v
+    shrinks it: descending left of (v, c) caps indices below c, descending
+    right raises the floor to c + 1.
     """
-    lo, hi = 0, numcut_v
     nodes = tree.nodes
     if node_id not in nodes:
         raise TreeError(f"node {node_id} not present")
+    los = [0] * len(counts)
+    his = list(counts)
     while node_id > 1:
-        pv, pc = nodes[node_id // 2]
-        if pv == v:
-            if node_id & 1:
-                lo = max(lo, pc + 1)
-            else:
-                hi = min(hi, pc)
-        node_id //= 2
-    return lo, hi
+        v, c = nodes[node_id >> 1]
+        if node_id & 1:
+            if c + 1 > los[v]:
+                los[v] = c + 1
+        elif c < his[v]:
+            his[v] = c
+        node_id >>= 1
+    return list(zip(los, his))
 
 
 # Rows per routing pass of `CompiledTrees.sum`.  A pass's slot matrix takes

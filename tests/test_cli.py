@@ -1,10 +1,14 @@
+import socket
 import subprocess
 import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from bartgrid import cli, cluster
+from bartgrid import protocol as proto
 from bartgrid.analysis import posterior_from_chain, predict_mean
 from bartgrid.cli import (
     ConfigError,
@@ -316,6 +320,46 @@ class TestWorkerShard:
         assert x.shape == (4, 2) and y.shape == (4,) and n_total == 8
         with pytest.raises(TableError, match="line 8: non-numeric cell 'oops'"):
             _load_worker_shard(self._cfg(data, 2))
+
+    def test_worker_frees_its_float_rows(self, tmp_path, monkeypatch):
+        # `bartgrid fit --role worker` hands the loaded shard on without
+        # keeping it, so the float rows die once the worker has binned them.
+        data = self._write(tmp_path)
+        loaded = []
+        load = cli._load_worker_shard
+
+        def watched(cfg):
+            shard = load(cfg)
+            loaded.append(weakref.ref(shard[0]))
+            return shard
+
+        monkeypatch.setattr(cli, "_load_worker_shard", watched)
+        codes = []
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            server.settimeout(10.0)
+            argv = ["fit", "--role", "worker", "--connect",
+                    f"127.0.0.1:{server.getsockname()[1]}", "--rank", "1", "--workers", "1",
+                    "--data", data]
+            worker = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+            worker.start()
+            conn, _addr = server.accept()
+            conn.settimeout(10.0)
+            io = cluster.MessageIO(cluster.SocketChannel(conn))
+            try:
+                hello = io.recv((proto.Hello,))
+                meta = io.recv((proto.ShardMeta,))
+                io.send(proto.RunSetup(
+                    1, 10, 1, hello.shard_rows, 0.0, 1.0, meta.x_min, meta.x_max
+                ))
+                # The answer to the hash phase comes after the worker binned.
+                io.send(proto.IterBegin(proto.PHASE_HASH))
+                io.recv((proto.ReplicaHash,))
+                assert len(loaded) == 1 and loaded[0]() is None
+                io.send(proto.Shutdown())
+                worker.join(timeout=15)
+            finally:
+                io.channel.close()
+        assert not worker.is_alive() and codes == [0]
 
     def test_rank_outside_the_layout_is_named(self, tmp_path, capsys):
         data = self._write(tmp_path)

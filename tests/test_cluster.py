@@ -684,7 +684,7 @@ class TestTcpTransport:
         deadline = time.monotonic() + 30.0
         while not bound and time.monotonic() < deadline:
             time.sleep(0.01)
-        connect_worker(bound[0], x, y, 1, 1, 1)
+        connect_worker(bound[0], [x, y], 1, 1, 1)
         mt.join(timeout=30)
         assert not mt.is_alive()
         assert results["chain"].sigmas.size == settings.draws
@@ -719,7 +719,7 @@ class TestTcpTransport:
 
             def target(rank=rank, lo=lo, hi=hi):
                 try:
-                    connect_worker((host, port), x[lo:hi], y[lo:hi], rank, 2, 2)
+                    connect_worker((host, port), [x[lo:hi], y[lo:hi]], rank, 2, 2)
                 except BaseException as exc:
                     errors.append(exc)
 

@@ -1,4 +1,6 @@
+import cProfile
 import math
+import pstats
 from dataclasses import fields
 
 import numpy as np
@@ -36,7 +38,7 @@ from bartgrid.trees import (
     CompiledTrees,
     CutpointGrid,
     Tree,
-    available_cut_range,
+    available_cut_ranges,
     depth_of_id,
     route_rows,
 )
@@ -168,6 +170,17 @@ class TestPropose:
 
 
 class TestAcceptLogRatio:
+    def test_prior_logs_are_those_of_split_prior_prob(self):
+        # Derived once per run, the logs keep the bits of the per-call ones.
+        for alpha, beta in ((0.95, 2.0), (0.5, 0.0), (0.3, 7.5)):
+            prior = make_prior(alpha=alpha, beta=beta)
+            for d in range(MAX_DEPTH):
+                p_d = split_prior_prob(d, alpha, beta)
+                p_d1 = split_prior_prob(d + 1, alpha, beta)
+                assert prior.split_logs[d] == (
+                    math.log(p_d), 2.0 * math.log1p(-p_d1), math.log1p(-p_d)
+                )
+
     def test_min_leaf_deterministic_reject(self):
         prior = make_prior(min_leaf=5)
         tree = Tree()
@@ -188,7 +201,7 @@ class TestAcceptLogRatio:
         trees = [Tree()] + [grow_random_tree(rng, grid, n_births=6) for _ in range(6)]
         for tree in trees:
             for k in tree.terminals():
-                lo, hi = available_cut_range(tree, k, 0, grid.count(0))
+                lo, hi = available_cut_ranges(tree, k, grid.counts)[0]
                 if hi <= lo or depth_of_id(k) >= MAX_DEPTH:
                     continue
                 if k == 1:
@@ -447,7 +460,7 @@ class TestShardLayout:
             node_id = terminals[int(rng.integers(len(terminals)))]
             mu = nodes[node_id]
             v = int(rng.integers(d))
-            prop = Proposal(BIRTH, node_id, v, int(rng.integers(grid.count(v))))
+            prop = Proposal(BIRTH, node_id, v, int(rng.integers(grid.counts[v])))
             cutval = grid.value(prop.v, prop.c)
             got = whole.move_stats_blocks(j, prop, mu, mu)
             assert got == _masked_move_stats(whole, x, leaf, prop, cutval, mu, mu)
@@ -698,3 +711,24 @@ class TestDerivedConstants:
     def test_constant_response_rejected(self):
         with pytest.raises(ValueError, match="constant"):
             derive_run_constants([(10, 1.0, 1.0, 10.0, 10.0, (0.0,), (1.0,))])
+
+
+class TestFixedCost:
+    def test_tree_update_makes_few_python_calls(self):
+        # The fixed cost of a tree update, counted rather than timed: calls
+        # of Python functions (cProfile entries outside builtins) per
+        # iteration of acceptance 05's chain (m=1, n=2).  The count repeats
+        # exactly from run to run; a time on a shared host does not.
+        iterations = 5000
+        x = np.array([[0.25], [0.75]])
+        y = np.array([0.0, 1.0])
+        settings = FitSettings(
+            m=1, draws=iterations, burn=0, thin=iterations, seed=405, min_leaf=1, numcut=1,
+        )
+        profile = cProfile.Profile()
+        profile.runcall(run_serial, x, y, settings)
+        calls = sum(
+            stat[1] for (filename, _, _), stat in pstats.Stats(profile).stats.items()
+            if filename != "~"
+        )
+        assert calls / iterations <= 30, f"{calls / iterations:.1f} Python calls per iteration"

@@ -6,13 +6,31 @@ from bartgrid.trees import (
     CutpointGrid,
     Tree,
     TreeError,
-    available_cut_range,
+    available_cut_ranges,
     children_ids,
     depth_of_id,
     route_rows,
     tree_from_lines,
     tree_lines,
 )
+
+
+def available_cut_range(tree, node_id, v, numcut_v):
+    """Per-variable oracle for `available_cut_ranges`: [lo, hi) of variable
+    v's cutpoint indices at a node, from its own walk up the tree."""
+    lo, hi = 0, numcut_v
+    nodes = tree.nodes
+    if node_id not in nodes:
+        raise TreeError(f"node {node_id} not present")
+    while node_id > 1:
+        pv, pc = nodes[node_id // 2]
+        if pv == v:
+            if node_id & 1:
+                lo = max(lo, pc + 1)
+            else:
+                hi = min(hi, pc)
+        node_id //= 2
+    return lo, hi
 
 
 def grow_random_tree(rng, grid, n_births=8):
@@ -24,7 +42,7 @@ def grow_random_tree(rng, grid, n_births=8):
         options = [
             (v, lo, hi)
             for v in range(grid.n_vars)
-            for lo, hi in [available_cut_range(tree, node_id, v, grid.count(v))]
+            for lo, hi in [available_cut_range(tree, node_id, v, grid.counts[v])]
             if hi > lo
         ]
         if not options or depth_of_id(node_id) >= 30:
@@ -133,10 +151,10 @@ class TestBinnedRouting:
         assert xb.dtype == dtype and xb.shape == (grid.n_vars, x.shape[0])
         for v in range(grid.n_vars):
             assert np.array_equal(xb[v], np.searchsorted(grid.values[v], x[:, v], side="right"))
-            for c in range(grid.count(v)):
+            for c in range(grid.counts[v]):
                 assert np.array_equal(xb[v] <= c, x[:, v] < grid.value(v, c)), (v, c)
             # NaN counts above every cutpoint, so it goes right under both rules.
-            assert np.all(xb[v][np.isnan(x[:, v])] == grid.count(v))
+            assert np.all(xb[v][np.isnan(x[:, v])] == grid.counts[v])
 
     @pytest.mark.parametrize("cuts, dtype", EDGE_GRIDS)
     def test_routing_matches_float_oracle(self, cuts, dtype):
@@ -164,7 +182,7 @@ class TestBinnedRouting:
                 for _ in range(3):
                     k = tree.terminals()[rng.integers(len(tree.terminals()))]
                     v = int(rng.integers(3))
-                    lo, hi = available_cut_range(tree, k, v, grid3.count(v))
+                    lo, hi = available_cut_range(tree, k, v, grid3.counts[v])
                     if hi > lo:
                         tree.birth(k, v, int(rng.integers(lo, hi)), rng.normal(), rng.normal())
             trees.append(tree)
@@ -292,6 +310,71 @@ class TestMutation:
         assert tree_lines(tree) == original
 
 
+def fresh_lists(tree):
+    """Terminal and nog ids recomputed from `nodes`, ascending."""
+    nodes = tree.nodes
+    internal = [k for k, val in nodes.items() if isinstance(val, tuple)]
+    nogs = [k for k in internal if not isinstance(nodes[2 * k], tuple)
+            and not isinstance(nodes[2 * k + 1], tuple)]
+    return sorted(set(nodes) - set(internal)), sorted(nogs)
+
+
+class TestCachedLists:
+    def test_lists_follow_random_births_and_deaths(self):
+        # Trees rebuilt from text and their clones, the clones made with
+        # cached lists or without; each step moves one tree, and every
+        # other tree must keep the lists it had.
+        rng = np.random.default_rng(61)
+        grid = CutpointGrid.from_ranges(np.full(3, -1.0), np.full(3, 1.0), 10)
+        moves = 0
+        for _ in range(25):
+            trees = [tree_from_lines(tree_lines(grow_random_tree(rng, grid, n_births=4)))]
+            for _ in range(30):
+                tree = trees[int(rng.integers(len(trees)))]
+                if rng.random() < 0.5:
+                    tree.terminals()
+                if rng.random() < 0.5:
+                    tree.nogs()
+                if rng.random() < 0.3:
+                    trees.append(tree.clone())
+                    tree = trees[-1] if rng.random() < 0.5 else tree
+                kept = [(t, list(t.terminals()), list(t.nogs())) for t in trees if t is not tree]
+                nogs = tree.nogs()
+                if nogs and rng.random() < 0.4:
+                    tree.death(nogs[int(rng.integers(len(nogs)))], float(rng.normal()))
+                else:
+                    terminals = tree.terminals()
+                    k = terminals[int(rng.integers(len(terminals)))]
+                    tree.birth(k, int(rng.integers(3)), int(rng.integers(10)), 0.0, 1.0)
+                moves += 1
+                for t in trees:
+                    assert (t.terminals(), t.nogs()) == fresh_lists(t)
+                for t, terminals, nogs in kept:
+                    assert t.terminals() == terminals and t.nogs() == nogs
+        assert moves == 25 * 30
+
+    def test_lists_of_a_text_tree(self):
+        tree = tree_from_lines(["i 1 0 3", "i 2 1 4", "l 4 0.5", "l 5 1.5", "l 3 2.5"])
+        assert tree.terminals() == [3, 4, 5] and tree.nogs() == [2]
+
+
+class TestOneWalkRanges:
+    def test_one_walk_equals_per_variable_ranges(self):
+        rng = np.random.default_rng(67)
+        grid = CutpointGrid([np.linspace(-1.0, 1.0, count) for count in (1, 4, 10, 30)])
+        for _ in range(40):
+            tree = grow_random_tree(rng, grid, n_births=10)
+            for k in tree.nodes:
+                assert available_cut_ranges(tree, k, grid.counts) == [
+                    available_cut_range(tree, k, v, grid.counts[v]) for v in range(grid.n_vars)
+                ]
+
+    def test_absent_node_is_refused(self):
+        tree = Tree()
+        with pytest.raises(TreeError, match="node 2 not present"):
+            available_cut_ranges(tree, 2, [10])
+
+
 class TestIdCodec:
     def test_parent_child_arithmetic(self):
         rng = np.random.default_rng(31)
@@ -307,14 +390,14 @@ class TestAvailableRange:
         grid = CutpointGrid.from_ranges(np.array([-1.0]), np.array([1.0]), 100)
         tree = Tree()
         tree.birth(1, 0, 50, 0.0, 0.0)
-        assert available_cut_range(tree, 2, 0, 100) == (0, 50)
-        assert available_cut_range(tree, 3, 0, 100) == (51, 100)
-        assert available_cut_range(tree, 1, 0, 100) == (0, 100)
+        assert available_cut_ranges(tree, 2, grid.counts) == [(0, 50)]
+        assert available_cut_ranges(tree, 3, grid.counts) == [(51, 100)]
+        assert available_cut_ranges(tree, 1, grid.counts) == [(0, 100)]
 
     def test_other_variable_unconstrained(self):
         tree = Tree()
         tree.birth(1, 0, 50, 0.0, 0.0)
-        assert available_cut_range(tree, 2, 1, 100) == (0, 100)
+        assert available_cut_ranges(tree, 2, [100, 100]) == [(0, 50), (0, 100)]
 
 
 class TestSerialization:

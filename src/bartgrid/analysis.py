@@ -9,22 +9,32 @@ means in snapshot-then-tree order, the order of a per-tree walk, so the bits
 do not depend on the compilation.  Sensitivity estimators (main effects,
 first-order and total Sobol indices) work against any real-valued predictor
 of the inputs, which lets the same code run on a fitted surface or on an
-analytic test function.
+analytic test function.  A predictor must be row-wise: row i of its output
+depends only on row i of its input, as `predict_mean`'s does bit for bit.
+The estimators rely on that to stack their matrices: each Sobol part's A, B
+and mixed matrices, and each main-effect curve's base draw and grid-point
+draws, go to the predictor in one call of at most CALL_ROWS rows (or one
+matrix per call, if a matrix alone is larger).
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .sampler import partition_bounds
-from .trees import CompiledTrees, CutpointGrid, Tree
+from .trees import ROUTE_CHUNK, CompiledTrees, CutpointGrid, Tree
 
 Predictor = Callable[[np.ndarray], np.ndarray]
 DOMAIN = (-1.0, 1.0)  # each input's range in the estimators: the generator's U[-1, 1]
+# Most rows per predictor call of the estimators.  A call on a compiled
+# sample pays a fixed cost for every path and tree whatever its size, so the
+# estimators stack their matrices; the bound, 8 routing passes, keeps a
+# stacked input at 0.5 MB per input variable.
+CALL_ROWS = 8 * ROUTE_CHUNK
 
 
 @dataclass
@@ -95,6 +105,34 @@ def predict_mean(samples: PosteriorSample, xstar: np.ndarray) -> np.ndarray:
     return acc * samples.y_range + samples.y_mid
 
 
+def _check_variables(ks: Sequence[int], dim: int) -> None:
+    for k in ks:
+        if not 0 <= k < dim:
+            raise ValueError(f"variable {k} is outside 0..{dim - 1} (dim={dim})")
+
+
+def _stacked_outputs(
+    predictor: Predictor, count: int, rows: int, dim: int, fill: Callable[[int, np.ndarray], None]
+) -> Iterator[np.ndarray]:
+    """The predictor's outputs on `count` matrices of `rows` x `dim`, in order.
+
+    `fill(i, out)` writes matrix i into `out`; it is called in order of i,
+    one predictor call's worth of matrices at a time, so matrices that draw
+    random numbers draw them in that order and at most CALL_ROWS rows (or
+    one matrix) are held at once.  Each output is the predictor's rows for
+    that matrix, which a row-wise predictor computes as on the matrix alone.
+    """
+    per_call = max(1, CALL_ROWS // rows)
+    for first in range(0, count, per_call):
+        n = min(per_call, count - first)
+        x = np.empty((n * rows, dim))
+        for i in range(n):
+            fill(first + i, x[i * rows : (i + 1) * rows])
+        f = np.asarray(predictor(x), dtype=np.float64)
+        for i in range(n):
+            yield f[i * rows : (i + 1) * rows]
+
+
 def main_effect(
     predictor: Predictor,
     k: int,
@@ -108,19 +146,22 @@ def main_effect(
 
     For every grid value g: the average of the predictor over draws with all
     other coordinates uniform on DOMAIN and x_k pinned to g, minus the
-    overall mean estimated from draws over all of DOMAIN.
+    overall mean estimated from draws over all of DOMAIN.  The base draw and
+    every grid point's draw share predictor calls (see the module notes).
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
+    _check_variables([k], dim)
     rng = rng if rng is not None else np.random.default_rng()
-    base = rng.uniform(*DOMAIN, (n_mc, dim))
-    f0 = float(np.mean(predictor(base)))
-    curve = np.empty(len(grid_values))
-    for i, g in enumerate(grid_values):
-        x = rng.uniform(*DOMAIN, (n_mc, dim))
-        x[:, k] = g
-        curve[i] = float(np.mean(predictor(x))) - f0
-    return curve
+
+    def fill(i: int, out: np.ndarray) -> None:
+        out[:] = rng.uniform(*DOMAIN, (n_mc, dim))
+        if i:
+            out[:, k] = grid_values[i - 1]
+
+    outputs = _stacked_outputs(predictor, 1 + len(grid_values), n_mc, dim, fill)
+    f0 = float(np.mean(next(outputs)))
+    return np.array([float(np.mean(f)) - f0 for f in outputs])
 
 
 @dataclass
@@ -169,14 +210,20 @@ def _part_sums(
     rng = np.random.default_rng([seed, part])
     a = rng.uniform(*DOMAIN, (rows, dim))
     b = rng.uniform(*DOMAIN, (rows, dim))
-    fa = np.asarray(predictor(a), dtype=np.float64)
-    fb = np.asarray(predictor(b), dtype=np.float64)
+
+    def fill(i: int, out: np.ndarray) -> None:
+        # Matrix 0 is A, 1 is B, and 2 + i is AB_k: B with column k = ks[i] from A.
+        out[:] = a if i == 0 else b
+        if i > 1:
+            k = ks[i - 2]
+            out[:, k] = a[:, k]
+
+    outputs = _stacked_outputs(predictor, 2 + len(ks), rows, dim, fill)
+    fa = next(outputs)
+    fb = next(outputs)
     prod = np.empty(len(ks))
     jansen = np.empty(len(ks))
-    for i, k in enumerate(ks):
-        mixed = b.copy()
-        mixed[:, k] = a[:, k]
-        fm = np.asarray(predictor(mixed), dtype=np.float64)
+    for i, fm in enumerate(outputs):
         prod[i] = float(np.sum(fa * fm))
         jansen[i] = float(np.sum((fb - fm) ** 2))
     return _PartSums(
@@ -215,13 +262,15 @@ def sobol_indices(
     uniform on DOMAIN, come from distinct streams; their partial sums are
     combined in part order on one thread, so the estimate is identical
     however parts are scheduled.  Standard errors come from batch means over
-    the parts.
+    the parts.  A part's matrices share predictor calls (see the module
+    notes).
     """
     if n_s < 2:
         raise ValueError("n_s must be >= 2")
     if p_parts < 1:
         raise ValueError("p_parts must be >= 1")
     ks = list(range(dim)) if ks is None else list(ks)
+    _check_variables(ks, dim)
     bounds = partition_bounds(n_s, p_parts)
     sizes = [int(bounds[i + 1] - bounds[i]) for i in range(p_parts)]
     if min(sizes) < 2:

@@ -187,13 +187,21 @@ def draw_mu(stats: SuffStats, sigma: float, tau: float, rng: np.random.Generator
 def draw_mus(
     stats: np.ndarray, sigma: float, tau: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Leaf means for all terminal nodes of one tree, from their (count, sum) rows."""
+    """Leaf means for all terminal nodes of one tree, from their (count, sum) rows.
+
+    A tree has a few leaves, so the arithmetic runs on Python floats rather
+    than as a dozen numpy calls on tiny arrays; each operation rounds as its
+    elementwise array form does.
+    """
     s2 = sigma * sigma
     t2 = tau * tau
-    denom = s2 + t2 * stats[0]
-    means = t2 * stats[1] / denom
-    sds = np.sqrt(s2 * t2 / denom)
-    return means + sds * rng.standard_normal(stats.shape[1])
+    s2t2 = s2 * t2
+    counts, sums = stats.tolist()
+    mus = []
+    for n, s, z in zip(counts, sums, rng.standard_normal(len(counts)).tolist()):
+        denom = s2 + t2 * n
+        mus.append(t2 * s / denom + math.sqrt(s2t2 / denom) * z)
+    return np.array(mus)
 
 
 def draw_sigma(

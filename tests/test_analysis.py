@@ -5,6 +5,8 @@ import pytest
 
 from bartgrid import analysis
 from bartgrid.analysis import (
+    CALL_ROWS,
+    DOMAIN,
     PosteriorSample,
     main_effect,
     posterior_from_chain,
@@ -233,3 +235,121 @@ class TestRanking:
         res = sobol_indices(sample.predictor(), d, 4000, 8, seed=17)
         order = np.argsort([-e.s1 for e in res.estimates])
         assert set(order[:2]) == {0, 2}
+
+
+class TestNamedErrors:
+    def test_variable_beyond_dim(self):
+        with pytest.raises(ValueError, match=r"variable 5 is outside 0\.\.1 \(dim=2\)"):
+            sobol_indices(linear_two, 2, 1000, 4, seed=1, ks=[5])
+
+    def test_negative_variable(self):
+        with pytest.raises(ValueError, match=r"variable -1 is outside 0\.\.1 \(dim=2\)"):
+            sobol_indices(linear_two, 2, 1000, 4, seed=1, ks=[-1])
+
+    def test_main_effect_variable_beyond_dim(self):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"variable 3 is outside 0\.\.1 \(dim=2\)"):
+            main_effect(linear_two, 3, np.linspace(-1, 1, 3), 100, dim=2, rng=rng)
+        assert rng.bit_generator.state == state  # refused before any draw
+
+
+# The estimators as they were before predictor calls were batched: one call
+# per matrix.  The batched code must reproduce them bit for bit.
+
+def oracle_part_sums(predictor, ks, rows, dim, seed, part):
+    rng = np.random.default_rng([seed, part])
+    a = rng.uniform(*DOMAIN, (rows, dim))
+    b = rng.uniform(*DOMAIN, (rows, dim))
+    fa = np.asarray(predictor(a), dtype=np.float64)
+    fb = np.asarray(predictor(b), dtype=np.float64)
+    prod = np.empty(len(ks))
+    jansen = np.empty(len(ks))
+    for i, k in enumerate(ks):
+        mixed = b.copy()
+        mixed[:, k] = a[:, k]
+        fm = np.asarray(predictor(mixed), dtype=np.float64)
+        prod[i] = float(np.sum(fa * fm))
+        jansen[i] = float(np.sum((fb - fm) ** 2))
+    return analysis._PartSums(
+        rows, float(np.sum(fa)), float(np.sum(fb)), float(np.sum(fa * fa)), prod, jansen
+    )
+
+
+def oracle_main_effect(predictor, k, grid_values, n_mc, dim, *, rng=None):
+    base = rng.uniform(*DOMAIN, (n_mc, dim))
+    f0 = float(np.mean(predictor(base)))
+    curve = np.empty(len(grid_values))
+    for i, g in enumerate(grid_values):
+        x = rng.uniform(*DOMAIN, (n_mc, dim))
+        x[:, k] = g
+        curve[i] = float(np.mean(predictor(x))) - f0
+    return curve
+
+
+def report_bytes(report):
+    fields = [(e.k, e.s1, e.st, e.s1_err, e.st_err, e.v_k, e.v_total, e.f0) for e in report.estimates]
+    return np.array(fields).tobytes(), report.effects.tobytes()
+
+
+def assert_matches_oracle(monkeypatch, run):
+    batched = run()
+    with monkeypatch.context() as patched:
+        patched.setattr(analysis, "_part_sums", oracle_part_sums)
+        patched.setattr(analysis, "main_effect", oracle_main_effect)
+        expected = run()
+    assert report_bytes(batched) == report_bytes(expected)
+
+
+def messy(x):
+    return np.sin(x[:, 0]) + x[:, 1] * x[:, 2] ** 2 + 0.5 * x[:, 0] * x[:, 1]
+
+
+class CallLog:
+    """A row-wise predictor that records the rows of every call."""
+
+    def __init__(self, predictor):
+        self.predictor = predictor
+        self.rows: list[int] = []
+
+    def __call__(self, x):
+        self.rows.append(x.shape[0])
+        return self.predictor(x)
+
+
+class TestBatchedEstimates:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_fitted_sample_equals_per_matrix_oracle(self, fitted_sample, monkeypatch, threads):
+        predictor = fitted_sample.predictor()
+        assert_matches_oracle(monkeypatch, lambda: sensitivity_report(
+            predictor, 3, 3000, 4, seed=31, effect_points=5, effect_mc=300, threads=threads,
+        ))
+
+    def test_analytic_function_equals_per_matrix_oracle(self, monkeypatch):
+        assert_matches_oracle(monkeypatch, lambda: sensitivity_report(
+            messy, 3, 20_000, 10, seed=32, effect_points=9, effect_mc=1000,
+        ))
+
+    def test_calls_across_the_row_bound_equal_oracle(self, fitted_sample, monkeypatch):
+        # 20,000 rows per part: A, B and 3 mixed matrices go out as 3 + 2.
+        calls = CallLog(fitted_sample.predictor())
+        assert_matches_oracle(
+            monkeypatch, lambda: sobol_indices(calls, 3, 40_000, 2, seed=33, threads=2)
+        )
+        assert sorted(calls.rows[:4]) == [40_000, 40_000, 60_000, 60_000]
+        # A matrix above the bound goes alone; here a curve of 3 matrices.
+        calls = CallLog(messy)
+        grid = np.linspace(-1, 1, 2)
+        curve = main_effect(calls, 1, grid, CALL_ROWS + 1, 3, rng=np.random.default_rng(34))
+        expected = oracle_main_effect(messy, 1, grid, CALL_ROWS + 1, 3, rng=np.random.default_rng(34))
+        assert curve.tobytes() == expected.tobytes()
+        assert calls.rows == [CALL_ROWS + 1] * 3
+
+    def test_report_calls_at_benchmark_settings(self):
+        # predict-sobol's report (d=10, n_s=6000, 8 parts, 5 points, 375
+        # draws each): one call per part and one per curve, where a call per
+        # matrix made 8 * 12 + 10 * 6 = 156.  Counts repeat exactly; times do not.
+        calls = CallLog(messy)
+        sensitivity_report(calls, 10, 6000, 8, seed=35, effect_points=5, effect_mc=375, threads=1)
+        assert len(calls.rows) == 8 + 10
+        assert max(calls.rows) <= CALL_ROWS

@@ -61,10 +61,6 @@ class PosteriorSample:
     def n_snapshots(self) -> int:
         return len(self.snapshots)
 
-    @property
-    def sigmas_original(self) -> np.ndarray:
-        return np.array([s for s, _ in self.snapshots]) * self.y_range
-
     def compiled(self) -> CompiledTrees:
         """Every snapshot's trees, snapshot then tree, compiled on first use.
 

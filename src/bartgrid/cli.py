@@ -193,7 +193,7 @@ def load_model(path: str) -> PosteriorSample:
     values = []
     for v in range(d):
         parts = _expect(lines, pos, "cutpoints")
-        if int(parts[1]) != v or len(parts) != 3 + int(parts[2]):
+        if parts[1:3] != [str(v), str(len(parts) - 3)]:
             raise ModelFileError(f"line {pos + 1}: malformed cutpoints for variable {v}")
         values.append(np.array([float(c) for c in parts[3:]], dtype=np.float64))
         pos += 1
@@ -201,19 +201,11 @@ def load_model(path: str) -> PosteriorSample:
     snapshots = []
     for idx in range(n_snapshots):
         parts = _expect(lines, pos, "snapshot")
-        if len(parts) != 3 or int(parts[1]) != idx:
+        if len(parts) != 3 or parts[1] != str(idx):
             raise ModelFileError(f"line {pos + 1}: malformed snapshot header")
         sigma = float(parts[2])
-        pos += 1
-        # Forest body: m trees, each "tree <count>" plus that many node lines.
-        body_start = pos
-        for _ in range(m):
-            parts = _expect(lines, pos, "tree")
-            pos += 1 + int(parts[1])
-            if pos > len(lines):
-                raise ModelFileError("model file truncated inside a forest")
         try:
-            forest = forest_from_lines(lines[body_start:pos], m)
+            forest, pos = forest_from_lines(lines, pos + 1, m)
         except ValueError as exc:
             raise ModelFileError(str(exc)) from None
         for t, tree in enumerate(forest):
@@ -406,12 +398,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     perf.write_records(args.out, records)
     report = perf.efficiency_report(records)
     report_path = args.out + ".report.csv"
-    write_table(
-        report_path,
-        ["n", "m", "p_plus_1", "seconds", "speedup_vs_ref", "efficiency_vs_ref", "b_bar"],
-        [[r["n"], r["m"], r["p_plus_1"], r["seconds"], r["speedup_vs_ref"],
-          r["efficiency_vs_ref"], r["b_bar"]] for r in report],
-    )
+    write_table(report_path, list(report[0]), [list(row.values()) for row in report])
     print(f"wrote {len(records)} records to {args.out} and report to {report_path}")
     return 0
 

@@ -7,19 +7,21 @@ and a wall-clock benchmark harness that drives real master/worker runs.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .sampler import FitSettings, run_serial
-from .trees import MAX_DEPTH
+from .sampler import FitSettings, run_serial, split_prior_prob
 
 
 @dataclass(slots=True)
@@ -57,36 +59,34 @@ def speedup_efficiency(t_seq: float, t_par: float, p_plus_1: int) -> tuple[float
 # Runtime linear models
 # ---------------------------------------------------------------------------
 
-# Candidate regressors of the serial runtime model (no intercept).
-SERIAL_TERMS: dict[str, Callable] = {
-    "m": lambda n, m, p, b: m,
-    "n": lambda n, m, p, b: n,
-    "mn": lambda n, m, p, b: m * n,
-    "mb": lambda n, m, p, b: m * b,
-    "mnb": lambda n, m, p, b: m * n * b,
-}
+# Candidate regressors of the serial runtime model (no intercept).  A term's
+# name lists the quantities it multiplies, left to right: "mnb" is m * n * b.
+SERIAL_TERMS = ("m", "n", "mn", "mb", "mnb")
 
 # Candidate regressors of the parallel runtime model; nt = n/p rows per worker.
-PARALLEL_TERMS: dict[str, Callable] = {
-    "m": lambda nt, m, p, b: m,
-    "nt": lambda nt, m, p, b: nt,
-    "p": lambda nt, m, p, b: p,
-    "b": lambda nt, m, p, b: b,
-    "mnt": lambda nt, m, p, b: m * nt,
-    "mp": lambda nt, m, p, b: m * p,
-    "mb": lambda nt, m, p, b: m * b,
-    "ntp": lambda nt, m, p, b: nt * p,
-    "ntb": lambda nt, m, p, b: nt * b,
-    "pb": lambda nt, m, p, b: p * b,
-    "mntb": lambda nt, m, p, b: m * nt * b,
-    "mpb": lambda nt, m, p, b: m * p * b,
-    "mntp": lambda nt, m, p, b: m * nt * p,
-    "mntpb": lambda nt, m, p, b: m * nt * p * b,
-}
+PARALLEL_TERMS = (
+    "m", "nt", "p", "b", "mnt", "mp", "mb", "ntp", "ntb", "pb", "mntb", "mpb", "mntp", "mntpb",
+)
 
 # Terms surviving the order-level simplification (unit-coefficient analysis).
 SERIAL_UNIT_TERMS = ("mn", "mb")
 PARALLEL_UNIT_TERMS = ("mnt", "mp", "mb", "mpb")
+
+_QUANTITY = re.compile("nt|[mnpb]")
+
+
+def _term_values(terms: Sequence[str], n, m, p, b) -> list:
+    """Each term's value from scalars or arrays of n, m, p and b.
+
+    nt = n/p is computed only when a term names it, so serial terms may pass p = 0.
+    """
+    quantities = {"n": n, "m": m, "p": p, "b": b}
+    if any("nt" in term for term in terms):
+        quantities["nt"] = n / p
+    return [
+        functools.reduce(operator.mul, map(quantities.get, _QUANTITY.findall(term)))
+        for term in terms
+    ]
 
 
 @dataclass
@@ -99,15 +99,16 @@ class RuntimeModel:
     r_squared: float = 1.0
     rmse: float = 0.0
 
-    def predict(self, *, n: float, m: float, p: float = 0.0, b: float) -> float:
-        table = SERIAL_TERMS if self.target == "serial" else PARALLEL_TERMS
-        first = n if self.target == "serial" else (n / p)
-        return float(
-            sum(
-                coef * table[name](first, m, p, b)
-                for name, coef in zip(self.terms, self.coefficients)
-            )
-        )
+    def predict(
+        self, *, n: float, m: float, p: float = 0.0, b: float | np.ndarray
+    ) -> float | np.ndarray:
+        """Predicted seconds: a float for a scalar `b`, an array shaped like an array `b`.
+
+        Each element of an array prediction has the bits of the scalar one.
+        """
+        values = _term_values(self.terms, n, m, p, b)
+        total = sum(coef * value for coef, value in zip(self.coefficients, values))
+        return float(total) if np.ndim(b) == 0 else np.broadcast_to(total, np.shape(b))
 
     @classmethod
     def unit(cls, target: str) -> "RuntimeModel":
@@ -115,14 +116,14 @@ class RuntimeModel:
         return cls(target, names, np.ones(len(names)))
 
 
-def _design_matrix(records: Sequence[TimingRecord], target: str, terms: Sequence[str]) -> np.ndarray:
-    table = SERIAL_TERMS if target == "serial" else PARALLEL_TERMS
-    cols = []
-    for rec in records:
-        p = rec.p_plus_1 - 1
-        first = rec.n if target == "serial" else rec.n / p
-        cols.append([table[t](first, rec.m, p, rec.b_bar) for t in terms])
-    return np.array(cols, dtype=np.float64)
+def _design_matrix(records: Sequence[TimingRecord], terms: Sequence[str]) -> np.ndarray:
+    # float64 from the start: a product of two integer fields rounds once,
+    # like the exact integer product converted, and cannot wrap.
+    n, m, p_plus_1, b = (
+        np.array([getattr(rec, name) for rec in records], dtype=np.float64)
+        for name in ("n", "m", "p_plus_1", "b_bar")
+    )
+    return np.column_stack(_term_values(terms, n, m, p_plus_1 - 1, b))
 
 
 def _ols(design: np.ndarray, y: np.ndarray, terms: Sequence[str]) -> tuple[np.ndarray, float]:
@@ -162,14 +163,11 @@ def fit_runtime_model(records: Sequence[TimingRecord], target: str) -> RuntimeMo
         raise ValueError("target must be 'serial' or 'parallel'")
     if target == "parallel" and any(rec.p_plus_1 < 2 for rec in records):
         raise ValueError("parallel model needs records with at least one worker")
-    full = list(SERIAL_TERMS if target == "serial" else PARALLEL_TERMS)
-    if len(records) < len(full) + 2:
-        raise ValueError(
-            f"need at least {len(full) + 2} records to fit {len(full)} terms"
-        )
+    terms = list(SERIAL_TERMS if target == "serial" else PARALLEL_TERMS)
+    if len(records) < len(terms) + 2:
+        raise ValueError(f"need at least {len(terms) + 2} records to fit {len(terms)} terms")
     y = np.array([rec.seconds for rec in records])
-    terms = full
-    coefs, rmse = _ols(_design_matrix(records, target, terms), y, terms)
+    coefs, rmse = _ols(_design_matrix(records, terms), y, terms)
     # Absolute floor keeps the ratio test meaningful when the fit is exact
     # and RMSE sits at rounding-noise level.
     floor = 1e-10 * math.sqrt(float(np.mean(y * y)))
@@ -179,9 +177,7 @@ def fit_runtime_model(records: Sequence[TimingRecord], target: str) -> RuntimeMo
         for i in range(len(terms)):
             reduced = terms[:i] + terms[i + 1 :]
             try:
-                cand_coefs, cand_rmse = _ols(
-                    _design_matrix(records, target, reduced), y, reduced
-                )
+                cand_coefs, cand_rmse = _ols(_design_matrix(records, reduced), y, reduced)
             except ValueError:
                 continue
             if best is None or cand_rmse < best[1]:
@@ -190,7 +186,7 @@ def fit_runtime_model(records: Sequence[TimingRecord], target: str) -> RuntimeMo
             break
         terms, rmse, coefs = best[0], best[1], best[2]
         best_rmse = min(best_rmse, rmse)
-    fitted = _design_matrix(records, target, terms) @ coefs
+    fitted = _design_matrix(records, terms) @ coefs
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
@@ -204,17 +200,15 @@ def fit_runtime_model(records: Sequence[TimingRecord], target: str) -> RuntimeMo
 def simulate_prior_b(alpha: float, beta: float, rng: np.random.Generator) -> int:
     """Terminal-node count of one tree drawn from the branching prior.
 
-    A node at depth d splits with probability alpha * (1+d)^-beta, capped at
-    the representation's maximum depth.
+    A node at depth d splits with the sampler's prior probability
+    `split_prior_prob(d, alpha, beta)`.
     """
     count = 0
     stack = [0]
     while stack:
         depth = stack.pop()
-        p = alpha * (1.0 + depth) ** (-beta) if depth < MAX_DEPTH else 0.0
-        if rng.random() < p:
-            stack.append(depth + 1)
-            stack.append(depth + 1)
+        if rng.random() < split_prior_prob(depth, alpha, beta):
+            stack += (depth + 1, depth + 1)
         else:
             count += 1
     return count
@@ -230,42 +224,32 @@ def expected_efficiency(
     n: float,
     m: float,
     p_plus_1: int,
+    b_samples: np.ndarray,
     *,
     models: tuple[RuntimeModel, RuntimeModel] | None = None,
-    alpha: float = 0.95,
-    beta: float = 2.0,
-    n_draws: int = 2000,
-    rng: np.random.Generator | None = None,
-    b_samples: np.ndarray | None = None,
 ) -> float:
-    """Monte Carlo mean of T_seq / ((p+1) T_par) over the prior for b.
+    """Monte Carlo mean of T_seq / ((p+1) T_par) over a prior sample of b.
 
     `models` is a (serial, parallel) pair; None selects the unit-coefficient
-    order-level models.  Pass `b_samples` to reuse one prior sample across
-    calls (common random numbers keep efficiency curves smooth in n).
+    order-level models.  Reusing one `b_samples` across calls (common random
+    numbers) keeps efficiency curves smooth in n.
     """
     if p_plus_1 < 1:
         raise ValueError("p_plus_1 must be >= 1")
-    if b_samples is None:
-        rng = rng if rng is not None else np.random.default_rng()
-        if n_draws < 1:
-            raise ValueError("n_draws must be >= 1")
-        b_samples = draw_prior_b_samples(alpha, beta, n_draws, rng)
-    serial_model, parallel_model = (
-        models if models is not None else (RuntimeModel.unit("serial"), RuntimeModel.unit("parallel"))
-    )
     if p_plus_1 == 1:
         # Serial against itself: the ratio structure collapses to 1.
         return 1.0
-    p = p_plus_1 - 1
-    ratios = np.empty(b_samples.size)
-    for i, b in enumerate(b_samples):
-        t_seq = serial_model.predict(n=n, m=m, b=float(b))
-        t_par = parallel_model.predict(n=n, m=m, p=p, b=float(b))
-        if t_par <= 0 or t_seq <= 0:
-            raise ValueError("runtime models must predict positive times")
-        ratios[i] = t_seq / (p_plus_1 * t_par)
-    return float(np.mean(ratios))
+    b = np.asarray(b_samples, dtype=np.float64)
+    if b.size == 0:
+        raise ValueError("b_samples must not be empty")
+    serial_model, parallel_model = (
+        models if models is not None else (RuntimeModel.unit("serial"), RuntimeModel.unit("parallel"))
+    )
+    t_seq = serial_model.predict(n=n, m=m, b=b)
+    t_par = parallel_model.predict(n=n, m=m, p=p_plus_1 - 1, b=b)
+    if np.any(t_par <= 0) or np.any(t_seq <= 0):
+        raise ValueError("runtime models must predict positive times")
+    return float(np.mean(t_seq / (p_plus_1 * t_par)))
 
 
 def isoefficiency_solve(
@@ -292,9 +276,7 @@ def isoefficiency_solve(
     b_samples = draw_prior_b_samples(alpha, beta, n_draws, rng)
 
     def eff(n: float) -> float:
-        return expected_efficiency(
-            n, m, p_plus_1, models=models, b_samples=b_samples
-        )
+        return expected_efficiency(n, m, p_plus_1, b_samples, models=models)
 
     grid = np.logspace(math.log10(bounds[0]), math.log10(bounds[1]), 241)
     values = np.array([eff(n) for n in grid])
@@ -479,32 +461,11 @@ def _first_worker_error(procs: Sequence[subprocess.Popen], wait: float) -> str |
     return min(errors)[2] if errors else None
 
 
-RECORD_HEADER = ["n", "m", "p_plus_1", "iterations", "seconds", "b_bar"]
-
-
 def write_records(path: str, records: Sequence[TimingRecord]) -> None:
     from .datagen import write_table
 
-    write_table(
-        path,
-        RECORD_HEADER,
-        [[r.n, r.m, r.p_plus_1, r.iterations, r.seconds, r.b_bar] for r in records],
-    )
-
-
-def read_records(path: str) -> list[TimingRecord]:
-    from .datagen import read_table
-
-    data, names = read_table(path)
-    if names != RECORD_HEADER:
-        raise ValueError(f"unexpected record columns {names}")
-    return [
-        TimingRecord(
-            n=int(row[0]), m=int(row[1]), p_plus_1=int(row[2]),
-            iterations=int(row[3]), seconds=float(row[4]), b_bar=float(row[5]),
-        )
-        for row in data
-    ]
+    names = [f.name for f in fields(TimingRecord)]
+    write_table(path, names, [[getattr(rec, name) for name in names] for rec in records])
 
 
 def efficiency_report(records: Sequence[TimingRecord]) -> list[dict]:

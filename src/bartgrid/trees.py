@@ -391,18 +391,25 @@ def forest_lines(forest: Sequence[Tree]) -> list[str]:
     return lines
 
 
-def forest_from_lines(lines: Sequence[str], m: int) -> list[Tree]:
+def forest_from_lines(lines: Sequence[str], start: int, m: int) -> tuple[list[Tree], int]:
+    """Read m `forest_lines` trees from `lines[start:]`; return them and where they end.
+
+    Errors name the 1-based number of the offending tree's header line.
+    """
     forest = []
-    pos = 0
+    pos = start
     for _ in range(m):
-        if pos >= len(lines) or not lines[pos].startswith("tree "):
-            raise ValueError(f"expected tree header at line {pos}")
-        count = int(lines[pos].split()[1])
+        header = lines[pos] if pos < len(lines) else ""
+        parts = header.split()
+        if len(parts) != 2 or parts[0] != "tree" or not parts[1].isdigit():
+            raise ValueError(f"line {pos + 1}: expected 'tree <line count>', found {header!r}")
+        count = int(parts[1])
         body = lines[pos + 1 : pos + 1 + count]
         if len(body) != count:
-            raise ValueError("truncated forest serialization")
-        forest.append(tree_from_lines(body))
+            raise ValueError(f"line {pos + 1}: tree of {count} lines is cut short")
+        try:
+            forest.append(tree_from_lines(body))
+        except ValueError as exc:
+            raise ValueError(f"line {pos + 1}: {exc}") from None
         pos += 1 + count
-    if pos != len(lines):
-        raise ValueError("trailing lines after forest serialization")
-    return forest
+    return forest, pos

@@ -183,6 +183,31 @@ class TestModelFile:
         loaded = load_model(path)
         assert loaded.m == 200 and loaded.n_snapshots == 400
 
+    @pytest.mark.parametrize("lineno, text, message", [
+        (8, "cutpoints 0", "line 8: malformed cutpoints for variable 0"),
+        (12, "tree", "line 12: expected 'tree <line count>', found 'tree'"),
+    ])
+    def test_short_line_named_by_predict(self, tmp_path, capsys, lineno, text, message):
+        # A line cut short fails with the line's number, not a traceback.
+        from bartgrid.analysis import PosteriorSample
+        from bartgrid.trees import CutpointGrid, Tree
+
+        grid = CutpointGrid.from_ranges(np.array([-1.0]), np.array([1.0]), 3)
+        sample = PosteriorSample(m=2, d=1, numcut=3, y_mid=0.0, y_range=1.0,
+                                 grid=grid, snapshots=[(0.1, [Tree(), Tree()])])
+        path = tmp_path / "short.model"
+        save_model(str(path), sample)
+        lines = path.read_text().splitlines()
+        assert lines[lineno - 1].startswith(text + " ")
+        lines[lineno - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        data = tmp_path / "x.csv"
+        data.write_text("x0\n0.5\n")
+        argv = ["predict", "--model", str(path), "--data", str(data),
+                "--out", str(tmp_path / "pred.csv")]
+        assert main(argv) == 2
+        assert f"bartgrid predict: error: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("rule", [(7, 0), (1, 3)])
     def test_rule_outside_the_grid_rejected(self, tmp_path, rule):
         # A split on a variable the model lacks, or past its last cutpoint,

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from bartgrid.cli import main
 from bartgrid.perf import (
     PARALLEL_TERMS,
+    SERIAL_TERMS,
     RuntimeModel,
     TimingRecord,
     _run_tcp_cell,
@@ -12,9 +14,7 @@ from bartgrid.perf import (
     expected_efficiency,
     fit_runtime_model,
     isoefficiency_solve,
-    read_records,
     speedup_efficiency,
-    write_records,
 )
 from bartgrid.sampler import FitSettings
 
@@ -106,11 +106,33 @@ class TestRuntimeModelFit:
         from bartgrid.perf import _design_matrix, _ols
 
         terms = list(PARALLEL_TERMS)
-        design = _design_matrix(records, "parallel", terms)
+        design = _design_matrix(records, terms)
         y = np.array([r.seconds for r in records])
         coefs, _ = _ols(design, y, terms)
         oracle = np.linalg.solve(design.T @ design, design.T @ y)
         assert np.allclose(coefs, oracle, rtol=1e-8, atol=1e-10)
+
+    def test_term_names_multiply_left_to_right(self):
+        # Each design column is its name's product written out, bit for bit.
+        from bartgrid.perf import _design_matrix
+
+        rng = np.random.default_rng(18)
+        records = [
+            TimingRecord(n=int(rng.integers(1_000, 10**7)), m=int(rng.integers(1, 500)),
+                         p_plus_1=int(rng.integers(2, 65)), iterations=10, seconds=1.0,
+                         b_bar=float(rng.uniform(1, 40)))
+            for _ in range(50)
+        ]
+        serial = _design_matrix(records, SERIAL_TERMS)
+        parallel = _design_matrix(records, PARALLEL_TERMS)
+        for i, rec in enumerate(records):
+            n, m, p, b = rec.n, rec.m, rec.p_plus_1 - 1, rec.b_bar
+            nt = n / p
+            assert serial[i].tolist() == [m, n, m * n, m * b, m * n * b]
+            assert parallel[i].tolist() == [
+                m, nt, p, b, m * nt, m * p, m * b, nt * p, nt * b, p * b,
+                m * nt * b, m * p * b, m * nt * p, m * nt * p * b,
+            ]
 
     def test_rank_deficient_names_collinear_terms(self):
         # Constant p makes p-bearing columns multiples of their p-free twins.
@@ -160,7 +182,7 @@ class TestRuntimeModelFit:
                 for (n, m, p1, b), t in zip(cells, seconds)
             ]
             y = np.array([r.seconds for r in records])
-            _, full_rmse = _ols(_design_matrix(records, "parallel", terms), y, terms)
+            _, full_rmse = _ols(_design_matrix(records, terms), y, terms)
             model = fit_runtime_model(records, "parallel")
             assert model.rmse <= 1.5 * full_rmse * (1 + 1e-9), f"seed {seed}"
             assert model.r_squared >= 0.8, f"seed {seed}: {model.terms}"
@@ -193,8 +215,28 @@ class TestPriorTerminalCount:
 
 class TestExpectedEfficiency:
     def test_serial_self_comparison_is_one(self):
-        assert expected_efficiency(10_000, 100, 1, n_draws=100,
-                                   rng=np.random.default_rng(7)) == 1.0
+        b = draw_prior_b_samples(0.95, 2.0, 100, np.random.default_rng(7))
+        assert expected_efficiency(10_000, 100, 1, b) == 1.0
+
+    def test_matches_a_loop_over_the_draws(self):
+        # Both models run once over the whole sample; the mean of per-draw
+        # ratios, from the unit terms written out and from scalar
+        # predictions, has the same bits.
+        b = draw_prior_b_samples(0.95, 2.0, 300, np.random.default_rng(17))
+        serial = RuntimeModel("serial", ["m", "mnb"], np.array([0.4, 3e-7]))
+        parallel = RuntimeModel("parallel", ["p", "mntb", "mpb"], np.array([0.1, 2e-7, 1e-3]))
+        for n, m, p1 in ((5_000, 20, 3), (2.5e6, 200, 9), (123_457, 7, 33)):
+            p = p1 - 1
+            unit = [
+                (m * n + m * bi) / (p1 * (m * (n / p) + m * p + m * bi + m * p * bi))
+                for bi in map(float, b)
+            ]
+            assert expected_efficiency(n, m, p1, b) == np.mean(unit)
+            fitted = [
+                serial.predict(n=n, m=m, b=bi) / (p1 * parallel.predict(n=n, m=m, p=p, b=bi))
+                for bi in map(float, b)
+            ]
+            assert expected_efficiency(n, m, p1, b, models=(serial, parallel)) == np.mean(fitted)
 
     def test_monotone_in_problem_size(self):
         b = draw_prior_b_samples(0.95, 2.0, 2000, np.random.default_rng(8))
@@ -217,10 +259,8 @@ class TestExpectedEfficiency:
     def test_fitted_models_variant(self):
         serial = RuntimeModel("serial", ["mn", "mb"], np.array([1.3e-4, 2.0]))
         parallel = RuntimeModel("parallel", ["mnt", "b"], np.array([1.25e-4, 2.0]))
-        e = expected_efficiency(
-            500_000, 200, 9, models=(serial, parallel), n_draws=500,
-            rng=np.random.default_rng(10),
-        )
+        b = draw_prior_b_samples(0.95, 2.0, 500, np.random.default_rng(10))
+        e = expected_efficiency(500_000, 200, 9, b, models=(serial, parallel))
         assert 0.0 < e <= 1.5  # fitted models need not respect the unit bound
 
 
@@ -251,12 +291,21 @@ class TestIsoefficiency:
 
 
 class TestRecordsIO:
-    def test_round_trip(self, tmp_path):
-        records = synthetic_parallel_records(seed=15)[:12]
-        path = str(tmp_path / "records.csv")
-        write_records(path, records)
-        loaded = read_records(path)
-        assert loaded == records
+    def test_bench_command_writes_records_and_report(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--out", str(out), "--ns", "300", "--ms", "2", "--workers", "0",
+                "--iterations", "4", "--d", "3"]
+        assert main(argv) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "n,m,p_plus_1,iterations,seconds,b_bar"
+        assert len(lines) == 2
+        n, m, p_plus_1, iterations, seconds, b_bar = map(float, lines[1].split(","))
+        assert (n, m, p_plus_1, iterations) == (300, 2, 1, 4)
+        assert seconds > 0 and b_bar >= 1
+        report = (tmp_path / "bench.csv.report.csv").read_text().splitlines()
+        assert report[0] == "n,m,p_plus_1,seconds,speedup_vs_ref,efficiency_vs_ref,b_bar"
+        assert [float(v) for v in report[1].split(",")] == [300, 2, 1, seconds, 1.0, 1.0, b_bar]
+        assert len(report) == 2
 
     def test_report_relative_to_smallest_run(self):
         records = [

@@ -167,6 +167,18 @@ def _expect(lines: list[str], pos: int, key: str) -> list[str]:
     return parts
 
 
+def _value(convert: Callable[[str], int | float], text: str, pos: int, key: str):
+    """`convert(text)`, or a ModelFileError naming line `pos + 1` and `key`."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ModelFileError(f"line {pos + 1}: bad {key!r} value: {exc}") from None
+
+
+_HEADER = (("m", int), ("d", int), ("snapshots", int),
+           ("y_mid", float), ("y_range", float), ("numcut", int))
+
+
 def load_model(path: str) -> PosteriorSample:
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
@@ -175,35 +187,36 @@ def load_model(path: str) -> PosteriorSample:
     magic = lines[0].split()
     if len(magic) != 2 or magic[0] != MODEL_MAGIC:
         raise ModelFileError("not a model file")
-    if int(magic[1]) != MODEL_VERSION:
+    if _value(int, magic[1], 0, "version") != MODEL_VERSION:
         raise ModelFileError(
             f"model format version {magic[1]} unsupported (expected {MODEL_VERSION})"
         )
     pos = 1
-    header: dict[str, str] = {}
-    for key in ("m", "d", "snapshots", "y_mid", "y_range", "numcut"):
+    header = {}
+    for key, convert in _HEADER:
         parts = _expect(lines, pos, key)
         if len(parts) != 2:
             raise ModelFileError(f"line {pos + 1}: malformed {key!r}")
-        header[key] = parts[1]
+        header[key] = _value(convert, parts[1], pos, key)
         pos += 1
-    m = int(header["m"])
-    d = int(header["d"])
-    n_snapshots = int(header["snapshots"])
+    m, d = header["m"], header["d"]
     values = []
     for v in range(d):
         parts = _expect(lines, pos, "cutpoints")
         if parts[1:3] != [str(v), str(len(parts) - 3)]:
             raise ModelFileError(f"line {pos + 1}: malformed cutpoints for variable {v}")
-        values.append(np.array([float(c) for c in parts[3:]], dtype=np.float64))
+        try:
+            values.append(np.array([float(c) for c in parts[3:]], dtype=np.float64))
+        except ValueError as exc:
+            raise ModelFileError(f"line {pos + 1}: bad 'cutpoints' value: {exc}") from None
         pos += 1
     grid = CutpointGrid(values)
     snapshots = []
-    for idx in range(n_snapshots):
+    for idx in range(header["snapshots"]):
         parts = _expect(lines, pos, "snapshot")
         if len(parts) != 3 or parts[1] != str(idx):
             raise ModelFileError(f"line {pos + 1}: malformed snapshot header")
-        sigma = float(parts[2])
+        sigma = _value(float, parts[2], pos, "snapshot")
         try:
             forest, pos = forest_from_lines(lines, pos + 1, m)
         except ValueError as exc:
@@ -221,8 +234,8 @@ def load_model(path: str) -> PosteriorSample:
     if pos != len(lines):
         raise ModelFileError("trailing content after the last snapshot")
     return PosteriorSample(
-        m=m, d=d, numcut=int(header["numcut"]),
-        y_mid=float(header["y_mid"]), y_range=float(header["y_range"]),
+        m=m, d=d, numcut=header["numcut"],
+        y_mid=header["y_mid"], y_range=header["y_range"],
         grid=grid, snapshots=snapshots,
     )
 

@@ -532,6 +532,9 @@ def run_cluster_inprocess(
 # TCP endpoints
 # ---------------------------------------------------------------------------
 
+ACCEPT_POLL = 0.1  # seconds between `while_accepting` calls
+
+
 def serve_master(
     listen: tuple[str, int],
     workers: int,
@@ -539,9 +542,16 @@ def serve_master(
     *,
     accept_timeout: float = 120.0,
     on_bound: Callable[[tuple[str, int]], None] | None = None,
+    while_accepting: Callable[[], None] | None = None,
     **master_kwargs,
 ) -> ChainResult:
-    """Listen, accept `workers` connections, run the chain, shut down."""
+    """Listen, accept `workers` connections, run the chain, shut down.
+
+    Each connection may take up to `accept_timeout` seconds.  The master
+    waits for it in slices of `ACCEPT_POLL` seconds and calls
+    `while_accepting`, if given, between them, so a caller that launched the
+    workers can fail the run by raising as soon as one exits.
+    """
     settings.validate()
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -549,16 +559,22 @@ def serve_master(
     try:
         server.bind(listen)
         server.listen(workers)
-        server.settimeout(accept_timeout)
+        server.settimeout(ACCEPT_POLL)
         if on_bound is not None:
             on_bound(server.getsockname())
         for _ in range(workers):
-            try:
-                conn, _addr = server.accept()
-            except socket.timeout:
-                raise ClusterError(
-                    f"only {len(channels)} of {workers} workers connected"
-                ) from None
+            deadline = time.monotonic() + accept_timeout
+            while True:
+                try:
+                    conn, _addr = server.accept()
+                    break
+                except socket.timeout:
+                    if time.monotonic() >= deadline:
+                        raise ClusterError(
+                            f"only {len(channels)} of {workers} workers connected"
+                        ) from None
+                    if while_accepting is not None:
+                        while_accepting()
             channels.append(SocketChannel(conn))
         return run_master(channels, settings, **master_kwargs)
     finally:

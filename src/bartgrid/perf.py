@@ -385,9 +385,11 @@ def _run_tcp_cell(data_path: str, workers: int, settings: FitSettings, **master_
 
     When the master fails, the error it raises again carries the stderr tail
     of the first worker that exited with an error, which names the cause
-    when a worker died before it could connect.
+    when a worker died before it could connect.  The master stops accepting
+    as soon as any worker has exited, rather than waiting out its accept
+    timeout.
     """
-    from .cluster import serve_master
+    from .cluster import ClusterError, serve_master
 
     procs: list[subprocess.Popen] = []
 
@@ -411,10 +413,15 @@ def _run_tcp_cell(data_path: str, workers: int, settings: FitSettings, **master_
                 )
             )
 
+    def fail_on_exit():
+        if any(proc.poll() is not None for proc in procs):
+            raise ClusterError("a worker exited before all workers connected")
+
     try:
         try:
             result = serve_master(
-                ("127.0.0.1", 0), workers, settings, on_bound=launch_workers, **master_kwargs
+                ("127.0.0.1", 0), workers, settings, on_bound=launch_workers,
+                while_accepting=fail_on_exit, **master_kwargs
             )
         except Exception as exc:
             worker_error = _first_worker_error(procs, wait=5.0)

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
 from .trees import (
     MAX_DEPTH,
@@ -214,10 +213,21 @@ def draw_sigma(
 
 
 def sigma_lambda(sd_y: float, nu: float, sigquant: float) -> float:
-    """Scale of the sigma prior, set so P(sigma < sd_y) = sigquant."""
+    """Scale of the sigma prior, set so P(sigma < sd_y) = sigquant.
+
+    The chi-square quantile is `2 * gammaincinv(nu / 2, p)`, the expression
+    `scipy.stats.chi2.ppf` evaluates, so the bits are the same.  The import
+    is local and takes only `scipy.special`: this is the one use of scipy in
+    the package, made once per chain start by the serial sampler or the
+    master, so a worker, `predict`, `sensitivity` and `generate` start
+    without loading scipy at all, and a chain start avoids the much slower
+    import of `scipy.stats`.
+    """
     if not 0.0 < sigquant < 1.0:
         raise ValueError("sigma quantile must lie in (0, 1)")
-    q = chi2.ppf(1.0 - sigquant, nu)
+    from scipy.special import gammaincinv
+
+    q = 2.0 * gammaincinv(nu / 2.0, 1.0 - sigquant)
     return float(sd_y * sd_y * q / nu)
 
 

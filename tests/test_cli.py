@@ -183,29 +183,51 @@ class TestModelFile:
         loaded = load_model(path)
         assert loaded.m == 200 and loaded.n_snapshots == 400
 
-    @pytest.mark.parametrize("lineno, text, message", [
-        (8, "cutpoints 0", "line 8: malformed cutpoints for variable 0"),
-        (12, "tree", "line 12: expected 'tree <line count>', found 'tree'"),
-    ])
-    def test_short_line_named_by_predict(self, tmp_path, capsys, lineno, text, message):
-        # A line cut short fails with the line's number, not a traceback.
+    @staticmethod
+    def _predict_with_line(tmp_path, lineno, text):
+        """Run `bartgrid predict` on a saved model whose line `lineno` reads `text`."""
         from bartgrid.analysis import PosteriorSample
         from bartgrid.trees import CutpointGrid, Tree
 
         grid = CutpointGrid.from_ranges(np.array([-1.0]), np.array([1.0]), 3)
         sample = PosteriorSample(m=2, d=1, numcut=3, y_mid=0.0, y_range=1.0,
                                  grid=grid, snapshots=[(0.1, [Tree(), Tree()])])
-        path = tmp_path / "short.model"
+        path = tmp_path / "edited.model"
         save_model(str(path), sample)
         lines = path.read_text().splitlines()
-        assert lines[lineno - 1].startswith(text + " ")
+        assert lines[lineno - 1].split()[0] == text.split()[0]
         lines[lineno - 1] = text
         path.write_text("\n".join(lines) + "\n")
         data = tmp_path / "x.csv"
         data.write_text("x0\n0.5\n")
         argv = ["predict", "--model", str(path), "--data", str(data),
                 "--out", str(tmp_path / "pred.csv")]
-        assert main(argv) == 2
+        return main(argv)
+
+    @pytest.mark.parametrize("lineno, text, message", [
+        (8, "cutpoints 0", "line 8: malformed cutpoints for variable 0"),
+        (12, "tree", "line 12: expected 'tree <line count>', found 'tree'"),
+    ])
+    def test_short_line_named_by_predict(self, tmp_path, capsys, lineno, text, message):
+        # A line cut short fails with the line's number, not a traceback.
+        assert self._predict_with_line(tmp_path, lineno, text) == 2
+        assert f"bartgrid predict: error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lineno, text, message", [
+        (1, "bartgrid-model one", "line 1: bad 'version' value: invalid literal for int()"),
+        (2, "m two", "line 2: bad 'm' value: invalid literal for int()"),
+        (3, "d 1.0", "line 3: bad 'd' value: invalid literal for int()"),
+        (4, "snapshots x", "line 4: bad 'snapshots' value: invalid literal for int()"),
+        (5, "y_mid abc", "line 5: bad 'y_mid' value: could not convert string to float: 'abc'"),
+        (6, "y_range 1,5", "line 6: bad 'y_range' value: could not convert string to float"),
+        (7, "numcut 3a", "line 7: bad 'numcut' value: invalid literal for int()"),
+        (8, "cutpoints 0 3 a b c",
+         "line 8: bad 'cutpoints' value: could not convert string to float: 'a'"),
+        (9, "snapshot 0 x", "line 9: bad 'snapshot' value: could not convert string to float: 'x'"),
+    ])
+    def test_non_numeric_value_named_by_predict(self, tmp_path, capsys, lineno, text, message):
+        # Each kind of number in the file names its line and key when it does not parse.
+        assert self._predict_with_line(tmp_path, lineno, text) == 2
         assert f"bartgrid predict: error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rule", [(7, 0), (1, 3)])

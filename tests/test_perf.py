@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -334,9 +336,11 @@ class TestBenchHarness:
 
     def test_failed_worker_stderr_reaches_the_master_error(self, tmp_path):
         # The worker cannot read its data and exits before it connects; the
-        # master's accept timeout alone would only say that nobody came.
+        # master stops accepting at once and names the worker's error, long
+        # before its accept timeout.
         missing = str(tmp_path / "missing.csv")
         settings = FitSettings(m=2, draws=3, burn=1, thin=1)
-        with pytest.raises(Exception, match="missing.csv") as info:
-            _run_tcp_cell(missing, 1, settings, accept_timeout=3.0)
-        assert "only 0 of 1 workers connected" in str(info.value)
+        start = time.monotonic()
+        with pytest.raises(Exception, match="missing.csv"):
+            _run_tcp_cell(missing, 1, settings, accept_timeout=60.0)
+        assert time.monotonic() - start < 10.0

@@ -1,5 +1,7 @@
 import cProfile
 import math
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -292,6 +294,33 @@ class TestConjugateDraws:
         lam = sigma_lambda(sd, nu, q)
         draws = np.array([draw_sigma(0, 0.0, nu, lam, rng) for _ in range(200_000)])
         assert np.mean(draws < sd) == pytest.approx(q, abs=0.005)
+
+    def test_sigma_lambda_matches_chi2_ppf_bitwise(self):
+        from scipy.stats import chi2
+
+        rng = np.random.default_rng(15)
+        cases = [(0.3, nu, q) for nu in (0.5, 1.0, 3.0, 10.0, 100.0)
+                 for q in (0.5, 0.75, 0.9, 0.99)]
+        cases += zip(rng.uniform(0.01, 2.0, 200), np.exp(rng.uniform(-3.0, 7.0, 200)),
+                     rng.uniform(0.001, 0.999, 200))
+        got = np.array([sigma_lambda(sd, nu, q) for sd, nu, q in cases])
+        want = np.array([float(sd * sd * chi2.ppf(1 - q, nu) / nu) for sd, nu, q in cases])
+        assert got.tobytes() == want.tobytes()
+
+    def test_cli_and_sigma_prior_leave_scipy_stats_unloaded(self):
+        # A worker, predict, sensitivity and generate never import scipy; a
+        # chain start loads only scipy.special for the sigma prior's quantile.
+        code = (
+            "import sys\n"
+            "import bartgrid.cli\n"
+            "from bartgrid import sampler\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "sampler.sigma_lambda(0.3, 3.0, 0.9)\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=60).stdout.splitlines()
+        assert out == ["[]", "False"]
 
 
 def build_shard(rng, n, d, m, blocks=1, numcut=10):

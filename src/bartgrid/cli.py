@@ -2,25 +2,26 @@
 
 Configuration is flat key=value text (one pair per line, # comments)
 optionally combined with command-line flags; flags override file values,
-file values override defaults.  The fit keys are `FitSettings`' fields,
-which declare their defaults and domains.  Fitted posteriors persist as
-plain text with full-precision decimals, so a reloaded model predicts
-bit-identically.
+file values override defaults.  The run keys are `RunConfig`'s fields and
+the fit keys `FitSettings`', which declare their defaults and domains.
+Fitted posteriors persist as plain text with full-precision decimals, so a
+reloaded model predicts bit-identically.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import analysis, datagen, perf
 from .analysis import PosteriorSample
-from .cluster import ClusterError, connect_worker, serve_master, worker_row_range
-from .datagen import TableError, iter_rows, read_table, table_shape, write_table
-from .sampler import ChainResult, FitSettings, run_serial
+from .cluster import ClusterError, connect_worker, serve_master
+from .datagen import TableError, read_table, table_shape, write_table
+from .sampler import ChainResult, FitSettings, run_serial, worker_row_range
 from .trees import CutpointGrid, forest_from_lines, forest_lines
 
 
@@ -29,7 +30,7 @@ class ConfigError(ValueError):
 
 
 class ModelFileError(ValueError):
-    """Unreadable model file: version, count, or truncation problems."""
+    """Unreadable model file: version, count, range or truncation problems."""
 
 
 # ---------------------------------------------------------------------------
@@ -44,50 +45,49 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# Run keys: key -> (converter, domain check, default)
-_CONFIG_KEYS: dict[str, tuple[Callable, Callable, object]] = {
-    "role": (str, lambda v: v in ("serial", "master", "worker"), "serial"),
-    "listen": (str, lambda v: True, ""),
-    "connect": (str, lambda v: True, ""),
-    "rank": (int, lambda v: v >= 1, 1),
-    "data": (str, lambda v: True, ""),
-    "response": (str, lambda v: bool(v), "y"),
-    "workers": (int, lambda v: v >= 1, 1),
-    "out": (str, lambda v: True, ""),
-    "chain_log": (str, lambda v: True, ""),
-    "check_replicas": (_bool, lambda v: True, False),
-}
-
-# Fit keys: key -> FitSettings field, spelled as the field except these.
-_FIELD_KEY = {"sigquant": "sigma_quantile"}
-_FIT_KEYS = {_FIELD_KEY.get(f.name, f.name): f for f in fields(FitSettings)}
-
-# Every key -> (converter, domain check, default).  A fit key's text converts
-# by the type of its default; FitSettings.validate checks its domain.
-_KEYS: dict[str, tuple[Callable, Callable, object]] = _CONFIG_KEYS | {
-    key: (_bool if isinstance(f.default, bool) else type(f.default), lambda v: True, f.default)
-    for key, f in _FIT_KEYS.items()
-}
-
-
 @dataclass
 class RunConfig:
-    role: str
-    listen: str
-    connect: str
-    rank: int
-    data: str
-    response: str
-    workers: int
-    out: str
-    chain_log: str
-    check_replicas: bool
-    fit: FitSettings
+    """The `fit` command's run keys, their defaults and domains, and its fit settings."""
+
+    role: str = "serial"
+    listen: str = ""
+    connect: str = ""
+    rank: int = 1
+    data: str = ""
+    response: str = "y"
+    workers: int = 1
+    out: str = ""
+    chain_log: str = ""
+    check_replicas: bool = False
+    fit: FitSettings = field(default_factory=FitSettings)
+
+    def validate(self) -> None:
+        """Raise a ConfigError, naming the key first, for the first bad key."""
+        for key, ok, domain in (
+            ("role", self.role in ("serial", "master", "worker"), "serial, master or worker"),
+            ("rank", self.rank >= 1, ">= 1"),
+            ("response", self.response != "", "a column name"),
+            ("workers", self.workers >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ConfigError(f"{key} must be {domain}, got {getattr(self, key)!r}")
+        try:
+            self.fit.validate()
+        except ValueError as exc:
+            name, _, rest = str(exc).partition(" ")
+            raise ConfigError(f"{_FIELD_KEY.get(name, name)} {rest}") from None
 
     def require(self, *keys: str) -> None:
         for key in keys:
             if not getattr(self, key):
                 raise ConfigError(f"role {self.role!r} requires {key!r} to be set")
+
+
+# Fit keys: key -> FitSettings field, spelled as the field except these.
+_FIELD_KEY = {"sigquant": "sigma_quantile"}
+_FIT_KEYS = {_FIELD_KEY.get(f.name, f.name): f for f in fields(FitSettings)}
+# Every key -> its field, whose default's type converts the key's text.
+_KEYS = {f.name: f for f in fields(RunConfig) if f.name != "fit"} | _FIT_KEYS
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -106,27 +106,21 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def parse_config(flags: dict[str, str], file: str | None = None) -> RunConfig:
     """Merge defaults, config-file pairs and flag pairs (flags win)."""
-    merged = {key: spec[2] for key, spec in _KEYS.items()}
+    cfg = RunConfig()
     for source_name, pairs in (("config file", _read_config_file(file) if file else {}),
                                ("flag", flags)):
         for key, raw in pairs.items():
             if key not in _KEYS:
                 raise ConfigError(f"unknown {source_name} key {key!r}")
-            conv, check, _default = _KEYS[key]
+            f = _KEYS[key]
+            conv = _bool if isinstance(f.default, bool) else type(f.default)
             try:
                 value = conv(raw) if isinstance(raw, str) else raw
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from None
-            if not check(value):
-                raise ConfigError(f"{key}: value {value!r} out of domain")
-            merged[key] = value
-    fit = FitSettings(**{f.name: merged.pop(key) for key, f in _FIT_KEYS.items()})
-    try:
-        fit.validate()
-    except ValueError as exc:
-        name, _, rest = str(exc).partition(" ")
-        raise ConfigError(f"{_FIELD_KEY.get(name, name)} {rest}") from None
-    return RunConfig(**merged, fit=fit)
+            setattr(cfg.fit if key in _FIT_KEYS else cfg, f.name, value)
+    cfg.validate()
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -137,16 +131,24 @@ MODEL_MAGIC = "bartgrid-model"
 MODEL_VERSION = 1
 
 
+# Domains: (check, text).  A count of 0, or a scale that is 0 or not finite,
+# would load and then predict nan or 0.0.
+_COUNT = (lambda v: v >= 1, ">= 1")
+_FINITE = (math.isfinite, "finite")
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
+# The header lines in file order, (key, converter, check, domain); each key
+# but `snapshots` names a PosteriorSample field.
+_HEADER = (("m", int, *_COUNT), ("d", int, *_COUNT), ("snapshots", int, *_COUNT),
+           ("y_mid", float, *_FINITE), ("y_range", float, *_POSITIVE), ("numcut", int, *_COUNT))
+
+
 def save_model(path: str, sample: PosteriorSample) -> None:
     """Write a posterior sample as inspectable full-precision text."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n")
-        fh.write(f"m {sample.m}\n")
-        fh.write(f"d {sample.d}\n")
-        fh.write(f"snapshots {sample.n_snapshots}\n")
-        fh.write(f"y_mid {sample.y_mid!r}\n")
-        fh.write(f"y_range {sample.y_range!r}\n")
-        fh.write(f"numcut {sample.numcut}\n")
+        for key, *_domain in _HEADER:
+            value = sample.n_snapshots if key == "snapshots" else getattr(sample, key)
+            fh.write(f"{key} {value}\n")
         for v in range(sample.d):
             vals = sample.grid.values[v]
             fh.write(
@@ -167,16 +169,16 @@ def _expect(lines: list[str], pos: int, key: str) -> list[str]:
     return parts
 
 
-def _value(convert: Callable[[str], int | float], text: str, pos: int, key: str):
-    """`convert(text)`, or a ModelFileError naming line `pos + 1` and `key`."""
+def _value(text: str, pos: int, key: str, convert: Callable, ok=lambda v: True, domain=""):
+    """`convert(text)`, or a ModelFileError naming line `pos + 1` and `key`
+    when the text does not convert or its value is outside `domain` (`ok`)."""
     try:
-        return convert(text)
+        value = convert(text)
     except ValueError as exc:
         raise ModelFileError(f"line {pos + 1}: bad {key!r} value: {exc}") from None
-
-
-_HEADER = (("m", int), ("d", int), ("snapshots", int),
-           ("y_mid", float), ("y_range", float), ("numcut", int))
+    if not ok(value):
+        raise ModelFileError(f"line {pos + 1}: {key!r} must be {domain}, got {text}")
+    return value
 
 
 def load_model(path: str) -> PosteriorSample:
@@ -187,17 +189,17 @@ def load_model(path: str) -> PosteriorSample:
     magic = lines[0].split()
     if len(magic) != 2 or magic[0] != MODEL_MAGIC:
         raise ModelFileError("not a model file")
-    if _value(int, magic[1], 0, "version") != MODEL_VERSION:
+    if _value(magic[1], 0, "version", int) != MODEL_VERSION:
         raise ModelFileError(
             f"model format version {magic[1]} unsupported (expected {MODEL_VERSION})"
         )
     pos = 1
     header = {}
-    for key, convert in _HEADER:
+    for key, *domain in _HEADER:
         parts = _expect(lines, pos, key)
         if len(parts) != 2:
             raise ModelFileError(f"line {pos + 1}: malformed {key!r}")
-        header[key] = _value(convert, parts[1], pos, key)
+        header[key] = _value(parts[1], pos, key, *domain)
         pos += 1
     m, d = header["m"], header["d"]
     values = []
@@ -205,18 +207,15 @@ def load_model(path: str) -> PosteriorSample:
         parts = _expect(lines, pos, "cutpoints")
         if parts[1:3] != [str(v), str(len(parts) - 3)]:
             raise ModelFileError(f"line {pos + 1}: malformed cutpoints for variable {v}")
-        try:
-            values.append(np.array([float(c) for c in parts[3:]], dtype=np.float64))
-        except ValueError as exc:
-            raise ModelFileError(f"line {pos + 1}: bad 'cutpoints' value: {exc}") from None
+        values.append(np.array([_value(c, pos, "cutpoints", float, *_FINITE) for c in parts[3:]]))
         pos += 1
     grid = CutpointGrid(values)
     snapshots = []
-    for idx in range(header["snapshots"]):
+    for idx in range(header.pop("snapshots")):
         parts = _expect(lines, pos, "snapshot")
         if len(parts) != 3 or parts[1] != str(idx):
             raise ModelFileError(f"line {pos + 1}: malformed snapshot header")
-        sigma = _value(float, parts[2], pos, "snapshot")
+        sigma = _value(parts[2], pos, "snapshot", float, *_POSITIVE)
         try:
             forest, pos = forest_from_lines(lines, pos + 1, m)
         except ValueError as exc:
@@ -233,11 +232,7 @@ def load_model(path: str) -> PosteriorSample:
         snapshots.append((sigma, forest))
     if pos != len(lines):
         raise ModelFileError("trailing content after the last snapshot")
-    return PosteriorSample(
-        m=m, d=d, numcut=header["numcut"],
-        y_mid=header["y_mid"], y_range=header["y_range"],
-        grid=grid, snapshots=snapshots,
-    )
+    return PosteriorSample(**header, grid=grid, snapshots=snapshots)
 
 
 def write_chain_log(path: str, result: ChainResult) -> None:
@@ -276,24 +271,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_worker_shard(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, int]:
-    """Parse the worker's contiguous row slice out of the data file.
+def _load_worker_shard(cfg: RunConfig) -> list[np.ndarray]:
+    """The worker's shard [x, y]: its contiguous row slice of the data file.
 
     The other workers' rows are counted, not parsed; each row is checked by
     the worker that owns it.
     """
-    header, n_total = table_shape(cfg.data)
-    if n_total == 0:
-        raise TableError("data file has no rows")
-    if cfg.response not in header:
-        raise TableError(f"response column {cfg.response!r} not in header")
-    ycol = header.index(cfg.response)
-    blocks = cfg.fit.reduction_blocks or cfg.workers
-    lo, hi = worker_row_range(n_total, blocks, cfg.workers, cfg.rank)
-    data = np.array(
-        [row for _header, row in iter_rows(cfg.data, lo, hi)], dtype=np.float64
-    ).reshape(hi - lo, len(header))
-    return np.delete(data, ycol, axis=1), data[:, ycol].copy(), n_total
+    _header, n_total = table_shape(cfg.data)
+    lo, hi = worker_row_range(n_total, cfg.fit.reduction_blocks, cfg.workers, cfg.rank)
+    return list(read_table(cfg.data, cfg.response, lo, hi)[:2])
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
@@ -309,8 +295,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         host, _, port = cfg.connect.rpartition(":")
         # No local keeps the shard: the worker frees its float rows once binned.
         connect_worker(
-            (host or "127.0.0.1", int(port)), list(_load_worker_shard(cfg)[:2]), cfg.rank,
-            cfg.workers, cfg.fit.reduction_blocks or cfg.workers,
+            (host or "127.0.0.1", int(port)), _load_worker_shard(cfg), cfg.rank,
+            cfg.workers, cfg.fit.reduction_blocks,
         )
         return 0
 

@@ -2,11 +2,10 @@
 
 The master owns the chain's randomness and the model replica but never sees a
 row of data; workers hold contiguous shards and answer every request with
-fixed-size reduced statistics.  Rows are partitioned into `reduction_blocks`
-global blocks, workers own contiguous runs of blocks, and every floating-point
-reduction is the balanced pairwise fold from `sampler`, which is what makes
-the chain bit-identical across worker counts (and equal to the serial chain)
-whenever each worker holds a power-of-two number of blocks.
+fixed-size reduced statistics.  Workers own contiguous runs of `sampler`'s
+global reduction blocks, and every floating-point reduction is `sampler`'s
+balanced pairwise fold, which is what makes the chain bit-identical across
+worker counts (and equal to the serial chain).
 
 A worker answers in a fixed order.  In an iteration's tree phase it takes
 each tree in turn: a proposal (answered with MOVE_STATS, then the decision)
@@ -44,61 +43,17 @@ from .sampler import (
     derive_run_constants,
     forest_hash,
     pairwise_fold,
-    partition_bounds,
+    reduction_block_count,
+    shard_block_slices,
     start_chain,
     summarize_shard,
+    worker_row_range,
 )
 from .trees import MAX_DEPTH, CutpointGrid, Tree, available_cut_ranges, children_ids, depth_of_id
 
 
 class ClusterError(RuntimeError):
     """Protocol violation or worker failure; the run cannot continue."""
-
-
-# ---------------------------------------------------------------------------
-# Data partitioning
-# ---------------------------------------------------------------------------
-
-def _blocks_per_worker(blocks: int, p: int) -> int:
-    if blocks % p != 0:
-        raise ValueError("reduction_blocks must be a multiple of the worker count")
-    per = blocks // p
-    if per & (per - 1):
-        raise ValueError("blocks per worker must be a power of two for a stable fold")
-    return per
-
-
-def _no_rows(rank: int, p: int, rows: int, blocks: int) -> ValueError:
-    return ValueError(
-        f"no rows for rank {rank} of {p} workers: {rows} rows in {blocks} reduction blocks"
-    )
-
-
-def worker_row_range(n_total: int, blocks: int, p: int, rank: int) -> tuple[int, int]:
-    """Global row range of worker `rank` (1-based) under the block layout.
-
-    Shards are unions of whole reduction blocks so that block sums never
-    straddle a worker boundary.  A rank outside 1..p, or one whose blocks
-    hold no rows, is refused with a ValueError.
-    """
-    per = _blocks_per_worker(blocks, p)
-    bounds = partition_bounds(n_total, blocks)
-    if 1 <= rank <= p and bounds[rank * per] > bounds[(rank - 1) * per]:
-        return int(bounds[(rank - 1) * per]), int(bounds[rank * per])
-    raise _no_rows(rank, p, n_total, blocks)
-
-
-def shard_block_slices(n_local: int, blocks: int, p: int) -> list[tuple[int, int]]:
-    """Shard-local [lo, hi) slices of the global blocks a worker owns.
-
-    The near-equal partition of the shard's own rows into blocks/p slices is
-    identical to the restriction of the global block partition to the shard:
-    the oversized global blocks form a prefix, so their intersection with any
-    contiguous run of blocks is a prefix of that run.
-    """
-    per = _blocks_per_worker(blocks, p)
-    bounds = partition_bounds(n_local, per)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(per)]
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +187,17 @@ def run_worker(
     empty shard is refused with a ValueError before the handshake.
     """
     y = np.asarray(y, dtype=np.float64)
-    blocks = shard_block_slices(y.size, reduction_blocks, workers)
-    if not (y.size and 1 <= rank <= workers):
-        raise _no_rows(rank, workers, y.size, reduction_blocks)
+    blocks = shard_block_slices(y.size, reduction_blocks, workers, rank)
     io = MessageIO(channel, audit)
     x = np.ascontiguousarray(x, dtype=np.float64)
 
     io.send(proto.Hello(proto.PROTOCOL_VERSION, rank, y.size))
     io.send(proto.ShardMeta(*summarize_shard(x, y, blocks)))
     setup = io.recv((proto.RunSetup,))
-    if setup.blocks != reduction_blocks:
+    configured = reduction_block_count(reduction_blocks, workers)
+    if setup.blocks != configured:
         raise ClusterError(
-            f"master uses {setup.blocks} reduction blocks, worker configured {reduction_blocks}"
+            f"master uses {setup.blocks} reduction blocks, worker configured {configured}"
         )
     expected_lo, expected_hi = worker_row_range(setup.n_total, setup.blocks, workers, rank)
     if expected_hi - expected_lo != y.size:
@@ -404,7 +358,7 @@ def run_master(
     """
     settings.validate()
     p = len(channels)
-    blocks = settings.reduction_blocks or p
+    blocks = reduction_block_count(settings.reduction_blocks, p)
     ios: dict[int, MessageIO] = {}
     hellos: dict[int, proto.Hello] = {}
     for chan in channels:
@@ -487,9 +441,8 @@ def run_cluster_inprocess(
     settings.validate()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = y.shape[0]
-    blocks = settings.reduction_blocks or workers
-    ranges = [worker_row_range(n, blocks, workers, rank) for rank in range(1, workers + 1)]
+    blocks = settings.reduction_blocks
+    ranges = [worker_row_range(y.size, blocks, workers, rank) for rank in range(1, workers + 1)]
     failures: list[Exception] = []
     channels: list[SocketChannel] = []
     threads: list[threading.Thread] = []

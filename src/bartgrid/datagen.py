@@ -156,26 +156,27 @@ def _is_number(cell: str) -> bool:
         return False
 
 
-def read_table(path: str, response: str | None = None):
-    """Load a table; returns (x, y, feature_names) or (x, names) without y.
+def read_table(path: str, response: str | None = None, start: int = 0, stop: int | None = None):
+    """Load data rows [start, stop); returns (x, y, feature_names) or (x, names) without y.
 
     `response` names the response column; the remaining columns become the
-    feature matrix in file order.
+    feature matrix in file order.  y is a copy: no view keeps the table alive.
     """
     header: list[str] | None = None
     buf = []
-    for hdr, values in iter_rows(path):
+    for hdr, values in iter_rows(path, start, stop):
         header = hdr
         buf.append(values)
     if header is None:
         raise TableError("table has no rows")
     data = np.array(buf, dtype=np.float64)
+    del buf  # the row lists take several times the array's memory
     if response is None:
         return data, list(header)
     if response not in header:
         raise TableError(f"response column {response!r} not in header {header}")
     ycol = header.index(response)
-    y = data[:, ycol]
+    y = data[:, ycol].copy()
     x = np.delete(data, ycol, axis=1)
     names = [h for i, h in enumerate(header) if i != ycol]
     return x, y, names

@@ -354,7 +354,7 @@ def bench_run(
                         progress(f"bench cell {label}")
                     settings = FitSettings(
                         m=m, draws=iterations, burn=burn, thin=max(1, (iterations - burn) // 10),
-                        seed=seed, reduction_blocks=workers,
+                        seed=seed,
                     )
                     try:
                         if workers == 0:
@@ -404,7 +404,7 @@ def _run_tcp_cell(data_path: str, workers: int, settings: FitSettings, **master_
                         "--connect", f"{host}:{port}",
                         "--rank", str(rank),
                         "--workers", str(workers),
-                        "--reduction-blocks", str(settings.reduction_blocks or workers),
+                        "--reduction-blocks", str(settings.reduction_blocks),
                         "--data", data_path,
                         "--response", "y",
                     ],

@@ -6,7 +6,8 @@ worker holding several blocks folds its own blocks and ships one partial; the
 master folds the partials with the same tree.  Because the fold groupings line
 up whenever each worker holds a power-of-two number of blocks, the chain is
 bit-identical whether those sums are computed serially or across any such
-worker layout.  A tree's leaf statistics are one float64 array throughout:
+worker layout.  That layout is stated here too, and a serial fit is its
+worker 1 of 1.  A tree's leaf statistics are one float64 array throughout:
 (blocks, rows, leaves) from the shard, folded along blocks to (rows, leaves).
 
 The chain itself is driven by `run_chain_core`, which is shared between the
@@ -113,6 +114,60 @@ def partition_bounds(n: int, parts: int) -> np.ndarray:
     sizes = np.full(parts, base, dtype=np.int64)
     sizes[:rem] += 1
     return np.concatenate(([0], np.cumsum(sizes)))
+
+
+def reduction_block_count(reduction_blocks: int, workers: int) -> int:
+    """Global reduction blocks of a run on `workers` workers; a serial fit is one.
+
+    `reduction_blocks` 0 is the default layout, one block per worker.  The
+    blocks split evenly over the workers, and with two or more workers each
+    holds a power-of-two count, so that the fold of each worker's partial
+    regroups the fold of all blocks (see `pairwise_fold`).
+    """
+    blocks = reduction_blocks or workers
+    if blocks % workers:
+        raise ValueError("reduction_blocks must be a multiple of the worker count")
+    per = blocks // workers
+    if workers > 1 and per & (per - 1):
+        raise ValueError("blocks per worker must be a power of two for a stable fold")
+    return blocks
+
+
+def _no_rows(rank: int, p: int, rows: int, blocks: int) -> ValueError:
+    return ValueError(
+        f"no rows for rank {rank} of {p} workers: {rows} rows in {blocks} reduction blocks"
+    )
+
+
+def worker_row_range(n_total: int, blocks: int, p: int, rank: int) -> tuple[int, int]:
+    """Global row range of worker `rank` (1-based) under the block layout.
+
+    Shards are unions of whole reduction blocks so that block sums never
+    straddle a worker boundary.  A rank outside 1..p, or one whose blocks
+    hold no rows, is refused with a ValueError.
+    """
+    blocks = reduction_block_count(blocks, p)
+    per = blocks // p
+    bounds = partition_bounds(n_total, blocks)
+    if 1 <= rank <= p and bounds[rank * per] > bounds[(rank - 1) * per]:
+        return int(bounds[(rank - 1) * per]), int(bounds[rank * per])
+    raise _no_rows(rank, p, n_total, blocks)
+
+
+def shard_block_slices(n_local: int, blocks: int, p: int, rank: int) -> list[tuple[int, int]]:
+    """Shard-local [lo, hi) slices of the global blocks worker `rank` owns.
+
+    The near-equal partition of the shard's own rows into blocks/p slices is
+    identical to the restriction of the global block partition to the shard:
+    the oversized global blocks form a prefix, so their intersection with any
+    contiguous run of blocks is a prefix of that run.  A rank outside 1..p,
+    or a shard without rows, is refused with a ValueError.
+    """
+    blocks = reduction_block_count(blocks, p)
+    if not (n_local and 1 <= rank <= p):
+        raise _no_rows(rank, p, n_local, blocks)
+    bounds = partition_bounds(n_local, blocks // p)
+    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(blocks // p)]
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +394,6 @@ def accept_log_ratio(
 # Shard-local data state
 # ---------------------------------------------------------------------------
 
-class _StatsPair(tuple):
-    """One block's (left, right) move statistics.
-
-    Pairs add elementwise, so `pairwise_fold` folds a list of them into one
-    pair: each side's fold is the fold of that side's statistics alone.
-    """
-
-    __slots__ = ()
-
-    def __add__(self, other: "_StatsPair") -> "_StatsPair":
-        return _StatsPair((self[0] + other[0], self[1] + other[1]))
-
-
 class _Slices:
     """Where each terminal node of one tree sits in that tree's row order.
 
@@ -488,7 +530,7 @@ class ShardData:
         and the rule (prop.v, prop.c) partitions its rows.  For a death, the
         children already exist and carry their own means.  Each sum adds the
         same values in the same row order as a masked pass over the whole
-        block would.  The pairs fold into one with `pairwise_fold`.
+        block would.
         """
         sl = self._slices[j]
         parts = []  # (left child's values, right child's values) per block
@@ -519,9 +561,9 @@ class ShardData:
         add = np.add.reduce
         pairs = []
         for r_l, r_r in parts:
-            pairs.append(_StatsPair((
-                SuffStats(r_l.size, float(add(r_l))), SuffStats(r_r.size, float(add(r_r)))
-            )))
+            pairs.append(
+                (SuffStats(r_l.size, float(add(r_l))), SuffStats(r_r.size, float(add(r_r))))
+            )
         return pairs
 
     def mu_stats_blocks(self, j: int, mus: np.ndarray, squares: bool = False) -> np.ndarray:
@@ -607,16 +649,15 @@ class ShardData:
         self._slices[j] = sl.join(t)
 
     def apply_mus(self, j: int, old_mus: np.ndarray, new_mus: np.ndarray) -> None:
-        """Move every row of tree j from its old leaf mean to the new one."""
-        if self._gathered is not None and self._gathered[0] == j:
-            rows, gathered = self._idx, self._gathered[1]
-            self._gathered = None
-        else:
-            rows = self._rows(j, 0, self.ys.size)
-            gathered = self.residual[rows]
+        """Move every row of tree j from its old leaf mean to the new one, through
+        the residual gathered by a `mu_stats_blocks` call on tree j just before."""
+        if self._gathered is None or self._gathered[0] != j:
+            raise ValueError(f"apply_mus on tree {j} needs mu_stats_blocks on it just before")
+        gathered = self._gathered[1]
+        self._gathered = None
         sl = self._slices[j]
         shift = (new_mus - old_mus)[sl.rank].repeat(sl.lens)
-        self.residual[rows] = np.subtract(gathered, shift, out=shift)
+        self.residual[self._idx] = np.subtract(gathered, shift, out=shift)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +670,7 @@ class FitSettings:
 
     The fields declare each setting and its default (the prior's are those of
     Chipman, George & McCulloch 2010); `validate` checks each one's domain.
-    `reduction_blocks` 0 is the default layout: one block, or one per worker.
+    `reduction_blocks` 0 is the default layout (see `reduction_block_count`).
     """
 
     m: int = 200
@@ -785,7 +826,8 @@ class LocalProvider:
             mu_left = mu_right = nodes[k]
         else:
             mu_left, mu_right = nodes[2 * k], nodes[2 * k + 1]
-        return pairwise_fold(self.shard.move_stats_blocks(j, prop, mu_left, mu_right))
+        lefts, rights = zip(*self.shard.move_stats_blocks(j, prop, mu_left, mu_right))
+        return pairwise_fold(lefts), pairwise_fold(rights)
 
     def apply_birth(self, j, tree, prop, mu_l, mu_r):
         self.shard.apply_birth(
@@ -817,7 +859,6 @@ class ChainResult:
     """Everything a finished chain reports back."""
 
     settings: FitSettings
-    n: int
     d: int
     y_mid: float
     y_range: float
@@ -970,7 +1011,6 @@ def run_chain_core(
 
     return ChainResult(
         settings=settings,
-        n=provider.n_total,
         d=grid.n_vars,
         y_mid=0.0,
         y_range=1.0,
@@ -1026,11 +1066,8 @@ def run_serial(
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
         raise ValueError("x must be (n, d) and y must be (n,) with matching n")
-    n = y.size
-    nblocks = settings.reduction_blocks or 1
-    bounds = partition_bounds(n, nblocks)
-    blocks = [(int(bounds[i]), int(bounds[i + 1])) for i in range(nblocks)]
-
+    # The serial fit is rank 1 of 1 in the layout the workers use.
+    blocks = shard_block_slices(y.size, settings.reduction_blocks, 1, 1)
     derived = derive_run_constants([summarize_shard(x, y, blocks)])
     grid = CutpointGrid.from_ranges(derived.x_min, derived.x_max, settings.numcut)
     ys = (y - derived.y_mid) / derived.y_range

@@ -13,7 +13,7 @@ from bartgrid.analysis import posterior_from_chain, predict_mean
 from bartgrid.cli import (
     ConfigError,
     ModelFileError,
-    _CONFIG_KEYS,
+    RunConfig,
     _load_worker_shard,
     load_model,
     main,
@@ -101,7 +101,7 @@ class TestParseConfig:
                 elif key in fit_keys:
                     assert value == getattr(FitSettings(), key)
                 else:
-                    assert value == _CONFIG_KEYS[key][2]
+                    assert value == getattr(RunConfig(), key)
 
     def test_draws_must_exceed_burn(self):
         with pytest.raises(ConfigError, match="burn"):
@@ -227,6 +227,22 @@ class TestModelFile:
     ])
     def test_non_numeric_value_named_by_predict(self, tmp_path, capsys, lineno, text, message):
         # Each kind of number in the file names its line and key when it does not parse.
+        assert self._predict_with_line(tmp_path, lineno, text) == 2
+        assert f"bartgrid predict: error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lineno, text, message", [
+        (2, "m 0", "line 2: 'm' must be >= 1, got 0"),
+        (3, "d -1", "line 3: 'd' must be >= 1, got -1"),
+        (4, "snapshots 0", "line 4: 'snapshots' must be >= 1, got 0"),
+        (5, "y_mid nan", "line 5: 'y_mid' must be finite, got nan"),
+        (6, "y_range 0", "line 6: 'y_range' must be finite and > 0, got 0"),
+        (7, "numcut -5", "line 7: 'numcut' must be >= 1, got -5"),
+        (8, "cutpoints 0 3 -0.5 inf 0.5", "line 8: 'cutpoints' must be finite, got inf"),
+        (9, "snapshot 0 -0.1", "line 9: 'snapshot' must be finite and > 0, got -0.1"),
+    ])
+    def test_out_of_range_value_named_by_predict(self, tmp_path, capsys, lineno, text, message):
+        # A value that parses but would make `predict` write nan or 0.0 is
+        # refused at load time, naming its line and key.
         assert self._predict_with_line(tmp_path, lineno, text) == 2
         assert f"bartgrid predict: error: {message}" in capsys.readouterr().err
 
@@ -356,15 +372,14 @@ class TestWorkerShard:
         data = self._write(tmp_path)
         x_all, y_all, _ = read_table(data, response="y")
         for rank, rows in ((1, slice(0, 4)), (2, slice(4, 8))):
-            x, y, n_total = _load_worker_shard(self._cfg(data, rank))
-            assert n_total == 8
+            x, y = _load_worker_shard(self._cfg(data, rank))
             assert np.array_equal(x, x_all[rows]) and np.array_equal(y, y_all[rows])
 
     def test_bad_line_fails_only_its_owner(self, tmp_path):
         # Line 8 holds data row 6, which belongs to rank 2.
         data = self._write(tmp_path, bad_line=8)
-        x, y, n_total = _load_worker_shard(self._cfg(data, 1))
-        assert x.shape == (4, 2) and y.shape == (4,) and n_total == 8
+        x, y = _load_worker_shard(self._cfg(data, 1))
+        assert x.shape == (4, 2) and y.shape == (4,)
         with pytest.raises(TableError, match="line 8: non-numeric cell 'oops'"):
             _load_worker_shard(self._cfg(data, 2))
 

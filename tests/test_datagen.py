@@ -155,6 +155,10 @@ class TestTableIO:
         assert names == ["a", "b"]
         assert np.array_equal(y, [2.0, 5.0])
         assert np.array_equal(x, [[1.0, 3.0], [4.0, 6.0]])
+        # Neither array is a view, so none keeps the parsed table alive.
+        assert x.base is None and y.base is None
+        x, y, names = read_table(path, response="y", start=1, stop=2)
+        assert np.array_equal(y, [5.0]) and np.array_equal(x, [[4.0, 6.0]])
 
     def test_non_numeric_cell_names_line(self, tmp_path):
         path = str(tmp_path / "t.csv")

@@ -27,12 +27,15 @@ from bartgrid.sampler import (
     pairwise_fold,
     partition_bounds,
     propose,
+    reduction_block_count,
     resolve_prior,
     run_chain_core,
     run_serial,
+    shard_block_slices,
     sigma_lambda,
     split_prior_prob,
     summarize_shard,
+    worker_row_range,
 )
 from bartgrid.trees import (
     MAX_DEPTH,
@@ -361,6 +364,22 @@ class TestShardStats:
         assert (left.n, left.s) == (0, 0.0)
         assert (right.n, right.s) == (0, 0.0)
 
+    def test_leaf_update_needs_the_gather_of_its_tree(self):
+        # apply_mus writes back through the residual that mu_stats_blocks
+        # gathered for the same tree; any other order is refused.
+        shard = build_shard(np.random.default_rng(13), 20, 2, 2)
+        mus, new = np.zeros(1), np.ones(1)
+        with pytest.raises(ValueError, match="apply_mus on tree 0 needs mu_stats_blocks"):
+            shard.apply_mus(0, mus, new)
+        shard.mu_stats_blocks(1, mus)
+        with pytest.raises(ValueError, match="apply_mus on tree 0 needs mu_stats_blocks"):
+            shard.apply_mus(0, mus, new)
+        shard.mu_stats_blocks(0, mus)
+        shard.apply_mus(0, mus, new)
+        assert np.array_equal(shard.residual, shard.ys - 1.0)
+        with pytest.raises(ValueError, match="apply_mus on tree 0 needs mu_stats_blocks"):
+            shard.apply_mus(0, new, mus)
+
     def test_half_shards_sum_to_whole(self):
         rng = np.random.default_rng(11)
         grid = CutpointGrid.from_ranges(np.full(2, -1.0), np.full(2, 1.0), 10)
@@ -650,6 +669,42 @@ class TestFold:
         assert sizes.sum() == 7_016_430
         assert sizes.max() - sizes.min() <= 1
         assert set(np.unique(sizes)) == {36543, 36544}
+
+
+class TestBlockLayout:
+    def test_worker_row_ranges_tile_the_data(self):
+        for n, blocks, p in [(100, 4, 2), (1001, 8, 4), (57, 2, 2), (64, 16, 4), (10, 3, 1)]:
+            stops = [worker_row_range(n, blocks, p, r) for r in range(1, p + 1)]
+            assert stops[0][0] == 0 and stops[-1][1] == n
+            for (lo1, hi1), (lo2, _hi2) in zip(stops, stops[1:]):
+                assert hi1 == lo2
+            for r, (lo, hi) in enumerate(stops, start=1):
+                slices = shard_block_slices(hi - lo, blocks, p, r)
+                assert slices[0][0] == 0 and slices[-1][1] == hi - lo
+
+    def test_block_layout_validation(self):
+        with pytest.raises(ValueError, match="multiple"):
+            worker_row_range(100, 3, 2, 1)
+        with pytest.raises(ValueError, match="power of two"):
+            worker_row_range(100, 12, 2, 1)
+        # One worker, serial or not, folds its blocks as the serial fit does.
+        assert reduction_block_count(6, 1) == 6
+        assert shard_block_slices(10, 3, 1, 1) == [(0, 4), (4, 7), (7, 10)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_default_layout_is_one_block_per_worker(self, workers):
+        assert reduction_block_count(0, workers) == workers
+        assert worker_row_range(40, 0, workers, workers) == (40 - 40 // workers, 40)
+
+    @pytest.mark.parametrize(
+        "n, blocks, p, rank",
+        [(100, 2, 2, 3), (100, 2, 2, 0), (3, 4, 4, 4), (3, 8, 2, 2)],
+        ids=["rank-above-p", "rank-0", "last-of-4-on-3-rows", "last-of-2-on-3-rows-in-8-blocks"],
+    )
+    def test_a_rank_without_rows_is_named(self, n, blocks, p, rank):
+        match = f"no rows for rank {rank} of {p} workers: {n} rows in {blocks} reduction blocks"
+        with pytest.raises(ValueError, match=match):
+            worker_row_range(n, blocks, p, rank)
 
 
 class TestSuffStats:

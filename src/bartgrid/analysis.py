@@ -197,6 +197,23 @@ class _PartSums:
     prod: np.ndarray  # per variable: sum f(A) * f(AB_k)
     jansen: np.ndarray  # per variable: sum (f(B) - f(AB_k))^2
 
+    def __add__(self, other: "_PartSums") -> "_PartSums":
+        return _PartSums(*(getattr(self, f) + getattr(other, f) for f in self.__slots__))
+
+    def estimates(self, constant_raises: bool = False) -> tuple:
+        """(f0, v, s1, st, v_k) from the sums; s1, st and v_k per variable slot.
+
+        With `constant_raises`, a v of zero or less raises before any
+        division by it; otherwise it divides with numpy's inf/nan semantics.
+        """
+        n = self.rows
+        f0 = (self.sum_a + self.sum_b) / (2 * n)
+        v = self.sum_a2 / n - f0 * f0
+        if constant_raises and v <= 0.0:
+            raise ValueError("zero total variance: predictor is constant on the domain")
+        v_k = self.prod / n - f0 * f0
+        return f0, v, v_k / v, self.jansen / (2 * n) / v, v_k
+
 
 def _part_sums(
     predictor: Predictor, ks: Sequence[int], rows: int, dim: int, seed: int, part: int
@@ -230,16 +247,6 @@ def _part_sums(
         prod,
         jansen,
     )
-
-
-def _estimate_from_sums(sums: _PartSums, i: int) -> tuple[float, float, float, float]:
-    """(s1, st, v_k, v) from accumulated sums for variable slot i."""
-    n = sums.rows
-    f0 = (sums.sum_a + sums.sum_b) / (2 * n)
-    v = sums.sum_a2 / n - f0 * f0
-    v_k = sums.prod[i] / n - f0 * f0
-    st_num = sums.jansen[i] / (2 * n)
-    return v_k / v, st_num / v, v_k, v
 
 
 def sobol_indices(
@@ -281,39 +288,17 @@ def sobol_indices(
     else:
         parts = [compute(part) for part in range(p_parts)]
 
-    total = parts[0]
-    for nxt in parts[1:]:
-        total = _PartSums(
-            total.rows + nxt.rows,
-            total.sum_a + nxt.sum_a,
-            total.sum_b + nxt.sum_b,
-            total.sum_a2 + nxt.sum_a2,
-            total.prod + nxt.prod,
-            total.jansen + nxt.jansen,
-        )
-    f0 = (total.sum_a + total.sum_b) / (2 * total.rows)
-    v = total.sum_a2 / total.rows - f0 * f0
-    if v <= 0.0:
-        raise ValueError("zero total variance: predictor is constant on the domain")
-
+    total = sum(parts[1:], parts[0])
+    f0, v, s1, st, v_k = total.estimates(constant_raises=True)
+    per_part = [part.estimates() for part in parts]
     estimates = []
     for i, k in enumerate(ks):
-        s1, st, v_k, _ = _estimate_from_sums(total, i)
         if p_parts > 1:
-            per_s1 = []
-            per_st = []
-            for part in parts:
-                try:
-                    ps1, pst, _, _ = _estimate_from_sums(part, i)
-                except ZeroDivisionError:
-                    continue
-                per_s1.append(ps1)
-                per_st.append(pst)
-            s1_err = float(np.std(per_s1, ddof=1) / math.sqrt(len(per_s1)))
-            st_err = float(np.std(per_st, ddof=1) / math.sqrt(len(per_st)))
+            s1_err = float(np.std([e[2][i] for e in per_part], ddof=1) / math.sqrt(p_parts))
+            st_err = float(np.std([e[3][i] for e in per_part], ddof=1) / math.sqrt(p_parts))
         else:
             s1_err = st_err = float("nan")
-        estimates.append(SobolEstimate(k, s1, s1_err, st, st_err, v_k, v, f0))
+        estimates.append(SobolEstimate(k, s1[i], s1_err, st[i], st_err, v_k[i], v, f0))
     return SensitivityResult(f0=f0, n_s=total.rows, parts=p_parts, estimates=estimates)
 
 

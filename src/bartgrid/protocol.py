@@ -304,14 +304,14 @@ def iteration_byte_count(
         raise ValueError("trace and b_counts must cover the same trees")
     if p < 0:
         raise ValueError("worker count must be >= 0")
-    per_worker = 0
+    size = {kind: layout.size for kind, (_, layout) in MESSAGES.items()}
+    moves = {"birth": (BirthProposal, BirthAccept), "death": (DeathProposal, DeathAccept)}
+    per_worker = size[RssPartial]
     for (move, accepted), b in zip(trace, b_counts):
-        if move == "birth":
-            per_worker += 12 + 24 + (28 if accepted else 0)
-        elif move == "death":
-            per_worker += 8 + 24 + (28 if accepted else 0)
+        if move in moves:
+            proposal, accept = moves[move]
+            per_worker += size[proposal] + size[MoveStats] + size[accept if accepted else Reject]
         elif move is not None:
             raise ValueError(f"unknown move {move!r}")
-        per_worker += 20 * b + 8 * b
-    per_worker += 8  # partial RSS
+        per_worker += (size[MuStats] + size[MuValues]) * b
     return p * per_worker

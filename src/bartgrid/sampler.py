@@ -230,12 +230,7 @@ def log_marginal_likelihood(stats: SuffStats, sigma: float, tau: float) -> float
 
 def draw_mu(stats: SuffStats, sigma: float, tau: float, rng: np.random.Generator) -> float:
     """Conjugate normal draw of one leaf mean given its node's statistics."""
-    s2 = sigma * sigma
-    t2 = tau * tau
-    denom = s2 + stats.n * t2
-    mean = t2 * stats.s / denom
-    sd = math.sqrt(s2 * t2 / denom)
-    return mean + sd * float(rng.standard_normal())
+    return float(draw_mus(np.array([[stats.n], [stats.s]]), sigma, tau, rng)[0])
 
 
 def draw_mus(
@@ -345,49 +340,36 @@ def accept_log_ratio(
     """
     if prop.move not in (BIRTH, DEATH):
         raise ValueError(f"unknown move {prop.move!r}")
-    if prop.move == BIRTH and min(stats_left.n, stats_right.n) < prior.min_leaf:
+    birth = prop.move == BIRTH
+    if birth and min(stats_left.n, stats_right.n) < prior.min_leaf:
         return -math.inf
-    merged = SuffStats(stats_left.n + stats_right.n, stats_left.s + stats_right.s)
     k = prop.node_id
     log_p_d, two_log1m_p_d1, log1m_p_d = prior.split_logs[k.bit_length() - 1]
+    # One expression, for the birth from a tree of b leaves to one with `nogs`
+    # nogs; a death returns the negated ratio of the birth that undoes it.
     b = (len(tree.nodes) + 1) // 2
     nogs = len(tree.nogs())
-    if prop.move == BIRTH:
-        p_birth = 1.0 if b == 1 else 0.5
+    if birth:
         # The birth makes its node a nog; its parent stops being one when the
         # sibling is terminal.
-        nog_after = nogs + 1 - (k > 1 and not isinstance(tree.nodes[k ^ 1], tuple))
-        p_death_after = 0.5
-        log_ratio = (
-            log_p_d
-            + two_log1m_p_d1
-            - log1m_p_d
-            + math.log(p_death_after * b)
-            - math.log(p_birth * nog_after)
-        )
-        if not prior_only:
-            log_ratio += (
-                log_marginal_likelihood(stats_left, sigma, prior.tau)
-                + log_marginal_likelihood(stats_right, sigma, prior.tau)
-                - log_marginal_likelihood(merged, sigma, prior.tau)
-            )
-        return log_ratio
-    p_death = 0.5
-    p_birth_after = 1.0 if b - 1 == 1 else 0.5
+        nogs += 1 - (k > 1 and not isinstance(tree.nodes[k ^ 1], tuple))
+    else:
+        b -= 1
+    p_birth = 1.0 if b == 1 else 0.5
     log_ratio = (
-        -log_p_d
-        - two_log1m_p_d1
-        + log1m_p_d
-        + math.log(p_birth_after * nogs)
-        - math.log(p_death * (b - 1))
+        log_p_d
+        + two_log1m_p_d1
+        - log1m_p_d
+        + math.log(0.5 * b)
+        - math.log(p_birth * nogs)
     )
     if not prior_only:
         log_ratio += (
-            log_marginal_likelihood(merged, sigma, prior.tau)
-            - log_marginal_likelihood(stats_left, sigma, prior.tau)
-            - log_marginal_likelihood(stats_right, sigma, prior.tau)
+            log_marginal_likelihood(stats_left, sigma, prior.tau)
+            + log_marginal_likelihood(stats_right, sigma, prior.tau)
+            - log_marginal_likelihood(stats_left + stats_right, sigma, prior.tau)
         )
-    return log_ratio
+    return log_ratio if birth else -log_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -726,13 +708,22 @@ def summarize_shard(x: np.ndarray, y: np.ndarray, blocks: Sequence[tuple[int, in
 
     The order is `protocol.ShardMeta`'s.  The sums are pairwise folds of the
     per-block sums, so a fold of the shards' summaries equals the summary
-    of all rows under the same block layout.
+    of all rows under the same block layout.  A non-finite cell of x or y
+    is refused, naming its shard row (and column).
     """
+    y_min, y_max = float(y.min()), float(y.max())
+    x_min, x_max = x.min(axis=0), x.max(axis=0)
+    if not np.isfinite([y_min, y_max, *x_min, *x_max]).all():
+        if not np.isfinite(y).all():
+            row = int(np.flatnonzero(~np.isfinite(y))[0])
+            raise ValueError(f"y is not finite at shard row {row}: {y[row]}")
+        row, col = (int(i[0]) for i in np.nonzero(~np.isfinite(x)))
+        raise ValueError(f"x is not finite at shard row {row}, column {col}: {x[row, col]}")
     y_sum = pairwise_fold([float(np.sum(y[lo:hi])) for lo, hi in blocks])
     y_sumsq = pairwise_fold([float(np.sum(y[lo:hi] * y[lo:hi])) for lo, hi in blocks])
     return (
-        y.size, float(y.min()), float(y.max()), y_sum, y_sumsq,
-        tuple(x.min(axis=0)), tuple(x.max(axis=0)),
+        y.size, y_min, y_max, y_sum, y_sumsq,
+        tuple(x_min), tuple(x_max),
     )
 
 

@@ -21,6 +21,7 @@ leaf means in the trees' order.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -351,6 +352,8 @@ def tree_from_lines(lines: Sequence[str]) -> Tree:
                 raise ValueError
         except (ValueError, IndexError):
             raise ValueError(f"bad tree line {lineno}: {line!r}") from None
+        if not isinstance(val, tuple) and not math.isfinite(val):
+            raise ValueError(f"tree line {lineno}: leaf mean must be finite, got {parts[2]}")
         if k in nodes:
             raise ValueError(f"node {k} appears twice in tree serialization")
         nodes[k] = val

@@ -239,6 +239,8 @@ class TestModelFile:
         (7, "numcut -5", "line 7: 'numcut' must be >= 1, got -5"),
         (8, "cutpoints 0 3 -0.5 inf 0.5", "line 8: 'cutpoints' must be finite, got inf"),
         (9, "snapshot 0 -0.1", "line 9: 'snapshot' must be finite and > 0, got -0.1"),
+        (11, "l 1 nan", "line 10: tree line 0: leaf mean must be finite, got nan"),
+        (13, "l 1 inf", "line 12: tree line 0: leaf mean must be finite, got inf"),
     ])
     def test_out_of_range_value_named_by_predict(self, tmp_path, capsys, lineno, text, message):
         # A value that parses but would make `predict` write nan or 0.0 is

@@ -1,5 +1,8 @@
+import collections
 import contextlib
+import re
 import socket
+import sys
 import threading
 import time
 import weakref
@@ -141,6 +144,29 @@ class TestShardData:
         with pytest.raises(ClusterError, match="closed the connection"):
             master_end.recv(1)
         master_end.close()
+
+
+    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "two-workers"])
+    @pytest.mark.parametrize("row, col, value, message", [
+        (27, None, np.nan, "y is not finite at shard row {row}: nan"),
+        (31, 2, np.inf, "x is not finite at shard row {row}, column 2: inf"),
+    ], ids=["nan-y", "inf-x"])
+    def test_non_finite_cell_is_named(self, workers, row, col, value, message):
+        # A NaN in y would run the whole chain to NaN sigmas, and a NaN or inf
+        # in x would fail later on the cutpoints without naming the cell.
+        x, y = toy_data(40)
+        if col is None:
+            y[row] = value
+        else:
+            x[row, col] = value
+        settings = toy_settings(reduction_blocks=2)
+        # Rows 20-39 are rank 2's, so a worker names its own shard row.
+        expected = re.escape(message.format(row=row - 20 if workers else row))
+        with pytest.raises((ValueError, ClusterError), match=expected):
+            if workers:
+                run_cluster_inprocess(x, y, settings, workers=workers)
+            else:
+                run_serial(x, y, settings)
 
 
 class TestEquivalence:
@@ -701,3 +727,42 @@ class TestTcpTransport:
         tcp = results["master"]
         assert np.array_equal(tcp.sigmas, inproc.sigmas)
         assert tcp.forest_hashes == inproc.forest_hashes
+
+
+class TestDistributedFixedCost:
+    def test_master_and_worker_calls_per_tree(self):
+        # The distributed chain's fixed cost per tree, counted rather than
+        # timed: Python calls and socket recv/sendall calls on the master
+        # thread and on each worker thread.  The bounds are 5 % above the
+        # figures this chain made when the guard was written; they repeat
+        # exactly from run to run.
+        x, y = toy_data(400)
+        settings = toy_settings(m=10, draws=60, seed=4, reduction_blocks=2)
+        run_cluster_inprocess(x, y, settings, workers=2)  # warm-up: imports and caches
+        master = threading.current_thread().name
+        counts = collections.defaultdict(collections.Counter)
+
+        def profile(frame, event, arg):
+            if event == "call":
+                counts[threading.current_thread().name]["calls"] += 1
+            elif event == "c_call" and arg.__name__ in ("recv", "sendall"):
+                counts[threading.current_thread().name][arg.__name__] += 1
+
+        threading.setprofile(profile)
+        sys.setprofile(profile)
+        try:
+            run_cluster_inprocess(x, y, settings, workers=2)
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+        trees = settings.draws * settings.m
+        bounds = {
+            master: {"calls": 106.18, "recv": 8.42, "sendall": 6.21},
+            "bartgrid-worker-1": {"calls": 58.51, "recv": 5.41, "sendall": 2.10},
+            "bartgrid-worker-2": {"calls": 58.51, "recv": 5.41, "sendall": 2.10},
+        }
+        assert set(counts) == set(bounds)
+        for thread, figures in bounds.items():
+            for key, measured in figures.items():
+                per_tree = counts[thread][key] / trees
+                assert per_tree <= 1.05 * measured, f"{thread}: {per_tree:.2f} {key} per tree"

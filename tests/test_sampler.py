@@ -56,6 +56,31 @@ def make_prior(**overrides):
     return PriorParams(**base)
 
 
+def birth_ratio_oracle(tree, after, k, stats_l, stats_r, sigma, prior, prior_only):
+    """A birth's log MH ratio, term by term in the order `accept_log_ratio` adds them.
+
+    It counts the nogs on `after`, the tree the birth makes.
+    """
+    log_p_d, two_log1m_p_d1, log1m_p_d = prior.split_logs[depth_of_id(k)]
+    b = len(tree.terminals())
+    p_birth = 1.0 if b == 1 else 0.5
+    log_ratio = (
+        log_p_d
+        + two_log1m_p_d1
+        - log1m_p_d
+        + math.log(0.5 * b)
+        - math.log(p_birth * len(after.nogs()))
+    )
+    if not prior_only:
+        merged = SuffStats(stats_l.n + stats_r.n, stats_l.s + stats_r.s)
+        log_ratio += (
+            log_marginal_likelihood(stats_l, sigma, prior.tau)
+            + log_marginal_likelihood(stats_r, sigma, prior.tau)
+            - log_marginal_likelihood(merged, sigma, prior.tau)
+        )
+    return log_ratio
+
+
 class TestSplitPrior:
     def test_depth_zero(self):
         assert split_prior_prob(0, 0.95, 2.0) == 0.95
@@ -193,32 +218,44 @@ class TestAcceptLogRatio:
         assert ratio == -math.inf
 
     def test_detailed_balance(self):
-        # A birth at any terminal and the death that undoes it: the root, a
-        # terminal whose sibling is terminal (its parent stops being a nog)
-        # and one whose sibling is internal.
-        prior = make_prior()
+        # A birth at a random terminal of a random tree, with random child
+        # statistics, and the death that undoes it: their ratios cancel
+        # exactly.  The births cover the root, a terminal whose sibling is
+        # terminal (its parent stops being a nog) and one whose sibling is
+        # internal; each keeps the bits of `birth_ratio_oracle`.
         grid = CutpointGrid.from_ranges(np.full(2, -1.0), np.full(2, 1.0), 10)
         rng = np.random.default_rng(41)
-        stats_l = SuffStats(4, 1.2)
-        stats_r = SuffStats(6, -0.7)
         kinds = set()
-        trees = [Tree()] + [grow_random_tree(rng, grid, n_births=6) for _ in range(6)]
-        for tree in trees:
-            for k in tree.terminals():
-                lo, hi = available_cut_ranges(tree, k, grid.counts)[0]
-                if hi <= lo or depth_of_id(k) >= MAX_DEPTH:
-                    continue
-                if k == 1:
-                    kinds.add("root")
-                else:
-                    kinds.add("internal" if isinstance(tree.nodes[k ^ 1], tuple) else "terminal")
-                birth = Proposal(BIRTH, k, 0, lo)
-                lr_birth = accept_log_ratio(tree, birth, stats_l, stats_r, 0.8, prior)
-                after = tree.clone()
-                after.birth(k, 0, lo, 0.0, 0.0)
-                death = Proposal(DEATH, k)
-                lr_death = accept_log_ratio(after, death, stats_l, stats_r, 0.8, prior)
-                assert lr_birth + lr_death == pytest.approx(0.0, abs=1e-12)
+        cases = 0
+        while cases < 1000:
+            prior = make_prior(alpha=rng.uniform(0.5, 0.99), beta=rng.uniform(0.0, 3.0),
+                               tau=rng.uniform(0.05, 1.0))
+            tree = grow_random_tree(rng, grid, n_births=int(rng.integers(0, 10)))
+            terminals = tree.terminals()
+            k = terminals[rng.integers(len(terminals))]
+            lo, hi = available_cut_ranges(tree, k, grid.counts)[0]
+            if hi <= lo or depth_of_id(k) >= MAX_DEPTH:
+                continue
+            if k == 1:
+                kinds.add("root")
+            else:
+                kinds.add("internal" if isinstance(tree.nodes[k ^ 1], tuple) else "terminal")
+            stats_l = SuffStats(int(rng.integers(0, 30)), float(rng.normal(0.0, 3.0)))
+            stats_r = SuffStats(int(rng.integers(0, 30)), float(rng.normal(0.0, 3.0)))
+            sigma = float(rng.uniform(0.1, 2.0))
+            prior_only = bool(rng.random() < 0.1)
+            after = tree.clone()
+            after.birth(k, 0, lo, 0.0, 0.0)
+            lr_birth = accept_log_ratio(
+                tree, Proposal(BIRTH, k, 0, lo), stats_l, stats_r, sigma, prior, prior_only
+            )
+            lr_death = accept_log_ratio(
+                after, Proposal(DEATH, k), stats_l, stats_r, sigma, prior, prior_only
+            )
+            oracle = birth_ratio_oracle(tree, after, k, stats_l, stats_r, sigma, prior, prior_only)
+            assert lr_birth == oracle
+            assert lr_death == -lr_birth
+            cases += 1
         assert kinds == {"root", "terminal", "internal"}
 
     def test_depends_on_stats_only_through_n_and_s(self):

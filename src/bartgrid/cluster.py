@@ -435,15 +435,15 @@ def run_cluster_inprocess(
 
     A worker thread closes its end of the socketpair when it exits, so the
     master's next receive fails at once.  The run then raises a ClusterError
-    naming the exception of the worker that failed first, or the master's own
-    error when no worker failed.
+    naming the rank, global rows and exception of the worker that failed
+    first, or the master's own error when no worker failed.
     """
     settings.validate()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     blocks = settings.reduction_blocks
     ranges = [worker_row_range(y.size, blocks, workers, rank) for rank in range(1, workers + 1)]
-    failures: list[Exception] = []
+    failures: list[tuple[str, Exception]] = []
     channels: list[SocketChannel] = []
     threads: list[threading.Thread] = []
     for rank, (lo, hi) in enumerate(ranges, start=1):
@@ -459,7 +459,7 @@ def run_cluster_inprocess(
                     audit=worker_audits.get(rank) if worker_audits else None,
                 )
             except Exception as exc:  # noqa: BLE001 - raised again below
-                failures.append(exc)
+                failures.append((f"worker {rank} (rows {lo}-{hi - 1})", exc))
             finally:
                 chan.close()
 
@@ -471,7 +471,8 @@ def run_cluster_inprocess(
         return run_master(channels, settings, **master_kwargs)
     except ClusterError:
         if failures:
-            raise ClusterError(f"worker failed: {failures[0]!r}") from failures[0]
+            who, exc = failures[0]
+            raise ClusterError(f"{who} failed: {exc!r}") from exc
         raise
     finally:
         # Workers still waiting on the master see their channel close and exit.

@@ -3,15 +3,17 @@
 The generator builds a response surface as a signed sum of randomly placed,
 rotated and dilated Gaussian kernels over a handful of input coordinates
 each, which yields high-dimensional test problems where only a few inputs
-matter.  Table IO is plain comma-delimited text with a header row, streamed
-one row at a time so file size never dictates memory.
+matter.  Table IO is plain comma-delimited text with a header row.  A reader
+parses a range of rows in one numpy call; only writing streams, one chunk of
+rows at a time.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -120,57 +122,42 @@ def table_shape(path: str) -> tuple[list[str], int]:
         return header, sum(1 for _ in fh)
 
 
-def iter_rows(
-    path: str, start: int = 0, stop: int | None = None
-) -> Iterator[tuple[list[str], list[float]]]:
-    """Stream (header, row) pairs; the header is re-yielded with every row.
-
-    Reads one line at a time; raises TableError with the 1-based line number
-    on the first ragged, non-numeric or non-finite row.  Only data rows
-    [start, stop) are parsed and checked.
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        header = _read_header(fh)
-        width = len(header)
-        for lineno, line in itertools.islice(enumerate(fh, start=2), start, stop):
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != width:
-                raise TableError(f"line {lineno}: expected {width} cells, found {len(cells)}")
-            try:
-                values = [float(c) for c in cells]
-            except ValueError:
-                bad = next(c for c in cells if not _is_number(c))
-                raise TableError(f"line {lineno}: non-numeric cell {bad!r}") from None
-            if not all(map(math.isfinite, values)):
-                if any(map(math.isnan, values)):
-                    raise TableError(f"line {lineno}: missing values are not supported")
-                bad = next(c for c, v in zip(cells, values) if not math.isfinite(v))
-                raise TableError(f"line {lineno}: non-finite cell {bad!r}")
-            yield header, values
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        return not math.isnan(float(cell))
-    except ValueError:
-        return False
-
-
 def read_table(path: str, response: str | None = None, start: int = 0, stop: int | None = None):
     """Load data rows [start, stop); returns (x, y, feature_names) or (x, names) without y.
 
     `response` names the response column; the remaining columns become the
     feature matrix in file order.  y is a copy: no view keeps the table alive.
     """
-    header: list[str] | None = None
-    buf = []
-    for hdr, values in iter_rows(path, start, stop):
-        header = hdr
-        buf.append(values)
-    if header is None:
+    with open(path, "r", encoding="ascii") as fh:
+        header = _read_header(fh)
+        lines = list(itertools.islice(fh, start, stop))
+    if not lines:
         raise TableError("table has no rows")
-    data = np.array(buf, dtype=np.float64)
-    del buf  # the row lists take several times the array's memory
+    with warnings.catch_warnings():
+        # np.loadtxt skips blank lines, warning if no others: refused below.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            data = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+    if data is None or data.shape != (len(lines), len(header)) or not np.isfinite(data).all():
+        for lineno, line in enumerate(lines, start=start + 2):
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != len(header):
+                raise TableError(f"line {lineno}: expected {len(header)} cells, found {len(cells)}")
+            for cell in cells:
+                try:
+                    if "_" in cell:  # np.loadtxt, unlike float(), refuses "1_000"
+                        raise ValueError(cell)
+                    value = float(cell)
+                except ValueError:
+                    raise TableError(f"line {lineno}: non-numeric cell {cell!r}") from None
+                if math.isnan(value):
+                    raise TableError(f"line {lineno}: missing values are not supported")
+                if math.isinf(value):
+                    raise TableError(f"line {lineno}: non-finite cell {cell!r}")
+        raise TableError(f"{len(lines)} lines do not parse as a table of {len(header)} columns")
+    del lines  # the line strings take several times the array's memory
     if response is None:
         return data, list(header)
     if response not in header:
@@ -210,27 +197,20 @@ def write_dataset(
     """Generate and stream a dataset straight to disk, 65536 rows at a time.
 
     Column layout: response first ("y"), then x0..x{d-1}.  If `truth_path`
-    is given, the noiseless response is written there as a one-column table.
+    is given, the noiseless response is written there as a one-column table,
+    once the data file is complete.
     """
-    truth_fh = open(truth_path, "w", encoding="ascii") if truth_path else None
-    written = 0
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(",".join(["y"] + [f"x{j}" for j in range(spec.d)]) + "\n")
-            if truth_fh:
-                truth_fh.write("f\n")
-            while written < n:
-                take = min(65536, n - written)
-                x, y, f = gen_dataset(spec, take, sigma_noise, rng)
-                for i in range(take):
-                    fh.write(
-                        repr(float(y[i])) + "," + ",".join(repr(float(v)) for v in x[i]) + "\n"
-                    )
-                if truth_fh:
-                    for i in range(take):
-                        truth_fh.write(repr(float(f[i])) + "\n")
-                written += take
-    finally:
-        if truth_fh:
-            truth_fh.close()
+    truth: list[np.ndarray] = []
+
+    def rows():
+        for lo in range(0, n, 65536):
+            x, y, f = gen_dataset(spec, min(65536, n - lo), sigma_noise, rng)
+            if truth_path:
+                truth.append(f)
+            for yi, xi in zip(y.tolist(), x):
+                yield [yi, *xi.tolist()]
+
+    written = write_table(path, ["y"] + [f"x{j}" for j in range(spec.d)], rows())
+    if truth_path:
+        write_table(truth_path, ["f"], ([v] for f in truth for v in f.tolist()))
     return written

@@ -160,8 +160,11 @@ class TestShardData:
         else:
             x[row, col] = value
         settings = toy_settings(reduction_blocks=2)
-        # Rows 20-39 are rank 2's, so a worker names its own shard row.
+        # Rows 20-39 are rank 2's, so a worker names its own shard row, and
+        # the run names the worker and where its rows start.
         expected = re.escape(message.format(row=row - 20 if workers else row))
+        if workers:
+            expected = re.escape("worker 2 (rows 20-39) failed: ") + ".*" + expected
         with pytest.raises((ValueError, ClusterError), match=expected):
             if workers:
                 run_cluster_inprocess(x, y, settings, workers=workers)

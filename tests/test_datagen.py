@@ -1,5 +1,7 @@
+import itertools
 import math
-import tracemalloc
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +13,63 @@ from bartgrid.datagen import (
     eval_friedman,
     gen_dataset,
     gen_spec,
-    iter_rows,
     read_table,
     write_dataset,
     write_table,
 )
+from bartgrid.sampler import worker_row_range
+
+
+def oracle_read_table(path, response=None, start=0, stop=None):
+    """Independent table oracle: one float() per cell, row by row, with read_table's messages."""
+    def is_number(cell):
+        try:
+            return not math.isnan(float(cell))
+        except ValueError:
+            return False
+
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        buf = []
+        for lineno, line in itertools.islice(enumerate(fh, start=2), start, stop):
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != len(header):
+                raise TableError(f"line {lineno}: expected {len(header)} cells, found {len(cells)}")
+            try:
+                values = [float(c) for c in cells]
+            except ValueError:
+                bad = next(c for c in cells if not is_number(c))
+                raise TableError(f"line {lineno}: non-numeric cell {bad!r}") from None
+            if not all(map(math.isfinite, values)):
+                if any(map(math.isnan, values)):
+                    raise TableError(f"line {lineno}: missing values are not supported")
+                bad = next(c for c, v in zip(cells, values) if not math.isfinite(v))
+                raise TableError(f"line {lineno}: non-finite cell {bad!r}")
+            buf.append(values)
+    if not buf:
+        raise TableError("table has no rows")
+    data = np.array(buf, dtype=np.float64)
+    if response is None:
+        return data, header
+    ycol = header.index(response)
+    names = [h for i, h in enumerate(header) if i != ycol]
+    return np.delete(data, ycol, axis=1), data[:, ycol].copy(), names
+
+
+def oracle_write_dataset(path, spec, n, sigma_noise, rng, truth_path):
+    """Independent writer oracle: write_dataset's byte format as an explicit chunk loop."""
+    with open(path, "w", encoding="ascii") as fh, open(truth_path, "w", encoding="ascii") as tf:
+        fh.write(",".join(["y"] + [f"x{j}" for j in range(spec.d)]) + "\n")
+        tf.write("f\n")
+        written = 0
+        while written < n:
+            take = min(65536, n - written)
+            x, y, f = gen_dataset(spec, take, sigma_noise, rng)
+            for i in range(take):
+                fh.write(repr(float(y[i])) + "," + ",".join(repr(float(v)) for v in x[i]) + "\n")
+            for i in range(take):
+                tf.write(repr(float(f[i])) + "\n")
+            written += take
 
 
 def naive_eval(spec, x):
@@ -138,6 +192,42 @@ class TestGenDataset:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
+SIX_ROWS = "a,b\n" + "".join(f"{i}.5,{i}\n" for i in range(6))
+
+# (table text, response, row range) cases read_table must agree on with the
+# per-row oracle: the same bits, or the same refusal message.
+PARITY_CASES = {
+    "crlf": ("a,b\r\n1.0,2.0\r\n3.0,4.0\r\n", "b", (0, None)),
+    "spaces": ("a,b,c\n 1.0 ,2.0,\t3.0\n4.0, 5.0 ,6.0\n", "a", (0, None)),
+    "signs-and-exponents": ("a,b,c\n+1.5,.5,1e5\n-0.0,5.,1E-300\n", None, (0, None)),
+    "range": (SIX_ROWS, None, (2, 5)),
+    "ragged": ("a,b\n1.0,2.0\n3.0\n", None, (0, None)),
+    "oops": ("a,b\n" + "".join(f"{i},1.5\n" for i in range(15)) + "oops,2.5\n", None, (0, None)),
+    "nan": ("a\nnan\n", None, (0, None)),
+    "-inf": ("a,b\n1.0,2.0\n3.0,-inf\n", None, (0, None)),
+    "past-the-end": (SIX_ROWS, None, (6, None)),
+}
+
+# Inputs the one-call parse sees differently from a per-row parse: each is
+# refused with a TableError naming its line.
+EDGE_CASES = {
+    "blank-line-in-range": (SIX_ROWS.replace("3.5,3\n", "\n"), (2, 5), "line 5: expected 2 cells, found 1"),
+    "only-a-blank-line": (SIX_ROWS.replace("3.5,3\n", "\n"), (3, 4), "line 5: expected 2 cells, found 1"),
+    "blank-line-one-column": ("a\n1.0\n\n2.0\n", (0, None), "line 3: non-numeric cell ''"),
+    "comment-cell": ("a,b\n1.0,2.0\n3.0,#\n", (0, None), "line 3: non-numeric cell '#'"),
+    "underscore": ("a,b\n1.0,2.0\n1_000,4.0\n", (0, None), "line 3: non-numeric cell '1_000'"),
+}
+
+
+def outcome(read, path, response, start, stop):
+    """(arrays as bytes, names) of a read, or the refusal message."""
+    try:
+        *arrays, names = read(path, response, start, stop)
+    except TableError as exc:
+        return str(exc)
+    return [(a.shape, a.dtype, a.tobytes()) for a in arrays], names
+
+
 class TestTableIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(16)
@@ -210,23 +300,47 @@ class TestTableIO:
         # Truth matches a recomputation from the stored inputs exactly.
         assert np.array_equal(f[:, 0], eval_friedman(spec, x))
 
-    def test_streaming_reader_stays_flat(self, tmp_path):
-        # Consuming a large file row by row must not hold more than a few
-        # row buffers; the data itself would be ~24 MB if materialized.
-        path = str(tmp_path / "big.csv")
-        n = 1_000_000
-        with open(path, "w") as fh:
-            fh.write("a,b,c\n")
-            for i in range(n):
-                fh.write(f"{i}.0,1.5,-2.25\n")
-        tracemalloc.start()
-        count = 0
-        checksum = 0.0
-        for _header, row in iter_rows(path):
-            count += 1
-            checksum += row[1]
-        _current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert count == n
-        assert checksum == pytest.approx(1.5 * n)
-        assert peak < 512 * 1024
+    def test_write_dataset_matches_chunk_loop_oracle(self, tmp_path):
+        # 65,539 rows cross the 65,536-row chunk boundary by three rows.
+        spec = gen_spec(2, 3, np.random.default_rng(19))
+        files = {}
+        for tag, write in (("new", write_dataset), ("oracle", oracle_write_dataset)):
+            path, truth = str(tmp_path / f"{tag}.csv"), str(tmp_path / f"{tag}-f.csv")
+            write(path, spec, 65_539, 0.1, np.random.default_rng(20), truth_path=truth)
+            files[tag] = [(tmp_path / f"{tag}{suffix}.csv").read_bytes() for suffix in ("", "-f")]
+        assert files["new"] == files["oracle"]
+        assert files["new"][0].count(b"\n") == files["new"][1].count(b"\n") == 65_540
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("parity") / "d.csv")
+        write_dataset(path, gen_spec(5, 4, np.random.default_rng(21)), 3001, 0.1,
+                      np.random.default_rng(22))
+        return path
+
+    @pytest.mark.parametrize("rank", [None, 1, 2], ids=["full", "rank1", "rank2"])
+    def test_dataset_matches_oracle(self, dataset, rank):
+        start, stop = (0, None) if rank is None else worker_row_range(3001, 2, 2, rank)
+        new = outcome(read_table, dataset, "y", start, stop)
+        assert not isinstance(new, str)
+        assert new == outcome(oracle_read_table, dataset, "y", start, stop)
+
+    @pytest.mark.parametrize("case", PARITY_CASES)
+    def test_matches_oracle(self, tmp_path, case):
+        text, response, (start, stop) = PARITY_CASES[case]
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("ascii"))
+        assert outcome(read_table, str(path), response, start, stop) == outcome(
+            oracle_read_table, str(path), response, start, stop
+        )
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_edge_named_without_warning(self, tmp_path, case):
+        text, (start, stop), message = EDGE_CASES[case]
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("ascii"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TableError, match=f"^{re.escape(message)}$"):
+                read_table(str(path), None, start, stop)
+        assert caught == []

@@ -26,15 +26,16 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .sampler import partition_bounds
-from .trees import ROUTE_CHUNK, CompiledTrees, CutpointGrid, Tree
+from .trees import CompiledTrees, CutpointGrid, Tree
 
 Predictor = Callable[[np.ndarray], np.ndarray]
 DOMAIN = (-1.0, 1.0)  # each input's range in the estimators: the generator's U[-1, 1]
 # Most rows per predictor call of the estimators.  A call on a compiled
 # sample pays a fixed cost for every path and tree whatever its size, so the
-# estimators stack their matrices; the bound, 8 routing passes, keeps a
-# stacked input at 0.5 MB per input variable.
-CALL_ROWS = 8 * ROUTE_CHUNK
+# estimators stack their matrices; the bound keeps a stacked input at 0.5 MB
+# per input variable.  It does not follow `trees.ROUTE_CHUNK` or the
+# routing budget: the calls keep their sizes when routing changes.
+CALL_ROWS = 65536
 
 
 @dataclass

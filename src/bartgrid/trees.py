@@ -34,6 +34,14 @@ class TreeError(ValueError):
     """Structural misuse of a tree (bad node kind, depth overflow, ...)."""
 
 
+class TreeLineError(ValueError):
+    """One line of a tree serialization is wrong: `problem` at 0-based `index`."""
+
+    def __init__(self, index: int, problem: str):
+        super().__init__(f"tree line {index}: {problem}")
+        self.index, self.problem = index, problem
+
+
 class Tree:
     """A binary regression tree: node id -> leaf mean or (v, c) rule.
 
@@ -212,10 +220,14 @@ def available_cut_ranges(tree: Tree, node_id: int, counts: Sequence[int]) -> lis
     return list(zip(los, his))
 
 
-# Rows per routing pass of `CompiledTrees.sum`.  A pass's slot matrix takes
-# one byte per row and structure (while no structure has over 256 leaves),
-# so memory stays bounded however many rows are summed.
+# A routing pass of `CompiledTrees.sum` takes as many rows as keep its slot
+# matrix (one slot per structure and row, one byte each while no structure
+# has over 256 leaves) within ROUTE_BUDGET bytes, and at least ROUTE_CHUNK
+# rows.  Every pass pays a fixed cost per path and per tree, so a call
+# should route in as few passes as memory allows: 171 structures take
+# 24,528 rows in one.  Memory stays bounded however many rows are summed.
 ROUTE_CHUNK = 8192
+ROUTE_BUDGET = 4 << 20
 
 
 class CompiledTrees:
@@ -269,32 +281,46 @@ class CompiledTrees:
                 path[2 * k], path[2 * k + 1] = split_at[at]
                 self._turns[path[2 * k + 1]].append((s, self._slot_type(size[2 * k])))
 
+    @property
+    def pass_rows(self) -> int:
+        """Rows per routing pass of `sum`: ROUTE_BUDGET bytes of slots, at least ROUTE_CHUNK."""
+        slot_bytes = len(self.leaves) * np.dtype(self._slot_type).itemsize
+        return max(ROUTE_CHUNK, ROUTE_BUDGET // slot_bytes)
+
     def route(self, xb: np.ndarray) -> np.ndarray:
         """Slot of every binned row in every structure: (structures, rows).
 
-        `xb` holds rows as columns, as `CutpointGrid.bin` returns them.
+        `xb` holds rows as columns, as `CutpointGrid.bin` returns them; all
+        of them are routed at once.  Each split of a path costs a comparison
+        and two mask ufuncs, each turn an add to a slot row (and a multiply,
+        unless it skips one leaf).
         """
         slots = np.zeros((len(self.leaves), xb.shape[1]), self._slot_type)
         stack = [(0, np.ones(xb.shape[1], dtype=bool))]  # (path, its rows as a mask)
         while stack:
             p, rows = stack.pop()
-            for s, skipped in self._turns[p]:
-                slots[s] += rows.view(np.uint8) * skipped
+            if self._turns[p]:
+                ones = rows.view(np.uint8)
+                for s, skipped in self._turns[p]:
+                    slots[s] += ones if skipped == 1 else ones * skipped
             for v, c, left, right in self._splits[p]:
                 go_left = xb[v] <= c
-                stack += (left, rows & go_left), (right, rows & ~go_left)
+                go_left &= rows
+                stack += (left, go_left), (right, rows > go_left)
         return slots
 
     def sum(self, xb: np.ndarray) -> np.ndarray:
         """Per binned row: 0.0 plus the leaf mean of each tree, in sequence order.
 
-        Rows are routed ROUTE_CHUNK at a time; each row's sum is the same
-        sequence of float additions whichever chunk it falls in.
+        Rows are routed `pass_rows` at a time, so a call of up to that many
+        rows routes once; each row's sum is the same sequence of float
+        additions whichever pass it falls in.
         """
         out = np.zeros(xb.shape[1])
-        for lo in range(0, xb.shape[1], ROUTE_CHUNK):
-            acc = out[lo : lo + ROUTE_CHUNK]
-            slots = self.route(xb[:, lo : lo + ROUTE_CHUNK])
+        step = self.pass_rows
+        for lo in range(0, xb.shape[1], step):
+            acc = out[lo : lo + step]
+            slots = self.route(xb[:, lo : lo + step])
             for s, means in zip(self.structure_of, self.leaf_means):
                 acc += means.take(slots[s])
         return out
@@ -334,7 +360,10 @@ def tree_lines(tree: Tree) -> list[str]:
 
 
 def tree_from_lines(lines: Sequence[str]) -> Tree:
-    """Rebuild a tree from its `tree_lines` serialization."""
+    """Rebuild a tree from its `tree_lines` serialization.
+
+    A line that is wrong on its own raises a `TreeLineError` with its index.
+    """
     if not lines:
         raise ValueError("empty tree serialization")
     nodes: dict[int, float | tuple[int, int]] = {}
@@ -351,11 +380,14 @@ def tree_from_lines(lines: Sequence[str]) -> Tree:
             else:
                 raise ValueError
         except (ValueError, IndexError):
-            raise ValueError(f"bad tree line {lineno}: {line!r}") from None
-        if not isinstance(val, tuple) and not math.isfinite(val):
-            raise ValueError(f"tree line {lineno}: leaf mean must be finite, got {parts[2]}")
+            raise TreeLineError(lineno, f"bad tree line {line!r}") from None
+        if isinstance(val, tuple):
+            if min(val) < 0:
+                raise TreeLineError(lineno, f"internal node {k} lacks a rule")
+        elif not math.isfinite(val):
+            raise TreeLineError(lineno, f"leaf mean must be finite, got {parts[2]}")
         if k in nodes:
-            raise ValueError(f"node {k} appears twice in tree serialization")
+            raise TreeLineError(lineno, f"node {k} appears twice in tree serialization")
         nodes[k] = val
     if 1 not in nodes:
         raise ValueError("tree serialization has no root")
@@ -365,8 +397,6 @@ def tree_from_lines(lines: Sequence[str]) -> Tree:
         if k > 1 and not isinstance(nodes.get(k // 2), tuple):
             raise ValueError(f"node {k} has no parent in serialization")
         if isinstance(val, tuple):
-            if min(val) < 0:
-                raise ValueError(f"internal node {k} lacks a rule")
             children = (2 * k in nodes) + (2 * k + 1 in nodes)
             if children == 1:
                 raise ValueError(f"node {k} has exactly one child")
@@ -397,7 +427,8 @@ def forest_lines(forest: Sequence[Tree]) -> list[str]:
 def forest_from_lines(lines: Sequence[str], start: int, m: int) -> tuple[list[Tree], int]:
     """Read m `forest_lines` trees from `lines[start:]`; return them and where they end.
 
-    Errors name the 1-based number of the offending tree's header line.
+    Errors name a 1-based line number: that of a bad line, or of the header
+    of a tree that is wrong as a whole.
     """
     forest = []
     pos = start
@@ -412,6 +443,8 @@ def forest_from_lines(lines: Sequence[str], start: int, m: int) -> tuple[list[Tr
             raise ValueError(f"line {pos + 1}: tree of {count} lines is cut short")
         try:
             forest.append(tree_from_lines(body))
+        except TreeLineError as exc:
+            raise ValueError(f"line {pos + 2 + exc.index}: {exc.problem}") from None
         except ValueError as exc:
             raise ValueError(f"line {pos + 1}: {exc}") from None
         pos += 1 + count

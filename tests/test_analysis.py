@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bartgrid import analysis
+from bartgrid import analysis, trees
 from bartgrid.analysis import (
     CALL_ROWS,
     DOMAIN,
@@ -16,7 +16,7 @@ from bartgrid.analysis import (
 )
 from bartgrid.sampler import FitSettings, run_serial
 from bartgrid.trees import ROUTE_CHUNK, CutpointGrid, Tree
-from test_trees import naive_descend
+from test_trees import log_routes, naive_descend
 
 
 def constant_sample(mu=0.25, m=1, d=2, y_mid=1.0, y_range=4.0, n_snapshots=3):
@@ -89,13 +89,31 @@ class TestCompiledPrediction:
         expected = acc * sample.y_range + sample.y_mid
         assert predict_mean(sample, xstar).tobytes() == expected.tobytes()
 
-    def test_row_splits_around_the_chunk_size(self, fitted_sample):
-        # Pieces of chunk-1, chunk and chunk+1 rows, and their remainders.
-        xstar = np.random.default_rng(24).uniform(-1, 1, (2 * ROUTE_CHUNK + 1, 3))
+    def test_row_splits_around_the_pass_size(self, fitted_sample):
+        # Pieces of pass-1, pass and pass+1 rows, and their remainders.
+        size = fitted_sample.compiled().pass_rows
+        xstar = np.random.default_rng(24).uniform(-1, 1, (2 * size + 1, 3))
         whole = predict_mean(fitted_sample, xstar)
-        for cut in (ROUTE_CHUNK - 1, ROUTE_CHUNK, ROUTE_CHUNK + 1):
+        for cut in (size - 1, size, size + 1):
             parts = [predict_mean(fitted_sample, xstar[:cut]), predict_mean(fitted_sample, xstar[cut:])]
             assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    def test_several_passes_equal_one(self, fitted_sample, monkeypatch):
+        xstar = np.random.default_rng(26).uniform(-1, 1, (3 * ROUTE_CHUNK + 5, 3))
+        routes = log_routes(monkeypatch)
+        one_pass = predict_mean(fitted_sample, xstar)
+        monkeypatch.setattr(trees, "ROUTE_BUDGET", 0)  # every pass at the ROUTE_CHUNK floor
+        several = predict_mean(fitted_sample, xstar)
+        assert [rows for rows, _ in routes] == [xstar.shape[0]] + [ROUTE_CHUNK] * 3 + [5]
+        assert several.tobytes() == one_pass.tobytes()
+
+    def test_one_routing_pass_per_predictor_call(self, fitted_sample, monkeypatch):
+        # Sobol parts of 15,000 rows and curves of 12,000: each over ROUTE_CHUNK.
+        routes = log_routes(monkeypatch)
+        calls = CallLog(fitted_sample.predictor())
+        sensitivity_report(calls, 3, 6000, 2, seed=36, effect_points=5, effect_mc=2000, threads=1)
+        assert min(calls.rows) > ROUTE_CHUNK
+        assert [rows for rows, _ in routes] == calls.rows
 
     def test_zero_rows(self, fitted_sample):
         preds = predict_mean(fitted_sample, np.zeros((0, 3)))

@@ -190,8 +190,9 @@ class TestModelFile:
         from bartgrid.trees import CutpointGrid, Tree
 
         grid = CutpointGrid.from_ranges(np.array([-1.0]), np.array([1.0]), 3)
+        split = Tree({1: (0, 1), 2: 0.5, 3: 1.0})  # lines 12-15
         sample = PosteriorSample(m=2, d=1, numcut=3, y_mid=0.0, y_range=1.0,
-                                 grid=grid, snapshots=[(0.1, [Tree(), Tree()])])
+                                 grid=grid, snapshots=[(0.1, [Tree(), split])])
         path = tmp_path / "edited.model"
         save_model(str(path), sample)
         lines = path.read_text().splitlines()
@@ -207,6 +208,7 @@ class TestModelFile:
     @pytest.mark.parametrize("lineno, text, message", [
         (8, "cutpoints 0", "line 8: malformed cutpoints for variable 0"),
         (12, "tree", "line 12: expected 'tree <line count>', found 'tree'"),
+        (14, "l 2", "line 14: bad tree line 'l 2'"),
     ])
     def test_short_line_named_by_predict(self, tmp_path, capsys, lineno, text, message):
         # A line cut short fails with the line's number, not a traceback.
@@ -239,8 +241,8 @@ class TestModelFile:
         (7, "numcut -5", "line 7: 'numcut' must be >= 1, got -5"),
         (8, "cutpoints 0 3 -0.5 inf 0.5", "line 8: 'cutpoints' must be finite, got inf"),
         (9, "snapshot 0 -0.1", "line 9: 'snapshot' must be finite and > 0, got -0.1"),
-        (11, "l 1 nan", "line 10: tree line 0: leaf mean must be finite, got nan"),
-        (13, "l 1 inf", "line 12: tree line 0: leaf mean must be finite, got inf"),
+        (11, "l 1 nan", "line 11: leaf mean must be finite, got nan"),
+        (15, "l 3 inf", "line 15: leaf mean must be finite, got inf"),
     ])
     def test_out_of_range_value_named_by_predict(self, tmp_path, capsys, lineno, text, message):
         # A value that parses but would make `predict` write nan or 0.0 is

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from bartgrid import trees
 from bartgrid.trees import (
+    ROUTE_CHUNK,
     CompiledTrees,
     CutpointGrid,
     Tree,
@@ -9,6 +13,8 @@ from bartgrid.trees import (
     available_cut_ranges,
     children_ids,
     depth_of_id,
+    forest_from_lines,
+    forest_lines,
     route_rows,
     tree_from_lines,
     tree_lines,
@@ -202,6 +208,91 @@ class TestBinnedRouting:
 def range_cutpoints(lo, hi, numcut):
     """One variable's cutpoints for the range [lo, hi]."""
     return CutpointGrid.from_ranges([lo], [hi], numcut).values[0]
+
+
+def log_routes(monkeypatch):
+    """Record (rows, slot-matrix bytes) of every `CompiledTrees.route` call."""
+    log = []
+    route = CompiledTrees.route
+
+    def logged(self, xb):
+        slots = route(self, xb)
+        log.append((xb.shape[1], slots.nbytes))
+        return slots
+
+    monkeypatch.setattr(CompiledTrees, "route", logged)
+    return log
+
+
+def one_split_trees():
+    """765 distinct one-rule structures over 3 variables of 255 cutpoints."""
+    return [Tree({1: (v, c), 2: float(c), 3: -1.0}) for v in range(3) for c in range(255)]
+
+
+def wide_tree():
+    """A structure of 257 leaves, whose slots need uint16, all reachable.
+
+    Eight levels of rules on variable 0 split its 256 bins in halves (node
+    2**d + i, at depth d, splits bins [i * 2**(8-d), (i+1) * 2**(8-d)) in
+    the middle), and the leftmost bin splits once more on variable 1.
+    """
+    nodes = {k: (0, (k % 2**d) * 2 ** (8 - d) + 2 ** (7 - d) - 1)
+             for d in range(8) for k in range(2**d, 2 ** (d + 1))}
+    nodes[256] = (1, 127)
+    nodes.update({k: 0.001 * k for k in range(257, 514)})
+    return Tree(nodes)
+
+
+def routing_sets():
+    """Trees of a few structures, of 765 structures, and with a uint16 structure."""
+    rng = np.random.default_rng(48)
+    grid = CutpointGrid.from_ranges(np.full(3, -1.0), np.full(3, 1.0), 255)
+    few = [grow_random_tree(rng, grid) for _ in range(6)]
+    return {"few": few, "many": one_split_trees(), "wide": [wide_tree(), *few[:2]]}
+
+
+class TestRoutingPasses:
+    @pytest.mark.parametrize(
+        "rows", [0, 1, 4 * ROUTE_CHUNK - 1, 4 * ROUTE_CHUNK, 9 * ROUTE_CHUNK + 3]
+    )
+    def test_one_route_per_pass(self, monkeypatch, rows):
+        compiled = CompiledTrees(routing_sets()["few"])
+        monkeypatch.setattr(trees, "ROUTE_BUDGET", 4 * ROUTE_CHUNK * len(compiled.leaves))
+        assert compiled.pass_rows == 4 * ROUTE_CHUNK
+        routes = log_routes(monkeypatch)
+        xb = np.random.default_rng(49).integers(0, 256, (3, rows), dtype=np.uint8)
+        compiled.sum(xb)
+        assert len(routes) == math.ceil(rows / compiled.pass_rows)
+
+    def test_pass_falls_back_to_the_floor_or_halves(self):
+        many = CompiledTrees(routing_sets()["many"])
+        assert len(many.leaves) * ROUTE_CHUNK > trees.ROUTE_BUDGET
+        assert many.pass_rows == ROUTE_CHUNK
+        narrow = CompiledTrees([Tree({1: (0, 0), 2: 0.0, 3: 1.0}), Tree()])
+        wide = CompiledTrees([wide_tree(), Tree()])
+        assert wide.route(np.zeros((3, 1), np.uint8)).dtype == np.uint16
+        assert wide.pass_rows == narrow.pass_rows // 2 == trees.ROUTE_BUDGET // 4
+
+    @pytest.mark.parametrize("name", ["few", "many", "wide"])
+    def test_slot_matrix_within_bound(self, monkeypatch, name):
+        compiled = CompiledTrees(routing_sets()[name])
+        xb = np.random.default_rng(50).integers(0, 256, (3, 5 * ROUTE_CHUNK + 7), dtype=np.uint8)
+        one_pass = compiled.sum(xb)
+        monkeypatch.setattr(trees, "ROUTE_BUDGET", 1 << 16)
+        routes = log_routes(monkeypatch)
+        assert compiled.sum(xb).tobytes() == one_pass.tobytes()
+        itemsize = compiled.route(xb[:, :1]).itemsize
+        bound = max(trees.ROUTE_BUDGET, ROUTE_CHUNK * len(compiled.leaves) * itemsize)
+        assert len(routes) > 1 and max(nbytes for _, nbytes in routes) <= bound
+
+    def test_wide_structure_routes_like_the_oracle(self):
+        grid255 = CutpointGrid.from_ranges(np.full(3, -1.0), np.full(3, 1.0), 255)
+        tree = wide_tree()
+        x = np.random.default_rng(51).uniform(-1.1, 1.1, (2000, 3))
+        expected = [naive_descend(tree, grid255, row) for row in x]
+        compiled = CompiledTrees([tree])
+        assert compiled.sum(grid255.bin(x)).tolist() == expected
+        assert compiled.route(grid255.bin(x)).max() == 256
 
 
 class TestCutpoints:
@@ -436,3 +527,21 @@ class TestSerialization:
             tree_from_lines(["i 1 0 0", "l 2 0.0", "l 3 1.0", "l 2 5.0"])
         with pytest.raises(ValueError, match="internal node 1 has no children"):
             tree_from_lines(["i 1 0 3"])
+
+    @pytest.mark.parametrize("index, text, message", [
+        (5, "l 2", "line 6: bad tree line 'l 2'"),
+        (6, "l 3 nan", "line 7: leaf mean must be finite, got nan"),
+        (4, "i 1 0 -1", "line 5: internal node 1 lacks a rule"),
+        (6, "l 2 1.0", "line 7: node 2 appears twice in tree serialization"),
+        (6, "l 4 1.0", "line 4: node 1 has exactly one child"),
+    ])
+    def test_forest_errors_name_file_lines(self, index, text, message):
+        # A line wrong on its own is named by its own number; a tree wrong
+        # as a whole by its header's.  The forest starts at line 2.
+        split = Tree({1: (0, 1), 2: 0.5, 3: 1.0})
+        lines = ["snapshot", *forest_lines([Tree(), split])]
+        assert forest_from_lines(lines, 1, 2)[1] == len(lines)
+        lines[index] = text
+        with pytest.raises(ValueError) as info:
+            forest_from_lines(lines, 1, 2)
+        assert str(info.value) == message

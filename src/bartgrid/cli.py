@@ -22,7 +22,7 @@ from .analysis import PosteriorSample
 from .cluster import ClusterError, connect_worker, serve_master
 from .datagen import TableError, read_table, table_shape, write_table
 from .sampler import ChainResult, FitSettings, run_serial, worker_row_range
-from .trees import CutpointGrid, forest_from_lines, forest_lines
+from .trees import CutpointGrid, TreeLineError, tree_from_lines, tree_lines
 
 
 class ConfigError(ValueError):
@@ -71,11 +71,23 @@ class RunConfig:
         ):
             if not ok:
                 raise ConfigError(f"{key} must be {domain}, got {getattr(self, key)!r}")
+        for key in ("listen", "connect"):
+            if getattr(self, key):
+                self.address(key)
         try:
             self.fit.validate()
         except ValueError as exc:
             name, _, rest = str(exc).partition(" ")
             raise ConfigError(f"{_FIELD_KEY.get(name, name)} {rest}") from None
+
+    def address(self, key: str) -> tuple[str, int]:
+        """`listen` or `connect` as (host, port); an empty host is 127.0.0.1."""
+        text = getattr(self, key)
+        host, sep, port = text.rpartition(":")
+        low = 0 if key == "listen" else 1
+        if not (sep and port.isdecimal() and low <= int(port) <= 65535):
+            raise ConfigError(f"{key} must be host:port with a port in {low}..65535, got {text!r}")
+        return host or "127.0.0.1", int(port)
 
     def require(self, *keys: str) -> None:
         for key in keys:
@@ -143,7 +155,8 @@ _HEADER = (("m", int, *_COUNT), ("d", int, *_COUNT), ("snapshots", int, *_COUNT)
 
 
 def save_model(path: str, sample: PosteriorSample) -> None:
-    """Write a posterior sample as inspectable full-precision text."""
+    """Write a posterior sample as inspectable full-precision text: per snapshot
+    a sigma line, then per tree a ``tree <n>`` line and the tree's n `tree_lines`."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n")
         for key, *_domain in _HEADER:
@@ -156,8 +169,9 @@ def save_model(path: str, sample: PosteriorSample) -> None:
             )
         for idx, (sigma, forest) in enumerate(sample.snapshots):
             fh.write(f"snapshot {idx} {sigma!r}\n")
-            for line in forest_lines(forest):
-                fh.write(line + "\n")
+            for tree in forest:
+                body = tree_lines(tree)
+                fh.write(f"tree {len(body)}\n" + "".join(line + "\n" for line in body))
 
 
 def _expect(lines: list[str], pos: int, key: str) -> list[str]:
@@ -182,7 +196,10 @@ def _value(text: str, pos: int, key: str, convert: Callable, ok=lambda v: True, 
 
 
 def load_model(path: str) -> PosteriorSample:
-    with open(path, "r", encoding="ascii") as fh:
+    """Read a `save_model` file; a fault is a ModelFileError naming its line
+    (for a tree wrong as a whole, its ``tree <n>`` line)."""
+    # A non-ASCII byte reads as U+FFFD, which no key or value accepts.
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ModelFileError("empty model file")
@@ -207,7 +224,11 @@ def load_model(path: str) -> PosteriorSample:
         parts = _expect(lines, pos, "cutpoints")
         if parts[1:3] != [str(v), str(len(parts) - 3)]:
             raise ModelFileError(f"line {pos + 1}: malformed cutpoints for variable {v}")
-        values.append(np.array([_value(c, pos, "cutpoints", float, *_FINITE) for c in parts[3:]]))
+        cuts = np.array([_value(c, pos, "cutpoints", float, *_FINITE) for c in parts[3:]])
+        if not (cuts.size and np.all(np.diff(cuts) > 0)):
+            raise ModelFileError(f"line {pos + 1}: variable {v}: cutpoints must be"
+                                 " non-empty and strictly increasing")
+        values.append(cuts)
         pos += 1
     grid = CutpointGrid(values)
     snapshots = []
@@ -216,19 +237,35 @@ def load_model(path: str) -> PosteriorSample:
         if len(parts) != 3 or parts[1] != str(idx):
             raise ModelFileError(f"line {pos + 1}: malformed snapshot header")
         sigma = _value(parts[2], pos, "snapshot", float, *_POSITIVE)
-        try:
-            forest, pos = forest_from_lines(lines, pos + 1, m)
-        except ValueError as exc:
-            raise ModelFileError(str(exc)) from None
-        for t, tree in enumerate(forest):
-            for k, rule in tree.nodes.items():
+        pos += 1
+        forest = []
+        for t in range(m):
+            head = lines[pos] if pos < len(lines) else ""
+            parts = head.split()
+            if len(parts) != 2 or parts[0] != "tree" or not parts[1].isdigit():
+                raise ModelFileError(
+                    f"line {pos + 1}: expected 'tree <line count>', found {head!r}"
+                )
+            body = lines[pos + 1 : pos + 1 + int(parts[1])]
+            if len(body) != int(parts[1]):
+                raise ModelFileError(f"line {pos + 1}: tree of {parts[1]} lines is cut short")
+            try:
+                tree = tree_from_lines(body)
+            except TreeLineError as exc:
+                raise ModelFileError(f"line {pos + 2 + exc.index}: {exc.problem}") from None
+            except ValueError as exc:
+                raise ModelFileError(f"line {pos + 1}: {exc}") from None
+            # `nodes` lists the body's nodes in line order.
+            for i, (k, rule) in enumerate(tree.nodes.items()):
                 if isinstance(rule, tuple) and not (
                     rule[0] < d and rule[1] < grid.counts[rule[0]]
                 ):
                     raise ModelFileError(
-                        f"snapshot {idx}, tree {t}, node {k}: rule {rule} is outside the"
-                        f" cutpoint grid ({d} variables)"
+                        f"line {pos + 2 + i}: snapshot {idx}, tree {t}, node {k}: rule {rule}"
+                        f" is outside the cutpoint grid ({d} variables)"
                     )
+            forest.append(tree)
+            pos += 1 + len(body)
         snapshots.append((sigma, forest))
     if pos != len(lines):
         raise ModelFileError("trailing content after the last snapshot")
@@ -292,22 +329,17 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
     if cfg.role == "worker":
         cfg.require("connect", "data")
-        host, _, port = cfg.connect.rpartition(":")
         # No local keeps the shard: the worker frees its float rows once binned.
         connect_worker(
-            (host or "127.0.0.1", int(port)), _load_worker_shard(cfg), cfg.rank,
-            cfg.workers, cfg.fit.reduction_blocks,
+            cfg.address("connect"), _load_worker_shard(cfg), cfg.rank, cfg.workers,
+            cfg.fit.reduction_blocks,
         )
         return 0
 
     if cfg.role == "master":
         cfg.require("listen", "out")
-        host, _, port = cfg.listen.rpartition(":")
         result = serve_master(
-            (host or "127.0.0.1", int(port)),
-            cfg.workers,
-            cfg.fit,
-            check_replicas=cfg.check_replicas,
+            cfg.address("listen"), cfg.workers, cfg.fit, check_replicas=cfg.check_replicas
         )
     else:
         cfg.require("data", "out")

@@ -363,6 +363,7 @@ def tree_from_lines(lines: Sequence[str]) -> Tree:
     """Rebuild a tree from its `tree_lines` serialization.
 
     A line that is wrong on its own raises a `TreeLineError` with its index.
+    The tree's `nodes` lists the nodes in line order.
     """
     if not lines:
         raise ValueError("empty tree serialization")
@@ -412,40 +413,3 @@ def depth_of_id(node_id: int) -> int:
 
 def children_ids(node_id: int) -> tuple[int, int]:
     return 2 * node_id, 2 * node_id + 1
-
-
-def forest_lines(forest: Sequence[Tree]) -> list[str]:
-    """Serialize a forest: per tree a ``tree <n_lines>`` header then its lines."""
-    lines = []
-    for tree in forest:
-        body = tree_lines(tree)
-        lines.append(f"tree {len(body)}")
-        lines.extend(body)
-    return lines
-
-
-def forest_from_lines(lines: Sequence[str], start: int, m: int) -> tuple[list[Tree], int]:
-    """Read m `forest_lines` trees from `lines[start:]`; return them and where they end.
-
-    Errors name a 1-based line number: that of a bad line, or of the header
-    of a tree that is wrong as a whole.
-    """
-    forest = []
-    pos = start
-    for _ in range(m):
-        header = lines[pos] if pos < len(lines) else ""
-        parts = header.split()
-        if len(parts) != 2 or parts[0] != "tree" or not parts[1].isdigit():
-            raise ValueError(f"line {pos + 1}: expected 'tree <line count>', found {header!r}")
-        count = int(parts[1])
-        body = lines[pos + 1 : pos + 1 + count]
-        if len(body) != count:
-            raise ValueError(f"line {pos + 1}: tree of {count} lines is cut short")
-        try:
-            forest.append(tree_from_lines(body))
-        except TreeLineError as exc:
-            raise ValueError(f"line {pos + 2 + exc.index}: {exc.problem}") from None
-        except ValueError as exc:
-            raise ValueError(f"line {pos + 1}: {exc}") from None
-        pos += 1 + count
-    return forest, pos

@@ -2,6 +2,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -103,6 +104,13 @@ class TestParseConfig:
                 else:
                     assert value == getattr(RunConfig(), key)
 
+    def test_addresses_parse_as_host_and_port(self):
+        cfg = parse_config({"listen": ":0", "connect": "node7:5000"})
+        assert cfg.address("listen") == ("127.0.0.1", 0)
+        assert cfg.address("connect") == ("node7", 5000)
+        with pytest.raises(ConfigError, match="connect must be host:port with a port in 1..65535"):
+            parse_config({"connect": "node7:0"})
+
     def test_draws_must_exceed_burn(self):
         with pytest.raises(ConfigError, match="burn"):
             parse_config({"draws": "50", "burn": "50"})
@@ -198,7 +206,7 @@ class TestModelFile:
         lines = path.read_text().splitlines()
         assert lines[lineno - 1].split()[0] == text.split()[0]
         lines[lineno - 1] = text
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         data = tmp_path / "x.csv"
         data.write_text("x0\n0.5\n")
         argv = ["predict", "--model", str(path), "--data", str(data),
@@ -226,6 +234,8 @@ class TestModelFile:
         (8, "cutpoints 0 3 a b c",
          "line 8: bad 'cutpoints' value: could not convert string to float: 'a'"),
         (9, "snapshot 0 x", "line 9: bad 'snapshot' value: could not convert string to float: 'x'"),
+        (5, "y_mid 0.5\u00b5",
+         "line 5: bad 'y_mid' value: could not convert string to float: '0.5\ufffd\ufffd'"),
     ])
     def test_non_numeric_value_named_by_predict(self, tmp_path, capsys, lineno, text, message):
         # Each kind of number in the file names its line and key when it does not parse.
@@ -240,15 +250,38 @@ class TestModelFile:
         (6, "y_range 0", "line 6: 'y_range' must be finite and > 0, got 0"),
         (7, "numcut -5", "line 7: 'numcut' must be >= 1, got -5"),
         (8, "cutpoints 0 3 -0.5 inf 0.5", "line 8: 'cutpoints' must be finite, got inf"),
+        (8, "cutpoints 0 3 0.5 0.0 -0.5",
+         "line 8: variable 0: cutpoints must be non-empty and strictly increasing"),
+        (8, "cutpoints 0 3 -0.5 0.0 0.0",
+         "line 8: variable 0: cutpoints must be non-empty and strictly increasing"),
+        (8, "cutpoints 0 0",
+         "line 8: variable 0: cutpoints must be non-empty and strictly increasing"),
         (9, "snapshot 0 -0.1", "line 9: 'snapshot' must be finite and > 0, got -0.1"),
         (11, "l 1 nan", "line 11: leaf mean must be finite, got nan"),
         (15, "l 3 inf", "line 15: leaf mean must be finite, got inf"),
+        (13, "i 1 4 0", "line 13: snapshot 0, tree 1, node 1: rule (4, 0) is outside the"
+         " cutpoint grid (1 variables)"),
+        (13, "i 1 0 3", "line 13: snapshot 0, tree 1, node 1: rule (0, 3) is outside the"
+         " cutpoint grid (1 variables)"),
     ])
     def test_out_of_range_value_named_by_predict(self, tmp_path, capsys, lineno, text, message):
         # A value that parses but would make `predict` write nan or 0.0 is
         # refused at load time, naming its line and key.
         assert self._predict_with_line(tmp_path, lineno, text) == 2
         assert f"bartgrid predict: error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lineno, text, message", [
+        # A tree line wrong on its own is named by its own number...
+        (14, "l 2", "line 14: bad tree line 'l 2'"),
+        (15, "l 3 nan", "line 15: leaf mean must be finite, got nan"),
+        (13, "i 1 0 -1", "line 13: internal node 1 lacks a rule"),
+        (15, "l 2 1.0", "line 15: node 2 appears twice in tree serialization"),
+        # ...and a tree wrong as a whole by its `tree <n>` line.
+        (15, "l 4 1.0", "line 12: node 1 has exactly one child"),
+    ])
+    def test_tree_errors_name_file_lines(self, tmp_path, capsys, lineno, text, message):
+        assert self._predict_with_line(tmp_path, lineno, text) == 2
+        assert capsys.readouterr().err == f"bartgrid predict: error: {message}\n"
 
     @pytest.mark.parametrize("rule", [(7, 0), (1, 3)])
     def test_rule_outside_the_grid_rejected(self, tmp_path, rule):
@@ -266,6 +299,51 @@ class TestModelFile:
         save_model(path, sample)
         with pytest.raises(ModelFileError, match="snapshot 1, tree 1, node 2"):
             load_model(path)
+
+    def test_seeded_line_mutations_load_or_raise_model_file_error(self, tmp_path):
+        # Each single-line edit of a saved 2-snapshot model either loads and
+        # predicts, or is refused with a ModelFileError; no other exception
+        # escapes.  Numeric replacements are finite and small, so no valid
+        # edit can overflow a prediction.
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-1, 1, (200, 2))
+        settings = FitSettings(m=3, numcut=5, draws=20, burn=10, thin=5, min_leaf=2, seed=21)
+        path = str(tmp_path / "fit.model")
+        result = run_serial(x, np.sin(3 * x[:, 0]) + x[:, 1], settings)
+        save_model(path, posterior_from_chain(result))
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        words = ["x", "tree", "l", "i", "snapshot", "cutpoints", "1,5", "", "\u00b5"]
+        outcomes = {"loaded": 0, "refused": 0}
+        for trial in range(1200):
+            edited = list(lines)
+            op = ("replace", "drop", "duplicate", "swap")[trial % 4]
+            k = int(rng.integers(len(lines) - (op == "swap")))
+            if op == "replace":
+                parts = edited[k].split()
+                pick = rng.random()
+                parts[rng.integers(len(parts))] = (
+                    str(rng.integers(-2, 13)) if pick < 0.4
+                    else repr(float(rng.normal() * 10.0 ** rng.integers(-3, 6))) if pick < 0.8
+                    else str(rng.choice(words))
+                )
+                edited[k] = " ".join(parts)
+            elif op == "drop":
+                del edited[k]
+            elif op == "duplicate":
+                edited.insert(k, edited[k])
+            else:
+                edited[k], edited[k + 1] = edited[k + 1], edited[k]
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(edited) + "\n")
+            try:
+                predict_mean(load_model(path), x[:4])
+                outcomes["loaded"] += 1
+            except ModelFileError:
+                outcomes["refused"] += 1
+            except Exception as exc:
+                pytest.fail(f"trial {trial}, {op} at line {k + 1}: {exc!r}")
+        assert min(outcomes.values()) > 100, outcomes
 
 
 class TestChainLog:
@@ -322,6 +400,23 @@ class TestCliCommands:
         rc = main(["fit", "--data", data, "--out", str(tmp_path / "m"), "--kfac", "0"])
         assert rc == 2
         assert "kfac" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--role", "master", "--listen", "127.0.0.1:99999", "--out", "m.model"],
+         "listen must be host:port with a port in 0..65535, got '127.0.0.1:99999'"),
+        (["--role", "worker", "--connect", "myhost"],
+         "connect must be host:port with a port in 1..65535, got 'myhost'"),
+        (["--role", "worker", "--connect", "127.0.0.1:99999"],
+         "connect must be host:port with a port in 1..65535, got '127.0.0.1:99999'"),
+    ])
+    def test_bad_address_names_its_key(self, tmp_path, capsys, argv, message):
+        # Refused before any socket is opened or any row is read.
+        data = tmp_path / "d.csv"
+        data.write_text("y,x0\n1.0,0.5\n")
+        start = time.monotonic()
+        assert main(["fit", *argv, "--data", str(data)]) == 2
+        assert time.monotonic() - start < 1.0
+        assert capsys.readouterr().err == f"bartgrid fit: error: {message}\n"
 
     def test_master_worker_subprocesses_match_serial(self, tmp_path):
         data = str(tmp_path / "d.csv")

@@ -137,7 +137,7 @@ def main_effect(
     n_mc: int,
     dim: int,
     *,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Centered main-effect curve of variable k by Monte Carlo integration.
 
@@ -149,7 +149,6 @@ def main_effect(
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
     _check_variables([k], dim)
-    rng = rng if rng is not None else np.random.default_rng()
 
     def fill(i: int, out: np.ndarray) -> None:
         out[:] = rng.uniform(*DOMAIN, (n_mc, dim))

@@ -339,7 +339,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if cfg.role == "master":
         cfg.require("listen", "out")
         result = serve_master(
-            cfg.address("listen"), cfg.workers, cfg.fit, check_replicas=cfg.check_replicas
+            cfg.address("listen"), cfg.workers, cfg.fit, check_replicas=cfg.check_replicas,
+            on_bound=lambda addr: print(f"listening on {addr[0]}:{addr[1]}", flush=True),
         )
     else:
         cfg.require("data", "out")

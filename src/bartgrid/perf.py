@@ -12,6 +12,7 @@ import math
 import operator
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -383,11 +384,11 @@ def bench_run(
 def _run_tcp_cell(data_path: str, workers: int, settings: FitSettings, **master_kwargs):
     """One master+subprocess-workers run over localhost TCP.
 
-    When the master fails, the error it raises again carries the stderr tail
-    of the first worker that exited with an error, which names the cause
-    when a worker died before it could connect.  The master stops accepting
-    as soon as any worker has exited, rather than waiting out its accept
-    timeout.
+    Every worker is reaped and reported by `_first_worker_error`, whether
+    the master finished or failed.  When the master fails, the error it
+    raises again carries that report, which names the cause when a worker
+    died before it could connect.  The master stops accepting as soon as any
+    worker has exited, rather than waiting out its accept timeout.
     """
     from .cluster import ClusterError, serve_master
 
@@ -418,38 +419,28 @@ def _run_tcp_cell(data_path: str, workers: int, settings: FitSettings, **master_
             raise ClusterError("a worker exited before all workers connected")
 
     try:
-        try:
-            result = serve_master(
-                ("127.0.0.1", 0), workers, settings, on_bound=launch_workers,
-                while_accepting=fail_on_exit, **master_kwargs
-            )
-        except Exception as exc:
-            worker_error = _first_worker_error(procs, wait=5.0)
-            if worker_error is None:
-                raise
-            raise RuntimeError(f"{exc}; {worker_error}") from exc
-        deadline = time.monotonic() + 30.0
-        for proc in procs:
-            timeout = max(0.1, deadline - time.monotonic())
-            if proc.wait(timeout=timeout) != 0:
-                stderr = proc.stderr.read().decode() if proc.stderr else ""
-                raise RuntimeError(f"worker exited nonzero: {stderr.strip()[:500]}")
-        return result
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-            proc.stderr.close()
+        result = serve_master(
+            ("127.0.0.1", 0), workers, settings, on_bound=launch_workers,
+            while_accepting=fail_on_exit, **master_kwargs
+        )
+    except BaseException as exc:
+        worker_error = _first_worker_error(procs, wait=5.0)
+        if worker_error is None or not isinstance(exc, Exception):
+            raise
+        raise RuntimeError(f"{exc}; {worker_error}") from exc
+    worker_error = _first_worker_error(procs, wait=30.0)
+    if worker_error is not None:
+        raise RuntimeError(worker_error)
+    return result
 
 
 def _first_worker_error(procs: Sequence[subprocess.Popen], wait: float) -> str | None:
-    """Stderr tail of the worker that failed first, or None when none failed.
+    """Reap every worker and report the one that failed first, or None.
 
-    Workers that had exited before this call rank first: a failed master
-    closes its connections, which fails the workers still running.  Waits up
-    to `wait` seconds in all for the workers to exit and kills the rest; a
-    killed worker is not reported.
+    Waits up to `wait` seconds in all, then kills and reports each worker
+    still running.  A worker killed by a signal ranks first, then workers
+    that had exited before this call (a failed master closes its
+    connections, which fails the workers still running), then by rank.
     """
     exited_before = [proc.poll() is not None for proc in procs]
     deadline = time.monotonic() + wait
@@ -459,13 +450,19 @@ def _first_worker_error(procs: Sequence[subprocess.Popen], wait: float) -> str |
             _, err = proc.communicate(timeout=max(0.1, deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
             proc.kill()
-            proc.communicate()
-            continue
-        if proc.returncode != 0:
-            tail = err.decode(errors="replace").strip()[-500:]
-            message = f"worker {rank} exited with {proc.returncode}: {tail}"
-            errors.append((not exited_before[rank - 1], rank, message))
-    return min(errors)[2] if errors else None
+            _, err = proc.communicate()
+            signalled, how = False, f"did not exit within {wait:g} s"
+        else:
+            code = proc.returncode
+            if code == 0:
+                continue
+            signalled = code < 0
+            name = {sig.value: sig.name for sig in signal.Signals}.get(-code, f"signal {-code}")
+            how = f"killed by {name}" if signalled else f"exited with {code}"
+        tail = err.decode(errors="replace").strip()[-500:]
+        message = f"worker {rank} {how}" + (f": {tail}" if tail else "")
+        errors.append((not signalled, not exited_before[rank - 1], rank, message))
+    return min(errors)[-1] if errors else None
 
 
 def write_records(path: str, records: Sequence[TimingRecord]) -> None:

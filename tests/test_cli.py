@@ -427,13 +427,16 @@ class TestCliCommands:
                   "--seed", "9", "--min-leaf", "2", "--reduction-blocks", "2"]
         assert main(["fit", "--data", data, "--out", serial_model] + common) == 0
 
-        port = _free_port()
+        # The master binds a free port and announces it before it accepts.
         master = subprocess.Popen(
             [sys.executable, "-m", "bartgrid", "fit", "--role", "master",
-             "--listen", f"127.0.0.1:{port}", "--workers", "2",
+             "--listen", "127.0.0.1:0", "--workers", "2",
              "--out", dist_model] + common,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
+        announced = master.stdout.readline()
+        assert announced.startswith("listening on 127.0.0.1:"), announced
+        port = int(announced.rsplit(":", 1)[1])
         workers = [
             subprocess.Popen(
                 [sys.executable, "-m", "bartgrid", "fit", "--role", "worker",

@@ -1,14 +1,19 @@
+import subprocess
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from bartgrid import perf
 from bartgrid.cli import main
 from bartgrid.perf import (
     PARALLEL_TERMS,
     SERIAL_TERMS,
     RuntimeModel,
     TimingRecord,
+    _first_worker_error,
     _run_tcp_cell,
     bench_run,
     draw_prior_b_samples,
@@ -334,13 +339,116 @@ class TestBenchHarness:
         report = efficiency_report(records)
         assert len(report) == 2
 
-    def test_failed_worker_stderr_reaches_the_master_error(self, tmp_path):
+    def test_failed_worker_stderr_reaches_the_master_error(self, tmp_path, launched):
         # The worker cannot read its data and exits before it connects; the
         # master stops accepting at once and names the worker's error, long
         # before its accept timeout.
         missing = str(tmp_path / "missing.csv")
         settings = FitSettings(m=2, draws=3, burn=1, thin=1)
         start = time.monotonic()
-        with pytest.raises(Exception, match="missing.csv"):
+        with pytest.raises(Exception, match="worker 1 exited with 2: .*missing.csv"):
             _run_tcp_cell(missing, 1, settings, accept_timeout=60.0)
         assert time.monotonic() - start < 10.0
+        assert len(launched) == 1 and all(proc.poll() is not None for proc in launched)
+
+    def test_killed_worker_is_named_by_rank_and_signal(self, tmp_path, launched, monkeypatch):
+        # Rank 2 is SIGKILLed about 1 s after it starts, long before the
+        # chain ends.  Rank 1 then fails too, once the master closes its
+        # connection, but the signal death is the one reported.
+        data = str(tmp_path / "d.csv")
+        main(["generate", "--out", data, "--n", "2000", "--d", "3", "--seed", "5"])
+        timers = []
+
+        class KillRank2(perf.subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                if len(launched) == 2:
+                    timers.append(threading.Timer(1.0, self.kill))
+                    timers[0].start()
+
+        monkeypatch.setattr(perf.subprocess, "Popen", KillRank2)
+        settings = FitSettings(m=10, draws=100_000, burn=0, thin=1_000)
+        start = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError, match="worker 2 killed by SIGKILL"):
+                _run_tcp_cell(data, 2, settings)
+        finally:
+            for timer in timers:
+                timer.cancel()
+        assert time.monotonic() - start < 15.0
+        assert len(launched) == 2 and all(proc.poll() is not None for proc in launched)
+
+    def test_worker_failing_after_a_finished_master_is_reported(
+        self, tmp_path, launched, monkeypatch
+    ):
+        # The worker serves the whole chain, then its wrapper exits 3.
+        data = str(tmp_path / "d.csv")
+        main(["generate", "--out", data, "--n", "400", "--d", "3", "--seed", "6"])
+        script = tmp_path / "python-then-exit-3"
+        script.write_text(f'#!/bin/sh\n"{sys.executable}" "$@"\nexit 3\n')
+        script.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(script))
+        settings = FitSettings(m=2, draws=3, burn=1, thin=1)
+        with pytest.raises(RuntimeError) as failure:
+            _run_tcp_cell(data, 1, settings)
+        assert str(failure.value) == "worker 1 exited with 3"
+        assert len(launched) == 1 and all(proc.poll() is not None for proc in launched)
+
+
+class _Worker:
+    """A stand-in worker process: exited with `returncode`, or still running."""
+
+    def __init__(self, returncode, stderr=b""):
+        self.returncode, self.stderr = returncode, stderr
+
+    def poll(self):
+        return self.returncode
+
+    def communicate(self, timeout=None):
+        if self.returncode is None:
+            raise subprocess.TimeoutExpired("worker", timeout)
+        return None, self.stderr
+
+    def kill(self):
+        self.returncode = -9
+
+
+class TestFirstWorkerError:
+    def test_signal_death_ranks_before_an_error_exit(self):
+        procs = [_Worker(2, b"peer closed the connection mid-message\n"), _Worker(-9)]
+        assert _first_worker_error(procs, wait=1.0) == "worker 2 killed by SIGKILL"
+
+    def test_unknown_signal_is_named_by_number(self):
+        assert _first_worker_error([_Worker(-40)], wait=1.0) == "worker 1 killed by signal 40"
+
+    def test_worker_still_running_is_killed_and_reported(self):
+        procs = [_Worker(0), _Worker(None)]
+        assert _first_worker_error(procs, wait=0.2) == "worker 2 did not exit within 0.2 s"
+        assert procs[1].returncode == -9
+
+    def test_launcher_kill_is_not_a_signal_death(self):
+        # A worker the wait timed out on ranks after one that had exited.
+        procs = [_Worker(None), _Worker(2, b"boom")]
+        assert _first_worker_error(procs, wait=0.2) == "worker 2 exited with 2: boom"
+
+
+@pytest.fixture
+def launched(monkeypatch):
+    """Every process `_run_tcp_cell` starts, in launch order.
+
+    Tests assert that each one has exited once the launcher returns or
+    raises; teardown kills any that a failing test left running.
+    """
+    started = []
+
+    class Recording(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(perf.subprocess, "Popen", Recording)
+    yield started
+    for proc in started:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()

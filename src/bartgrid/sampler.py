@@ -381,22 +381,31 @@ class _Slices:
 
     Terminals are listed left to right, the order of their slices.  A slice
     holds its rows ascending, so the rows of reduction block k form its k-th
-    run, `counts[t][k]` rows long.  Everything besides `ids` and `counts` is
-    derived once per birth or death, so the per-call kernels do no
-    bookkeeping.  A tree has a handful of leaves, so the tables are built
-    from Python lists, and only those the kernels index with become arrays.
+    run, `counts[t][k]` rows long.  `labels[t]` is the leaf label that the
+    rows of terminal t carry in `ShardData.label`.  Everything besides `ids`,
+    `labels` and `counts` is derived once per birth or death, so the per-call
+    kernels do no bookkeeping.  A tree has a handful of leaves, so the tables
+    are built from Python lists, and only those the kernels index with become
+    arrays.
     Instances are never modified; a move builds a new one.
     """
 
-    __slots__ = ("ids", "counts", "starts", "runs", "lens", "rank", "seg", "seg_n", "cells")
+    __slots__ = (
+        "ids", "labels", "counts", "starts", "runs", "lens", "rank", "label_rank",
+        "seg", "seg_n", "cells",
+    )
 
-    def __init__(self, ids: list[int], counts: list[list[int]]):
+    def __init__(self, ids: list[int], labels: list[int], counts: list[list[int]]):
         self.ids = ids
+        self.labels = labels
         self.counts = counts
-        # rank: each slice's position in ascending id order.
+        # rank: each slice's position in ascending id order; label_rank: the
+        # rank of each label's terminal (0 for a label no terminal holds).
         rank = [0] * len(ids)
+        label_rank = [0] * (max(labels) + 1)
         for r, t in enumerate(sorted(range(len(ids)), key=ids.__getitem__)):
-            rank[t] = r
+            rank[t] = label_rank[labels[t]] = r
+        self.label_rank = np.array(label_rank, dtype=np.intp)
         # Run boundaries inside each slice, each slice's start and length;
         # then the non-empty (terminal, block) segments: their starts, for
         # reduceat, their row counts, and their (block, leaf rank) cells.
@@ -417,19 +426,23 @@ class _Slices:
         self.lens, self.rank = np.array((lens, rank), dtype=np.intp)
         self.seg, self.seg_n, *self.cells = np.array((seg, seg_n, block, leaf), dtype=np.intp)
 
-    def split(self, t: int, left_counts: list[int]) -> "_Slices":
-        """Terminal t replaced by its children, the left child's slice first."""
+    def split(self, t: int, left_counts: list[int], right_label: int) -> "_Slices":
+        """Terminal t replaced by its children, the left child's slice first;
+        the left child keeps t's label."""
         right_counts = [c - left for c, left in zip(self.counts[t], left_counts)]
         return _Slices(
             [*self.ids[:t], *children_ids(self.ids[t]), *self.ids[t + 1:]],
+            [*self.labels[: t + 1], right_label, *self.labels[t + 1:]],
             [*self.counts[:t], left_counts, right_counts, *self.counts[t + 1:]],
         )
 
     def join(self, t: int) -> "_Slices":
-        """Sibling terminals t and t+1 replaced by their parent."""
+        """Sibling terminals t and t+1 replaced by their parent, which keeps
+        the left child's label."""
         merged = [a + b for a, b in zip(self.counts[t], self.counts[t + 1])]
         return _Slices(
             [*self.ids[:t], self.ids[t] // 2, *self.ids[t + 2:]],
+            [*self.labels[: t + 1], *self.labels[t + 2:]],
             [*self.counts[:t], merged, *self.counts[t + 2:]],
         )
 
@@ -450,6 +463,16 @@ class ShardData:
     at 4 bytes per row; each kernel copies the slice it needs into one native
     index buffer, because numpy indexes with int32 about 2.5 times slower.
 
+    `label[j]` holds, in row order, the leaf label of each row's terminal in
+    tree j: one byte per row, rows of tree j alone widening to two (then
+    four) bytes once it needs a label above 255.  A birth's left child keeps
+    its parent's label and its right child takes the smallest free one; a
+    death gives the right child's rows the left child's label.  The leaf-mean
+    update looks each row's shift up by its label and subtracts in row order,
+    so it needs no gather through `order`.  Gathers, squares and shifts go
+    through one persistent n-length float64 work buffer, so the leaf pass
+    allocates one n-length block per tree, the per-row leaf means.
+
     `blocks` are the local slices of the global reduction blocks this shard
     owns, in row order and covering every row; every sum leaves the shard as
     a pairwise fold of per-block sums so the master can keep folding without
@@ -457,7 +480,7 @@ class ShardData:
     which adds in the order `ndarray.sum` does without its Python wrapper.
     """
 
-    __slots__ = ("xb", "ys", "residual", "order", "blocks", "_slices", "_idx", "_gathered")
+    __slots__ = ("xb", "ys", "residual", "order", "label", "blocks", "_slices", "_idx", "_work")
 
     def __init__(self, xb: np.ndarray, ys: np.ndarray, m: int, blocks: Sequence[tuple[int, int]]):
         self.ys = np.asarray(ys, dtype=np.float64)
@@ -475,12 +498,12 @@ class ShardData:
         if n > np.iinfo(np.int32).max:
             raise ValueError("a shard holds at most 2**31 - 1 rows")
         self.order = np.tile(np.arange(n, dtype=np.int32), (m, 1))
-        root = _Slices([1], [[hi - lo for lo, hi in self.blocks]])
+        # One (m, n) allocation; a tree whose labels outgrow a byte gets its own.
+        self.label = list(np.zeros((m, n), dtype=np.uint8))
+        root = _Slices([1], [0], [[hi - lo for lo, hi in self.blocks]])
         self._slices = [root] * m
         self._idx = np.empty(n, dtype=np.intp)
-        # (tree, residual gathered through _idx) from the last mu_stats_blocks
-        # call; the apply_mus that follows it writes back through _idx.
-        self._gathered: tuple[int, np.ndarray] | None = None
+        self._work = np.empty(n)
 
     @property
     def n(self) -> int:
@@ -490,7 +513,6 @@ class ShardData:
         """`order[j][lo:hi]` as native indices, in the shared index buffer."""
         idx = self._idx[: hi - lo]
         idx[:] = self.order[j, lo:hi]
-        self._gathered = None
         return idx
 
     def slices(self, j: int) -> list[tuple[int, int, int, list[int]]]:
@@ -518,8 +540,11 @@ class ShardData:
         parts = []  # (left child's values, right child's values) per block
         if prop.move == BIRTH:
             t = sl.ids.index(prop.node_id)
-            rows = self._rows(j, sl.starts[t], sl.starts[t + 1])
-            r = self.residual[rows] + mu_left
+            lo, hi = sl.starts[t], sl.starts[t + 1]
+            rows = self._rows(j, lo, hi)
+            # take with out= and mode="clip" writes straight into the buffer.
+            r = self.residual.take(rows, out=self._work[: hi - lo], mode="clip")
+            r += mu_left
             go_left = self.xb[prop.v].take(rows) <= prop.c
             go_right = ~go_left
             runs = sl.runs[t]
@@ -530,7 +555,7 @@ class ShardData:
         else:
             t = sl.ids.index(2 * prop.node_id)
             lo, mid, hi = sl.starts[t : t + 3]
-            r = self.residual[self._rows(j, lo, hi)]
+            r = self.residual.take(self._rows(j, lo, hi), out=self._work[: hi - lo], mode="clip")
             left, right = r[: mid - lo], r[mid - lo :]
             left += mu_left
             right += mu_right
@@ -559,11 +584,8 @@ class ShardData:
         sl = self._slices[j]
         if mus.size != len(sl.ids):
             raise ValueError(f"tree {j} has {len(sl.ids)} terminal nodes, got {mus.size} means")
-        rows = self._rows(j, 0, self.ys.size)
-        gathered = self.residual[rows]
-        self._gathered = (j, gathered)
-        r = mus[sl.rank].repeat(sl.lens)
-        r += gathered
+        r = self.residual.take(self._rows(j, 0, self.ys.size), out=self._work, mode="clip")
+        r += mus[sl.rank].repeat(sl.lens)
         # reduceat yields an element, not 0, for an empty segment, so only the
         # non-empty ones are reduced; the cells of the empty ones stay 0.
         k, leaf = sl.cells
@@ -579,7 +601,7 @@ class ShardData:
         out = np.empty(len(self.blocks))
         for k, (lo, hi) in enumerate(self.blocks):
             r = self.residual[lo:hi]
-            out[k] = np.add.reduce(r * r)
+            out[k] = np.add.reduce(np.multiply(r, r, out=self._work[: hi - lo]))
         return out
 
     # -- state updates -------------------------------------------------------
@@ -603,15 +625,21 @@ class ShardData:
         left, right = part.compress(go_left), part.compress(~go_left)
         part[: left.size] = left
         part[left.size :] = right
-        # Rows in their new order, each shifted by its own child's mean.
+        # Rows in their new order, each shifted by its own child's mean; the
+        # right child's rows take the smallest free label.
         rows = self._rows(j, lo, hi)
         self.residual[rows[: left.size]] -= mu_left - mu_old
         self.residual[rows[left.size :]] -= mu_right - mu_old
+        right_label = min(set(range(len(sl.labels) + 1)).difference(sl.labels))
+        label = self.label[j]
+        if right_label >= 1 << 8 * label.itemsize:
+            self.label[j] = label = label.astype(np.min_scalar_type(right_label))
+        label[rows[left.size :]] = right_label
         runs = sl.runs[t]
         left_counts = []
         for a, b in zip(runs, runs[1:]):
             left_counts.append(int(np.add.reduce(go_left[a:b])))
-        self._slices[j] = sl.split(t, left_counts)
+        self._slices[j] = sl.split(t, left_counts, right_label)
 
     def apply_death(
         self, j: int, node_id: int, mu_old_left: float, mu_old_right: float, mu_new: float
@@ -625,21 +653,23 @@ class ShardData:
         rows = self._rows(j, lo, hi)
         self.residual[rows[: mid - lo]] -= mu_new - mu_old_left
         self.residual[rows[mid - lo :]] -= mu_new - mu_old_right
+        self.label[j][rows[mid - lo :]] = sl.labels[t]
         # The two children's rows are two ascending runs; a stable sort
         # merges them in one linear pass.
         self.order[j, lo:hi].sort(kind="stable")
         self._slices[j] = sl.join(t)
 
     def apply_mus(self, j: int, old_mus: np.ndarray, new_mus: np.ndarray) -> None:
-        """Move every row of tree j from its old leaf mean to the new one, through
-        the residual gathered by a `mu_stats_blocks` call on tree j just before."""
-        if self._gathered is None or self._gathered[0] != j:
-            raise ValueError(f"apply_mus on tree {j} needs mu_stats_blocks on it just before")
-        gathered = self._gathered[1]
-        self._gathered = None
-        sl = self._slices[j]
-        shift = (new_mus - old_mus)[sl.rank].repeat(sl.lens)
-        self.residual[self._idx] = np.subtract(gathered, shift, out=shift)
+        """Move every row of tree j from its old leaf mean to the new one.
+
+        Each row's shift is looked up by its leaf label and subtracted in row
+        order, in place.
+        """
+        shift_of_label = (new_mus - old_mus)[self._slices[j].label_rank]
+        idx = self._idx
+        idx[:] = self.label[j]
+        shift = shift_of_label.take(idx, out=self._work, mode="clip")
+        np.subtract(self.residual, shift, out=self.residual)
 
 
 # ---------------------------------------------------------------------------

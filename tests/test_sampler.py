@@ -2,6 +2,7 @@ import cProfile
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -372,6 +373,18 @@ def build_shard(rng, n, d, m, blocks=1, numcut=10):
     return ShardData(grid.bin(x), ys, m, blocks)
 
 
+def leaf_update_oracle(shard, j, old, new):
+    """The residual `apply_mus(j, old, new)` should leave: every row of tree j,
+    in its row order, shifted by its terminal's change of mean."""
+    slices = shard.slices(j)
+    ids = [node_id for node_id, *_ in slices]
+    rank = np.searchsorted(sorted(ids), ids)
+    lens = [stop - start for _, start, stop, _ in slices]
+    residual = shard.residual.copy()
+    residual[shard.order[j]] -= (new - old)[rank].repeat(lens)
+    return residual
+
+
 def float_leaves(tree, grid, x):
     """Terminal id of every row of `x` under the float rule x[v] < value(v, c)."""
     leaf = np.ones(x.shape[0], dtype=np.int64)
@@ -401,21 +414,22 @@ class TestShardStats:
         assert (left.n, left.s) == (0, 0.0)
         assert (right.n, right.s) == (0, 0.0)
 
-    def test_leaf_update_needs_the_gather_of_its_tree(self):
-        # apply_mus writes back through the residual that mu_stats_blocks
-        # gathered for the same tree; any other order is refused.
-        shard = build_shard(np.random.default_rng(13), 20, 2, 2)
-        mus, new = np.zeros(1), np.ones(1)
-        with pytest.raises(ValueError, match="apply_mus on tree 0 needs mu_stats_blocks"):
-            shard.apply_mus(0, mus, new)
-        shard.mu_stats_blocks(1, mus)
-        with pytest.raises(ValueError, match="apply_mus on tree 0 needs mu_stats_blocks"):
-            shard.apply_mus(0, mus, new)
-        shard.mu_stats_blocks(0, mus)
-        shard.apply_mus(0, mus, new)
-        assert np.array_equal(shard.residual, shard.ys - 1.0)
-        with pytest.raises(ValueError, match="apply_mus on tree 0 needs mu_stats_blocks"):
-            shard.apply_mus(0, new, mus)
+    def test_leaf_update_needs_no_gather(self):
+        # apply_mus finds each row's leaf by its label, so it runs on the trees
+        # in any order, with no mu_stats_blocks before it, and subtracts the
+        # same doubles as a pass through the tree's row order.
+        rng = np.random.default_rng(13)
+        shard = build_shard(rng, 200, 2, 3, blocks=2)
+        shard.apply_birth(0, 1, 0, 4, 0.0, 0.1, -0.2)
+        shard.apply_birth(0, 3, 1, 6, -0.2, 0.3, 0.05)
+        shard.apply_birth(0, 2, 1, 3, 0.1, 0.2, -0.1)
+        shard.apply_death(0, 3, 0.3, 0.05, 0.2)
+        shard.apply_birth(2, 1, 1, 2, 0.0, -0.1, 0.4)
+        for j in (2, 0, 1, 0, 2, 2):
+            old, new = rng.normal(0, 0.3, (2, len(shard.slices(j))))
+            expected = leaf_update_oracle(shard, j, old, new)
+            shard.apply_mus(j, old, new)
+            assert shard.residual.tobytes() == expected.tobytes()
 
     def test_half_shards_sum_to_whole(self):
         rng = np.random.default_rng(11)
@@ -583,6 +597,17 @@ class TestShardLayout:
                 ]
                 one_block_nodes += sum(c > 0 for c in counts) == 1
 
+            # Leaf labels: the rows of a terminal share one label, the same
+            # on every shard, and no two terminals share one.
+            label_of = {}
+            for shard in shards:
+                for node_id, start, stop, _ in shard.slices(j):
+                    held = np.unique(shard.label[j][shard.order[j, start:stop]])
+                    assert held.size <= 1
+                    if held.size:
+                        assert label_of.setdefault(node_id, int(held[0])) == held[0]
+            assert len(set(label_of.values())) == len(label_of)
+
             # Leaf statistics against an oracle, and the halves' fold equal
             # to the whole shard's, bit for bit.
             mus = np.array([nodes[k] for k in terminals])
@@ -601,12 +626,14 @@ class TestShardLayout:
             ]))
             assert np.array_equal(folded, split)
 
-            # Leaf-mean update through the gather mu_stats_blocks left behind.
+            # Leaf-mean update, bit for bit against the oracle on every shard.
             new = rng.normal(0, 0.3, mus.size)
+            expected = leaf_update_oracle(whole, j, mus, new)
             whole.apply_mus(j, mus, new)
             for h in halves:
                 h.apply_mus(j, mus, new)
             nodes.update(zip(terminals, new.tolist()))
+            assert whole.residual.tobytes() == expected.tobytes()
             check_residual_invariant(forest, grid, whole, atol=1e-12)
             assert np.array_equal(
                 np.concatenate([h.residual for h in halves]), whole.residual
@@ -621,6 +648,45 @@ class TestShardLayout:
         shard = build_shard(rng, n, 2, m, blocks=2)
         assert shard.order.dtype.itemsize == 4
         assert shard.order.nbytes == m * n * 4
+
+    def test_leaf_labels_are_one_byte_per_row(self):
+        # Each tree's leaf labels are one uint8 row of a single (m, n) array,
+        # and a birth below 256 leaves keeps them there.
+        rng = np.random.default_rng(45)
+        n, m = 500, 7
+        shard = build_shard(rng, n, 2, m, blocks=2)
+        base = shard.label[0].base
+        assert base.shape == (m, n) and base.dtype == np.uint8
+        assert all(label.base is base for label in shard.label)
+        shard.apply_birth(3, 1, 0, 4, 0.0, 0.1, -0.1)
+        assert shard.label[3].base is base and shard.label[3].dtype == np.uint8
+        assert len(np.unique(shard.label[3])) == 2
+
+    def test_leaf_labels_widen_past_256_leaves(self):
+        # A tree's 257th leaf needs label 256: that tree's labels alone
+        # widen to uint16, and the leaf-mean update still matches the oracle.
+        rng = np.random.default_rng(49)
+        n = 4000
+        shard = build_shard(rng, n, 1, 2, numcut=300)
+        assert shard.xb.dtype == np.uint16
+        # Splitting nodes 1..256 in heap order splits a leaf each time; each
+        # cut halves the node's range of cut indices.
+        spans = {1: (0, int(shard.xb.max()) + 1)}
+        for node_id in range(1, 257):
+            lo, hi = spans.pop(node_id)
+            c = (lo + hi) // 2 - 1
+            spans[2 * node_id], spans[2 * node_id + 1] = (lo, c + 1), (c + 1, hi)
+            shard.apply_birth(0, node_id, 0, c, 0.0, 0.0, 0.0)
+            assert shard.label[0].dtype == (np.uint8 if node_id < 256 else np.uint16)
+        assert len(shard.slices(0)) == 257
+        assert shard.label[1].dtype == np.uint8
+        assert np.count_nonzero(shard.label[0] == 256) > 0
+        for _, start, stop, _ in shard.slices(0):
+            assert np.unique(shard.label[0][shard.order[0, start:stop]]).size <= 1
+        old, new = rng.normal(0, 0.3, (2, 257))
+        expected = leaf_update_oracle(shard, 0, old, new)
+        shard.apply_mus(0, old, new)
+        assert shard.residual.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("numcut, width", [(255, 1), (256, 2)])
     def test_rows_are_cut_indices(self, numcut, width):
@@ -646,6 +712,59 @@ class TestShardLayout:
             ShardData(xb[:, :9], ys, 1, [(0, 10)])
         with pytest.raises(ValueError, match="xb must hold unsigned cut indices, got dtype float64"):
             ShardData(x.T, ys, 1, [(0, 10)])
+
+
+class TestShardAllocations:
+    def test_leaf_pass_allocates_only_the_leaf_means(self):
+        # After the first iteration of a serial chain, apply_mus and
+        # rss_blocks allocate no block of n float64s, and mu_stats_blocks
+        # allocates one: the per-row leaf means.  tracemalloc's peak over a
+        # call, less the memory traced before it, bounds what the call had
+        # live at once.
+        rng = np.random.default_rng(50)
+        n, d, m = 4000, 3, 10
+        x = rng.uniform(-1, 1, (n, d))
+        y = np.sin(2 * x[:, 0]) + 0.2 * rng.standard_normal(n)
+        settings = FitSettings(m=m, draws=4, burn=0, thin=1, seed=51, min_leaf=5)
+        grid = CutpointGrid.from_ranges(x.min(axis=0), x.max(axis=0), settings.numcut)
+        ys = (y - 0.5 * (y.min() + y.max())) / (y.max() - y.min())
+        peaks = {"mu_stats_blocks": [], "apply_mus": [], "rss_blocks": []}
+        measuring = []
+
+        def probe(name):
+            method = getattr(ShardData, name)
+
+            def call(self, *args, **kwargs):
+                if not measuring:
+                    return method(self, *args, **kwargs)
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = method(self, *args, **kwargs)
+                peaks[name].append(tracemalloc.get_traced_memory()[1] - before)
+                return out
+
+            return call
+
+        probed = type("ProbedShard", (ShardData,), {"__slots__": ()} | {
+            name: probe(name) for name in peaks
+        })
+        shard = probed(grid.bin(x), ys, m, [(0, n)])
+        sd = float(np.std(ys, ddof=1))
+        tracemalloc.start()
+        try:
+            run_chain_core(
+                [Tree() for _ in range(m)], grid, resolve_prior(settings, sd), sd,
+                np.random.default_rng(52), LocalProvider(shard), settings,
+                on_iteration=lambda *_: measuring.append(True),
+            )
+        finally:
+            tracemalloc.stop()
+        block = n * 8
+        assert len(peaks["apply_mus"]) == len(peaks["mu_stats_blocks"]) == 3 * m
+        assert len(peaks["rss_blocks"]) == 3
+        assert max(peaks["apply_mus"]) < block, peaks["apply_mus"]
+        assert max(peaks["rss_blocks"]) < block, peaks["rss_blocks"]
+        assert block <= max(peaks["mu_stats_blocks"]) < 2 * block, peaks["mu_stats_blocks"]
 
 
 class TestFold:

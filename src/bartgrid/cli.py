@@ -336,6 +336,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         )
         return 0
 
+    fit = cfg.fit
+    if fit.draws - fit.burn < fit.thin:
+        raise ConfigError(
+            f"no posterior snapshot would be kept: draws - burn ({fit.draws} - {fit.burn})"
+            f" must be >= thin ({fit.thin})"
+        )
     if cfg.role == "master":
         cfg.require("listen", "out")
         result = serve_master(
@@ -347,8 +353,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         x, y, _names = read_table(cfg.data, response=cfg.response)
         result = run_serial(x, y, cfg.fit)
 
-    if not result.snapshots:
-        raise ConfigError("no posterior snapshots kept; check draws/burn/thin")
     sample = analysis.posterior_from_chain(result)
     save_model(cfg.out, sample)
     log_path = cfg.chain_log or cfg.out + ".chainlog"

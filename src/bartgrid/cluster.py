@@ -9,11 +9,11 @@ worker counts (and equal to the serial chain).
 
 A worker answers in a fixed order.  In an iteration's tree phase it takes
 each tree in turn: a proposal (answered with MOVE_STATS, then the decision)
-or a bare reject, then the leaf pass, whose MU_STATS carries the rows of the
-worker's folded leaf-statistics array; the master stacks the workers' rows
-and folds them once.  The phase ends with the worker's RSS_PARTIAL, sent
-unprompted after the last tree's leaf pass.  Any other message, or a
-proposal that does not fit its forest replica, fails the run.
+or a bare reject, then the leaf pass: the serial chain's `mu_stats`, sent as
+MU_STATS records of (count, sum, 0.0) that the master stacks and folds once.
+The phase ends with the worker's RSS_PARTIAL, sent unprompted after the last
+tree's leaf pass.  Any other message, or a proposal that does not fit its
+forest replica, fails the run.
 
 One transport, a stream socket: a socketpair per worker thread in-process,
 TCP across hosts.  Failure model is fail-stop: any worker loss aborts the
@@ -26,6 +26,7 @@ import socket
 import threading
 import time
 from dataclasses import astuple, dataclass, field
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -248,10 +249,10 @@ def _serve_tree(
             tree.death(msg.node_id, msg.mu)
     terminals = tree.terminals()
     old = np.array(list(map(tree.nodes.__getitem__, terminals)), dtype=np.float64)
-    # The payload carries sums of squares too, which the master discards, and
-    # the counts as ints, as MuStats packs them.
-    n, s, s2 = pairwise_fold(provider.shard.mu_stats_blocks(j, old, squares=True)).tolist()
-    io.send(proto.MuStats(tuple(zip(map(int, n), s, s2))))
+    # The serial chain's own leaf pass; MuStats packs the counts as ints and
+    # pads each record's third value with 0.0.
+    n, s = provider.mu_stats(j, old).tolist()
+    io.send(proto.MuStats(tuple(zip(map(int, n), s, repeat(0.0)))))
     new = io.recv((proto.MuValues,), mu_records=len(terminals)).values
     provider.apply_mus(j, old, np.array(new, dtype=np.float64))
     tree.nodes.update(zip(terminals, new))
@@ -316,7 +317,7 @@ class RemoteProvider:
         self._broadcast(proto.DeathAccept(prop.node_id, mu))
 
     def mu_stats(self, j, mus):
-        # (workers, rows, leaves), without the sums of squares.
+        # (workers, 2, leaves): each record's third value is padding.
         records = [io.recv((proto.MuStats,), mu_records=mus.size).records for io in self.ios]
         return pairwise_fold(np.array(records).transpose(0, 2, 1)[:, :2])
 
@@ -439,9 +440,9 @@ def run_cluster_inprocess(
     first, or the master's own error when no worker failed.
     """
     settings.validate()
+    blocks = reduction_block_count(settings.reduction_blocks, workers)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    blocks = settings.reduction_blocks
     ranges = [worker_row_range(y.size, blocks, workers, rank) for rank in range(1, workers + 1)]
     failures: list[tuple[str, Exception]] = []
     channels: list[SocketChannel] = []
@@ -507,6 +508,7 @@ def serve_master(
     workers can fail the run by raising as soon as one exits.
     """
     settings.validate()
+    reduction_block_count(settings.reduction_blocks, workers)
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     channels: list[SocketChannel] = []

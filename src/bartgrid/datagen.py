@@ -85,6 +85,13 @@ def eval_friedman(spec: FriedmanSpec, x: np.ndarray) -> np.ndarray:
     return float(out[0]) if single else out
 
 
+def _check_dataset(n: int, sigma_noise: float) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0.0 <= sigma_noise < math.inf:
+        raise ValueError(f"noise sd must be finite and >= 0, got {sigma_noise!r}")
+
+
 def gen_dataset(
     spec: FriedmanSpec,
     n: int,
@@ -92,8 +99,7 @@ def gen_dataset(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, y, f): U[-1,1] inputs, noisy response, and the noiseless surface."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_dataset(n, sigma_noise)
     x = rng.uniform(-1.0, 1.0, (n, spec.d))
     f = eval_friedman(spec, x)
     y = f + sigma_noise * rng.standard_normal(n) if sigma_noise > 0 else f.copy()
@@ -200,6 +206,7 @@ def write_dataset(
     is given, the noiseless response is written there as a one-column table,
     once the data file is complete.
     """
+    _check_dataset(n, sigma_noise)
     truth: list[np.ndarray] = []
 
     def rows():

@@ -332,6 +332,8 @@ def bench_run(
 
     if iterations < 2:
         raise ValueError("iterations must be >= 2")
+    if min(worker_counts, default=0) < 0:
+        raise ValueError(f"worker counts must be >= 0 (0: serial), got {min(worker_counts)}")
     burn = iterations // 2
     own_dir = None
     if workdir is None:

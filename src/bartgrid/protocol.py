@@ -5,8 +5,8 @@ are 32-bit unsigned little-endian, reals IEEE-754 binary64 little-endian.
 The sampler-phase payload sizes are pinned exactly:
 
     birth proposal 12, death proposal 8, move stats 24, accepts 28,
-    reject 0, mu stats 20 per terminal node, mu values 8 per terminal node,
-    partial RSS 8.
+    reject 0, mu stats 20 per terminal node (count, sum, and a third value
+    sent as 0.0 and never read), mu values 8 per terminal node, partial RSS 8.
 
 No payload grows with the number of observations.  Control messages (HELLO,
 SHARD_META, RUN_SETUP, ITER_BEGIN with only its phase, REPLICA_HASH,

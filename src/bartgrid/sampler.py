@@ -8,7 +8,7 @@ up whenever each worker holds a power-of-two number of blocks, the chain is
 bit-identical whether those sums are computed serially or across any such
 worker layout.  That layout is stated here too, and a serial fit is its
 worker 1 of 1.  A tree's leaf statistics are one float64 array throughout:
-(blocks, rows, leaves) from the shard, folded along blocks to (rows, leaves).
+(blocks, 2, leaves) of counts and sums, folded along blocks to (2, leaves).
 
 The chain itself is driven by `run_chain_core`, which is shared between the
 serial sampler and the distributed master: both consume the exact same random
@@ -124,6 +124,8 @@ def reduction_block_count(reduction_blocks: int, workers: int) -> int:
     holds a power-of-two count, so that the fold of each worker's partial
     regroups the fold of all blocks (see `pairwise_fold`).
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     blocks = reduction_blocks or workers
     if blocks % workers:
         raise ValueError("reduction_blocks must be a multiple of the worker count")
@@ -573,13 +575,12 @@ class ShardData:
             )
         return pairs
 
-    def mu_stats_blocks(self, j: int, mus: np.ndarray, squares: bool = False) -> np.ndarray:
+    def mu_stats_blocks(self, j: int, mus: np.ndarray) -> np.ndarray:
         """Per-block partial-residual statistics for every terminal node.
 
-        Returns a (blocks, rows, leaves) float64 array: row 0 holds the
-        counts, row 1 the residual sums and, with `squares`, row 2 the sums
-        of squares, which only the MuStats payload carries.  `mus` are tree
-        j's leaf means in ascending node id order, the order of the leaves.
+        Returns a (blocks, 2, leaves) float64 array: row 0 holds the counts,
+        row 1 the residual sums.  `mus` are tree j's leaf means in ascending
+        node id order, the order of the leaves.
         """
         sl = self._slices[j]
         if mus.size != len(sl.ids):
@@ -589,11 +590,9 @@ class ShardData:
         # reduceat yields an element, not 0, for an empty segment, so only the
         # non-empty ones are reduced; the cells of the empty ones stay 0.
         k, leaf = sl.cells
-        out = np.zeros((len(self.blocks), 3 if squares else 2, len(sl.ids)))
+        out = np.zeros((len(self.blocks), 2, len(sl.ids)))
         out[k, 0, leaf] = sl.seg_n
         out[k, 1, leaf] = np.add.reduceat(r, sl.seg)
-        if squares:
-            out[k, 2, leaf] = np.add.reduceat(np.square(r, out=r), sl.seg)
         return out
 
     def rss_blocks(self) -> np.ndarray:

@@ -5,7 +5,9 @@ Each digest pins the bits of one output:
   60 draws, 2 reduction blocks);
 - the chain log of the same fit with `prior_only`;
 - `predict_mean` of that model on fixed rows;
-- the estimates and main effects of a small `sensitivity_report` on it.
+- the estimates and main effects of a small `sensitivity_report` on it;
+- per peer, the frames it sends in a 2-worker in-process fit of the same
+  data and settings (`wire.master`, `wire.worker-1`, `wire.worker-2`).
 
 The file also records the numpy version and machine it was made on; the
 bits can change with either.  Run from the repository root:
@@ -27,11 +29,12 @@ import os
 import platform
 import sys
 import tempfile
+import threading
 from dataclasses import astuple
 
 import numpy as np
 
-from bartgrid import analysis, cli
+from bartgrid import analysis, cli, cluster, datagen
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "digests.json")
 FIT = ["--m", "10", "--draws", "60", "--burn", "20", "--thin", "4", "--min-leaf", "2",
@@ -63,6 +66,30 @@ def _run(argv: list[str]) -> None:
         raise RuntimeError(f"bartgrid {' '.join(argv)} exited {code}")
 
 
+def _wire_md5s(data: str) -> dict[str, str]:
+    """md5 of the bytes each peer sends in a 2-worker in-process fit."""
+    x, y, _names = datagen.read_table(data, response="y")
+    settings = cli.parse_config(
+        {flag[2:].replace("-", "_"): value for flag, value in zip(FIT[::2], FIT[1::2])}
+    ).fit
+    master = threading.current_thread().name
+    sent = {}
+    send = cluster.SocketChannel.send
+
+    def spy(channel, frame):
+        name = threading.current_thread().name
+        peer = "master" if name == master else name.removeprefix("bartgrid-")
+        sent.setdefault(f"wire.{peer}", hashlib.md5()).update(frame)
+        send(channel, frame)
+
+    cluster.SocketChannel.send = spy
+    try:
+        cluster.run_cluster_inprocess(x, y, settings, workers=2)
+    finally:
+        cluster.SocketChannel.send = send
+    return {key: md5.hexdigest() for key, md5 in sent.items()}
+
+
 def compute(workdir: str) -> dict[str, str]:
     """The digests, from files written under `workdir`."""
     data, model, prior = (
@@ -83,6 +110,7 @@ def compute(workdir: str) -> dict[str, str]:
         "predict_mean": _array_md5(analysis.predict_mean(sample, xstar)),
         "sobol.estimates": _array_md5(np.array([astuple(e) for e in report.estimates])),
         "sobol.effects": _array_md5(report.effect_grid, report.effects),
+        **_wire_md5s(data),
     }
 
 

@@ -394,6 +394,41 @@ class TestCliCommands:
                    "--draws", "10", "--burn", "10"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag, value, shown", [
+        ("--noise-sd", "-1", "noise sd must be finite and >= 0, got -1.0"),
+        ("--noise-sd", "nan", "noise sd must be finite and >= 0, got nan"),
+        ("--noise-sd", "inf", "noise sd must be finite and >= 0, got inf"),
+        ("--n", "0", "n must be >= 1, got 0"),
+    ])
+    def test_generate_refuses_a_table_fit_cannot_read(self, tmp_path, capsys, flag, value, shown):
+        argv = ["generate", "--out", str(tmp_path / "d.csv"), "--n", "20", "--d", "2",
+                "--truth-out", str(tmp_path / "f.csv"), flag, value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"bartgrid generate: error: {shown}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("role", [[], ["--role", "master", "--listen", "127.0.0.1:0"]])
+    def test_fit_that_would_keep_no_snapshot_is_refused_before_it_runs(
+        self, tmp_path, capsys, role
+    ):
+        data = tmp_path / "d.csv"
+        main(["generate", "--out", str(data), "--n", "300", "--d", "3", "--seed", "0"])
+        capsys.readouterr()
+        start = time.monotonic()
+        rc = main(["fit", *role, "--data", str(data), "--out", str(tmp_path / "m.model"),
+                   "--draws", "300", "--burn", "295", "--thin", "10"])
+        assert rc == 2
+        assert time.monotonic() - start < 1.0
+        assert capsys.readouterr() == ("", (
+            "bartgrid fit: error: no posterior snapshot would be kept:"
+            " draws - burn (300 - 295) must be >= thin (10)\n"
+        ))
+        assert list(tmp_path.iterdir()) == [data]
+        # draws - burn == thin keeps one snapshot.
+        assert main(["fit", "--data", str(data), "--out", str(tmp_path / "m.model"),
+                     "--m", "2", "--draws", "12", "--burn", "2", "--thin", "10"]) == 0
+        assert "1 snapshots saved" in capsys.readouterr().out
+
     def test_bad_flag_value_reports_key(self, tmp_path, capsys):
         data = str(tmp_path / "d.csv")
         main(["generate", "--out", data, "--n", "50", "--d", "2", "--seed", "0"])

@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import math
 import re
 import socket
 import sys
@@ -24,7 +25,7 @@ from bartgrid.cluster import (
     serve_master,
 )
 from bartgrid.protocol import iteration_byte_count
-from bartgrid.sampler import FitSettings, run_serial, worker_row_range
+from bartgrid.sampler import FitSettings, reduction_block_count, run_serial, worker_row_range
 from bartgrid.trees import MAX_DEPTH
 
 
@@ -120,6 +121,20 @@ class TestShardData:
     def test_serial_fit_keeps_empty_blocks(self):
         x, y = toy_data(3)
         assert run_serial(x, y, toy_settings(reduction_blocks=4)).sigmas.size == 40
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_is_refused_before_any_thread_or_socket(self, workers):
+        message = f"workers must be >= 1, got {workers}"
+        with pytest.raises(ValueError, match=message):
+            reduction_block_count(0, workers)
+        x, y = toy_data(40)
+        with pytest.raises(ValueError, match=message):
+            run_cluster_inprocess(x, y, toy_settings(), workers=workers)
+        assert not [t for t in threading.enumerate() if t.name.startswith("bartgrid-worker-")]
+        bound = []
+        with pytest.raises(ValueError, match=message):
+            serve_master(("127.0.0.1", 0), workers, toy_settings(), on_bound=bound.append)
+        assert bound == []
 
     def test_master_refuses_a_worker_without_rows_before_its_shard_meta(self):
         # Two workers announce 1 and 0 rows and send nothing else.
@@ -286,6 +301,49 @@ class TestByteAccounting:
                     assert total % 20 == 0
                 elif opcode == proto.OP_MU_VALUES:
                     assert total % 8 == 0
+
+    def test_workers_pad_each_mu_stats_record_with_zero(self, monkeypatch):
+        # A MU_STATS record is (count, sum, 0.0): +0.0 is eight zero bytes
+        # after the record's u32 count and f64 sum.
+        sent = collections.defaultdict(list)
+        send = SocketChannel.send
+
+        def spy(channel, frame):
+            sent[threading.current_thread().name].append(frame)
+            send(channel, frame)
+
+        monkeypatch.setattr(SocketChannel, "send", spy)
+        x, y = toy_data(300)
+        settings = toy_settings(reduction_blocks=2)
+        run_cluster_inprocess(x, y, settings, workers=2)
+        for rank in (1, 2):
+            frames = [f for f in sent[f"bartgrid-worker-{rank}"] if f[0] == proto.OP_MU_STATS]
+            assert len(frames) == settings.draws * settings.m
+            for frame in frames:
+                assert (len(frame) - 1) % 20 == 0
+                assert all(frame[k + 12 : k + 20] == bytes(8) for k in range(1, len(frame), 20))
+
+    def test_master_never_reads_the_mu_stats_padding(self, monkeypatch):
+        # Workers that send NaN as every record's third value still give the
+        # serial chain, bit for bit.
+        encode = proto.encode
+        master = threading.current_thread().name
+        padded = []
+
+        def nan_padded(msg):
+            if isinstance(msg, proto.MuStats) and threading.current_thread().name != master:
+                msg = proto.MuStats(tuple((n, s, math.nan) for n, s, _ in msg.records))
+                padded.append(len(msg.records))
+            return encode(msg)
+
+        monkeypatch.setattr(proto, "encode", nan_padded)
+        x, y = toy_data(400)
+        settings = toy_settings(reduction_blocks=2)
+        serial = run_serial(x, y, settings, collect_hashes=True)
+        two = run_cluster_inprocess(x, y, settings, workers=2, collect_hashes=True)
+        assert len(padded) == 2 * settings.draws * settings.m
+        assert serial.sigmas.tobytes() == two.sigmas.tobytes()
+        assert serial.forest_hashes == two.forest_hashes
 
     def test_golden_trace_replays_identically(self, monkeypatch):
         # Capture every frame of a live 2-worker run, on the master's and the

@@ -185,6 +185,21 @@ class TestGenDataset:
         assert x.min() >= -1.0 and x.max() <= 1.0
         assert abs(x.mean()) < 0.01
 
+    @pytest.mark.parametrize("n, noise, message", [
+        (0, 0.1, "n must be >= 1, got 0"),
+        (10, -1.0, "noise sd must be finite and >= 0, got -1.0"),
+        (10, math.nan, "noise sd must be finite and >= 0, got nan"),
+        (10, math.inf, "noise sd must be finite and >= 0, got inf"),
+    ])
+    def test_bad_size_or_noise_refused_before_any_file(self, tmp_path, n, noise, message):
+        spec = gen_spec(3, 2, np.random.default_rng(8))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gen_dataset(spec, n, noise, np.random.default_rng(9))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_dataset(str(tmp_path / "d.csv"), spec, n, noise, np.random.default_rng(9),
+                          truth_path=str(tmp_path / "f.csv"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_reproducible(self):
         spec = gen_spec(4, 2, np.random.default_rng(14))
         a = gen_dataset(spec, 100, 0.1, np.random.default_rng(15))

@@ -314,6 +314,16 @@ class TestRecordsIO:
         assert [float(v) for v in report[1].split(",")] == [300, 2, 1, seconds, 1.0, 1.0, b_bar]
         assert len(report) == 2
 
+    def test_bench_command_refuses_a_negative_worker_count(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--out", str(out), "--ns", "100", "--ms", "2", "--workers", "0,-1",
+                "--iterations", "4", "--d", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "bartgrid bench: error: worker counts must be >= 0 (0: serial), got -1\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_relative_to_smallest_run(self):
         records = [
             TimingRecord(1000, 10, 3, 50, 10.0, 4.0),
@@ -338,6 +348,12 @@ class TestBenchHarness:
         assert serial.b_bar >= 1.0 and dist.b_bar >= 1.0
         report = efficiency_report(records)
         assert len(report) == 2
+
+    def test_negative_worker_count_is_refused_before_any_dataset(self, tmp_path):
+        with pytest.raises(ValueError, match=r"worker counts must be >= 0 \(0: serial\), got -1"):
+            bench_run(ns=[100], ms=[2], worker_counts=[0, -1], iterations=4, seed=0,
+                      d=2, workdir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_worker_stderr_reaches_the_master_error(self, tmp_path, launched):
         # The worker cannot read its data and exits before it connects; the

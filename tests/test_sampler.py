@@ -476,15 +476,12 @@ class TestShardStats:
             terminals = forest[j].terminals()
             mus = np.array([forest[j].nodes[k] for k in terminals])
             assert shard.mu_stats_blocks(j, mus).shape == (1, 2, len(terminals))
-            stats = pairwise_fold(shard.mu_stats_blocks(j, mus, squares=True))
-            assert stats.shape == (3, len(terminals))
-            for node_id, cnt, s, s2 in zip(terminals, *stats):
+            stats = pairwise_fold(shard.mu_stats_blocks(j, mus))
+            assert stats.shape == (2, len(terminals))
+            for node_id, cnt, s in zip(terminals, *stats):
                 rows = leaf_of_row == node_id
                 assert cnt == int(rows.sum())
                 assert s == pytest.approx(float(r_oracle[rows].sum()), abs=1e-8)
-                assert s2 == pytest.approx(float((r_oracle[rows] ** 2).sum()), abs=1e-8)
-                if cnt > 0:
-                    assert s2 >= s**2 / cnt - 1e-12
 
 
 def _masked_move_stats(shard, x, leaf, prop, cutval, mu_left, mu_right):
@@ -611,18 +608,17 @@ class TestShardLayout:
             # Leaf statistics against an oracle, and the halves' fold equal
             # to the whole shard's, bit for bit.
             mus = np.array([nodes[k] for k in terminals])
-            per_block = whole.mu_stats_blocks(j, mus, squares=True)
-            assert per_block.shape == (blocks, 3, len(terminals))
-            for (lo, hi), (n_got, s_got, s2_got) in zip(whole.blocks, per_block):
+            per_block = whole.mu_stats_blocks(j, mus)
+            assert per_block.shape == (blocks, 2, len(terminals))
+            for (lo, hi), (n_got, s_got) in zip(whole.blocks, per_block):
                 r = whole.residual[lo:hi] + mus[np.searchsorted(terminals, leaf[lo:hi])]
                 for i, k in enumerate(terminals):
                     sel = leaf[lo:hi] == k
                     assert n_got[i] == np.count_nonzero(sel)
                     assert s_got[i] == pytest.approx(r[sel].sum(), abs=1e-12)
-                    assert s2_got[i] == pytest.approx((r[sel] ** 2).sum(), abs=1e-12)
             folded = pairwise_fold(per_block)
             split = pairwise_fold(np.stack([
-                pairwise_fold(h.mu_stats_blocks(j, mus, squares=True)) for h in halves
+                pairwise_fold(h.mu_stats_blocks(j, mus)) for h in halves
             ]))
             assert np.array_equal(folded, split)
 

@@ -11,9 +11,13 @@ A worker answers in a fixed order.  In an iteration's tree phase it takes
 each tree in turn: a proposal (answered with MOVE_STATS, then the decision)
 or a bare reject, then the leaf pass: the serial chain's `mu_stats`, sent as
 MU_STATS records of (count, sum, 0.0) that the master stacks and folds once.
-The phase ends with the worker's RSS_PARTIAL, sent unprompted after the last
-tree's leaf pass.  Any other message, or a proposal that does not fit its
-forest replica, fails the run.
+Both carry sums of the worker's cached residual; the master's chain adds
+each node's count * mean after the fold.  An accept carries the means the
+worker's replica already holds: BIRTH_ACCEPT the node's mean for both
+children, DEATH_ACCEPT the left child's mean.  The phase ends with the
+worker's RSS_PARTIAL, sent unprompted after the last tree's leaf pass.  Any
+other message, a proposal that does not fit its forest replica, or an
+accept whose means differ from the replica's, fails the run.
 
 One transport, a stream socket: a socketpair per worker thread in-process,
 TCP across hosts.  Failure model is fail-stop: any worker loss aborts the
@@ -230,28 +234,42 @@ def _serve_tree(
 ) -> None:
     """Tree j's exchange: a proposal and its decision, or a bare reject (the
     drawn birth had no admissible rule); then the leaf pass.  An accept
-    carries the whole move, which must be the one proposed."""
+    carries the whole move, which must be the one proposed, and the means
+    the replica gives it (see the module docstring)."""
     msg = io.recv((proto.BirthProposal, proto.DeathProposal, proto.Reject))
     if not isinstance(msg, proto.Reject):
         prop = _checked_proposal(j, tree, grid, msg)
-        left, right = provider.move_stats(j, tree, prop)
+        left, right = provider.move_stats(j, prop)
         io.send(proto.MoveStats(left.n, right.n, left.s, right.s))
         msg = io.recv((proto.BirthAccept, proto.DeathAccept, proto.Reject))
+        k = prop.node_id
         if isinstance(msg, proto.BirthAccept):
             if prop != Proposal(BIRTH, msg.node_id, msg.v, msg.c):
                 raise ClusterError("birth accept does not match the pending proposal")
-            provider.apply_birth(j, tree, prop, msg.mu_left, msg.mu_right)
-            tree.birth(msg.node_id, msg.v, msg.c, msg.mu_left, msg.mu_right)
+            mu = tree.nodes[k]
+            if msg.mu_left != mu or msg.mu_right != mu:
+                raise ClusterError(
+                    f"tree {j}: birth accept at node {k} carries means "
+                    f"({msg.mu_left!r}, {msg.mu_right!r}), not the node's mean {mu!r}"
+                )
+            provider.apply_birth(j, tree, prop)
+            tree.birth(k, msg.v, msg.c, mu, mu)
         elif isinstance(msg, proto.DeathAccept):
             if prop != Proposal(DEATH, msg.node_id):
                 raise ClusterError("death accept does not match the pending proposal")
-            provider.apply_death(j, tree, prop, msg.mu)
-            tree.death(msg.node_id, msg.mu)
+            mu = tree.nodes[2 * k]
+            if msg.mu != mu:
+                raise ClusterError(
+                    f"tree {j}: death accept at node {k} carries mean {msg.mu!r}, "
+                    f"not its left child's mean {mu!r}"
+                )
+            provider.apply_death(j, tree, prop)
+            tree.death(k, mu)
     terminals = tree.terminals()
     old = np.array(list(map(tree.nodes.__getitem__, terminals)), dtype=np.float64)
     # The serial chain's own leaf pass; MuStats packs the counts as ints and
     # pads each record's third value with 0.0.
-    n, s = provider.mu_stats(j, old).tolist()
+    n, s = provider.mu_stats(j, len(terminals)).tolist()
     io.send(proto.MuStats(tuple(zip(map(int, n), s, repeat(0.0)))))
     new = io.recv((proto.MuValues,), mu_records=len(terminals)).values
     provider.apply_mus(j, old, np.array(new, dtype=np.float64))
@@ -300,7 +318,7 @@ class RemoteProvider:
     def reject(self, j: int) -> None:
         self._broadcast(proto.Reject())
 
-    def move_stats(self, j, tree, prop):
+    def move_stats(self, j, prop):
         if prop.move == BIRTH:
             self._broadcast(proto.BirthProposal(prop.node_id, prop.v, prop.c))
         else:
@@ -310,19 +328,20 @@ class RemoteProvider:
         return (pairwise_fold([SuffStats(m.n_left, m.sum_left) for m in msgs]),
                 pairwise_fold([SuffStats(m.n_right, m.sum_right) for m in msgs]))
 
-    def apply_birth(self, j, tree, prop, mu_l, mu_r):
-        self._broadcast(proto.BirthAccept(prop.node_id, prop.v, prop.c, mu_l, mu_r))
+    def apply_birth(self, j, tree, prop):
+        mu = tree.nodes[prop.node_id]
+        self._broadcast(proto.BirthAccept(prop.node_id, prop.v, prop.c, mu, mu))
 
-    def apply_death(self, j, tree, prop, mu):
-        self._broadcast(proto.DeathAccept(prop.node_id, mu))
+    def apply_death(self, j, tree, prop):
+        self._broadcast(proto.DeathAccept(prop.node_id, tree.nodes[2 * prop.node_id]))
 
-    def mu_stats(self, j, mus):
+    def mu_stats(self, j, leaves):
         # (workers, 2, leaves): each record's third value is padding.
-        records = [io.recv((proto.MuStats,), mu_records=mus.size).records for io in self.ios]
+        records = [io.recv((proto.MuStats,), mu_records=leaves).records for io in self.ios]
         return pairwise_fold(np.array(records).transpose(0, 2, 1)[:, :2])
 
     def apply_mus(self, j, old, new):
-        self._broadcast(proto.MuValues(tuple(float(v) for v in new)))
+        self._broadcast(proto.MuValues(tuple(new.tolist())))
 
     def rss(self) -> float:
         return pairwise_fold([io.recv((proto.RssPartial,)).rss for io in self.ios])
@@ -367,7 +386,10 @@ def run_master(
         hello = io.recv((proto.Hello,))
         rank = hello.rank
         if hello.version != proto.PROTOCOL_VERSION:
-            raise ClusterError(f"protocol version mismatch: worker {rank} speaks {hello.version}")
+            raise ClusterError(
+                f"protocol version mismatch: worker {rank} speaks {hello.version}, "
+                f"master speaks {proto.PROTOCOL_VERSION}"
+            )
         if not 1 <= rank <= p:
             raise ClusterError(f"worker rank {rank} outside 1..{p}")
         if rank in hellos:

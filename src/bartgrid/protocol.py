@@ -8,6 +8,13 @@ The sampler-phase payload sizes are pinned exactly:
     reject 0, mu stats 20 per terminal node (count, sum, and a third value
     sent as 0.0 and never read), mu values 8 per terminal node, partial RSS 8.
 
+MOVE_STATS and MU_STATS sums are of the worker's cached residual, without
+any leaf mean; the master adds each node's count * mean after the fold.
+BIRTH_ACCEPT carries the split node's mean as both children's, and
+DEATH_ACCEPT the left child's mean as the merged node's: values the worker's
+replica already holds, and checks.  A version-2 peer added the means inside
+its sums, hence PROTOCOL_VERSION 3.
+
 No payload grows with the number of observations.  Control messages (HELLO,
 SHARD_META, RUN_SETUP, ITER_BEGIN with only its phase, REPLICA_HASH,
 SHUTDOWN) are plumbing outside that ledger.  The tree phase ends with
@@ -17,9 +24,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields
+from itertools import starmap
 from typing import Callable, Sequence
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 OP_HELLO = 0x01
 OP_SHARD_META = 0x02
@@ -216,7 +224,7 @@ def encode(msg: Message) -> bytes:
         if kind is MuValues:
             payload = struct.pack(f"<{len(records)}d", *records)
         else:
-            payload = b"".join(layout.pack(*record) for record in records)
+            payload = b"".join(starmap(layout.pack, records))
     elif kind in _RANGES:
         *head, x_min, x_max = values
         d = len(x_min)

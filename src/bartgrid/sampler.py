@@ -9,6 +9,9 @@ bit-identical whether those sums are computed serially or across any such
 worker layout.  That layout is stated here too, and a serial fit is its
 worker 1 of 1.  A tree's leaf statistics are one float64 array throughout:
 (blocks, 2, leaves) of counts and sums, folded along blocks to (2, leaves).
+Every sum is of the cached residual alone; the chain adds each node's
+count * mean once, after the fold, to get the partial-residual sum a
+move or a leaf-mean draw reads.
 
 The chain itself is driven by `run_chain_core`, which is shared between the
 serial sampler and the distributed master: both consume the exact same random
@@ -231,7 +234,11 @@ def log_marginal_likelihood(stats: SuffStats, sigma: float, tau: float) -> float
 
 
 def draw_mu(stats: SuffStats, sigma: float, tau: float, rng: np.random.Generator) -> float:
-    """Conjugate normal draw of one leaf mean given its node's statistics."""
+    """Conjugate normal draw of one leaf mean given its node's statistics.
+
+    The chain draws every mean through `draw_mus`; this one-leaf form is the
+    reference the tests check that draw against.
+    """
     return float(draw_mus(np.array([[stats.n], [stats.s]]), sigma, tau, rng)[0])
 
 
@@ -393,8 +400,7 @@ class _Slices:
     """
 
     __slots__ = (
-        "ids", "labels", "counts", "starts", "runs", "lens", "rank", "label_rank",
-        "seg", "seg_n", "cells",
+        "ids", "labels", "counts", "starts", "runs", "label_rank", "seg", "seg_n", "cells",
     )
 
     def __init__(self, ids: list[int], labels: list[int], counts: list[list[int]]):
@@ -408,10 +414,10 @@ class _Slices:
         for r, t in enumerate(sorted(range(len(ids)), key=ids.__getitem__)):
             rank[t] = label_rank[labels[t]] = r
         self.label_rank = np.array(label_rank, dtype=np.intp)
-        # Run boundaries inside each slice, each slice's start and length;
-        # then the non-empty (terminal, block) segments: their starts, for
-        # reduceat, their row counts, and their (block, leaf rank) cells.
-        self.runs, self.starts, lens = [], [0], []
+        # Run boundaries inside each slice and each slice's start; then the
+        # non-empty (terminal, block) segments: their starts, for reduceat,
+        # their row counts, and their (block, leaf rank) cells.
+        self.runs, self.starts = [], [0]
         seg, seg_n, block, leaf = [], [], [], []
         for t, row in enumerate(counts):
             run = [0]
@@ -424,8 +430,6 @@ class _Slices:
                 run.append(run[-1] + c)
             self.runs.append(run)
             self.starts.append(self.starts[-1] + run[-1])
-            lens.append(run[-1])
-        self.lens, self.rank = np.array((lens, rank), dtype=np.intp)
         self.seg, self.seg_n, *self.cells = np.array((seg, seg_n, block, leaf), dtype=np.intp)
 
     def split(self, t: int, left_counts: list[int], right_label: int) -> "_Slices":
@@ -472,8 +476,14 @@ class ShardData:
     death gives the right child's rows the left child's label.  The leaf-mean
     update looks each row's shift up by its label and subtracts in row order,
     so it needs no gather through `order`.  Gathers, squares and shifts go
-    through one persistent n-length float64 work buffer, so the leaf pass
-    allocates one n-length block per tree, the per-row leaf means.
+    through one persistent n-length float64 work buffer, so no kernel
+    allocates an n-length float64 block.
+
+    The kernels sum the cached residual only.  A tree's leaf mean enters a
+    node's partial-residual sum as count * mean, which the chain adds once
+    after the fold, so no kernel adds a mean to each row.  A birth leaves
+    the residual alone: both children keep the parent's mean until the
+    leaf pass redraws them.
 
     `blocks` are the local slices of the global reduction blocks this shard
     owns, in row order and covering every row; every sum leaves the shard as
@@ -527,16 +537,15 @@ class ShardData:
 
     # -- statistics ---------------------------------------------------------
 
-    def move_stats_blocks(
-        self, j: int, prop: Proposal, mu_left: float, mu_right: float
-    ) -> list[tuple[SuffStats, SuffStats]]:
-        """Per-block child (count, sum) statistics for a proposed move on tree j.
+    def move_stats_blocks(self, j: int, prop: Proposal) -> list[tuple[SuffStats, SuffStats]]:
+        """Per-block child (count, residual sum) statistics for a proposed move on tree j.
 
-        For a birth, `mu_left == mu_right` is the mean of the splitting node
-        and the rule (prop.v, prop.c) partitions its rows.  For a death, the
-        children already exist and carry their own means.  Each sum adds the
-        same values in the same row order as a masked pass over the whole
-        block would.
+        For a birth, the rule (prop.v, prop.c) partitions the splitting
+        node's rows; for a death, the children already exist.  The sums are
+        of the cached residual alone: a child's partial residual adds its
+        leaf mean to each of its rows, n * mu in all, which the chain adds
+        after the fold.  Each sum adds the same values in the same row order
+        as a masked pass over the whole block would.
         """
         sl = self._slices[j]
         parts = []  # (left child's values, right child's values) per block
@@ -546,7 +555,6 @@ class ShardData:
             rows = self._rows(j, lo, hi)
             # take with out= and mode="clip" writes straight into the buffer.
             r = self.residual.take(rows, out=self._work[: hi - lo], mode="clip")
-            r += mu_left
             go_left = self.xb[prop.v].take(rows) <= prop.c
             go_right = ~go_left
             runs = sl.runs[t]
@@ -559,8 +567,6 @@ class ShardData:
             lo, mid, hi = sl.starts[t : t + 3]
             r = self.residual.take(self._rows(j, lo, hi), out=self._work[: hi - lo], mode="clip")
             left, right = r[: mid - lo], r[mid - lo :]
-            left += mu_left
-            right += mu_right
             left_runs, right_runs = sl.runs[t], sl.runs[t + 1]
             for k in range(len(self.blocks)):
                 parts.append((
@@ -575,18 +581,16 @@ class ShardData:
             )
         return pairs
 
-    def mu_stats_blocks(self, j: int, mus: np.ndarray) -> np.ndarray:
-        """Per-block partial-residual statistics for every terminal node.
+    def mu_stats_blocks(self, j: int) -> np.ndarray:
+        """Per-block (count, residual sum) statistics for every terminal node.
 
         Returns a (blocks, 2, leaves) float64 array: row 0 holds the counts,
-        row 1 the residual sums.  `mus` are tree j's leaf means in ascending
-        node id order, the order of the leaves.
+        row 1 the sums of the cached residual, leaves in ascending node id
+        order.  A leaf's partial-residual sum adds count * its mean, which
+        the chain adds after the fold.
         """
         sl = self._slices[j]
-        if mus.size != len(sl.ids):
-            raise ValueError(f"tree {j} has {len(sl.ids)} terminal nodes, got {mus.size} means")
         r = self.residual.take(self._rows(j, 0, self.ys.size), out=self._work, mode="clip")
-        r += mus[sl.rank].repeat(sl.lens)
         # reduceat yields an element, not 0, for an empty segment, so only the
         # non-empty ones are reduced; the cells of the empty ones stay 0.
         k, leaf = sl.cells
@@ -605,54 +609,42 @@ class ShardData:
 
     # -- state updates -------------------------------------------------------
 
-    def apply_birth(
-        self,
-        j: int,
-        node_id: int,
-        v: int,
-        c: int,
-        mu_old: float,
-        mu_left: float,
-        mu_right: float,
-    ) -> None:
+    def apply_birth(self, j: int, node_id: int, v: int, c: int) -> None:
+        """Split a terminal of tree j by rule (v, c); both children keep its
+        mean, so no residual moves."""
         sl = self._slices[j]
         t = sl.ids.index(node_id)
         lo, hi = sl.starts[t], sl.starts[t + 1]
         go_left = self.xb[v].take(self._rows(j, lo, hi)) <= c
-        # Stable partition: the left child's rows, then the right child's.
+        # Stable partition: the left child's rows, then the right child's,
+        # which take the smallest free label.
         part = self.order[j, lo:hi]
         left, right = part.compress(go_left), part.compress(~go_left)
         part[: left.size] = left
         part[left.size :] = right
-        # Rows in their new order, each shifted by its own child's mean; the
-        # right child's rows take the smallest free label.
-        rows = self._rows(j, lo, hi)
-        self.residual[rows[: left.size]] -= mu_left - mu_old
-        self.residual[rows[left.size :]] -= mu_right - mu_old
         right_label = min(set(range(len(sl.labels) + 1)).difference(sl.labels))
         label = self.label[j]
         if right_label >= 1 << 8 * label.itemsize:
             self.label[j] = label = label.astype(np.min_scalar_type(right_label))
-        label[rows[left.size :]] = right_label
+        label[right] = right_label
         runs = sl.runs[t]
         left_counts = []
         for a, b in zip(runs, runs[1:]):
             left_counts.append(int(np.add.reduce(go_left[a:b])))
         self._slices[j] = sl.split(t, left_counts, right_label)
 
-    def apply_death(
-        self, j: int, node_id: int, mu_old_left: float, mu_old_right: float, mu_new: float
-    ) -> None:
+    def apply_death(self, j: int, node_id: int, mu_left: float, mu_right: float) -> None:
+        """Merge the children of nog `node_id` of tree j into it; the merged
+        node takes the left child's mean, so only the right child's rows move."""
         sl = self._slices[j]
         left_id, right_id = children_ids(node_id)
         t = sl.ids.index(left_id)
         if sl.ids[t + 1 : t + 2] != [right_id]:
             raise ValueError(f"node {node_id} of tree {j} is not a nog node")
         lo, mid, hi = sl.starts[t : t + 3]
-        rows = self._rows(j, lo, hi)
-        self.residual[rows[: mid - lo]] -= mu_new - mu_old_left
-        self.residual[rows[mid - lo :]] -= mu_new - mu_old_right
-        self.label[j][rows[mid - lo :]] = sl.labels[t]
+        rows = self._rows(j, mid, hi)
+        self.residual[rows] -= mu_left - mu_right
+        self.label[j][rows] = sl.labels[t]
         # The two children's rows are two ascending runs; a stable sort
         # merges them in one linear pass.
         self.order[j, lo:hi].sort(kind="stable")
@@ -801,6 +793,10 @@ class StatsProvider(Protocol):
 
     The serial sampler and the distributed master drive the identical chain
     logic; only this object differs (local arithmetic vs. worker messaging).
+    Statistics are (count, residual sum) pairs folded over the blocks; an
+    accepted birth gives both children the node's mean and an accepted
+    death gives the node its left child's mean, read from `tree` before the
+    tree changes.
     """
 
     n_total: int
@@ -809,13 +805,13 @@ class StatsProvider(Protocol):
 
     def reject(self, j: int) -> None: ...
 
-    def move_stats(self, j: int, tree: Tree, prop: Proposal) -> tuple[SuffStats, SuffStats]: ...
+    def move_stats(self, j: int, prop: Proposal) -> tuple[SuffStats, SuffStats]: ...
 
-    def apply_birth(self, j: int, tree: Tree, prop: Proposal, mu_l: float, mu_r: float) -> None: ...
+    def apply_birth(self, j: int, tree: Tree, prop: Proposal) -> None: ...
 
-    def apply_death(self, j: int, tree: Tree, prop: Proposal, mu: float) -> None: ...
+    def apply_death(self, j: int, tree: Tree, prop: Proposal) -> None: ...
 
-    def mu_stats(self, j: int, mus: np.ndarray) -> np.ndarray: ...
+    def mu_stats(self, j: int, leaves: int) -> np.ndarray: ...
 
     def apply_mus(self, j: int, old: np.ndarray, new: np.ndarray) -> None: ...
 
@@ -838,28 +834,20 @@ class LocalProvider:
     def reject(self, j: int) -> None:
         pass
 
-    def move_stats(self, j, tree, prop):
-        """(left, right) statistics of a proposed move on tree j."""
-        nodes = tree.nodes
-        k = prop.node_id
-        if prop.move == BIRTH:
-            mu_left = mu_right = nodes[k]
-        else:
-            mu_left, mu_right = nodes[2 * k], nodes[2 * k + 1]
-        lefts, rights = zip(*self.shard.move_stats_blocks(j, prop, mu_left, mu_right))
+    def move_stats(self, j, prop):
+        """(left, right) residual statistics of a proposed move on tree j."""
+        lefts, rights = zip(*self.shard.move_stats_blocks(j, prop))
         return pairwise_fold(lefts), pairwise_fold(rights)
 
-    def apply_birth(self, j, tree, prop, mu_l, mu_r):
-        self.shard.apply_birth(
-            j, prop.node_id, prop.v, prop.c, tree.nodes[prop.node_id], mu_l, mu_r
-        )
+    def apply_birth(self, j, tree, prop):
+        self.shard.apply_birth(j, prop.node_id, prop.v, prop.c)
 
-    def apply_death(self, j, tree, prop, mu):
+    def apply_death(self, j, tree, prop):
         k = prop.node_id
-        self.shard.apply_death(j, k, tree.nodes[2 * k], tree.nodes[2 * k + 1], mu)
+        self.shard.apply_death(j, k, tree.nodes[2 * k], tree.nodes[2 * k + 1])
 
-    def mu_stats(self, j, mus):
-        return pairwise_fold(self.shard.mu_stats_blocks(j, mus))
+    def mu_stats(self, j, leaves):
+        return pairwise_fold(self.shard.mu_stats_blocks(j))
 
     def rss(self) -> float:
         return float(pairwise_fold(self.shard.rss_blocks()))
@@ -933,33 +921,46 @@ def _update_tree(
     Returns (move kind or None, accepted, terminal count after the move).
     This is the single source of the per-tree random variate sequence for
     both the serial sampler and the distributed master.
+
+    The provider's statistics are residual sums; each node's partial-residual
+    sum adds count * the node's current mean here, after the fold.  An
+    accepted move draws no mean: a birth's children keep the node's mean and
+    a death's node keeps its left child's, and the leaf pass that follows
+    redraws every mean of the tree from its full conditional.
     """
     prop = propose(tree, grid, rng)
+    nodes = tree.nodes
     move = None
     accepted = False
     if prop is not None:
         move = prop.move
-        stats_l, stats_r = provider.move_stats(j, tree, prop)
+        k = prop.node_id
+        if move == BIRTH:
+            mu_l = mu_r = nodes[k]
+        else:
+            mu_l, mu_r = nodes[2 * k], nodes[2 * k + 1]
+        # Each call builds fresh statistics, so the means are added in place.
+        stats_l, stats_r = provider.move_stats(j, prop)
+        stats_l.s += stats_l.n * mu_l
+        stats_r.s += stats_r.n * mu_r
         log_ratio = accept_log_ratio(tree, prop, stats_l, stats_r, sigma, prior, prior_only)
         u = rng.random()
         accepted = u > 0.0 and math.log(u) < log_ratio
         if accepted and move == BIRTH:
-            mu_l = draw_mu(stats_l, sigma, prior.tau, rng)
-            mu_r = draw_mu(stats_r, sigma, prior.tau, rng)
-            provider.apply_birth(j, tree, prop, mu_l, mu_r)
-            tree.birth(prop.node_id, prop.v, prop.c, mu_l, mu_r)
+            provider.apply_birth(j, tree, prop)
+            tree.birth(k, prop.v, prop.c, mu_l, mu_l)
         elif accepted:
-            mu = draw_mu(stats_l + stats_r, sigma, prior.tau, rng)
-            provider.apply_death(j, tree, prop, mu)
-            tree.death(prop.node_id, mu)
+            provider.apply_death(j, tree, prop)
+            tree.death(k, mu_l)
     if not accepted:
         # No admissible proposal, or a rejected one.
         provider.reject(j)
     # Leaf-mean Gibbs pass for this tree (always, move or not).
-    nodes = tree.nodes
     terminals = tree.terminals()
     old_mus = np.array(list(map(nodes.__getitem__, terminals)), dtype=np.float64)
-    new_mus = draw_mus(provider.mu_stats(j, old_mus), sigma, prior.tau, rng)
+    stats = provider.mu_stats(j, len(terminals))
+    stats[1] += stats[0] * old_mus
+    new_mus = draw_mus(stats, sigma, prior.tau, rng)
     provider.apply_mus(j, old_mus, new_mus)
     nodes.update(zip(terminals, new_mus.tolist()))
     return move, accepted, len(terminals)

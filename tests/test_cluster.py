@@ -25,7 +25,14 @@ from bartgrid.cluster import (
     serve_master,
 )
 from bartgrid.protocol import iteration_byte_count
-from bartgrid.sampler import FitSettings, reduction_block_count, run_serial, worker_row_range
+from bartgrid import sampler
+from bartgrid.sampler import (
+    FitSettings,
+    check_residual_invariant,
+    reduction_block_count,
+    run_serial,
+    worker_row_range,
+)
 from bartgrid.trees import MAX_DEPTH
 
 
@@ -253,6 +260,95 @@ class TestEquivalence:
         settings = toy_settings(draws=4, burn=1, thin=1)
         with pytest.raises(ClusterError, match="rank 2 forest replica diverged at iteration 1"):
             run_cluster_inprocess(x, y, settings, workers=2, check_replicas=True)
+
+
+def layout_configs(count=20, seed=2609):
+    """Seeded small fits, each with the worker counts among 1, 2 and 4 that
+    its block layout allows: every block count from 1 to 8, n down to one
+    row per worker, several d and m, uint16 grids, min_leaf 0 and prior_only."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for i in range(count):
+        blocks = 1 + i % 8
+        n = int(rng.integers(2, 9) if i % 4 == 0 else rng.integers(9, 301))
+        if i == 0:
+            n, blocks = 2, 2  # one row on each of two workers
+        settings = FitSettings(
+            m=int(rng.integers(1, 7)),
+            numcut=300 if i % 5 == 1 else int(rng.choice([1, 3, 10, 40])),
+            min_leaf=0 if i % 3 == 0 else int(rng.integers(1, 6)),
+            prior_only=i % 7 == 3,
+            draws=40, burn=5, thin=5, seed=100 + i, reduction_blocks=blocks,
+        )
+        workers = []
+        for p in (1, 2, 4):
+            try:
+                reduction_block_count(blocks, p)
+                for rank in range(1, p + 1):
+                    worker_row_range(n, blocks, p, rank)
+            except ValueError:
+                continue
+            workers.append(p)
+        d = 1 + i % 4
+        configs.append((n, d, settings, workers))
+    return configs
+
+
+LAYOUT_CONFIGS = layout_configs()
+
+
+class TestDifferentialLayouts:
+    """The serial chain, bit for bit, on every worker count a layout allows.
+
+    The shard kernels sum the residual and the chain adds each node's
+    count * mean after the fold; these small fits run that arithmetic
+    through the edges of the layout rules, not only one layout."""
+
+    def test_configurations_cover_the_layout_rules(self):
+        blocks = {s.reduction_blocks for _, _, s, _ in LAYOUT_CONFIGS}
+        assert blocks == set(range(1, 9))
+        assert {p for *_, workers in LAYOUT_CONFIGS for p in workers} == {1, 2, 4}
+        assert min(n / max(w) for n, _, _, w in LAYOUT_CONFIGS) == 1
+        assert max(n for n, *_ in LAYOUT_CONFIGS) > 200
+        assert {d for _, d, _, _ in LAYOUT_CONFIGS} == {1, 2, 3, 4}
+        assert len({s.m for _, _, s, _ in LAYOUT_CONFIGS}) >= 4
+        assert any(s.numcut > 255 for _, _, s, _ in LAYOUT_CONFIGS)
+        assert any(s.min_leaf == 0 for _, _, s, _ in LAYOUT_CONFIGS)
+        assert any(s.prior_only for _, _, s, _ in LAYOUT_CONFIGS)
+
+    @pytest.mark.parametrize(
+        "n, d, settings, workers", LAYOUT_CONFIGS,
+        ids=[
+            f"n{n}-d{d}-m{s.m}-cuts{s.numcut}-b{s.reduction_blocks}-w{''.join(map(str, w))}"
+            for n, d, s, w in LAYOUT_CONFIGS
+        ],
+    )
+    def test_layout_matches_the_serial_chain(self, monkeypatch, n, d, settings, workers):
+        shards = []
+
+        class RecordingProvider(sampler.LocalProvider):
+            def __init__(self, shard):
+                super().__init__(shard)
+                shards.append(shard)
+
+        monkeypatch.setattr(sampler, "LocalProvider", RecordingProvider)
+        monkeypatch.setattr(cluster, "LocalProvider", RecordingProvider)
+        rng = np.random.default_rng(settings.seed)
+        x = rng.uniform(-1, 1, (n, d))
+        y = np.sin(3 * x[:, 0]) + 0.3 * rng.standard_normal(n)
+        serial = run_serial(x, y, settings, collect_hashes=True)
+        runs = [serial]
+        for p in workers:
+            runs.append(run_cluster_inprocess(
+                x, y, settings, workers=p, collect_hashes=True, check_replicas=True
+            ))
+        for run in runs[1:]:
+            assert run.forest_hashes == serial.forest_hashes
+            assert run.sigmas.tobytes() == serial.sigmas.tobytes()
+        assert len(shards) == 1 + sum(workers)
+        forest = serial.snapshots[-1][1]
+        for shard in shards:
+            check_residual_invariant(forest, serial.grid, shard)
 
 
 class TestByteAccounting:
@@ -501,6 +597,64 @@ class TestTransportErrors:
         assert len(errors) == 1
         assert "does not match the pending proposal" in str(errors[0])
 
+    # A one-tree sweep that splits the root at (0, 3) and sets the children's
+    # means to 0.25 and -0.5, then proposes the death of the root's children.
+    SPLIT_ROOT = [
+        proto.IterBegin(proto.PHASE_TREES),
+        proto.BirthProposal(1, 0, 3),
+        proto.MoveStats,
+        proto.BirthAccept(1, 0, 3, 0.0, 0.0),
+        (proto.MuStats, 2),
+        proto.MuValues((0.25, -0.5)),
+        proto.RssPartial,
+        proto.IterBegin(proto.PHASE_TREES),
+        proto.DeathProposal(2, 3),
+        proto.MoveStats,
+    ]
+
+    @pytest.mark.parametrize(
+        "steps, match",
+        [
+            pytest.param(
+                [proto.IterBegin(proto.PHASE_TREES), proto.BirthProposal(1, 0, 3),
+                 proto.MoveStats, proto.BirthAccept(1, 0, 3, 0.1, 0.1)],
+                "tree 0: birth accept at node 1 carries means (0.1, 0.1), not the node's mean 0.0",
+                id="birth-with-new-means",
+            ),
+            pytest.param(
+                [proto.IterBegin(proto.PHASE_TREES), proto.BirthProposal(1, 0, 3),
+                 proto.MoveStats, proto.BirthAccept(1, 0, 3, 0.0, -0.0625)],
+                "tree 0: birth accept at node 1 carries means (0.0, -0.0625), not the node's",
+                id="birth-with-another-right-mean",
+            ),
+            pytest.param(
+                [*SPLIT_ROOT, proto.DeathAccept(1, -0.5)],
+                "tree 0: death accept at node 1 carries mean -0.5, not its left child's mean 0.25",
+                id="death-with-the-right-childs-mean",
+            ),
+        ],
+    )
+    def test_worker_refuses_an_accept_whose_means_its_replica_lacks(self, steps, match):
+        # The worker's shard moves no row on a birth and only the right
+        # child's rows on a death, so an accept must carry the means its
+        # replica already gives the move.
+        with scripted_master() as (io, errors):
+            play(io, steps)
+        assert len(errors) == 1
+        assert match in str(errors[0])
+
+    def test_worker_takes_accepts_that_carry_its_replicas_means(self):
+        x, y = toy_data(40)
+        with scripted_master() as (io, errors):
+            play(io, [*self.SPLIT_ROOT, proto.DeathAccept(1, 0.25), (proto.MuStats, 1)])
+            io.send(proto.MuValues((0.0,)))
+            rss = io.recv((proto.RssPartial,)).rss
+            io.send(proto.Shutdown())
+        assert errors == []
+        # Every mean is back to 0, so the residual is the scaled response
+        # again, up to the rounding of the shifts.
+        assert rss == pytest.approx(float(np.sum(y * y)), rel=1e-12)
+
     @pytest.mark.parametrize(
         "m, steps, match",
         [
@@ -588,7 +742,23 @@ class TestTransportErrors:
         master_end, worker_end = channel_pair()
         worker_end.send(proto.encode(proto.Hello(1, 1, 40)))
         try:
-            with pytest.raises(ClusterError, match="protocol version mismatch: worker 1 speaks 1"):
+            with pytest.raises(
+                ClusterError, match="protocol version mismatch: worker 1 speaks 1, master speaks 3"
+            ):
+                run_master([master_end], toy_settings())
+        finally:
+            master_end.close()
+            worker_end.close()
+
+    def test_worker_speaking_protocol_version_2_is_refused(self):
+        # A version-2 worker adds the leaf means inside its sums, which the
+        # master would then add a second time.
+        master_end, worker_end = channel_pair()
+        worker_end.send(proto.encode(proto.Hello(2, 1, 40)))
+        try:
+            with pytest.raises(
+                ClusterError, match="protocol version mismatch: worker 1 speaks 2, master speaks 3"
+            ):
                 run_master([master_end], toy_settings())
         finally:
             master_end.close()
@@ -818,9 +988,9 @@ class TestDistributedFixedCost:
             threading.setprofile(None)
         trees = settings.draws * settings.m
         bounds = {
-            master: {"calls": 106.18, "recv": 8.42, "sendall": 6.21},
-            "bartgrid-worker-1": {"calls": 58.51, "recv": 5.41, "sendall": 2.10},
-            "bartgrid-worker-2": {"calls": 58.51, "recv": 5.41, "sendall": 2.10},
+            master: {"calls": 102.62, "recv": 8.42, "sendall": 6.21},
+            "bartgrid-worker-1": {"calls": 55.55, "recv": 5.41, "sendall": 2.10},
+            "bartgrid-worker-2": {"calls": 55.55, "recv": 5.41, "sendall": 2.10},
         }
         assert set(counts) == set(bounds)
         for thread, figures in bounds.items():

@@ -1,4 +1,5 @@
 import cProfile
+import collections
 import math
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from bartgrid import sampler
 from bartgrid.sampler import (
     BIRTH,
     DEATH,
@@ -405,12 +407,10 @@ class TestShardStats:
         # birth at it.
         grid = CutpointGrid([np.array([x[:, 0].min(), 1.0]), np.linspace(-1.0, 1.0, 10)])
         shard = ShardData(grid.bin(x), rng.standard_normal(4), 1, [(0, 4)])
-        shard.apply_birth(0, 1, 0, 0, 0.0, 0.0, 0.0)
+        shard.apply_birth(0, 1, 0, 0)
         assert [s[:3] for s in shard.slices(0)] == [(2, 0, 0), (3, 0, 4)]
-        tree = Tree()
-        tree.birth(1, 0, 0, 0.0, 0.0)
         prop = Proposal(BIRTH, 2, 1, 3)
-        left, right = LocalProvider(shard).move_stats(0, tree, prop)
+        left, right = LocalProvider(shard).move_stats(0, prop)
         assert (left.n, left.s) == (0, 0.0)
         assert (right.n, right.s) == (0, 0.0)
 
@@ -420,11 +420,11 @@ class TestShardStats:
         # same doubles as a pass through the tree's row order.
         rng = np.random.default_rng(13)
         shard = build_shard(rng, 200, 2, 3, blocks=2)
-        shard.apply_birth(0, 1, 0, 4, 0.0, 0.1, -0.2)
-        shard.apply_birth(0, 3, 1, 6, -0.2, 0.3, 0.05)
-        shard.apply_birth(0, 2, 1, 3, 0.1, 0.2, -0.1)
-        shard.apply_death(0, 3, 0.3, 0.05, 0.2)
-        shard.apply_birth(2, 1, 1, 2, 0.0, -0.1, 0.4)
+        shard.apply_birth(0, 1, 0, 4)
+        shard.apply_birth(0, 3, 1, 6)
+        shard.apply_birth(0, 2, 1, 3)
+        shard.apply_death(0, 3, 0.3, 0.05)
+        shard.apply_birth(2, 1, 1, 2)
         for j in (2, 0, 1, 0, 2, 2):
             old, new = rng.normal(0, 0.3, (2, len(shard.slices(j))))
             expected = leaf_update_oracle(shard, j, old, new)
@@ -440,16 +440,17 @@ class TestShardStats:
         whole = ShardData(grid.bin(x), ys, 1, [(0, 32), (32, 64)])
         left_half = ShardData(grid.bin(x[:32]), ys[:32], 1, [(0, 32)])
         right_half = ShardData(grid.bin(x[32:]), ys[32:], 1, [(0, 32)])
-        tree = Tree()
         prop = Proposal(BIRTH, 1, 0, 4)
-        w_l, w_r = LocalProvider(whole).move_stats(0, tree, prop)
-        a_l, a_r = LocalProvider(left_half).move_stats(0, tree, prop)
-        b_l, b_r = LocalProvider(right_half).move_stats(0, tree, prop)
+        w_l, w_r = LocalProvider(whole).move_stats(0, prop)
+        a_l, a_r = LocalProvider(left_half).move_stats(0, prop)
+        b_l, b_r = LocalProvider(right_half).move_stats(0, prop)
         assert pairwise_fold([a_l, b_l]) == w_l
         assert pairwise_fold([a_r, b_r]) == w_r
 
     def test_stats_match_brute_force_partial_residuals(self):
         # Oracle recomputes R_j from scratch: ys minus all other trees' fits.
+        # The shard sums the cached residual; with count * leaf mean added,
+        # that is the partial-residual sum.
         rng = np.random.default_rng(12)
         n, d, m = 1000, 3, 4
         x = rng.uniform(-1, 1, (n, d))
@@ -474,30 +475,108 @@ class TestShardStats:
                     r_oracle -= CompiledTrees([forest[k]]).sum(grid.bin(x))
             leaf_of_row = route_rows(forest[j], grid, x)
             terminals = forest[j].terminals()
-            mus = np.array([forest[j].nodes[k] for k in terminals])
-            assert shard.mu_stats_blocks(j, mus).shape == (1, 2, len(terminals))
-            stats = pairwise_fold(shard.mu_stats_blocks(j, mus))
+            assert shard.mu_stats_blocks(j).shape == (1, 2, len(terminals))
+            stats = pairwise_fold(shard.mu_stats_blocks(j))
             assert stats.shape == (2, len(terminals))
             for node_id, cnt, s in zip(terminals, *stats):
                 rows = leaf_of_row == node_id
                 assert cnt == int(rows.sum())
-                assert s == pytest.approx(float(r_oracle[rows].sum()), abs=1e-8)
+                partial = s + cnt * forest[j].nodes[node_id]
+                assert partial == pytest.approx(float(r_oracle[rows].sum()), abs=1e-8)
+
+    def test_chain_reads_partial_residual_sums(self, monkeypatch):
+        # The shard sums the cached residual and the chain adds each node's
+        # count * mean after the fold.  What the MH ratio and the leaf-mean
+        # draw read must be the sums of R_j = ys minus the other trees' fits,
+        # recomputed from scratch, for births, deaths and every leaf pass.
+        rng = np.random.default_rng(60)
+        n, d, m = 300, 3, 5
+        x = rng.uniform(-1, 1, (n, d))
+        y = np.sin(2 * x[:, 0]) + 0.2 * rng.standard_normal(n)
+        settings = FitSettings(m=m, draws=30, burn=0, thin=30, seed=61, min_leaf=1, numcut=20)
+        grid = CutpointGrid.from_ranges(x.min(axis=0), x.max(axis=0), settings.numcut)
+        ys = (y - 0.5 * (y.min() + y.max())) / (y.max() - y.min())
+        shard = ShardData(grid.bin(x), ys, m, [(0, 150), (150, 300)])
+        forest = [Tree() for _ in range(m)]
+        checked = collections.Counter()
+
+        def partial_residual(j):
+            others = forest[:j] + forest[j + 1:]
+            return ys - CompiledTrees(others).sum(shard.xb) if others else ys
+
+        def assert_sums(stats, rows, r):
+            n_got, s_got = stats
+            assert n_got == np.count_nonzero(rows)
+            assert s_got == pytest.approx(float(r[rows].sum()), abs=1e-12)
+
+        ratio = sampler.accept_log_ratio
+
+        def checked_ratio(tree, prop, stats_l, stats_r, *args):
+            j = next(k for k, t in enumerate(forest) if t is tree)
+            leaf = route_rows(tree, grid, x)
+            k = prop.node_id
+            if prop.move == BIRTH:
+                left = (leaf == k) & (shard.xb[prop.v] <= prop.c)
+                right = (leaf == k) & ~left
+            else:
+                left, right = leaf == 2 * k, leaf == 2 * k + 1
+            r = partial_residual(j)
+            assert_sums((stats_l.n, stats_l.s), left, r)
+            assert_sums((stats_r.n, stats_r.s), right, r)
+            checked[prop.move] += 1
+            return ratio(tree, prop, stats_l, stats_r, *args)
+
+        draw_mus = sampler.draw_mus
+
+        def checked_draw_mus(stats, *args):
+            # Trees are updated in order, one leaf pass each.
+            j = checked["leaf passes"] % m
+            leaf = route_rows(forest[j], grid, x)
+            r = partial_residual(j)
+            for k, cell in zip(forest[j].terminals(), stats.T):
+                assert_sums(cell, leaf == k, r)
+            checked["leaf passes"] += 1
+            return draw_mus(stats, *args)
+
+        monkeypatch.setattr(sampler, "accept_log_ratio", checked_ratio)
+        monkeypatch.setattr(sampler, "draw_mus", checked_draw_mus)
+        sd = float(np.std(ys, ddof=1))
+        result = run_chain_core(
+            forest, grid, resolve_prior(settings, sd), sd, np.random.default_rng(62),
+            LocalProvider(shard), settings,
+        )
+        assert checked["leaf passes"] == settings.draws * m
+        assert checked[BIRTH] and checked[DEATH]
+        assert result.birth_accepted.sum() > 0 and result.death_accepted.sum() > 0
 
 
-def _masked_move_stats(shard, x, leaf, prop, cutval, mu_left, mu_right):
+def _masked_move_stats(shard, x, leaf, prop, cutval):
     """Per-block move statistics from a masked pass over every row of a block,
-    splitting on the float rows `x` with the float rule."""
+    splitting on the float rows `x` with the float rule: counts and sums of
+    the cached residual, with no leaf mean added."""
     out = []
     for lo, hi in shard.blocks:
+        r = shard.residual[lo:hi]
         if prop.move == BIRTH:
             sel = leaf[lo:hi] == prop.node_id
-            r = shard.residual[lo:hi][sel] + mu_left
             go_left = x[lo:hi, prop.v][sel] < cutval
-            r_l, r_r = r[go_left], r[~go_left]
+            r_l, r_r = r[sel][go_left], r[sel][~go_left]
         else:
-            r_l = shard.residual[lo:hi][leaf[lo:hi] == 2 * prop.node_id] + mu_left
-            r_r = shard.residual[lo:hi][leaf[lo:hi] == 2 * prop.node_id + 1] + mu_right
+            r_l = r[leaf[lo:hi] == 2 * prop.node_id]
+            r_r = r[leaf[lo:hi] == 2 * prop.node_id + 1]
         out.append((SuffStats(r_l.size, float(r_l.sum())), SuffStats(r_r.size, float(r_r.sum()))))
+    return out
+
+
+def _masked_leaf_stats(shard, leaf, terminals):
+    """Per-block (count, residual sum) of each terminal from a masked pass,
+    each sum added as `np.add.reduceat` adds one segment."""
+    out = np.zeros((len(shard.blocks), 2, len(terminals)))
+    for b, (lo, hi) in enumerate(shard.blocks):
+        for i, k in enumerate(terminals):
+            r = shard.residual[lo:hi][leaf[lo:hi] == k]
+            if r.size:
+                out[b, :, i] = r.size, np.add.reduceat(r, [0])[0]
     return out
 
 
@@ -553,30 +632,41 @@ class TestShardLayout:
             # Move statistics, bitwise against a masked pass, for a birth and
             # a death proposal on the current tree.
             node_id = terminals[int(rng.integers(len(terminals)))]
-            mu = nodes[node_id]
             v = int(rng.integers(d))
             prop = Proposal(BIRTH, node_id, v, int(rng.integers(grid.counts[v])))
             cutval = grid.value(prop.v, prop.c)
-            got = whole.move_stats_blocks(j, prop, mu, mu)
-            assert got == _masked_move_stats(whole, x, leaf, prop, cutval, mu, mu)
+            got = whole.move_stats_blocks(j, prop)
+            assert got == _masked_move_stats(whole, x, leaf, prop, cutval)
             if nogs:
                 nog = nogs[int(rng.integers(len(nogs)))]
                 mu_l, mu_r = nodes[2 * nog], nodes[2 * nog + 1]
                 death = Proposal(DEATH, nog)
-                got = whole.move_stats_blocks(j, death, mu_l, mu_r)
-                assert got == _masked_move_stats(whole, x, leaf, death, 0.0, mu_l, mu_r)
+                got = whole.move_stats_blocks(j, death)
+                assert got == _masked_move_stats(whole, x, leaf, death, 0.0)
 
-            # Apply a random birth or death to every shard and to the tree.
+            # Apply a birth or a death to every shard and to the tree, as the
+            # chain does: a birth's children keep the node's mean and move no
+            # residual; a death keeps the left child's mean and moves only
+            # the right child's rows.
+            before = [shard.residual.copy() for shard in shards]
             if not nogs or rng.random() < 0.6:
-                new_l, new_r = rng.normal(0, 0.3, 2)
                 for shard in shards:
-                    shard.apply_birth(j, node_id, v, prop.c, mu, new_l, new_r)
-                tree.birth(node_id, v, prop.c, new_l, new_r)
+                    shard.apply_birth(j, node_id, v, prop.c)
+                mu = nodes[node_id]
+                tree.birth(node_id, v, prop.c, mu, mu)
+                for shard, old in zip(shards, before):
+                    assert shard.residual.tobytes() == old.tobytes()
             else:
-                merged = float(rng.normal(0, 0.3))
+                right_rows = leaf == 2 * nog + 1
                 for shard in shards:
-                    shard.apply_death(j, nog, mu_l, mu_r, merged)
-                tree.death(nog, merged)
+                    shard.apply_death(j, nog, mu_l, mu_r)
+                tree.death(nog, mu_l)
+                expected = before[0].copy()
+                expected[right_rows] -= mu_l - mu_r
+                assert whole.residual.tobytes() == expected.tobytes()
+                assert np.array_equal(
+                    np.concatenate([h.residual for h in halves]), whole.residual
+                )
 
             # Layout: one ascending slice per terminal, equal to the row set
             # the float rule routes there, with the right count in every block.
@@ -605,20 +695,15 @@ class TestShardLayout:
                         assert label_of.setdefault(node_id, int(held[0])) == held[0]
             assert len(set(label_of.values())) == len(label_of)
 
-            # Leaf statistics against an oracle, and the halves' fold equal
-            # to the whole shard's, bit for bit.
+            # Leaf statistics against a masked pass, and the halves' fold
+            # equal to the whole shard's, bit for bit.
             mus = np.array([nodes[k] for k in terminals])
-            per_block = whole.mu_stats_blocks(j, mus)
+            per_block = whole.mu_stats_blocks(j)
             assert per_block.shape == (blocks, 2, len(terminals))
-            for (lo, hi), (n_got, s_got) in zip(whole.blocks, per_block):
-                r = whole.residual[lo:hi] + mus[np.searchsorted(terminals, leaf[lo:hi])]
-                for i, k in enumerate(terminals):
-                    sel = leaf[lo:hi] == k
-                    assert n_got[i] == np.count_nonzero(sel)
-                    assert s_got[i] == pytest.approx(r[sel].sum(), abs=1e-12)
+            assert per_block.tobytes() == _masked_leaf_stats(whole, leaf, terminals).tobytes()
             folded = pairwise_fold(per_block)
             split = pairwise_fold(np.stack([
-                pairwise_fold(h.mu_stats_blocks(j, mus)) for h in halves
+                pairwise_fold(h.mu_stats_blocks(j)) for h in halves
             ]))
             assert np.array_equal(folded, split)
 
@@ -654,7 +739,7 @@ class TestShardLayout:
         base = shard.label[0].base
         assert base.shape == (m, n) and base.dtype == np.uint8
         assert all(label.base is base for label in shard.label)
-        shard.apply_birth(3, 1, 0, 4, 0.0, 0.1, -0.1)
+        shard.apply_birth(3, 1, 0, 4)
         assert shard.label[3].base is base and shard.label[3].dtype == np.uint8
         assert len(np.unique(shard.label[3])) == 2
 
@@ -672,7 +757,7 @@ class TestShardLayout:
             lo, hi = spans.pop(node_id)
             c = (lo + hi) // 2 - 1
             spans[2 * node_id], spans[2 * node_id + 1] = (lo, c + 1), (c + 1, hi)
-            shard.apply_birth(0, node_id, 0, c, 0.0, 0.0, 0.0)
+            shard.apply_birth(0, node_id, 0, c)
             assert shard.label[0].dtype == (np.uint8 if node_id < 256 else np.uint16)
         assert len(shard.slices(0)) == 257
         assert shard.label[1].dtype == np.uint8
@@ -711,12 +796,12 @@ class TestShardLayout:
 
 
 class TestShardAllocations:
-    def test_leaf_pass_allocates_only_the_leaf_means(self):
-        # After the first iteration of a serial chain, apply_mus and
-        # rss_blocks allocate no block of n float64s, and mu_stats_blocks
-        # allocates one: the per-row leaf means.  tracemalloc's peak over a
-        # call, less the memory traced before it, bounds what the call had
-        # live at once.
+    def test_leaf_pass_allocates_no_row_block(self):
+        # After the first iteration of a serial chain, mu_stats_blocks,
+        # apply_mus and rss_blocks allocate no block of n float64s: the leaf
+        # pass sums the residual alone, with no per-row leaf means.
+        # tracemalloc's peak over a call, less the memory traced before it,
+        # bounds what the call had live at once.
         rng = np.random.default_rng(50)
         n, d, m = 4000, 3, 10
         x = rng.uniform(-1, 1, (n, d))
@@ -760,7 +845,7 @@ class TestShardAllocations:
         assert len(peaks["rss_blocks"]) == 3
         assert max(peaks["apply_mus"]) < block, peaks["apply_mus"]
         assert max(peaks["rss_blocks"]) < block, peaks["rss_blocks"]
-        assert block <= max(peaks["mu_stats_blocks"]) < 2 * block, peaks["mu_stats_blocks"]
+        assert max(peaks["mu_stats_blocks"]) < block, peaks["mu_stats_blocks"]
 
 
 class TestFold:
@@ -955,7 +1040,8 @@ class TestFixedCost:
         # name) per iteration of acceptance 05's chain (m=1, n=2).  Entries
         # are counted per code object, since every dataclass __init__ shares
         # one pstats key.  The count repeats exactly from run to run; a time
-        # on a shared host does not.
+        # on a shared host does not.  The bound is 5 % above the 25.94 calls
+        # this chain made when it was set.
         iterations = 5000
         x = np.array([[0.25], [0.75]])
         y = np.array([0.0, 1.0])
@@ -965,4 +1051,6 @@ class TestFixedCost:
         profile = cProfile.Profile()
         profile.runcall(run_serial, x, y, settings)
         calls = sum(e.callcount for e in profile.getstats() if not isinstance(e.code, str))
-        assert calls / iterations <= 30, f"{calls / iterations:.1f} Python calls per iteration"
+        assert calls / iterations <= 1.05 * 25.94, (
+            f"{calls / iterations:.2f} Python calls per iteration"
+        )

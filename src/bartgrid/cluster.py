@@ -12,12 +12,13 @@ each tree in turn: a proposal (answered with MOVE_STATS, then the decision)
 or a bare reject, then the leaf pass: the serial chain's `mu_stats`, sent as
 MU_STATS records of (count, sum, 0.0) that the master stacks and folds once.
 Both carry sums of the worker's cached residual; the master's chain adds
-each node's count * mean after the fold.  An accept carries the means the
-worker's replica already holds: BIRTH_ACCEPT the node's mean for both
-children, DEATH_ACCEPT the left child's mean.  The phase ends with the
-worker's RSS_PARTIAL, sent unprompted after the last tree's leaf pass.  Any
-other message, a proposal that does not fit its forest replica, or an
-accept whose means differ from the replica's, fails the run.
+each node's count * mean after the fold.  A tree's decision is one message:
+REJECT, or the accept that `_accept` builds on both ends, with the means the
+replica already holds (BIRTH_ACCEPT the node's for both children,
+DEATH_ACCEPT the left child's).  The phase ends with the worker's
+RSS_PARTIAL, sent unprompted after the last tree's leaf pass.  Any other
+message, a proposal that does not fit its forest replica, or an accept other
+than its replica's, fails the run.
 
 One transport, a stream socket: a socketpair per worker thread in-process,
 TCP across hosts.  Failure model is fail-stop: any worker loss aborts the
@@ -224,7 +225,7 @@ def run_worker(
                 _serve_tree(io, provider, grid, j, tree)
             io.send(proto.RssPartial(provider.rss()))
         elif msg.phase == proto.PHASE_HASH:
-            io.send(proto.ReplicaHash(hashlib.md5(forest_hash(forest).encode()).digest()))
+            io.send(_replica_hash(forest))
         else:
             raise ClusterError(f"unknown iteration phase {msg.phase}")
 
@@ -233,38 +234,23 @@ def _serve_tree(
     io: MessageIO, provider: LocalProvider, grid: CutpointGrid, j: int, tree: Tree
 ) -> None:
     """Tree j's exchange: a proposal and its decision, or a bare reject (the
-    drawn birth had no admissible rule); then the leaf pass.  An accept
-    carries the whole move, which must be the one proposed, and the means
-    the replica gives it (see the module docstring)."""
+    drawn birth had no admissible rule); then the leaf pass.  An accept must
+    be the one the replica gives the proposal (see the module docstring)."""
     msg = io.recv((proto.BirthProposal, proto.DeathProposal, proto.Reject))
     if not isinstance(msg, proto.Reject):
         prop = _checked_proposal(j, tree, grid, msg)
         left, right = provider.move_stats(j, prop)
         io.send(proto.MoveStats(left.n, right.n, left.s, right.s))
         msg = io.recv((proto.BirthAccept, proto.DeathAccept, proto.Reject))
-        k = prop.node_id
-        if isinstance(msg, proto.BirthAccept):
-            if prop != Proposal(BIRTH, msg.node_id, msg.v, msg.c):
-                raise ClusterError("birth accept does not match the pending proposal")
-            mu = tree.nodes[k]
-            if msg.mu_left != mu or msg.mu_right != mu:
-                raise ClusterError(
-                    f"tree {j}: birth accept at node {k} carries means "
-                    f"({msg.mu_left!r}, {msg.mu_right!r}), not the node's mean {mu!r}"
-                )
-            provider.apply_birth(j, tree, prop)
-            tree.birth(k, msg.v, msg.c, mu, mu)
-        elif isinstance(msg, proto.DeathAccept):
-            if prop != Proposal(DEATH, msg.node_id):
-                raise ClusterError("death accept does not match the pending proposal")
-            mu = tree.nodes[2 * k]
-            if msg.mu != mu:
-                raise ClusterError(
-                    f"tree {j}: death accept at node {k} carries mean {msg.mu!r}, "
-                    f"not its left child's mean {mu!r}"
-                )
-            provider.apply_death(j, tree, prop)
-            tree.death(k, mu)
+        if not isinstance(msg, proto.Reject):
+            accept = _accept(tree, prop)
+            if msg != accept:
+                raise ClusterError(f"tree {j}: accept {msg} is not the replica's {accept}")
+            provider.decide(j, tree, prop, True)
+            if prop.move == BIRTH:
+                tree.birth(prop.node_id, prop.v, prop.c, msg.mu_left, msg.mu_right)
+            else:
+                tree.death(prop.node_id, msg.mu)
     terminals = tree.terminals()
     old = np.array(list(map(tree.nodes.__getitem__, terminals)), dtype=np.float64)
     # The serial chain's own leaf pass; MuStats packs the counts as ints and
@@ -297,6 +283,21 @@ def _checked_proposal(j: int, tree: Tree, grid: CutpointGrid, msg: proto.Message
     return Proposal(DEATH, k)
 
 
+def _accept(tree: Tree, prop: Proposal) -> proto.BirthAccept | proto.DeathAccept:
+    """The accept of `prop` on `tree`, read before the tree changes: a birth's
+    children keep the node's mean, a death's node keeps its left child's."""
+    k = prop.node_id
+    if prop.move == BIRTH:
+        mu = tree.nodes[k]
+        return proto.BirthAccept(k, prop.v, prop.c, mu, mu)
+    return proto.DeathAccept(k, tree.nodes[2 * k])
+
+
+def _replica_hash(forest: list[Tree]) -> proto.ReplicaHash:
+    """The REPLICA_HASH a worker sends for its replica and the master expects of `forest`."""
+    return proto.ReplicaHash(hashlib.md5(forest_hash(forest).encode()).digest())
+
+
 # ---------------------------------------------------------------------------
 # Master
 # ---------------------------------------------------------------------------
@@ -315,9 +316,6 @@ class RemoteProvider:
     def begin_iteration(self) -> None:
         self._broadcast(proto.IterBegin(proto.PHASE_TREES))
 
-    def reject(self, j: int) -> None:
-        self._broadcast(proto.Reject())
-
     def move_stats(self, j, prop):
         if prop.move == BIRTH:
             self._broadcast(proto.BirthProposal(prop.node_id, prop.v, prop.c))
@@ -328,12 +326,8 @@ class RemoteProvider:
         return (pairwise_fold([SuffStats(m.n_left, m.sum_left) for m in msgs]),
                 pairwise_fold([SuffStats(m.n_right, m.sum_right) for m in msgs]))
 
-    def apply_birth(self, j, tree, prop):
-        mu = tree.nodes[prop.node_id]
-        self._broadcast(proto.BirthAccept(prop.node_id, prop.v, prop.c, mu, mu))
-
-    def apply_death(self, j, tree, prop):
-        self._broadcast(proto.DeathAccept(prop.node_id, tree.nodes[2 * prop.node_id]))
+    def decide(self, j, tree, prop, accepted):
+        self._broadcast(_accept(tree, prop) if accepted else proto.Reject())
 
     def mu_stats(self, j, leaves):
         # (workers, 2, leaves): each record's third value is padding.
@@ -348,10 +342,10 @@ class RemoteProvider:
 
     def check_replicas(self, it: int, sigma: float, forest: list[Tree]) -> None:
         """Chain hook: every worker's forest replica must hash as `forest` does."""
-        expected = hashlib.md5(forest_hash(forest).encode()).digest()
+        expected = _replica_hash(forest)
         self._broadcast(proto.IterBegin(proto.PHASE_HASH))
         for rank, io in enumerate(self.ios, start=1):
-            if io.recv((proto.ReplicaHash,)).digest != expected:
+            if io.recv((proto.ReplicaHash,)) != expected:
                 raise ClusterError(f"rank {rank} forest replica diverged at iteration {it}")
 
     def shutdown(self) -> None:

@@ -18,10 +18,10 @@ serial sampler and the distributed master: both consume the exact same random
 variate sequence, so equal statistics imply bit-equal chains.  Both start it
 through `start_chain`, which builds the empty forest, the prior and the
 seeded generator, and returns the result in the response's units.  The shard
-side is shared too: the serial sampler hands `start_chain` a
-`LocalProvider` over all rows, and each worker drives a `LocalProvider` over
-its own rows, making for every master message the call the serial chain
-makes.
+side is shared too: the serial sampler hands `start_chain` a `LocalProvider`
+over all rows, and each worker drives one over its own rows, making for every
+master message the call the serial chain makes: a provider has one method per
+exchange, so a tree's decision, accept or reject, is one `decide`.
 
 A shard holds its rows as cut indices (`CutpointGrid.bin`), not floats: every
 split rule is a (variable, cut index) pair, so a row's cut index per variable
@@ -789,27 +789,23 @@ def resolve_prior(settings: FitSettings, sd_scaled: float) -> PriorParams:
 # ---------------------------------------------------------------------------
 
 class StatsProvider(Protocol):
-    """Source of reduced statistics plus sink for accepted state changes.
+    """Source of reduced statistics plus sink for the chain's decisions.
 
     The serial sampler and the distributed master drive the identical chain
     logic; only this object differs (local arithmetic vs. worker messaging).
-    Statistics are (count, residual sum) pairs folded over the blocks; an
-    accepted birth gives both children the node's mean and an accepted
-    death gives the node its left child's mean, read from `tree` before the
-    tree changes.
+    Each method is one exchange with the workers.  Statistics are (count,
+    residual sum) pairs folded over the blocks.  `decide` is a tree's one
+    decision, before the tree changes (`prop` is None when the drawn birth had
+    no rule); an accepted birth keeps the node's mean, a death its left child's.
     """
 
     n_total: int
 
     def begin_iteration(self) -> None: ...
 
-    def reject(self, j: int) -> None: ...
-
     def move_stats(self, j: int, prop: Proposal) -> tuple[SuffStats, SuffStats]: ...
 
-    def apply_birth(self, j: int, tree: Tree, prop: Proposal) -> None: ...
-
-    def apply_death(self, j: int, tree: Tree, prop: Proposal) -> None: ...
+    def decide(self, j: int, tree: Tree, prop: Proposal | None, accepted: bool) -> None: ...
 
     def mu_stats(self, j: int, leaves: int) -> np.ndarray: ...
 
@@ -831,20 +827,17 @@ class LocalProvider:
     def begin_iteration(self) -> None:
         pass
 
-    def reject(self, j: int) -> None:
-        pass
-
     def move_stats(self, j, prop):
         """(left, right) residual statistics of a proposed move on tree j."""
         lefts, rights = zip(*self.shard.move_stats_blocks(j, prop))
         return pairwise_fold(lefts), pairwise_fold(rights)
 
-    def apply_birth(self, j, tree, prop):
-        self.shard.apply_birth(j, prop.node_id, prop.v, prop.c)
-
-    def apply_death(self, j, tree, prop):
-        k = prop.node_id
-        self.shard.apply_death(j, k, tree.nodes[2 * k], tree.nodes[2 * k + 1])
+    def decide(self, j, tree, prop, accepted):
+        if accepted and prop.move == BIRTH:
+            self.shard.apply_birth(j, prop.node_id, prop.v, prop.c)
+        elif accepted:
+            k = prop.node_id
+            self.shard.apply_death(j, k, tree.nodes[2 * k], tree.nodes[2 * k + 1])
 
     def mu_stats(self, j, leaves):
         return pairwise_fold(self.shard.mu_stats_blocks(j))
@@ -946,15 +939,11 @@ def _update_tree(
         log_ratio = accept_log_ratio(tree, prop, stats_l, stats_r, sigma, prior, prior_only)
         u = rng.random()
         accepted = u > 0.0 and math.log(u) < log_ratio
-        if accepted and move == BIRTH:
-            provider.apply_birth(j, tree, prop)
-            tree.birth(k, prop.v, prop.c, mu_l, mu_l)
-        elif accepted:
-            provider.apply_death(j, tree, prop)
-            tree.death(k, mu_l)
-    if not accepted:
-        # No admissible proposal, or a rejected one.
-        provider.reject(j)
+    provider.decide(j, tree, prop, accepted)
+    if accepted and move == BIRTH:
+        tree.birth(k, prop.v, prop.c, mu_l, mu_l)
+    elif accepted:
+        tree.death(k, mu_l)
     # Leaf-mean Gibbs pass for this tree (always, move or not).
     terminals = tree.terminals()
     old_mus = np.array(list(map(nodes.__getitem__, terminals)), dtype=np.float64)

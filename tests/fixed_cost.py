@@ -1,0 +1,89 @@
+"""The chain's fixed cost, counted rather than timed.
+
+Both measurements repeat exactly from run to run; a time on a shared host
+does not.  `TestFixedCost` (tests/test_sampler.py) and
+`TestDistributedFixedCost` (tests/test_cluster.py) bound them.  Run from the
+repository root to print the figures:
+
+    PYTHONPATH=src python tests/fixed_cost.py
+"""
+from __future__ import annotations
+
+import cProfile
+import collections
+import sys
+import threading
+
+import numpy as np
+
+from bartgrid.cluster import run_cluster_inprocess
+from bartgrid.sampler import FitSettings, run_serial
+
+SERIAL_ITERATIONS = 5000
+
+
+def serial_calls_per_iteration() -> float:
+    """Calls of Python functions per iteration of acceptance 05's chain
+    (m=1, n=2), under cProfile.  Profile entries whose code is a builtin's
+    name are not counted; the rest are counted per code object, since every
+    dataclass __init__ shares one pstats key."""
+    x = np.array([[0.25], [0.75]])
+    y = np.array([0.0, 1.0])
+    settings = FitSettings(
+        m=1, draws=SERIAL_ITERATIONS, burn=0, thin=SERIAL_ITERATIONS, seed=405,
+        min_leaf=1, numcut=1,
+    )
+    run_serial(x, y, FitSettings(m=1, draws=2, burn=0, min_leaf=1, numcut=1))  # warm-up: imports
+    profile = cProfile.Profile()
+    profile.runcall(run_serial, x, y, settings)
+    calls = sum(e.callcount for e in profile.getstats() if not isinstance(e.code, str))
+    return calls / SERIAL_ITERATIONS
+
+
+def distributed_per_tree() -> tuple[int, int, dict[str, dict[str, float]]]:
+    """(leaves, tree updates, figures) of a 2-worker in-process chain (n=400,
+    d=3, m=10, 60 draws).  `leaves` sums each tree update's terminal count
+    after its move.  `figures` maps "master" and each worker thread's name to
+    its Python calls and socket recv and sendall calls per tree update."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1, 1, (400, 3))
+    y = np.sin(2 * x[:, 0]) + 0.5 * x[:, 1] + 0.1 * rng.standard_normal(400)
+    settings = FitSettings(
+        m=10, draws=60, burn=10, thin=5, seed=4, min_leaf=2, numcut=25, reduction_blocks=2,
+    )
+    run_cluster_inprocess(x, y, settings, workers=2)  # warm-up: imports and caches
+    master = threading.current_thread().name
+    counts = collections.defaultdict(collections.Counter)
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts[threading.current_thread().name]["calls"] += 1
+        elif event == "c_call" and arg.__name__ in ("recv", "sendall"):
+            counts[threading.current_thread().name][arg.__name__] += 1
+
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        result = run_cluster_inprocess(x, y, settings, workers=2)
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    trees = settings.draws * settings.m
+    leaves = round(float(result.mean_b.sum()) * settings.m)
+    figures = {
+        "master" if thread == master else thread: {k: v / trees for k, v in sorted(c.items())}
+        for thread, c in counts.items()
+    }
+    return leaves, trees, figures
+
+
+def main() -> None:
+    print(f"serial: {serial_calls_per_iteration():.2f} Python calls per iteration")
+    leaves, trees, figures = distributed_per_tree()
+    for thread, per_tree in sorted(figures.items()):
+        print(f"{thread}: " + ", ".join(f"{v:.2f} {k}" for k, v in per_tree.items()) + " per tree")
+    print(f"leaves: {leaves} over {trees} tree updates, {leaves / trees:.2f} per tree")
+
+
+if __name__ == "__main__":
+    main()

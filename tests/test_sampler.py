@@ -1,4 +1,3 @@
-import cProfile
 import collections
 import math
 import subprocess
@@ -50,6 +49,7 @@ from bartgrid.trees import (
     route_rows,
 )
 
+import fixed_cost
 from test_trees import grow_random_tree
 
 
@@ -1035,22 +1035,8 @@ class TestDerivedConstants:
 
 class TestFixedCost:
     def test_tree_update_makes_few_python_calls(self):
-        # The fixed cost of a tree update, counted rather than timed: calls
-        # of Python functions (profile entries whose code is not a builtin's
-        # name) per iteration of acceptance 05's chain (m=1, n=2).  Entries
-        # are counted per code object, since every dataclass __init__ shares
-        # one pstats key.  The count repeats exactly from run to run; a time
-        # on a shared host does not.  The bound is 5 % above the 25.94 calls
-        # this chain made when it was set.
-        iterations = 5000
-        x = np.array([[0.25], [0.75]])
-        y = np.array([0.0, 1.0])
-        settings = FitSettings(
-            m=1, draws=iterations, burn=0, thin=iterations, seed=405, min_leaf=1, numcut=1,
-        )
-        profile = cProfile.Profile()
-        profile.runcall(run_serial, x, y, settings)
-        calls = sum(e.callcount for e in profile.getstats() if not isinstance(e.code, str))
-        assert calls / iterations <= 1.05 * 25.94, (
-            f"{calls / iterations:.2f} Python calls per iteration"
-        )
+        # The fixed cost of a tree update: Python calls per iteration of
+        # acceptance 05's chain (m=1, n=2), measured in fixed_cost.py.  The
+        # bound is 5 % above the 25.94 calls this chain made when it was set.
+        calls = fixed_cost.serial_calls_per_iteration()
+        assert calls <= 1.05 * 25.94, f"{calls:.2f} Python calls per iteration"

@@ -22,7 +22,8 @@ than its replica's, fails the run.
 
 One transport, a stream socket: a socketpair per worker thread in-process,
 TCP across hosts.  Failure model is fail-stop: any worker loss aborts the
-run.
+run, and the master's error names the rank, the message it sent or awaited,
+and the tree and iteration.
 """
 from __future__ import annotations
 
@@ -303,49 +304,78 @@ def _replica_hash(forest: list[Tree]) -> proto.ReplicaHash:
 # ---------------------------------------------------------------------------
 
 class RemoteProvider:
-    """Statistics provider that speaks the wire protocol to every worker."""
+    """Statistics provider that speaks the wire protocol to every worker.
+
+    A failed send or receive on rank r, or a message from it that does not
+    decode, fails the run with one ClusterError that names r, the message the
+    master sent or awaited, and the tree and iteration it was for;
+    `begin_iteration` counts the iterations.
+    """
 
     def __init__(self, ios: dict[int, MessageIO], n_total: int):
         self.ios = [ios[rank] for rank in sorted(ios)]
         self.n_total = n_total
+        self.iteration = 0
 
-    def _broadcast(self, msg: proto.Message) -> None:
-        for io in self.ios:
-            io.send(msg)
+    def _peer_error(
+        self, io: MessageIO, action: str, exc: ClusterError, j: int | None = None
+    ) -> ClusterError:
+        at = f"iteration {self.iteration}" if j is None else f"tree {j} of iteration {self.iteration}"
+        rank = self.ios.index(io) + 1
+        return ClusterError(f"rank {rank} failed while the master {action} at {at}: {exc}")
+
+    def _broadcast(self, msg: proto.Message, j: int | None = None) -> None:
+        try:
+            for io in self.ios:
+                io.send(msg)
+        except ClusterError as exc:
+            raise self._peer_error(io, f"sent {type(msg).__name__}", exc, j) from exc
+
+    def _gather(
+        self, allowed: type, j: int | None = None, mu_records: int | None = None
+    ) -> list:
+        msgs = []
+        try:
+            for io in self.ios:
+                msgs.append(io.recv((allowed,), mu_records))
+        except ClusterError as exc:
+            raise self._peer_error(io, f"awaited {allowed.__name__}", exc, j) from exc
+        return msgs
 
     def begin_iteration(self) -> None:
+        self.iteration += 1
         self._broadcast(proto.IterBegin(proto.PHASE_TREES))
 
     def move_stats(self, j, prop):
         if prop.move == BIRTH:
-            self._broadcast(proto.BirthProposal(prop.node_id, prop.v, prop.c))
+            self._broadcast(proto.BirthProposal(prop.node_id, prop.v, prop.c), j)
         else:
             left_id, right_id = children_ids(prop.node_id)
-            self._broadcast(proto.DeathProposal(left_id, right_id))
-        msgs = [io.recv((proto.MoveStats,)) for io in self.ios]
+            self._broadcast(proto.DeathProposal(left_id, right_id), j)
+        msgs = self._gather(proto.MoveStats, j)
         return (pairwise_fold([SuffStats(m.n_left, m.sum_left) for m in msgs]),
                 pairwise_fold([SuffStats(m.n_right, m.sum_right) for m in msgs]))
 
     def decide(self, j, tree, prop, accepted):
-        self._broadcast(_accept(tree, prop) if accepted else proto.Reject())
+        self._broadcast(_accept(tree, prop) if accepted else proto.Reject(), j)
 
     def mu_stats(self, j, leaves):
         # (workers, 2, leaves): each record's third value is padding.
-        records = [io.recv((proto.MuStats,), mu_records=leaves).records for io in self.ios]
+        records = [m.records for m in self._gather(proto.MuStats, j, leaves)]
         return pairwise_fold(np.array(records).transpose(0, 2, 1)[:, :2])
 
     def apply_mus(self, j, old, new):
-        self._broadcast(proto.MuValues(tuple(new.tolist())))
+        self._broadcast(proto.MuValues(tuple(new.tolist())), j)
 
     def rss(self) -> float:
-        return pairwise_fold([io.recv((proto.RssPartial,)).rss for io in self.ios])
+        return pairwise_fold([m.rss for m in self._gather(proto.RssPartial)])
 
     def check_replicas(self, it: int, sigma: float, forest: list[Tree]) -> None:
         """Chain hook: every worker's forest replica must hash as `forest` does."""
         expected = _replica_hash(forest)
         self._broadcast(proto.IterBegin(proto.PHASE_HASH))
-        for rank, io in enumerate(self.ios, start=1):
-            if io.recv((proto.ReplicaHash,)) != expected:
+        for rank, msg in enumerate(self._gather(proto.ReplicaHash), start=1):
+            if msg != expected:
                 raise ClusterError(f"rank {rank} forest replica diverged at iteration {it}")
 
     def shutdown(self) -> None:

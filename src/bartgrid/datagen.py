@@ -3,9 +3,9 @@
 The generator builds a response surface as a signed sum of randomly placed,
 rotated and dilated Gaussian kernels over a handful of input coordinates
 each, which yields high-dimensional test problems where only a few inputs
-matter.  Table IO is plain comma-delimited text with a header row.  A reader
-parses a range of rows in one numpy call; only writing streams, one chunk of
-rows at a time.
+matter.  Table IO is plain comma-delimited text with a header row.  Both
+directions stream: the reader parses a range of rows one chunk of lines per
+numpy call, and the writer writes one chunk of rows at a time.
 """
 from __future__ import annotations
 
@@ -128,42 +128,33 @@ def table_shape(path: str) -> tuple[list[str], int]:
         return header, sum(1 for _ in fh)
 
 
+# Lines parsed per numpy call: `read_table` holds one chunk's line strings at
+# a time, which take several times the memory of the chunk's parsed array.
+READ_CHUNK = 8192
+
+
 def read_table(path: str, response: str | None = None, start: int = 0, stop: int | None = None):
     """Load data rows [start, stop); returns (x, y, feature_names) or (x, names) without y.
 
     `response` names the response column; the remaining columns become the
     feature matrix in file order.  y is a copy: no view keeps the table alive.
+    The rows are parsed `READ_CHUNK` lines at a time, each chunk's lines
+    dropped once parsed and the chunks' arrays once joined; a bad line is
+    refused naming its file line.
     """
+    chunks = []
     with open(path, "r", encoding="ascii") as fh:
         header = _read_header(fh)
-        lines = list(itertools.islice(fh, start, stop))
-    if not lines:
+        rows = itertools.islice(fh, start, stop)
+        first = start + 2  # the file line of the chunk's first row
+        for lines in iter(lambda: list(itertools.islice(rows, READ_CHUNK)), []):
+            chunks.append(_parse_lines(lines, len(header), first))
+            first += len(lines)
+            del lines  # before the next chunk's lines are read
+    if not chunks:
         raise TableError("table has no rows")
-    with warnings.catch_warnings():
-        # np.loadtxt skips blank lines, warning if no others: refused below.
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            data = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            data = None
-    if data is None or data.shape != (len(lines), len(header)) or not np.isfinite(data).all():
-        for lineno, line in enumerate(lines, start=start + 2):
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != len(header):
-                raise TableError(f"line {lineno}: expected {len(header)} cells, found {len(cells)}")
-            for cell in cells:
-                try:
-                    if "_" in cell:  # np.loadtxt, unlike float(), refuses "1_000"
-                        raise ValueError(cell)
-                    value = float(cell)
-                except ValueError:
-                    raise TableError(f"line {lineno}: non-numeric cell {cell!r}") from None
-                if math.isnan(value):
-                    raise TableError(f"line {lineno}: missing values are not supported")
-                if math.isinf(value):
-                    raise TableError(f"line {lineno}: non-finite cell {cell!r}")
-        raise TableError(f"{len(lines)} lines do not parse as a table of {len(header)} columns")
-    del lines  # the line strings take several times the array's memory
+    data = np.concatenate(chunks)
+    del chunks
     if response is None:
         return data, list(header)
     if response not in header:
@@ -173,6 +164,38 @@ def read_table(path: str, response: str | None = None, start: int = 0, stop: int
     x = np.delete(data, ycol, axis=1)
     names = [h for i, h in enumerate(header) if i != ycol]
     return x, y, names
+
+
+def _parse_lines(lines: list[str], width: int, first: int) -> np.ndarray:
+    """The float64 rows of table lines `first`, `first` + 1, ..., in one
+    numpy call; only when they do not form a finite table `width` columns
+    wide does a scan find the first bad line."""
+    with warnings.catch_warnings():
+        # np.loadtxt skips blank lines, warning if no others: refused below.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            data = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+    if data is not None and data.shape == (len(lines), width) and np.isfinite(data).all():
+        return data
+    for lineno, line in enumerate(lines, start=first):
+        cells = line.rstrip("\n").split(",")
+        if len(cells) != width:
+            raise TableError(f"line {lineno}: expected {width} cells, found {len(cells)}")
+        for cell in cells:
+            try:
+                if "_" in cell:  # np.loadtxt, unlike float(), refuses "1_000"
+                    raise ValueError(cell)
+                value = float(cell)
+            except ValueError:
+                raise TableError(f"line {lineno}: non-numeric cell {cell!r}") from None
+            if math.isnan(value):
+                raise TableError(f"line {lineno}: missing values are not supported")
+            if math.isinf(value):
+                raise TableError(f"line {lineno}: non-finite cell {cell!r}")
+    last = first + len(lines) - 1
+    raise TableError(f"lines {first}-{last} do not parse as a table of {width} columns")
 
 
 def write_table(path: str, header: Sequence[str], rows: Iterable[Sequence[float]]) -> int:

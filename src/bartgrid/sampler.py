@@ -465,9 +465,12 @@ class ShardData:
     j owns one contiguous slice of it, rows ascending; a birth partitions a
     slice stably and a death merges two adjacent sibling slices.  Kernels
     therefore touch only the rows of the nodes involved, except the leaf pass,
-    which moves every residual.  `order` is int32 to keep the per-tree state
-    at 4 bytes per row; each kernel copies the slice it needs into one native
-    index buffer, because numpy indexes with int32 about 2.5 times slower.
+    which moves every residual.  `order` takes the narrowest unsigned type
+    that holds the largest row index (uint8 up to 256 rows, uint16 up to
+    65,536, else uint32), so that with the labels a shard of up to 65,536
+    rows keeps 3 bytes per row and tree; each kernel copies the slice it
+    needs into one native index buffer, because numpy indexes with narrow
+    types several times slower, and a death merges its two runs there.
 
     `label[j]` holds, in row order, the leaf label of each row's terminal in
     tree j: one byte per row, rows of tree j alone widening to two (then
@@ -509,7 +512,7 @@ class ShardData:
             raise ValueError("blocks must tile the shard's rows in order")
         if n > np.iinfo(np.int32).max:
             raise ValueError("a shard holds at most 2**31 - 1 rows")
-        self.order = np.tile(np.arange(n, dtype=np.int32), (m, 1))
+        self.order = np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), (m, 1))
         # One (m, n) allocation; a tree whose labels outgrow a byte gets its own.
         self.label = list(np.zeros((m, n), dtype=np.uint8))
         root = _Slices([1], [0], [[hi - lo for lo, hi in self.blocks]])
@@ -642,12 +645,17 @@ class ShardData:
         if sl.ids[t + 1 : t + 2] != [right_id]:
             raise ValueError(f"node {node_id} of tree {j} is not a nog node")
         lo, mid, hi = sl.starts[t : t + 3]
-        rows = self._rows(j, mid, hi)
-        self.residual[rows] -= mu_left - mu_right
-        self.label[j][rows] = sl.labels[t]
-        # The two children's rows are two ascending runs; a stable sort
-        # merges them in one linear pass.
-        self.order[j, lo:hi].sort(kind="stable")
+        rows = self._rows(j, lo, hi)
+        right = rows[mid - lo :]
+        # The rows are distinct, so this subtracts as `residual[right] -=`
+        # would, without its gathered and shifted temporaries.
+        np.subtract.at(self.residual, right, mu_left - mu_right)
+        self.label[j][right] = sl.labels[t]
+        # The two children's rows are two ascending runs; a stable sort of
+        # native indices merges them in one linear pass (numpy's stable sort
+        # of types of 16 bits or fewer is a radix sort, several times slower).
+        rows.sort(kind="stable")
+        self.order[j, lo:hi] = rows
         self._slices[j] = sl.join(t)
 
     def apply_mus(self, j: int, old_mus: np.ndarray, new_mus: np.ndarray) -> None:

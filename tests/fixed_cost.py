@@ -1,9 +1,11 @@
-"""The chain's fixed cost, counted rather than timed.
+"""The chain's fixed cost and a fit's memory, counted rather than timed.
 
-Both measurements repeat exactly from run to run; a time on a shared host
+Every measurement repeats exactly from run to run; a time on a shared host
 does not.  `TestFixedCost` (tests/test_sampler.py) and
-`TestDistributedFixedCost` (tests/test_cluster.py) bound them.  Run from the
-repository root to print the figures:
+`TestDistributedFixedCost` (tests/test_cluster.py) bound the call counts;
+`TestShardLayout` (tests/test_sampler.py) checks the row state's bytes and
+`TestTableIO` (tests/test_datagen.py) bounds the table reader's traced peak.
+Run from the repository root to print the figures:
 
     PYTHONPATH=src python tests/fixed_cost.py
 """
@@ -11,13 +13,17 @@ from __future__ import annotations
 
 import cProfile
 import collections
+import os
 import sys
+import tempfile
 import threading
+import tracemalloc
 
 import numpy as np
 
 from bartgrid.cluster import run_cluster_inprocess
-from bartgrid.sampler import FitSettings, run_serial
+from bartgrid.datagen import read_table, write_table
+from bartgrid.sampler import FitSettings, ShardData, run_serial
 
 SERIAL_ITERATIONS = 5000
 
@@ -77,12 +83,43 @@ def distributed_per_tree() -> tuple[int, int, dict[str, dict[str, float]]]:
     return leaves, trees, figures
 
 
+def row_state(n: int, m: int) -> tuple[np.dtype, int]:
+    """(dtype of `order`, bytes of `order` plus the leaf labels) of a fresh
+    n-row shard of m trees."""
+    shard = ShardData(np.zeros((1, n), dtype=np.uint8), np.zeros(n), m, [(0, n)])
+    return shard.order.dtype, shard.order.nbytes + sum(label.nbytes for label in shard.label)
+
+
+def read_table_peak(path: str, rows: int, columns: int) -> tuple[int, int]:
+    """(traced peak, bytes returned) of `read_table(path, "y")` on a table of
+    `rows` rows of `columns` uniform cells (the response, then the features)
+    that `write_table` first writes at `path`."""
+    rng = np.random.default_rng(0)
+    write_table(path, ["y"] + [f"x{j}" for j in range(columns - 1)],
+                rng.uniform(-1, 1, (rows, columns)).tolist())
+    tracemalloc.start()
+    try:
+        x, y, _names = read_table(path, "y")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, x.nbytes + y.nbytes
+
+
 def main() -> None:
     print(f"serial: {serial_calls_per_iteration():.2f} Python calls per iteration")
     leaves, trees, figures = distributed_per_tree()
     for thread, per_tree in sorted(figures.items()):
         print(f"{thread}: " + ", ".join(f"{v:.2f} {k}" for k, v in per_tree.items()) + " per tree")
     print(f"leaves: {leaves} over {trees} tree updates, {leaves / trees:.2f} per tree")
+    n, m = 40_000, 50
+    dtype, nbytes = row_state(n, m)
+    print(f"row state: {nbytes / (n * m):.2f} bytes per row and tree ({n} rows, {m} trees, "
+          f"order {dtype})")
+    with tempfile.TemporaryDirectory() as tmp:
+        peak, returned = read_table_peak(os.path.join(tmp, "t.csv"), 40_000, 11)
+    print(f"read_table: traced peak {peak / 1e6:.2f} MB, {peak / returned:.2f} x the "
+          f"{returned / 1e6:.2f} MB returned (40000 rows, 11 columns)")
 
 
 if __name__ == "__main__":

@@ -578,6 +578,57 @@ class TestTransportErrors:
         alive = [t.name for t in threading.enumerate() if t.name.startswith("bartgrid-worker-")]
         assert alive == []
 
+    def test_master_names_the_rank_message_tree_and_iteration_of_a_lost_peer(self):
+        # Rank 2's channel closes for writing right after its third MoveStats,
+        # tree 2's in iteration 1, where every tree proposes a birth at its
+        # root.  Its read side stays open, so the master's decision still
+        # goes out, and the master's first failure is rank 2's MuStats.
+        class ClosesAfterThirdMoveStats(SocketChannel):
+            move_stats = 0
+
+            def send(self, data):
+                super().send(data)
+                if isinstance(proto.decode(data), proto.MoveStats):
+                    self.move_stats += 1
+                    if self.move_stats == 3:
+                        self._sock.shutdown(socket.SHUT_WR)
+
+        x, y = toy_data(40)
+        settings = toy_settings(m=5, draws=4, burn=1, thin=1, reduction_blocks=2)
+        master_ends, errors, threads = [], {}, []
+        for rank in (1, 2):
+            master_sock, worker_sock = socket.socketpair()
+            for sock in (master_sock, worker_sock):
+                sock.settimeout(10.0)
+            master_ends.append(SocketChannel(master_sock))
+            chan = (SocketChannel if rank == 1 else ClosesAfterThirdMoveStats)(worker_sock)
+            lo, hi = worker_row_range(40, 2, 2, rank)
+
+            def target(chan=chan, rank=rank, lo=lo, hi=hi):
+                try:
+                    run_worker(chan, x[lo:hi], y[lo:hi], rank, 2, 2)
+                except ClusterError as exc:
+                    errors[rank] = exc
+                finally:
+                    chan.close()
+
+            threads.append(threading.Thread(target=target, daemon=True))
+            threads[-1].start()
+        try:
+            with pytest.raises(ClusterError) as info:
+                run_master(master_ends, settings)
+        finally:
+            for chan in master_ends:
+                chan.close()
+            for thread in threads:
+                thread.join(timeout=10)
+        assert str(info.value) == (
+            "rank 2 failed while the master awaited MuStats at tree 2 of iteration 1:"
+            " peer closed the connection mid-message"
+        )
+        assert not any(thread.is_alive() for thread in threads)
+        assert "socket send failed" in str(errors[2])
+
     # A one-tree sweep that proposes to split the root at (0, 3).
     BIRTH_AT_ROOT = [
         proto.IterBegin(proto.PHASE_TREES),

@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+import fixed_cost
 from bartgrid.datagen import (
+    READ_CHUNK,
     FriedmanSpec,
     Kernel,
     TableError,
@@ -233,6 +235,28 @@ EDGE_CASES = {
     "underscore": ("a,b\n1.0,2.0\n1_000,4.0\n", (0, None), "line 3: non-numeric cell '1_000'"),
 }
 
+# Tables of READ_CHUNK-scale row counts, each row "i.5,i", cut by the reader
+# into chunks counted from the range's first row.
+C = READ_CHUNK
+
+
+def chunk_table(rows, bad=None):
+    """Text of a `rows`-row table; `bad` maps a row index to its line."""
+    bad = bad or {}
+    return "a,b\n" + "".join(bad.get(i, f"{i}.5,{i}\n") for i in range(rows))
+
+
+CHUNK_CASES = {
+    **{
+        f"{rows}-rows": (rows, {}, None, (0, None))
+        for rows in (C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1)
+    },
+    "range-across-a-boundary": (2 * C + 1, {}, "b", (C - 5, 2 * C + 3)),
+    "non-numeric-past-chunk-one": (2 * C + 1, {C + 7: "1.5,x\n"}, None, (0, None)),
+    "non-finite-past-chunk-one": (2 * C + 1, {2 * C: "inf,2\n"}, None, (0, None)),
+    "non-finite-in-a-range's-chunk-two": (2 * C + 1, {C + 9: "1.5,-inf\n"}, "a", (5, None)),
+}
+
 
 def outcome(read, path, response, start, stop):
     """(arrays as bytes, names) of a read, or the refusal message."""
@@ -359,3 +383,22 @@ class TestTableIO:
             with pytest.raises(TableError, match=f"^{re.escape(message)}$"):
                 read_table(str(path), None, start, stop)
         assert caught == []
+
+    @pytest.mark.parametrize("case", CHUNK_CASES)
+    def test_chunks_match_oracle(self, tmp_path, case):
+        rows, bad, response, (start, stop) = CHUNK_CASES[case]
+        path = tmp_path / "t.csv"
+        path.write_bytes(chunk_table(rows, bad).encode("ascii"))
+        new = outcome(read_table, str(path), response, start, stop)
+        assert new == outcome(oracle_read_table, str(path), response, start, stop)
+        # A bad row is named by its file line: its row index plus 2.
+        for i in bad:
+            assert new.startswith(f"line {i + 2}: ")
+
+    def test_reader_holds_one_chunk_of_lines(self, tmp_path):
+        # The line strings of a table take several times its parsed array's
+        # memory; holding one chunk of them, the read peaks near the two
+        # copies of the array that joining the chunks and splitting off the
+        # response make.  Reading every line at once peaked at 4.3 times.
+        peak, returned = fixed_cost.read_table_peak(str(tmp_path / "t.csv"), 3 * C, 11)
+        assert peak < 2.5 * returned, f"peak {peak} B, {peak / returned:.2f} x the {returned} B read"

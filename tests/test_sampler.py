@@ -587,16 +587,17 @@ class TestShardLayout:
     float rule x[v] < value(v, c).
     """
 
-    @pytest.mark.parametrize("blocks", [2, 4])
-    def test_random_moves_keep_the_layout(self, blocks):
-        self._random_moves(np.random.default_rng(40 + blocks), blocks, 12, np.uint8)
+    # 257 rows is the first shard size whose row order is uint16.
+    @pytest.mark.parametrize("blocks, n", [(2, 203), (4, 203), (2, 257)])
+    def test_random_moves_keep_the_layout(self, blocks, n):
+        self._random_moves(np.random.default_rng(40 + blocks), blocks, 12, np.uint8, n)
 
     def test_random_moves_on_a_uint16_grid(self):
-        self._random_moves(np.random.default_rng(47), 2, 300, np.uint16)
+        self._random_moves(np.random.default_rng(47), 2, 300, np.uint16, 203)
 
     @staticmethod
-    def _random_moves(rng, blocks, numcut, dtype):
-        n, d = 203, 3
+    def _random_moves(rng, blocks, numcut, dtype, n):
+        d = 3
         x = rng.uniform(-1, 1, (n, d))
         # Variable 0 grows with the row index, so cuts on it make nodes whose
         # rows lie in one block.
@@ -609,6 +610,7 @@ class TestShardLayout:
             grid.bin(x), ys, 2, [(int(bounds[i]), int(bounds[i + 1])) for i in range(blocks)]
         )
         assert whole.xb.dtype == dtype
+        assert whole.order.dtype == (np.uint8 if n <= 256 else np.uint16)
         halves = [
             ShardData(grid.bin(x[:half]), ys[:half], 2, [
                 (int(bounds[i]), int(bounds[i + 1])) for i in range(blocks // 2)
@@ -721,14 +723,17 @@ class TestShardLayout:
             )
         assert one_block_nodes > 0
 
-    def test_row_state_is_four_bytes_per_row(self):
-        # The per-tree row layout is int32: a native-width index would add
-        # 4 bytes per row and tree to the peak resident set.
-        rng = np.random.default_rng(45)
-        n, m = 500, 7
-        shard = build_shard(rng, n, 2, m, blocks=2)
-        assert shard.order.dtype.itemsize == 4
-        assert shard.order.nbytes == m * n * 4
+    @pytest.mark.parametrize(
+        "n, dtype", [(256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32)]
+    )
+    def test_row_state_takes_the_narrowest_order_type(self, n, dtype):
+        # The per-tree row order takes the narrowest unsigned type that holds
+        # the largest row index; with the one-byte labels, a shard of up to
+        # 65,536 rows keeps 3 bytes per row and tree.
+        m = 2
+        order_dtype, nbytes = fixed_cost.row_state(n, m)
+        assert order_dtype == dtype
+        assert nbytes == m * n * (np.dtype(dtype).itemsize + 1)
 
     def test_leaf_labels_are_one_byte_per_row(self):
         # Each tree's leaf labels are one uint8 row of a single (m, n) array,

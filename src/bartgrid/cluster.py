@@ -60,7 +60,16 @@ from .trees import MAX_DEPTH, CutpointGrid, Tree, available_cut_ranges, children
 
 
 class ClusterError(RuntimeError):
-    """Protocol violation or worker failure; the run cannot continue."""
+    """Protocol violation or worker failure; the run cannot continue.
+
+    `rank` is the worker the master blames, when it names one.
+    """
+
+    rank: int | None = None
+
+
+class PeerClosed(ClusterError):
+    """The peer closed its end before the first byte of a read."""
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +104,9 @@ class SocketChannel:
             except OSError as exc:
                 raise ClusterError(f"socket receive failed: {exc}") from exc
             if not chunk:
-                raise ClusterError("peer closed the connection mid-message")
+                if chunks:
+                    raise ClusterError("peer closed the connection mid-message")
+                raise PeerClosed("peer closed the connection")
             chunks.extend(chunk)
         return bytes(chunks)
 
@@ -157,10 +168,14 @@ class MessageIO:
         allowed: tuple[type, ...],
         mu_records: int | None = None,
     ) -> proto.Message:
+        # A close before the opcode is a lost peer; one after it tears the frame.
+        head = self.channel.recv(1)
         try:
-            frame = proto.read_frame(self.channel.recv, mu_records)
+            frame = proto.read_frame(self.channel.recv, mu_records, head)
             self._log(frame, outgoing=False)
             msg = proto.decode(frame)
+        except PeerClosed as exc:
+            raise ClusterError(f"{exc} mid-message") from exc
         except proto.ProtocolError as exc:
             raise ClusterError(str(exc)) from exc
         if not isinstance(msg, allowed):
@@ -308,8 +323,8 @@ class RemoteProvider:
 
     A failed send or receive on rank r, or a message from it that does not
     decode, fails the run with one ClusterError that names r, the message the
-    master sent or awaited, and the tree and iteration it was for;
-    `begin_iteration` counts the iterations.
+    master sent or awaited, and the tree and iteration it was for, and
+    carries r as its `rank`; `begin_iteration` counts the iterations.
     """
 
     def __init__(self, ios: dict[int, MessageIO], n_total: int):
@@ -322,7 +337,9 @@ class RemoteProvider:
     ) -> ClusterError:
         at = f"iteration {self.iteration}" if j is None else f"tree {j} of iteration {self.iteration}"
         rank = self.ios.index(io) + 1
-        return ClusterError(f"rank {rank} failed while the master {action} at {at}: {exc}")
+        error = ClusterError(f"rank {rank} failed while the master {action} at {at}: {exc}")
+        error.rank = rank
+        return error
 
     def _broadcast(self, msg: proto.Message, j: int | None = None) -> None:
         try:

@@ -389,7 +389,8 @@ def _run_tcp_cell(data_path: str, workers: int, settings: FitSettings, **master_
     Every worker is reaped and reported by `_first_worker_error`, whether
     the master finished or failed.  When the master fails, the error it
     raises again carries that report, which names the cause when a worker
-    died before it could connect.  The master stops accepting as soon as any
+    died before it could connect, and leads with the rank the master's error
+    names, if any.  The master stops accepting as soon as any
     worker has exited, rather than waiting out its accept timeout.
     """
     from .cluster import ClusterError, serve_master
@@ -426,7 +427,7 @@ def _run_tcp_cell(data_path: str, workers: int, settings: FitSettings, **master_
             while_accepting=fail_on_exit, **master_kwargs
         )
     except BaseException as exc:
-        worker_error = _first_worker_error(procs, wait=5.0)
+        worker_error = _first_worker_error(procs, wait=5.0, named=getattr(exc, "rank", None))
         if worker_error is None or not isinstance(exc, Exception):
             raise
         raise RuntimeError(f"{exc}; {worker_error}") from exc
@@ -436,12 +437,15 @@ def _run_tcp_cell(data_path: str, workers: int, settings: FitSettings, **master_
     return result
 
 
-def _first_worker_error(procs: Sequence[subprocess.Popen], wait: float) -> str | None:
+def _first_worker_error(
+    procs: Sequence[subprocess.Popen], wait: float, named: int | None = None
+) -> str | None:
     """Reap every worker and report the one that failed first, or None.
 
     Waits up to `wait` seconds in all, then kills and reports each worker
-    still running.  A worker killed by a signal ranks first, then workers
-    that had exited before this call (a failed master closes its
+    still running.  The failed worker of rank `named`, the one the master's
+    error blames, ranks first.  Then a worker killed by a signal, then
+    workers that had exited before this call (a failed master closes its
     connections, which fails the workers still running), then by rank.
     """
     exited_before = [proc.poll() is not None for proc in procs]
@@ -463,7 +467,7 @@ def _first_worker_error(procs: Sequence[subprocess.Popen], wait: float) -> str |
             how = f"killed by {name}" if signalled else f"exited with {code}"
         tail = err.decode(errors="replace").strip()[-500:]
         message = f"worker {rank} {how}" + (f": {tail}" if tail else "")
-        errors.append((not signalled, not exited_before[rank - 1], rank, message))
+        errors.append((rank != named, not signalled, not exited_before[rank - 1], rank, message))
     return min(errors)[-1] if errors else None
 
 

@@ -238,13 +238,16 @@ def encode(msg: Message) -> bytes:
     return bytes([opcode]) + payload
 
 
-def read_frame(recv: Callable[[int], bytes], records: int | None = None) -> bytes:
+def read_frame(
+    recv: Callable[[int], bytes], records: int | None = None, head: bytes | None = None
+) -> bytes:
     """Read one whole frame from a stream; `recv(k)` returns exactly k bytes.
 
     The exchange is lockstep, so the receiver knows how many records a
     per-leaf message carries: `records` sizes MU_STATS / MU_VALUES frames.
+    `head` is the frame's opcode byte when the caller has already read it.
     """
-    opcode = recv(1)[0]
+    opcode = (head or recv(1))[0]
     if opcode not in _BY_OPCODE:
         raise ProtocolError(f"unknown opcode 0x{opcode:02x} on the wire")
     kind, layout = _BY_OPCODE[opcode]

@@ -271,22 +271,35 @@ def draw_sigma(
     return math.sqrt((nu * lam + rss) / rng.chisquare(nu + n_total))
 
 
+# The chi-square quantile `2 * gammaincinv(nu / 2, 1 - sigquant)` of the
+# sigma prior, keyed by (nu, sigquant): the FitSettings default and Chipman,
+# George & McCulloch's (2010) two alternatives, as scipy 1.17.1 computes them.
+CHI2_QUANTILES = {
+    (3.0, 0.9): 0.5843743741551833,
+    (3.0, 0.99): 0.11483180189911714,
+    (10.0, 0.75): 6.737200771954642,
+}
+
+
 def sigma_lambda(sd_y: float, nu: float, sigquant: float) -> float:
     """Scale of the sigma prior, set so P(sigma < sd_y) = sigquant.
 
     The chi-square quantile is `2 * gammaincinv(nu / 2, p)`, the expression
-    `scipy.stats.chi2.ppf` evaluates, so the bits are the same.  The import
-    is local and takes only `scipy.special`: this is the one use of scipy in
-    the package, made once per chain start by the serial sampler or the
-    master, so a worker, `predict`, `sensitivity` and `generate` start
-    without loading scipy at all, and a chain start avoids the much slower
-    import of `scipy.stats`.
+    `scipy.stats.chi2.ppf` evaluates, so the bits are the same.  For the
+    priors in `CHI2_QUANTILES` it is read from that table, whose entries
+    are scipy's own values written with `repr`, so a default fit never
+    loads scipy.  Any other prior imports `scipy.special`, which stays a
+    runtime dependency for them; this is the one use of scipy in the
+    package, so a worker, `predict`, `sensitivity` and `generate` never
+    load it either.
     """
     if not 0.0 < sigquant < 1.0:
         raise ValueError("sigma quantile must lie in (0, 1)")
-    from scipy.special import gammaincinv
+    q = CHI2_QUANTILES.get((nu, sigquant))
+    if q is None:
+        from scipy.special import gammaincinv
 
-    q = 2.0 * gammaincinv(nu / 2.0, 1.0 - sigquant)
+        q = 2.0 * gammaincinv(nu / 2.0, 1.0 - sigquant)
     return float(sd_y * sd_y * q / nu)
 
 

@@ -5,7 +5,10 @@ does not.  `TestFixedCost` (tests/test_sampler.py) and
 `TestDistributedFixedCost` (tests/test_cluster.py) bound the call counts;
 `TestShardLayout` (tests/test_sampler.py) checks the row state's bytes and
 `TestTableIO` (tests/test_datagen.py) bounds the table reader's traced peak.
-Run from the repository root to print the figures:
+A fresh interpreter's peak RSS after a default-prior serial fit is printed
+too, beside the scipy modules that fit loaded; no test asserts the RSS,
+which depends on the host's libraries.  Run from the repository root to
+print the figures:
 
     PYTHONPATH=src python tests/fixed_cost.py
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 import cProfile
 import collections
 import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -106,7 +110,29 @@ def read_table_peak(path: str, rows: int, columns: int) -> tuple[int, int]:
     return peak, x.nbytes + y.nbytes
 
 
+def fresh_fit_footprint() -> tuple[float, list[str]]:
+    """(peak RSS in MB, scipy modules loaded) of a fresh interpreter that
+    imports the package and runs a default-prior serial fit: n=1,000, d=5,
+    m=20, 20 draws.  A child's ru_maxrss starts at its parent's high-water
+    mark when it is spawned, so call this before the parent grows."""
+    code = (
+        "import resource, sys\n"
+        "import numpy as np\n"
+        "from bartgrid.sampler import FitSettings, run_serial\n"
+        "x = np.random.default_rng(0).uniform(-1.0, 1.0, (1000, 5))\n"
+        "run_serial(x, np.sin(3.0 * x[:, 0]) + x[:, 1], FitSettings(m=20, draws=20, burn=5))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120).stdout.split("\n")
+    return int(out[0]) / 1024, out[1].split()
+
+
 def main() -> None:
+    rss_mb, scipy_modules = fresh_fit_footprint()
+    print(f"fresh serial fit: ru_maxrss {rss_mb:.1f} MB, {len(scipy_modules)} scipy modules "
+          f"loaded (1000 rows, m=20, 20 draws)")
     print(f"serial: {serial_calls_per_iteration():.2f} Python calls per iteration")
     leaves, trees, figures = distributed_per_tree()
     for thread, per_tree in sorted(figures.items()):

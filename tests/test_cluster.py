@@ -578,20 +578,23 @@ class TestTransportErrors:
         alive = [t.name for t in threading.enumerate() if t.name.startswith("bartgrid-worker-")]
         assert alive == []
 
-    def test_master_names_the_rank_message_tree_and_iteration_of_a_lost_peer(self):
-        # Rank 2's channel closes for writing right after its third MoveStats,
-        # tree 2's in iteration 1, where every tree proposes a birth at its
-        # root.  Its read side stays open, so the master's decision still
-        # goes out, and the master's first failure is rank 2's MuStats.
-        class ClosesAfterThirdMoveStats(SocketChannel):
+    @staticmethod
+    def lose_rank_2_at_third_move_stats(sent):
+        """Run a 2-worker chain (m=5) in which rank 2's channel sends `sent(frame)`
+        of its third MoveStats, tree 2's in iteration 1, where every tree
+        proposes a birth at its root, then closes for writing.  Its read side
+        stays open.  Returns the master's ClusterError and each worker's."""
+        class ClosesAtThirdMoveStats(SocketChannel):
             move_stats = 0
 
             def send(self, data):
-                super().send(data)
                 if isinstance(proto.decode(data), proto.MoveStats):
                     self.move_stats += 1
                     if self.move_stats == 3:
+                        super().send(sent(data))
                         self._sock.shutdown(socket.SHUT_WR)
+                        return
+                super().send(data)
 
         x, y = toy_data(40)
         settings = toy_settings(m=5, draws=4, burn=1, thin=1, reduction_blocks=2)
@@ -601,7 +604,7 @@ class TestTransportErrors:
             for sock in (master_sock, worker_sock):
                 sock.settimeout(10.0)
             master_ends.append(SocketChannel(master_sock))
-            chan = (SocketChannel if rank == 1 else ClosesAfterThirdMoveStats)(worker_sock)
+            chan = (SocketChannel if rank == 1 else ClosesAtThirdMoveStats)(worker_sock)
             lo, hi = worker_row_range(40, 2, 2, rank)
 
             def target(chan=chan, rank=rank, lo=lo, hi=hi):
@@ -622,12 +625,30 @@ class TestTransportErrors:
                 chan.close()
             for thread in threads:
                 thread.join(timeout=10)
-        assert str(info.value) == (
+        assert not any(thread.is_alive() for thread in threads)
+        return info.value, errors
+
+    def test_master_names_the_rank_message_tree_and_iteration_of_a_lost_peer(self):
+        # Rank 2 sends its whole third MoveStats, so the master's decision
+        # still goes out, and its first failure is rank 2's MuStats: the peer
+        # closed between frames.
+        error, errors = self.lose_rank_2_at_third_move_stats(lambda frame: frame)
+        assert str(error) == (
             "rank 2 failed while the master awaited MuStats at tree 2 of iteration 1:"
+            " peer closed the connection"
+        )
+        assert error.rank == 2
+        assert "socket send failed" in str(errors[2])
+
+    def test_a_close_inside_a_frame_is_a_torn_message(self):
+        # Rank 2 sends only the opcode byte of its third MoveStats.
+        error, errors = self.lose_rank_2_at_third_move_stats(lambda frame: frame[:1])
+        assert str(error) == (
+            "rank 2 failed while the master awaited MoveStats at tree 2 of iteration 1:"
             " peer closed the connection mid-message"
         )
-        assert not any(thread.is_alive() for thread in threads)
-        assert "socket send failed" in str(errors[2])
+        assert error.rank == 2
+        assert str(errors[2]) == "peer closed the connection"
 
     # A one-tree sweep that proposes to split the root at (0, 3).
     BIRTH_AT_ROOT = [

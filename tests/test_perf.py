@@ -442,6 +442,14 @@ class TestFirstWorkerError:
         assert _first_worker_error(procs, wait=0.2) == "worker 2 did not exit within 0.2 s"
         assert procs[1].returncode == -9
 
+    def test_the_rank_the_master_names_ranks_first(self):
+        # Rank 2 failed and the master closed rank 1's connection; both have
+        # exited by the time the launcher looks, so only the master's error
+        # tells them apart.
+        procs = [_Worker(1, b"peer closed the connection"), _Worker(1, b"bad shard")]
+        assert _first_worker_error(procs, wait=1.0).startswith("worker 1 exited with 1")
+        assert _first_worker_error(procs, wait=1.0, named=2) == "worker 2 exited with 1: bad shard"
+
     def test_launcher_kill_is_not_a_signal_death(self):
         # A worker the wait timed out on ranks after one that had exited.
         procs = [_Worker(None), _Worker(2, b"boom")]

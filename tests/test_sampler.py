@@ -7,12 +7,14 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy
 from scipy.integrate import quad
 from scipy.stats import norm
 
 from bartgrid import sampler
 from bartgrid.sampler import (
     BIRTH,
+    CHI2_QUANTILES,
     DEATH,
     FitSettings,
     LocalProvider,
@@ -341,6 +343,15 @@ class TestConjugateDraws:
     def test_sigma_lambda_matches_chi2_ppf_bitwise(self):
         from scipy.stats import chi2
 
+        # Every pinned quantile is scipy's to the bit, and so is the scale
+        # sigma_lambda derives from it.
+        for (nu, q), pinned in CHI2_QUANTILES.items():
+            ppf = float(chi2.ppf(1 - q, nu))
+            lam = 0.3 * 0.3 * ppf / nu
+            assert (pinned, sigma_lambda(0.3, nu, q)) == (ppf, lam), (
+                f"CHI2_QUANTILES[{(nu, q)}] is {pinned!r}; scipy {scipy.__version__}"
+                f" gives {ppf!r}"
+            )
         rng = np.random.default_rng(15)
         cases = [(0.3, nu, q) for nu in (0.5, 1.0, 3.0, 10.0, 100.0)
                  for q in (0.5, 0.75, 0.9, 0.99)]
@@ -351,19 +362,26 @@ class TestConjugateDraws:
         assert got.tobytes() == want.tobytes()
 
     def test_cli_and_sigma_prior_leave_scipy_stats_unloaded(self):
-        # A worker, predict, sensitivity and generate never import scipy; a
-        # chain start loads only scipy.special for the sigma prior's quantile.
+        # A worker, predict, sensitivity and generate never import scipy, nor
+        # does a chain start with a pinned sigma prior; any other prior loads
+        # only scipy.special for its quantile.
         code = (
             "import sys\n"
+            "import numpy as np\n"
             "import bartgrid.cli\n"
             "from bartgrid import sampler\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-            "sampler.sigma_lambda(0.3, 3.0, 0.9)\n"
-            "print('scipy.stats' in sys.modules)\n"
+            "def loaded():\n"
+            "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "loaded()\n"
+            "x = np.linspace(0.0, 1.0, 40).reshape(20, 2)\n"
+            "sampler.run_serial(x, x[:, 0], sampler.FitSettings(m=3, draws=4, burn=1))\n"
+            "loaded()\n"
+            "sampler.sigma_lambda(0.3, 3.0, 0.8)\n"
+            "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)\n"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, timeout=60).stdout.splitlines()
-        assert out == ["[]", "False"]
+        assert out == ["[]", "[]", "True False"]
 
 
 def build_shard(rng, n, d, m, blocks=1, numcut=10):

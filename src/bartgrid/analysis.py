@@ -80,7 +80,7 @@ def posterior_from_chain(result) -> PosteriorSample:
     """Wrap a finished ChainResult's snapshots for prediction."""
     return PosteriorSample(
         m=result.settings.m,
-        d=result.d,
+        d=result.grid.n_vars,
         numcut=result.settings.numcut,
         y_mid=result.y_mid,
         y_range=result.y_range,

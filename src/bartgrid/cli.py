@@ -156,7 +156,20 @@ _HEADER = (("m", int, *_COUNT), ("d", int, *_COUNT), ("snapshots", int, *_COUNT)
 
 def save_model(path: str, sample: PosteriorSample) -> None:
     """Write a posterior sample as inspectable full-precision text: per snapshot
-    a sigma line, then per tree a ``tree <n>`` line and the tree's n `tree_lines`."""
+    a sigma line, then per tree a ``tree <n>`` line and the tree's n `tree_lines`.
+
+    A sigma or leaf mean that `load_model` would refuse is a ValueError
+    raised before the file is opened.
+    """
+    for idx, (sigma, forest) in enumerate(sample.snapshots):
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"snapshot {idx}: sigma must be finite and > 0, got {sigma!r}")
+        for t, tree in enumerate(forest):
+            for k, mu in tree.nodes.items():
+                if not (isinstance(mu, tuple) or math.isfinite(mu)):
+                    raise ValueError(
+                        f"snapshot {idx}, tree {t}, node {k}: leaf mean must be finite, got {mu!r}"
+                    )
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n")
         for key, *_domain in _HEADER:

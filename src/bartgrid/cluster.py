@@ -499,15 +499,16 @@ def run_cluster_inprocess(
 
     A worker thread closes its end of the socketpair when it exits, so the
     master's next receive fails at once.  The run then raises a ClusterError
-    naming the rank, global rows and exception of the worker that failed
-    first, or the master's own error when no worker failed.
+    naming the rank, global rows and exception of the worker the master's
+    error blames, else of the worker that failed first, and carrying that
+    rank as its `rank`; or the master's own error when no worker failed.
     """
     settings.validate()
     blocks = reduction_block_count(settings.reduction_blocks, workers)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     ranges = [worker_row_range(y.size, blocks, workers, rank) for rank in range(1, workers + 1)]
-    failures: list[tuple[str, Exception]] = []
+    failures: list[tuple[int, str, Exception]] = []
     channels: list[SocketChannel] = []
     threads: list[threading.Thread] = []
     for rank, (lo, hi) in enumerate(ranges, start=1):
@@ -523,7 +524,7 @@ def run_cluster_inprocess(
                     audit=worker_audits.get(rank) if worker_audits else None,
                 )
             except Exception as exc:  # noqa: BLE001 - raised again below
-                failures.append((f"worker {rank} (rows {lo}-{hi - 1})", exc))
+                failures.append((rank, f"worker {rank} (rows {lo}-{hi - 1})", exc))
             finally:
                 chan.close()
 
@@ -533,10 +534,13 @@ def run_cluster_inprocess(
 
     try:
         return run_master(channels, settings, **master_kwargs)
-    except ClusterError:
+    except ClusterError as master_error:
         if failures:
-            who, exc = failures[0]
-            raise ClusterError(f"{who} failed: {exc!r}") from exc
+            # The first failure of the rank the master blames, else the first.
+            rank, who, exc = min(failures, key=lambda f: f[0] != master_error.rank)
+            error = ClusterError(f"{who} failed: {exc!r}")
+            error.rank = rank
+            raise error from exc
         raise
     finally:
         # Workers still waiting on the master see their channel close and exit.

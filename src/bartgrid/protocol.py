@@ -22,9 +22,11 @@ RSS_PARTIAL, which a worker sends unprompted after the last tree's leaf pass.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields
 from itertools import starmap
+from operator import itemgetter
 from typing import Callable, Sequence
 
 PROTOCOL_VERSION = 3
@@ -202,6 +204,11 @@ MESSAGES: dict[type, tuple[int, struct.Struct]] = {
 }
 _PER_RECORD = (MuStats, MuValues)
 _RANGES = (ShardMeta, RunSetup)
+# The sampler-phase messages, whose values `decode` refuses when NaN or
+# infinite.  SHARD_META and RUN_SETUP are not checked: a serial fit takes
+# data whose sums overflow, and a check on the wire alone would refuse it.
+_CHECKED = frozenset({MoveStats, BirthAccept, DeathAccept, MuStats, MuValues, RssPartial})
+_SUM = itemgetter(1)  # a MU_STATS record's sum
 _U32 = struct.Struct("<I")
 
 _BY_OPCODE = {opcode: (kind, layout) for kind, (opcode, layout) in MESSAGES.items()}
@@ -267,7 +274,9 @@ def read_frame(
 def decode(data: bytes) -> Message:
     """Parse one full frame back into its message; inverse of `encode`.
 
-    Rejects unknown opcodes, truncated payloads and trailing bytes.
+    Rejects unknown opcodes, truncated payloads, trailing bytes, and NaN or
+    infinite values in a sampler-phase message (a MU_STATS record's padding
+    aside).
     """
     if not data:
         raise ProtocolError("empty frame")
@@ -282,9 +291,12 @@ def decode(data: bytes) -> Message:
                 f"{kind.__name__} payload not a multiple of {layout.size} bytes"
             )
         if kind is MuValues:
-            return MuValues(struct.unpack(f"<{len(payload) // layout.size}d", payload))
-        return MuStats(tuple(layout.iter_unpack(payload)))
-    if kind in _RANGES:
+            msg = MuValues(struct.unpack(f"<{len(payload) // layout.size}d", payload))
+            values = msg.values
+        else:
+            msg = MuStats(tuple(layout.iter_unpack(payload)))
+            values = map(_SUM, msg.records)  # the third value is padding, never read
+    elif kind in _RANGES:
         if len(payload) < layout.size:
             raise ProtocolError(f"{kind.__name__} payload truncated")
         *head, d = layout.unpack_from(payload)
@@ -292,13 +304,20 @@ def decode(data: bytes) -> Message:
             raise ProtocolError(f"{kind.__name__} payload length mismatch")
         vals = struct.unpack_from(f"<{2 * d}d", payload, layout.size)
         return kind(*head, vals[:d], vals[d:])
-    if len(payload) != layout.size:
-        raise ProtocolError(
-            f"opcode 0x{opcode:02x}: payload is {len(payload)} bytes, expected {layout.size}"
-        )
-    if kind is DeathAccept and payload[12:] != bytes(16):
-        raise ProtocolError("death accept padding must be zero")
-    return kind(*layout.unpack(payload))
+    else:
+        if len(payload) != layout.size:
+            raise ProtocolError(
+                f"opcode 0x{opcode:02x}: payload is {len(payload)} bytes, expected {layout.size}"
+            )
+        if kind is DeathAccept and payload[12:] != bytes(16):
+            raise ProtocolError("death accept padding must be zero")
+        values = layout.unpack(payload)
+        msg = kind(*values)
+    # Builtins only: the check adds no Python call per frame.  Integers are
+    # always finite, so a message's whole tuple is checked.
+    if kind in _CHECKED and not all(map(math.isfinite, values)):
+        raise ProtocolError(f"non-finite value in {msg}")
+    return msg
 
 
 def iteration_byte_count(

@@ -266,8 +266,8 @@ def draw_sigma(
     n_total: int, rss: float, nu: float, lam: float, rng: np.random.Generator
 ) -> float:
     """Residual-sd draw: sqrt((nu*lambda + rss) / chisq(nu + n))."""
-    if rss < 0:
-        raise ValueError("rss must be >= 0")
+    if not 0 <= rss < math.inf:
+        raise ValueError(f"rss must be finite and >= 0, got {rss!r}")
     return math.sqrt((nu * lam + rss) / rng.chisquare(nu + n_total))
 
 
@@ -878,10 +878,9 @@ class TreeMoveRecord:
 
 @dataclass
 class ChainResult:
-    """Everything a finished chain reports back."""
+    """Everything a chain reports back; `run_chain_core` fills it in place."""
 
     settings: FitSettings
-    d: int
     y_mid: float
     y_range: float
     grid: CutpointGrid
@@ -997,68 +996,49 @@ def run_chain_core(
     each accepted change to whatever holds the data (a local shard or a set of
     remote replicas).
     """
-    sigma = sigma0
     draws = settings.draws
     m = prior.m
-    sigmas = np.empty(draws)
-    mean_b = np.empty(draws)
-    iteration_seconds = np.empty(draws)
-    counters = {k: np.zeros(draws, dtype=np.int64) for k in ("bp", "ba", "dp", "da")}
-    snapshots: list[tuple[float, list[Tree]]] = []
-    hashes: list[str] = []
-    trace: list[list[TreeMoveRecord]] = []
-
+    # Per iteration: sigma, mean b and wall seconds; then births proposed and
+    # accepted, deaths proposed and accepted.
+    result = ChainResult(
+        settings, 0.0, 1.0, grid, prior, *np.empty((3, draws)),
+        *np.zeros((4, draws), dtype=np.int64), trace=[] if collect_trace else None,
+    )
+    sigma = sigma0
     start = mark = time.perf_counter()
-    for it in range(1, draws + 1):
+    for i in range(draws):
         provider.begin_iteration()
         itrace: list[TreeMoveRecord] = []
+        if collect_trace:
+            result.trace.append(itrace)
         b_sum = 0
         for j in range(m):
             move, accepted, b_after = _update_tree(
                 j, forest[j], sigma, grid, prior, rng, provider, settings.prior_only
             )
             if move is not None:
-                counters["bp" if move == BIRTH else "dp"][it - 1] += 1
+                birth = move == BIRTH
+                (result.birth_proposed if birth else result.death_proposed)[i] += 1
                 if accepted:
-                    counters["ba" if move == BIRTH else "da"][it - 1] += 1
+                    (result.birth_accepted if birth else result.death_accepted)[i] += 1
             b_sum += b_after
             if collect_trace:
                 itrace.append(TreeMoveRecord(move, accepted, b_after))
-        rss = provider.rss()
-        sigma = draw_sigma(provider.n_total, rss, prior.nu, prior.lam, rng)
-        sigmas[it - 1] = sigma
-        mean_b[it - 1] = b_sum / m
+        sigma = draw_sigma(provider.n_total, provider.rss(), prior.nu, prior.lam, rng)
+        result.sigmas[i] = sigma
+        result.mean_b[i] = b_sum / m
         if collect_hashes:
-            hashes.append(forest_hash(forest))
-        if collect_trace:
-            trace.append(itrace)
+            result.forest_hashes.append(forest_hash(forest))
+        it = i + 1
         if it > settings.burn and (it - settings.burn) % settings.thin == 0:
-            snapshots.append((sigma, [t.clone() for t in forest]))
+            result.snapshots.append((sigma, [t.clone() for t in forest]))
         if on_iteration is not None:
             on_iteration(it, sigma, forest)
         now = time.perf_counter()
-        iteration_seconds[it - 1] = now - mark
+        result.iteration_seconds[i] = now - mark
         mark = now
-
-    return ChainResult(
-        settings=settings,
-        d=grid.n_vars,
-        y_mid=0.0,
-        y_range=1.0,
-        grid=grid,
-        prior=prior,
-        sigmas=sigmas,
-        mean_b=mean_b,
-        iteration_seconds=iteration_seconds,
-        birth_proposed=counters["bp"],
-        birth_accepted=counters["ba"],
-        death_proposed=counters["dp"],
-        death_accepted=counters["da"],
-        snapshots=snapshots,
-        forest_hashes=hashes,
-        elapsed=mark - start,
-        trace=trace if collect_trace else None,
-    )
+    result.elapsed = mark - start
+    return result
 
 
 def start_chain(

@@ -1,3 +1,5 @@
+import math
+import re
 import socket
 import subprocess
 import sys
@@ -190,6 +192,28 @@ class TestModelFile:
         save_model(path, sample)
         loaded = load_model(path)
         assert loaded.m == 200 and loaded.n_snapshots == 400
+
+    @pytest.mark.parametrize("sigma, leaf, problem", [
+        (math.nan, 1.0, "snapshot 1: sigma must be finite and > 0, got nan"),
+        (0.0, 1.0, "snapshot 1: sigma must be finite and > 0, got 0.0"),
+        (math.inf, 1.0, "snapshot 1: sigma must be finite and > 0, got inf"),
+        (0.1, math.nan, "snapshot 1, tree 1, node 3: leaf mean must be finite, got nan"),
+        (0.1, -math.inf, "snapshot 1, tree 1, node 3: leaf mean must be finite, got -inf"),
+    ])
+    def test_save_refuses_what_load_refuses(self, tmp_path, sigma, leaf, problem):
+        # A fit must never write a model file that it cannot load again.
+        from bartgrid.analysis import PosteriorSample
+        from bartgrid.trees import CutpointGrid, Tree
+
+        grid = CutpointGrid.from_ranges(np.array([-1.0]), np.array([1.0]), 3)
+        good = (0.1, [Tree(), Tree({1: (0, 1), 2: 0.5, 3: 1.0})])
+        bad = (sigma, [Tree(), Tree({1: (0, 1), 2: 0.5, 3: leaf})])
+        sample = PosteriorSample(m=2, d=1, numcut=3, y_mid=0.0, y_range=1.0,
+                                 grid=grid, snapshots=[good, bad])
+        path = tmp_path / "refused.model"
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            save_model(str(path), sample)
+        assert not path.exists()
 
     @staticmethod
     def _predict_with_line(tmp_path, lineno, text):

@@ -564,6 +564,66 @@ class TestTransportErrors:
         finally:
             cluster_mod.run_worker = orig
 
+    def test_a_worker_failure_the_master_names_leads(self, monkeypatch):
+        # Rank 1 sends its RssPartial and fails; only after its failure is
+        # recorded and its channel closed does rank 2, which the master is
+        # awaiting, fail too.  The master blames rank 2, and so does the run.
+        run_worker = cluster.run_worker
+        rank_1_closed = threading.Event()
+
+        def worker(chan, x, y, rank, *args, **kwargs):
+            send, close = chan.send, chan.close
+
+            def failing_send(data):
+                if data[0] == proto.OP_RSS_PARTIAL:
+                    if rank == 1:
+                        send(data)
+                    elif not rank_1_closed.wait(10.0):
+                        raise AssertionError("rank 1 never closed its channel")
+                    raise RuntimeError(f"rank {rank} fails")
+                send(data)
+
+            def closing():
+                close()
+                if rank == 1:
+                    rank_1_closed.set()
+
+            chan.send, chan.close = failing_send, closing
+            run_worker(chan, x, y, rank, *args, **kwargs)
+
+        monkeypatch.setattr(cluster, "run_worker", worker)
+        x, y = toy_data(40)
+        with pytest.raises(ClusterError, match=r"^worker 2 \(rows 20-39\) failed: "
+                           r"RuntimeError\('rank 2 fails'\)$") as info:
+            run_cluster_inprocess(x, y, toy_settings(draws=4, burn=1, thin=1), workers=2)
+        assert info.value.rank == 2
+        assert str(info.value.__context__).startswith(
+            "rank 2 failed while the master awaited RssPartial at iteration 1:")
+
+    def test_a_non_finite_statistic_stops_the_run_by_name(self, monkeypatch):
+        # Rank 2 reports a NaN sum once, for tree 1 of iteration 2: decode
+        # refuses it, so the fit fails instead of drawing NaN ever after.
+        mu_stats = sampler.LocalProvider.mu_stats
+        calls = collections.Counter()
+
+        def nan_once(provider, j, leaves):
+            stats = mu_stats(provider, j, leaves)
+            thread = threading.current_thread().name
+            calls[thread] += 1
+            if thread == "bartgrid-worker-2" and calls[thread] == 8:
+                stats[1, 0] = math.nan
+            return stats
+
+        monkeypatch.setattr(sampler.LocalProvider, "mu_stats", nan_once)
+        x, y = toy_data(400)
+        with pytest.raises(ClusterError) as info:
+            run_cluster_inprocess(x, y, toy_settings(reduction_blocks=2), workers=2)
+        assert str(info.value).startswith(
+            "rank 2 failed while the master awaited MuStats at tree 1 of iteration 2:"
+            " non-finite value in MuStats(records=((")
+        assert "nan" in str(info.value)
+        assert info.value.rank == 2
+
     def test_master_failure_propagates_and_stops_workers(self, monkeypatch):
         # The master's own error comes out unchanged, and closing its ends
         # releases every worker thread waiting on it.

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,32 @@ class TestDecodeErrors:
         frame = encode(msg)
         with pytest.raises(ProtocolError):
             decode(frame[:-8])
+
+
+class TestNonFiniteValues:
+    # Every real of a sampler-phase message, as (message with that real set
+    # to `v`, name); a MU_STATS record's third value is padding and unread.
+    REALS = [
+        (lambda v: MoveStats(3, 4, v, 0.5), "MoveStats.sum_left"),
+        (lambda v: MoveStats(3, 4, 0.5, v), "MoveStats.sum_right"),
+        (lambda v: BirthAccept(1, 0, 2, v, 0.5), "BirthAccept.mu_left"),
+        (lambda v: BirthAccept(1, 0, 2, 0.5, v), "BirthAccept.mu_right"),
+        (lambda v: DeathAccept(1, v), "DeathAccept.mu"),
+        (lambda v: RssPartial(v), "RssPartial.rss"),
+        (lambda v: MuStats(((2, 0.5, 0.0), (3, v, 0.0))), "MuStats sum"),
+        (lambda v: MuValues((0.5, v)), "MuValues value"),
+    ]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("build", [b for b, _ in REALS], ids=[n for _, n in REALS])
+    def test_decode_refuses_a_non_finite_real(self, build, value):
+        assert decode(encode(build(0.25))) == build(0.25)
+        with pytest.raises(ProtocolError, match=re.escape(f"non-finite value in {build(value)}")):
+            decode(encode(build(value)))
+
+    def test_mu_stats_padding_is_not_checked(self):
+        msg = MuStats(((2, 0.5, float("inf")),))
+        assert decode(encode(msg)).records[0][:2] == (2, 0.5)
 
 
 class TestEncodeErrors:

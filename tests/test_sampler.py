@@ -1031,6 +1031,26 @@ class TestOneIteration:
         assert np.all(result.iteration_seconds > 0)
         assert result.iteration_seconds.sum() == pytest.approx(result.elapsed, rel=1e-9)
 
+    def test_a_non_finite_rss_stops_the_chain_by_value(self, monkeypatch):
+        # Without the check, one NaN residual sum makes every later sigma NaN.
+        rss = LocalProvider.rss
+        calls = []
+
+        def nan_once(provider):
+            calls.append(rss(provider))
+            return math.nan if len(calls) == 3 else calls[-1]
+
+        monkeypatch.setattr(LocalProvider, "rss", nan_once)
+        rng = np.random.default_rng(27)
+        x = rng.uniform(-1, 1, (100, 2))
+        y = x[:, 0] + 0.1 * rng.standard_normal(100)
+        with pytest.raises(ValueError, match="rss must be finite and >= 0, got nan"):
+            run_serial(x, y, FitSettings(m=4, draws=12, burn=2, seed=28, min_leaf=2))
+        assert len(calls) == 3
+        for rss in (math.inf, -1.0):
+            with pytest.raises(ValueError, match=f"got {rss!r}"):
+                draw_sigma(10, rss, 3.0, 0.2, rng)
+
     def test_draws_must_exceed_burn(self):
         settings = FitSettings(draws=10, burn=10)
         with pytest.raises(ValueError, match="burn"):

@@ -2,11 +2,11 @@
 
 Prediction averages tree sums over saved posterior snapshots and is exactly
 linear in both rows and snapshots, so inputs can be partitioned across
-threads or machines with bit-identical results.  A sample is compiled once,
-on its first prediction, into its distinct tree structures; each call bins
-its inputs once, routes them once per structure and adds every tree's leaf
-means in snapshot-then-tree order, the order of a per-tree walk, so the bits
-do not depend on the compilation.  Sensitivity estimators (main effects,
+threads or machines with bit-identical results.  A sample keeps its trees in
+one table of distinct structures, grown draw by draw; each call bins its
+inputs once, routes them once per structure and adds every tree's leaf means
+in snapshot-then-tree order, the order of a per-tree walk, so the bits do
+not depend on the table.  Sensitivity estimators (main effects,
 first-order and total Sobol indices) work against any real-valued predictor
 of the inputs, which lets the same code run on a fitted surface or on an
 analytic test function.  A predictor must be row-wise: row i of its output
@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .sampler import partition_bounds
-from .trees import CompiledTrees, CutpointGrid, Tree
+from .trees import CompiledTrees, CutpointGrid
 
 Predictor = Callable[[np.ndarray], np.ndarray]
 DOMAIN = (-1.0, 1.0)  # each input's range in the estimators: the generator's U[-1, 1]
@@ -48,36 +48,21 @@ class PosteriorSample:
     y_mid: float
     y_range: float
     grid: CutpointGrid
-    snapshots: list[tuple[float, list[Tree]]]  # (sigma, forest), scaled units
-    _compiled: CompiledTrees | None = field(default=None, init=False, repr=False, compare=False)
+    sigmas: list[float]  # per snapshot, scaled units
+    trees: CompiledTrees  # snapshot then tree; it does not grow once the sample is made
 
     def __post_init__(self):
-        if not self.snapshots:
+        if not self.sigmas:
             raise ValueError("posterior sample holds no snapshots")
-        for sigma, forest in self.snapshots:
-            if len(forest) != self.m:
-                raise ValueError("snapshot forest size does not match m")
-
-    @property
-    def n_snapshots(self) -> int:
-        return len(self.snapshots)
-
-    def compiled(self) -> CompiledTrees:
-        """Every snapshot's trees, snapshot then tree, compiled on first use.
-
-        The snapshots must not change after the first prediction.
-        """
-        if self._compiled is None:
-            self._compiled = CompiledTrees([tree for _, forest in self.snapshots for tree in forest])
-        return self._compiled
+        if len(self.trees.structure_of) != len(self.sigmas) * self.m:
+            raise ValueError("snapshot forest size does not match m")
 
     def predictor(self) -> Predictor:
-        self.compiled()  # before any caller's thread can reach it
         return lambda x: predict_mean(self, x)
 
 
 def posterior_from_chain(result) -> PosteriorSample:
-    """Wrap a finished ChainResult's snapshots for prediction."""
+    """Wrap a finished ChainResult's kept draws for prediction."""
     return PosteriorSample(
         m=result.settings.m,
         d=result.grid.n_vars,
@@ -85,7 +70,8 @@ def posterior_from_chain(result) -> PosteriorSample:
         y_mid=result.y_mid,
         y_range=result.y_range,
         grid=result.grid,
-        snapshots=result.snapshots,
+        sigmas=result.kept_sigmas,
+        trees=result.kept_trees,
     )
 
 
@@ -94,11 +80,11 @@ def predict_mean(samples: PosteriorSample, xstar: np.ndarray) -> np.ndarray:
 
     Per row: the average over snapshots of the forest sum, accumulated in
     snapshot-then-tree order so any row partition reproduces the same bits.
-    The inputs are binned once; the compiled sample routes them once per
+    The inputs are binned once; the sample's table routes them once per
     distinct tree structure.
     """
-    acc = samples.compiled().sum(samples.grid.bin(xstar))
-    acc /= samples.n_snapshots
+    acc = samples.trees.sum(samples.grid.bin(xstar))
+    acc /= len(samples.sigmas)
     return acc * samples.y_range + samples.y_mid
 
 

@@ -22,7 +22,7 @@ from .analysis import PosteriorSample
 from .cluster import ClusterError, connect_worker, serve_master
 from .datagen import TableError, read_table, table_shape, write_table
 from .sampler import ChainResult, FitSettings, run_serial, worker_row_range
-from .trees import CutpointGrid, TreeLineError, tree_from_lines, tree_lines
+from .trees import CompiledTrees, CutpointGrid, TreeLineError, tree_from_lines, tree_lines
 
 
 class ConfigError(ValueError):
@@ -161,29 +161,30 @@ def save_model(path: str, sample: PosteriorSample) -> None:
     A sigma or leaf mean that `load_model` would refuse is a ValueError
     raised before the file is opened.
     """
-    for idx, (sigma, forest) in enumerate(sample.snapshots):
+    m, trees = sample.m, sample.trees
+    for idx, sigma in enumerate(sample.sigmas):
         if not 0.0 < sigma < math.inf:
             raise ValueError(f"snapshot {idx}: sigma must be finite and > 0, got {sigma!r}")
-        for t, tree in enumerate(forest):
-            for k, mu in tree.nodes.items():
-                if not (isinstance(mu, tuple) or math.isfinite(mu)):
-                    raise ValueError(
-                        f"snapshot {idx}, tree {t}, node {k}: leaf mean must be finite, got {mu!r}"
-                    )
+    for t, (s, means) in enumerate(zip(trees.structure_of, trees.leaf_means)):
+        for k, mu in zip(trees.leaves[s], means.tolist()):
+            if not math.isfinite(mu):
+                raise ValueError(
+                    f"snapshot {t // m}, tree {t % m}, node {k}: leaf mean must be finite, got {mu!r}"
+                )
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n")
         for key, *_domain in _HEADER:
-            value = sample.n_snapshots if key == "snapshots" else getattr(sample, key)
+            value = len(sample.sigmas) if key == "snapshots" else getattr(sample, key)
             fh.write(f"{key} {value}\n")
         for v in range(sample.d):
             vals = sample.grid.values[v]
             fh.write(
                 f"cutpoints {v} {vals.size} " + " ".join(repr(float(c)) for c in vals) + "\n"
             )
-        for idx, (sigma, forest) in enumerate(sample.snapshots):
+        for idx, sigma in enumerate(sample.sigmas):
             fh.write(f"snapshot {idx} {sigma!r}\n")
-            for tree in forest:
-                body = tree_lines(tree)
+            for t in range(idx * m, (idx + 1) * m):
+                body = tree_lines(trees.tree(t))
                 fh.write(f"tree {len(body)}\n" + "".join(line + "\n" for line in body))
 
 
@@ -244,14 +245,13 @@ def load_model(path: str) -> PosteriorSample:
         values.append(cuts)
         pos += 1
     grid = CutpointGrid(values)
-    snapshots = []
+    sigmas, trees = [], CompiledTrees()
     for idx in range(header.pop("snapshots")):
         parts = _expect(lines, pos, "snapshot")
         if len(parts) != 3 or parts[1] != str(idx):
             raise ModelFileError(f"line {pos + 1}: malformed snapshot header")
-        sigma = _value(parts[2], pos, "snapshot", float, *_POSITIVE)
+        sigmas.append(_value(parts[2], pos, "snapshot", float, *_POSITIVE))
         pos += 1
-        forest = []
         for t in range(m):
             head = lines[pos] if pos < len(lines) else ""
             parts = head.split()
@@ -277,12 +277,11 @@ def load_model(path: str) -> PosteriorSample:
                         f"line {pos + 2 + i}: snapshot {idx}, tree {t}, node {k}: rule {rule}"
                         f" is outside the cutpoint grid ({d} variables)"
                     )
-            forest.append(tree)
+            trees.extend([tree])
             pos += 1 + len(body)
-        snapshots.append((sigma, forest))
     if pos != len(lines):
         raise ModelFileError("trailing content after the last snapshot")
-    return PosteriorSample(**header, grid=grid, snapshots=snapshots)
+    return PosteriorSample(**header, grid=grid, sigmas=sigmas, trees=trees)
 
 
 def write_chain_log(path: str, result: ChainResult) -> None:
@@ -376,7 +375,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     )
     print(
         f"fit complete: {result.sigmas.size} iterations in {result.elapsed:.2f}s, "
-        f"{len(result.snapshots)} snapshots saved to {cfg.out} "
+        f"{len(result.kept_sigmas)} snapshots saved to {cfg.out} "
         f"(mean b {result.mean_b[-1]:.2f}, accept rate {accept:.3f})"
     )
     return 0

@@ -892,7 +892,8 @@ class ChainResult:
     birth_accepted: np.ndarray
     death_proposed: np.ndarray
     death_accepted: np.ndarray
-    snapshots: list[tuple[float, list[Tree]]] = field(default_factory=list)  # (sigma, forest)
+    kept_sigmas: list[float] = field(default_factory=list)  # per kept draw, scaled units
+    kept_trees: CompiledTrees = field(default_factory=CompiledTrees)  # kept draw then tree
     forest_hashes: list[str] = field(default_factory=list)
     elapsed: float = 0.0
     trace: list[list[TreeMoveRecord]] | None = None
@@ -903,11 +904,11 @@ class ChainResult:
 
     @property
     def b_bar(self) -> float:
-        """Mean terminal-node count over saved snapshots and trees."""
-        if not self.snapshots:
+        """Mean terminal-node count over kept draws and trees."""
+        if not self.kept_sigmas:
             return float("nan")
-        total = sum((len(t.nodes) + 1) // 2 for _, forest in self.snapshots for t in forest)
-        return total / (len(self.snapshots) * self.settings.m)
+        total = sum(map(len, self.kept_trees.leaf_means))
+        return total / (len(self.kept_sigmas) * self.settings.m)
 
 
 def forest_hash(forest: Sequence[Tree]) -> str:
@@ -928,8 +929,9 @@ def _update_tree(
     rng: np.random.Generator,
     provider: StatsProvider,
     prior_only: bool,
+    it: int,
 ) -> tuple[str | None, bool, int]:
-    """One tree's structural move plus its leaf-mean Gibbs pass.
+    """One tree's structural move plus its leaf-mean Gibbs pass, in iteration `it`.
 
     Returns (move kind or None, accepted, terminal count after the move).
     This is the single source of the per-tree random variate sequence for
@@ -954,6 +956,9 @@ def _update_tree(
             mu_l, mu_r = nodes[2 * k], nodes[2 * k + 1]
         # Each call builds fresh statistics, so the means are added in place.
         stats_l, stats_r = provider.move_stats(j, prop)
+        if not (math.isfinite(stats_l.s) and math.isfinite(stats_r.s)):
+            raise ValueError(f"MoveStats at tree {j} of iteration {it}: non-finite sum in"
+                             f" {stats_l}, {stats_r}")
         stats_l.s += stats_l.n * mu_l
         stats_r.s += stats_r.n * mu_r
         log_ratio = accept_log_ratio(tree, prop, stats_l, stats_r, sigma, prior, prior_only)
@@ -968,6 +973,8 @@ def _update_tree(
     terminals = tree.terminals()
     old_mus = np.array(list(map(nodes.__getitem__, terminals)), dtype=np.float64)
     stats = provider.mu_stats(j, len(terminals))
+    if not math.isfinite(np.add.reduce(stats[1])):
+        raise ValueError(f"MuStats at tree {j} of iteration {it}: non-finite sums {stats[1].tolist()}")
     stats[1] += stats[0] * old_mus
     new_mus = draw_mus(stats, sigma, prior.tau, rng)
     provider.apply_mus(j, old_mus, new_mus)
@@ -1014,7 +1021,7 @@ def run_chain_core(
         b_sum = 0
         for j in range(m):
             move, accepted, b_after = _update_tree(
-                j, forest[j], sigma, grid, prior, rng, provider, settings.prior_only
+                j, forest[j], sigma, grid, prior, rng, provider, settings.prior_only, i + 1
             )
             if move is not None:
                 birth = move == BIRTH
@@ -1031,7 +1038,8 @@ def run_chain_core(
             result.forest_hashes.append(forest_hash(forest))
         it = i + 1
         if it > settings.burn and (it - settings.burn) % settings.thin == 0:
-            result.snapshots.append((sigma, [t.clone() for t in forest]))
+            result.kept_sigmas.append(sigma)
+            result.kept_trees.extend(forest)
         if on_iteration is not None:
             on_iteration(it, sigma, forest)
         now = time.perf_counter()

@@ -7,22 +7,22 @@ and depth.  A terminal node maps to its leaf mean (a float), an internal node
 to its (variable, cutpoint-index) rule (a tuple).  A tree's terminal and nog
 lists are computed on first use and kept until its structure next changes,
 which it does only through `Tree.birth` and `Tree.death`: they drop the lists
-rather than edit them, so a clone may share them.  Leaf means may be
-reassigned in `nodes` freely.
+rather than edit them, so a list handed out earlier stays as it was.  Leaf
+means may be reassigned in `nodes` freely.
 
 Rows are routed over binned columns: `CutpointGrid.bin` turns each value into
 the count of its variable's cutpoints at or below it, and a rule (v, c) sends
 a row left exactly when that count is at most c, which is the float test
 x[v] < value(v, c).  The sampler's shards hold only these cut indices.  One
 router, `CompiledTrees`, serves prediction, the residual check and
-`route_rows`: it takes any sequence of trees, routes each distinct structure
-once and each run of rules that structures share from the root once, and sums
-leaf means in the trees' order.
+`route_rows`, and stores a posterior's kept trees: it grows by any trees,
+routes each distinct structure once and each run of rules that structures
+share from the root once, and sums leaf means in the trees' order.
 """
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -98,11 +98,6 @@ class Tree:
         del nodes[2 * node_id], nodes[2 * node_id + 1]
         nodes[node_id] = float(mu)
         self._terminals = self._nogs = None
-
-    def clone(self) -> "Tree":
-        copy = Tree(dict(self.nodes))
-        copy._terminals, copy._nogs = self._terminals, self._nogs
-        return copy
 
 
 class CutpointGrid:
@@ -239,47 +234,59 @@ class CompiledTrees:
     rows of each distinct path are found once, as one boolean mask, however
     many trees pass through it.  A row's *slot* in a structure is the
     left-to-right index of the leaf it reaches: the sum, over the right turns
-    it takes, of the leaf count of the subtree it turned away from.
+    it takes, of the leaf count of the subtree it turned away from.  A tree
+    adds only its structure id and leaf means to those of earlier trees.
     """
 
-    __slots__ = ("leaves", "structure_of", "leaf_means", "_splits", "_turns", "_slot_type")
+    __slots__ = ("rules", "leaves", "structure_of", "leaf_means", "_index", "_splits", "_turns",
+                 "_slot_type")
 
-    def __init__(self, trees: Sequence[Tree]):
-        index: dict[tuple, int] = {}
+    def __init__(self, trees: Iterable[Tree] = ()):
+        self.rules: list[tuple] = []  # per structure: its (node, (v, c)) pairs, sorted
         self.leaves: list[list[int]] = []  # per structure: leaf ids, left to right
         self.structure_of: list[int] = []  # per tree: its structure
         self.leaf_means: list[np.ndarray] = []  # per tree: means in its structure's leaf order
+        self._index: dict[tuple, int] = {}  # rules -> structure
+        # Path 0 is the root.  _splits[p] maps each distinct rule (v, c) at p
+        # to its (left path, right path); _turns[p] lists (structure, left
+        # leaf count) for every structure node whose right child sits at p.
+        self._splits: list[dict[tuple, tuple[int, int]]] = [{}]
+        self._turns: list[list[tuple]] = [[]]
+        self._slot_type = np.uint8
+        self.extend(trees)
+
+    def extend(self, trees: Iterable[Tree]) -> None:
+        """Append trees, in order, after those already in the table."""
         for tree in trees:
             nodes = tree.nodes
-            key = tuple(sorted((k, val) for k, val in nodes.items() if isinstance(val, tuple)))
-            s = index.setdefault(key, len(index))
-            if s == len(self.leaves):
+            rules = tuple(sorted([(k, val) for k, val in nodes.items() if isinstance(val, tuple)]))
+            s = self._index.setdefault(rules, len(self.rules))
+            if s == len(self.rules):
+                self.rules.append(rules)
                 self.leaves.append([k for k in _preorder(nodes) if not isinstance(nodes[k], tuple)])
+                wider = np.min_scalar_type(len(self.leaves[s]) - 1)
+                self._slot_type = np.promote_types(self._slot_type, wider).type
+                size = dict.fromkeys(self.leaves[s], 1)
+                for k, _rule in reversed(rules):
+                    size[k] = size[2 * k] + size[2 * k + 1]
+                path = {1: 0}
+                for k, rule in rules:
+                    splits = self._splits[path[k]]
+                    if rule not in splits:
+                        splits[rule] = (len(self._splits), len(self._splits) + 1)
+                        self._splits += {}, {}
+                        self._turns += [], []
+                    path[2 * k], path[2 * k + 1] = splits[rule]
+                    self._turns[path[2 * k + 1]].append((s, size[2 * k]))
             self.structure_of.append(s)
             self.leaf_means.append(np.array([nodes[k] for k in self.leaves[s]]))
-        self._slot_type = np.min_scalar_type(max(map(len, self.leaves), default=1) - 1).type
-        # Path 0 is the root.  _splits[p] lists (v, c, left path, right path)
-        # once per distinct rule at p; _turns[p] lists (structure, left leaf
-        # count) for every structure node whose right child sits at p.
-        self._splits: list[list[tuple]] = [[]]
-        self._turns: list[list[tuple]] = [[]]
-        split_at: dict[tuple, tuple[int, int]] = {}
-        for key, s in index.items():
-            rules = dict(key)
-            size = dict.fromkeys(self.leaves[s], 1)
-            for k in sorted(rules, reverse=True):
-                size[k] = size[2 * k] + size[2 * k + 1]
-            path = {1: 0}
-            for k in sorted(rules):
-                v, c = rules[k]
-                at = (path[k], v, c)
-                if at not in split_at:
-                    split_at[at] = (len(self._splits), len(self._splits) + 1)
-                    self._splits[path[k]].append((v, c, *split_at[at]))
-                    self._splits += [], []
-                    self._turns += [], []
-                path[2 * k], path[2 * k + 1] = split_at[at]
-                self._turns[path[2 * k + 1]].append((s, self._slot_type(size[2 * k])))
+
+    def tree(self, t: int) -> Tree:
+        """Tree t of the table, rebuilt."""
+        s = self.structure_of[t]
+        nodes = dict(self.rules[s])
+        nodes.update(zip(self.leaves[s], self.leaf_means[t].tolist()))
+        return Tree(nodes)
 
     @property
     def pass_rows(self) -> int:
@@ -302,8 +309,8 @@ class CompiledTrees:
             if self._turns[p]:
                 ones = rows.view(np.uint8)
                 for s, skipped in self._turns[p]:
-                    slots[s] += ones if skipped == 1 else ones * skipped
-            for v, c, left, right in self._splits[p]:
+                    slots[s] += ones if skipped == 1 else ones * self._slot_type(skipped)
+            for (v, c), (left, right) in self._splits[p].items():
                 go_left = xb[v] <= c
                 go_left &= rows
                 stack += (left, go_left), (right, rows > go_left)

@@ -7,8 +7,9 @@ does not.  `TestFixedCost` (tests/test_sampler.py) and
 `TestTableIO` (tests/test_datagen.py) bounds the table reader's traced peak.
 A fresh interpreter's peak RSS after a default-prior serial fit is printed
 too, beside the scipy modules that fit loaded; no test asserts the RSS,
-which depends on the host's libraries.  Run from the repository root to
-print the figures:
+which depends on the host's libraries.  Nor does any test assert the traced
+bytes a kept tree costs, which depend on the Python and numpy versions.  Run
+from the repository root to print the figures:
 
     PYTHONPATH=src python tests/fixed_cost.py
 """
@@ -129,6 +130,24 @@ def fresh_fit_footprint() -> tuple[float, list[str]]:
     return int(out[0]) / 1024, out[1].split()
 
 
+def kept_tree_bytes(draws: int = 200, m: int = 200) -> float:
+    """Traced bytes per kept tree of a serial fit (n=1,000, d=5, m trees,
+    `draws` kept draws after 50 of burn-in): the drop in tracemalloc's
+    current size when the fit's kept sigmas and trees are released."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1.0, 1.0, (1000, 5))
+    y = np.sin(3.0 * x[:, 0]) + x[:, 1] + 0.1 * rng.standard_normal(1000)
+    tracemalloc.start()
+    try:
+        result = run_serial(x, y, FitSettings(m=m, draws=50 + draws, burn=50, seed=1))
+        before = tracemalloc.get_traced_memory()[0]
+        result.kept_sigmas = result.kept_trees = None
+        released = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return released / (draws * m)
+
+
 def main() -> None:
     rss_mb, scipy_modules = fresh_fit_footprint()
     print(f"fresh serial fit: ru_maxrss {rss_mb:.1f} MB, {len(scipy_modules)} scipy modules "
@@ -146,6 +165,8 @@ def main() -> None:
         peak, returned = read_table_peak(os.path.join(tmp, "t.csv"), 40_000, 11)
     print(f"read_table: traced peak {peak / 1e6:.2f} MB, {peak / returned:.2f} x the "
           f"{returned / 1e6:.2f} MB returned (40000 rows, 11 columns)")
+    print(f"kept draws: {kept_tree_bytes():.0f} traced bytes per kept tree (1000 rows, m=200, "
+          f"200 kept draws)")
 
 
 if __name__ == "__main__":

@@ -15,22 +15,15 @@ from bartgrid.analysis import (
     sobol_indices,
 )
 from bartgrid.sampler import FitSettings, run_serial
-from bartgrid.trees import ROUTE_CHUNK, CutpointGrid, Tree
+from bartgrid.trees import ROUTE_CHUNK, CompiledTrees, CutpointGrid, Tree
 from test_trees import log_routes, naive_descend
 
 
 def constant_sample(mu=0.25, m=1, d=2, y_mid=1.0, y_range=4.0, n_snapshots=3):
     grid = CutpointGrid.from_ranges(np.full(d, -1.0), np.full(d, 1.0), 10)
-    snaps = []
-    for _ in range(n_snapshots):
-        forest = []
-        for _ in range(m):
-            tree = Tree()
-            tree.nodes[1] = mu
-            forest.append(tree)
-        snaps.append((0.1, forest))
+    trees = CompiledTrees(Tree({1: mu}) for _ in range(n_snapshots * m))
     return PosteriorSample(m=m, d=d, numcut=10, y_mid=y_mid, y_range=y_range,
-                           grid=grid, snapshots=snaps)
+                           grid=grid, sigmas=[0.1] * n_snapshots, trees=trees)
 
 
 class TestPredictMean:
@@ -54,10 +47,13 @@ class TestPredictMean:
         sample = constant_sample(n_snapshots=4)
         per_snapshot = []
         xstar = np.zeros((3, 2))
-        for sigma, forest in sample.snapshots:
+        m = sample.m
+        for idx, sigma in enumerate(sample.sigmas):
+            forest = [sample.trees.tree(t) for t in range(idx * m, (idx + 1) * m)]
             single = PosteriorSample(
-                m=sample.m, d=sample.d, numcut=sample.numcut, y_mid=sample.y_mid,
-                y_range=sample.y_range, grid=sample.grid, snapshots=[(sigma, forest)],
+                m=m, d=sample.d, numcut=sample.numcut, y_mid=sample.y_mid,
+                y_range=sample.y_range, grid=sample.grid, sigmas=[sigma],
+                trees=CompiledTrees(forest),
             )
             per_snapshot.append(predict_mean(single, xstar))
         assert np.array_equal(np.mean(per_snapshot, axis=0), predict_mean(sample, xstar))
@@ -82,16 +78,16 @@ class TestCompiledPrediction:
         sample = fitted_sample
         xstar = np.random.default_rng(23).uniform(-1.2, 1.2, (300, 3))
         acc = np.zeros(xstar.shape[0])
-        for _sigma, forest in sample.snapshots:
-            for tree in forest:
-                acc += np.array([naive_descend(tree, sample.grid, row) for row in xstar])
-        acc /= sample.n_snapshots
+        for t in range(len(sample.trees.structure_of)):
+            tree = sample.trees.tree(t)
+            acc += np.array([naive_descend(tree, sample.grid, row) for row in xstar])
+        acc /= len(sample.sigmas)
         expected = acc * sample.y_range + sample.y_mid
         assert predict_mean(sample, xstar).tobytes() == expected.tobytes()
 
     def test_row_splits_around_the_pass_size(self, fitted_sample):
         # Pieces of pass-1, pass and pass+1 rows, and their remainders.
-        size = fitted_sample.compiled().pass_rows
+        size = fitted_sample.trees.pass_rows
         xstar = np.random.default_rng(24).uniform(-1, 1, (2 * size + 1, 3))
         whole = predict_mean(fitted_sample, xstar)
         for cut in (size - 1, size, size + 1):
@@ -127,20 +123,14 @@ class TestCompiledPrediction:
         assert serial.f0 == threaded.f0
 
     def test_compiled_once(self, monkeypatch):
-        compiles = []
-
-        class Counting(analysis.CompiledTrees):
-            def __init__(self, trees):
-                compiles.append(len(trees))
-                super().__init__(trees)
-
-        monkeypatch.setattr(analysis, "CompiledTrees", Counting)
+        # The table is compiled as the sample is built; predictions only read it.
         sample = constant_sample(m=2, n_snapshots=3)
+        extends = []
+        monkeypatch.setattr(CompiledTrees, "extend", lambda table, trees: extends.append(trees))
         first, second = sample.predictor(), sample.predictor()
-        assert compiles == [6]
         xstar = np.zeros((4, 2))
         assert first(xstar).tobytes() == second(xstar).tobytes() == predict_mean(sample, xstar).tobytes()
-        assert compiles == [6]
+        assert extends == [] and len(sample.trees.structure_of) == 6
 
 
 class TestMainEffect:

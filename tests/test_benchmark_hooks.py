@@ -75,3 +75,22 @@ def test_tcp_workload_finds_its_calls_and_names():
         "sampler.ShardData.apply_mus",
     ):
         assert callable(functools.reduce(getattr, name.split("."), bartgrid)), name
+
+
+def test_predict_workload_calls_return_what_it_reads(tmp_path):
+    # perfbench/run.py `predict_workload`'s calls, in its order, on a tiny fit.
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, (200, 3))
+    fit = sampler.run_serial(
+        x, np.sin(2.0 * x[:, 0]), sampler.FitSettings(m=5, draws=12, burn=8, thin=1, seed=3)
+    )
+    path = str(tmp_path / "fit.model")
+    cli.save_model(path, analysis.posterior_from_chain(fit))
+    sample = cli.load_model(path)
+    preds = analysis.predict_mean(sample, x[:50])
+    assert preds.shape == (50,) and np.all(np.isfinite(preds))
+    report = analysis.sensitivity_report(
+        sample.predictor(), 3, 64, 8, 7, effect_points=5, effect_mc=10, threads=1,
+    )
+    values = [v for e in report.estimates for v in (e.s1, e.st)]
+    assert len(values) == 6 and np.all(np.isfinite(values))
+    assert report.effects.shape == (3, 5) and np.all(np.isfinite(report.effects))

@@ -145,7 +145,7 @@ class TestModelFile:
         loaded = load_model(path)
         xstar = np.random.default_rng(2).uniform(-1, 1, (100, 3))
         assert np.array_equal(predict_mean(sample, xstar), predict_mean(loaded, xstar))
-        assert loaded.m == sample.m and loaded.n_snapshots == sample.n_snapshots
+        assert loaded.m == sample.m and loaded.sigmas == sample.sigmas
 
     def test_truncated_file_rejected(self, tmp_path):
         result, _ = fit_small()
@@ -182,16 +182,34 @@ class TestModelFile:
     def test_paper_scale_counts_load(self, tmp_path):
         # A file declaring 400 snapshots x 200 trees parses and reports them.
         from bartgrid.analysis import PosteriorSample
-        from bartgrid.trees import CutpointGrid, Tree
+        from bartgrid.trees import CompiledTrees, CutpointGrid, Tree
 
         grid = CutpointGrid.from_ranges(np.array([-1.0]), np.array([1.0]), 3)
-        snaps = [(0.1, [Tree() for _ in range(200)]) for _ in range(400)]
-        sample = PosteriorSample(m=200, d=1, numcut=3, y_mid=0.0, y_range=1.0,
-                                 grid=grid, snapshots=snaps)
+        trees = CompiledTrees(Tree() for _ in range(400 * 200))
+        sample = PosteriorSample(m=200, d=1, numcut=3, y_mid=0.0, y_range=1.0, grid=grid,
+                                 sigmas=[0.1] * 400, trees=trees)
         path = str(tmp_path / "big.model")
         save_model(path, sample)
         loaded = load_model(path)
-        assert loaded.m == 200 and loaded.n_snapshots == 400
+        assert loaded.m == 200 and len(loaded.sigmas) == 400
+
+    def test_repeated_forest_loads_one_structure_per_distinct_tree(self, tmp_path):
+        # Snapshots that repeat one forest add leaf means, not structures, and
+        # the loaded table writes the same bytes again.
+        from bartgrid.analysis import PosteriorSample
+        from bartgrid.trees import CompiledTrees, CutpointGrid, Tree
+
+        grid = CutpointGrid.from_ranges(np.full(2, -1.0), np.full(2, 1.0), 3)
+        forest = [Tree(), Tree({1: (0, 1), 2: 0.5, 3: 1.0}), Tree({1: (1, 0), 2: -0.5, 3: 2.0})]
+        sample = PosteriorSample(m=3, d=2, numcut=3, y_mid=0.0, y_range=1.0, grid=grid,
+                                 sigmas=[0.1, 0.2, 0.3, 0.4], trees=CompiledTrees(forest * 4))
+        path, again = tmp_path / "repeat.model", tmp_path / "again.model"
+        save_model(str(path), sample)
+        loaded = load_model(str(path))
+        assert len(loaded.trees.rules) == len(loaded.trees.leaves) == 3
+        assert loaded.trees.structure_of == [0, 1, 2] * 4
+        save_model(str(again), loaded)
+        assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("sigma, leaf, problem", [
         (math.nan, 1.0, "snapshot 1: sigma must be finite and > 0, got nan"),
@@ -203,13 +221,13 @@ class TestModelFile:
     def test_save_refuses_what_load_refuses(self, tmp_path, sigma, leaf, problem):
         # A fit must never write a model file that it cannot load again.
         from bartgrid.analysis import PosteriorSample
-        from bartgrid.trees import CutpointGrid, Tree
+        from bartgrid.trees import CompiledTrees, CutpointGrid, Tree
 
         grid = CutpointGrid.from_ranges(np.array([-1.0]), np.array([1.0]), 3)
-        good = (0.1, [Tree(), Tree({1: (0, 1), 2: 0.5, 3: 1.0})])
-        bad = (sigma, [Tree(), Tree({1: (0, 1), 2: 0.5, 3: leaf})])
-        sample = PosteriorSample(m=2, d=1, numcut=3, y_mid=0.0, y_range=1.0,
-                                 grid=grid, snapshots=[good, bad])
+        good = [Tree(), Tree({1: (0, 1), 2: 0.5, 3: 1.0})]
+        bad = [Tree(), Tree({1: (0, 1), 2: 0.5, 3: leaf})]
+        sample = PosteriorSample(m=2, d=1, numcut=3, y_mid=0.0, y_range=1.0, grid=grid,
+                                 sigmas=[0.1, sigma], trees=CompiledTrees(good + bad))
         path = tmp_path / "refused.model"
         with pytest.raises(ValueError, match=re.escape(problem)):
             save_model(str(path), sample)
@@ -219,12 +237,12 @@ class TestModelFile:
     def _predict_with_line(tmp_path, lineno, text):
         """Run `bartgrid predict` on a saved model whose line `lineno` reads `text`."""
         from bartgrid.analysis import PosteriorSample
-        from bartgrid.trees import CutpointGrid, Tree
+        from bartgrid.trees import CompiledTrees, CutpointGrid, Tree
 
         grid = CutpointGrid.from_ranges(np.array([-1.0]), np.array([1.0]), 3)
         split = Tree({1: (0, 1), 2: 0.5, 3: 1.0})  # lines 12-15
-        sample = PosteriorSample(m=2, d=1, numcut=3, y_mid=0.0, y_range=1.0,
-                                 grid=grid, snapshots=[(0.1, [Tree(), split])])
+        sample = PosteriorSample(m=2, d=1, numcut=3, y_mid=0.0, y_range=1.0, grid=grid,
+                                 sigmas=[0.1], trees=CompiledTrees([Tree(), split]))
         path = tmp_path / "edited.model"
         save_model(str(path), sample)
         lines = path.read_text().splitlines()
@@ -312,13 +330,13 @@ class TestModelFile:
         # A split on a variable the model lacks, or past its last cutpoint,
         # is refused at load time, not at the first prediction.
         from bartgrid.analysis import PosteriorSample
-        from bartgrid.trees import CutpointGrid, Tree
+        from bartgrid.trees import CompiledTrees, CutpointGrid, Tree
 
         grid = CutpointGrid.from_ranges(np.full(2, -1.0), np.full(2, 1.0), 3)
         bad = Tree({1: (0, 1), 2: rule, 3: 0.5, 4: 0.0, 5: 1.0})
-        snaps = [(0.1, [Tree(), Tree()]), (0.1, [Tree(), bad])]
-        sample = PosteriorSample(m=2, d=2, numcut=3, y_mid=0.0, y_range=1.0,
-                                 grid=grid, snapshots=snaps)
+        trees = CompiledTrees([Tree(), Tree(), Tree(), bad])
+        sample = PosteriorSample(m=2, d=2, numcut=3, y_mid=0.0, y_range=1.0, grid=grid,
+                                 sigmas=[0.1, 0.1], trees=trees)
         path = str(tmp_path / "bad.model")
         save_model(path, sample)
         with pytest.raises(ModelFileError, match="snapshot 1, tree 1, node 2"):

@@ -227,10 +227,7 @@ class TestEquivalence:
         two = run_cluster_inprocess(x, y, settings, workers=2, collect_hashes=True)
         assert np.array_equal(serial.sigmas, two.sigmas)
         assert serial.forest_hashes == two.forest_hashes
-        cuts = [
-            val[1] for _, forest in serial.snapshots for tree in forest
-            for val in tree.nodes.values() if isinstance(val, tuple)
-        ]
+        cuts = [c for rules in serial.kept_trees.rules for _k, (_v, c) in rules]
         assert max(cuts) > 255
 
     def test_prior_only_distributed_matches_serial(self):
@@ -347,7 +344,9 @@ class TestDifferentialLayouts:
             assert run.forest_hashes == serial.forest_hashes
             assert run.sigmas.tobytes() == serial.sigmas.tobytes()
         assert len(shards) == 1 + sum(workers)
-        forest = serial.snapshots[-1][1]
+        kept = serial.kept_trees
+        last = len(kept.structure_of) - settings.m
+        forest = [kept.tree(t) for t in range(last, last + settings.m)]
         for shard in shards:
             check_residual_invariant(forest, serial.grid, shard)
 

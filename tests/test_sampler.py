@@ -249,7 +249,7 @@ class TestAcceptLogRatio:
             stats_r = SuffStats(int(rng.integers(0, 30)), float(rng.normal(0.0, 3.0)))
             sigma = float(rng.uniform(0.1, 2.0))
             prior_only = bool(rng.random() < 0.1)
-            after = tree.clone()
+            after = Tree(dict(tree.nodes))
             after.birth(k, 0, lo, 0.0, 0.0)
             lr_birth = accept_log_ratio(
                 tree, Proposal(BIRTH, k, 0, lo), stats_l, stats_r, sigma, prior, prior_only
@@ -1050,6 +1050,57 @@ class TestOneIteration:
         for rss in (math.inf, -1.0):
             with pytest.raises(ValueError, match=f"got {rss!r}"):
                 draw_sigma(10, rss, 3.0, 0.2, rng)
+
+    @staticmethod
+    def _nan_once(monkeypatch, name, call, poison):
+        """Patch `LocalProvider.<name>` so its `call`-th result is `poison`ed;
+        return the (tree, iteration) of every call, iterations from 1."""
+        method = getattr(LocalProvider, name)
+        calls, iterations = [], []
+        monkeypatch.setattr(LocalProvider, "begin_iteration", lambda p: iterations.append(1))
+
+        def patched(provider, j, *args):
+            stats = method(provider, j, *args)
+            calls.append((j, len(iterations)))
+            if len(calls) == call:
+                poison(stats)
+            return stats
+
+        monkeypatch.setattr(LocalProvider, name, patched)
+        return calls
+
+    def _fit(self):
+        rng = np.random.default_rng(29)
+        x = rng.uniform(-1, 1, (400, 2))
+        y = x[:, 0] + 0.1 * rng.standard_normal(400)
+        return run_serial(x, y, FitSettings(m=6, draws=40, burn=10, seed=30, min_leaf=2))
+
+    def test_a_non_finite_move_sum_stops_the_chain_by_name(self, monkeypatch):
+        # Without the check, the NaN fails the MH test, so the move is
+        # silently rejected and the fit finishes.
+        def poison(stats):
+            stats[0].s = math.nan
+
+        calls = self._nan_once(monkeypatch, "move_stats", 9, poison)
+        with pytest.raises(ValueError) as info:
+            self._fit()
+        assert len(calls) == 9
+        j, it = calls[-1]
+        assert str(info.value).startswith(
+            f"MoveStats at tree {j} of iteration {it}: non-finite sum in SuffStats(n=")
+        assert "s=nan), SuffStats(n=" in str(info.value)
+
+    def test_a_non_finite_leaf_sum_stops_the_chain_by_name(self, monkeypatch):
+        # Without the check, the NaN means reach the residual and the fit
+        # stops only at the sigma draw, naming neither tree nor iteration.
+        def poison(stats):
+            stats[1, 0] = math.nan
+
+        calls = self._nan_once(monkeypatch, "mu_stats", 8, poison)
+        with pytest.raises(ValueError) as info:
+            self._fit()
+        assert calls[-1] == (1, 2) and len(calls) == 8
+        assert str(info.value).startswith("MuStats at tree 1 of iteration 2: non-finite sums [nan, ")
 
     def test_draws_must_exceed_burn(self):
         settings = FitSettings(draws=10, burn=10)

@@ -173,13 +173,13 @@ class TestBinnedRouting:
             assert [tree.nodes[k] for k in ids.tolist()] == expected
 
     def test_shared_prefixes_route_like_single_trees(self, grid3):
-        # Clones grown apart share their rules from the root down; clones with
+        # Copies grown apart share their rules from the root down; copies with
         # new means share a whole structure.
         rng = np.random.default_rng(47)
         base = grow_random_tree(rng, grid3, n_births=4)
         trees = []
         for _ in range(12):
-            tree = base.clone()
+            tree = Tree(dict(base.nodes))
             for k in tree.terminals():
                 tree.nodes[k] = float(rng.normal())
             if rng.random() < 0.6:
@@ -293,6 +293,42 @@ class TestRoutingPasses:
         assert compiled.route(grid255.bin(x)).max() == 256
 
 
+def growing_sets():
+    """`routing_sets`, plus trees whose table crosses from uint8 to uint16 slots."""
+    sets = routing_sets()
+    return {**sets, "crossing": [*sets["few"], wide_tree()]}
+
+
+class TestGrowingTable:
+    @pytest.mark.parametrize("name", ["few", "many", "wide", "crossing"])
+    def test_pieces_equal_one_table(self, name):
+        # Trees appended in three pieces, with a sum between pieces, route and
+        # sum as the same trees compiled at once.
+        all_trees = growing_sets()[name]
+        whole = CompiledTrees(all_trees)
+        xb = np.random.default_rng(52).integers(0, 256, (3, ROUTE_CHUNK + 3), dtype=np.uint8)
+        grown = CompiledTrees()
+        cuts = [0, len(all_trees) // 3, len(all_trees) - 1, len(all_trees)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            grown.extend(all_trees[lo:hi])
+            grown.sum(xb)
+        assert grown.structure_of == whole.structure_of and grown.leaves == whole.leaves
+        slots = grown.route(xb)
+        assert slots.dtype == whole.route(xb).dtype
+        assert slots.tobytes() == whole.route(xb).tobytes()
+        assert grown.sum(xb).tobytes() == whole.sum(xb).tobytes()
+        if name == "crossing":
+            assert CompiledTrees(all_trees[:-1]).route(xb).dtype == np.uint8
+            assert slots.dtype == np.uint16
+
+    @pytest.mark.parametrize("name", ["few", "many", "crossing"])
+    def test_tree_rebuilds_each_input(self, name):
+        all_trees = growing_sets()[name]
+        table = CompiledTrees(all_trees)
+        rebuilt = [tree_lines(table.tree(t)) for t in range(len(all_trees))]
+        assert rebuilt == [tree_lines(tree) for tree in all_trees]
+
+
 class TestCutpoints:
     def test_equal_spacing(self):
         assert np.allclose(range_cutpoints(0.0, 1.0, 3), [0.25, 0.5, 0.75])
@@ -386,18 +422,6 @@ class TestMutation:
         with pytest.raises(TreeError):
             tree.death(1, 0.0)
 
-    def test_clone_is_deep(self):
-        rng = np.random.default_rng(29)
-        grid = CutpointGrid.from_ranges(np.full(2, -1.0), np.full(2, 1.0), 10)
-        tree = grow_random_tree(rng, grid, n_births=5)
-        copy = tree.clone()
-        assert tree_lines(copy) == tree_lines(tree)
-        original = tree_lines(tree)
-        copy.nodes[copy.terminals()[0]] = 123.0
-        copy.birth(copy.terminals()[-1], 0, 0, 1.0, 2.0)
-        assert tree_lines(copy) != original
-        assert tree_lines(tree) == original
-
 
 def fresh_lists(tree):
     """Terminal and nog ids recomputed from `nodes`, ascending."""
@@ -410,9 +434,8 @@ def fresh_lists(tree):
 
 class TestCachedLists:
     def test_lists_follow_random_births_and_deaths(self):
-        # Trees rebuilt from text and their clones, the clones made with
-        # cached lists or without; each step moves one tree, and every
-        # other tree must keep the lists it had.
+        # Trees rebuilt from text and copies of their nodes; each step moves
+        # one tree, and every other tree must keep the lists it had.
         rng = np.random.default_rng(61)
         grid = CutpointGrid.from_ranges(np.full(3, -1.0), np.full(3, 1.0), 10)
         moves = 0
@@ -425,7 +448,7 @@ class TestCachedLists:
                 if rng.random() < 0.5:
                     tree.nogs()
                 if rng.random() < 0.3:
-                    trees.append(tree.clone())
+                    trees.append(Tree(dict(tree.nodes)))
                     tree = trees[-1] if rng.random() < 0.5 else tree
                 kept = [(t, list(t.terminals()), list(t.nogs())) for t in trees if t is not tree]
                 nogs = tree.nogs()
